@@ -1,10 +1,9 @@
-"""Benchmark the orbit kernels: numba scalar loop vs vectorized numpy.
+"""Benchmark the orbit interpreter on a delayed ring.
 
 Usage: python benchmarks/bench_orbit.py [--trials N] [--steps K] [--nodes M]
 
-The same instruction tape drives both backends; the run checks they agree
-before timing.  Set NETSTAB_NO_NUMBA=1 to confirm the package itself
-falls back cleanly.
+Prints the best of three wall times for one batch of trials, and the
+share of trials that stayed finite.
 """
 
 from __future__ import annotations
@@ -35,13 +34,13 @@ def build_benchmark_network(nodes: int):
     )
 
 
-def time_backend(program, histories, steps, backend, repeats=3):
+def time_batch(program, histories, steps, repeats=3):
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        engine.run_orbit_batch(program, histories, steps, backend=backend)
+        _, _, diverged = engine.run_orbit_batch(program, histories, steps)
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, diverged
 
 
 def main():
@@ -60,23 +59,10 @@ def main():
           f"{program.ops.shape[0]} instructions per step")
     print(f"workload: {args.trials} trials x {args.steps} steps")
 
-    s_np, _, _ = engine.run_orbit_batch(program, histories, args.steps, backend="numpy")
-    t_np = time_backend(program, histories, args.steps, "numpy")
-    print(f"numpy  (vectorized over trials): {t_np * 1e3:9.2f} ms")
-
-    if not engine.HAVE_NUMBA:
-        print("numba unavailable; skipping the compiled backend")
-        return
-
-    # warm the JIT cache before timing
-    engine.run_orbit_batch(program, histories[:1], 10, backend="numba")
-    s_nb, _, _ = engine.run_orbit_batch(program, histories, args.steps, backend="numba")
-    t_nb = time_backend(program, histories, args.steps, "numba")
-    print(f"numba  (compiled scalar kernel): {t_nb * 1e3:9.2f} ms")
-    print(f"speedup: {t_np / t_nb:.1f}x")
-
-    drift = np.abs(s_np - s_nb).max()
-    print(f"max cross-backend deviation: {drift:.3e}")
+    best, diverged = time_batch(program, histories, args.steps)
+    print(f"batch: {best * 1e3:9.2f} ms "
+          f"({best / (args.trials * args.steps) * 1e6:.2f} us per trial-step)")
+    print(f"finite trials: {args.trials - int(diverged.sum())}/{args.trials}")
 
 
 if __name__ == "__main__":

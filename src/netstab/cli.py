@@ -19,7 +19,7 @@ from . import regressions
 from .delays import dedelay, undelay
 from .errors import NetstabError
 from .network import InteractionGraph, dump_network, interaction_graph, load_network
-from .sim import iterate_orbit, verify_global_attraction
+from .sim import iterate_orbit, sampling_box, verify_global_attraction
 from .stability import analyze
 from .structural import find_structural_sets
 from .transform import expand, restrict
@@ -136,10 +136,7 @@ def _cmd_transform(args, verb: str) -> int:
 
 def _cmd_simulate(args) -> int:
     net = _read_network(args.network)
-    box = None
-    if args.box:
-        lo, hi = (float(v) for v in args.box.split(","))
-        box = {node: (lo, hi) for node in net.nodes}
+    box = {node: args.box for node in net.nodes} if args.box else None
     verdict = verify_global_attraction(
         net,
         trials=args.trials,
@@ -154,17 +151,7 @@ def _cmd_simulate(args) -> int:
     verdict_path.write_text(verdict.to_json() + "\n")
 
     rng = np.random.default_rng(args.seed)
-    lo = np.array([
-        net.domains[n].lo if np.isfinite(net.domains[n].lo) else -10.0
-        for n in net.nodes
-    ])
-    hi = np.array([
-        net.domains[n].hi if np.isfinite(net.domains[n].hi) else 10.0
-        for n in net.nodes
-    ])
-    if box:
-        lo = np.full(net.size, next(iter(box.values()))[0])
-        hi = np.full(net.size, next(iter(box.values()))[1])
+    lo, hi = sampling_box(net, box)
     history = rng.uniform(lo, hi, size=(net.T, net.size))
     traj = iterate_orbit(net, history, args.steps)
     csv_path = Path(f"{prefix}.trajectory.csv")
@@ -175,6 +162,14 @@ def _cmd_simulate(args) -> int:
           f"{verdict.trials} trials ({verdict.iterations_used} steps used)")
     print(f"wrote {verdict_path} and {csv_path}")
     return 0
+
+
+def _box_arg(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo,hi, got {text!r}") from None
+    return lo, hi
 
 
 def _cmd_verify(args) -> int:
@@ -225,8 +220,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--steps", type=int, default=5000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--tol", type=float, default=1e-8)
-    p_sim.add_argument("--box", default=None,
-                       help="lo,hi sampling box applied to every node")
+    p_sim.add_argument("--box", type=_box_arg, default=None,
+                       help="lo,hi sampling box applied to every node "
+                            "(write --box=-1,1 when lo is negative)")
 
     sub.add_parser("verify-paper", help="run the bundled regression table")
     return parser

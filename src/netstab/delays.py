@@ -45,9 +45,6 @@ class AugmentedNetwork:
     indices: tuple[StateIndex, ...]
     projection: dict[str, tuple[str, int]]
 
-    def base_nodes(self) -> tuple[str, ...]:
-        return tuple(c for c in self.coords if self.projection[c][1] == 0)
-
 
 def _fresh(base: str, taken: set[str]) -> str:
     name = base

@@ -1,20 +1,14 @@
-"""Orbit stepping kernels.
+"""Orbit stepping.
 
 Update expressions are flattened once into an instruction tape over a
-flat register file (window slots, constant pool, temporaries).  The tape
-is then driven either by a numba-compiled scalar kernel (one trial at a
-time) or by a pure-numpy interpreter vectorized across trials.
-
-Backend selection: numba when importable, unless the environment
-variable ``NETSTAB_NO_NUMBA`` is set to a truthy value.  Both backends
-implement identical semantics; ``benchmarks/bench_orbit.py`` compares
-their throughput.
+flat register file (window slots, constant pool, temporaries).  One numpy
+interpreter runs the tape over a (registers, trials) array, so every
+instruction advances all trials at once; each opcode maps to one numpy
+kernel that writes straight into its destination register row.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,27 +22,7 @@ __all__ = [
     "run_orbit",
     "run_orbit_batch",
     "apply_undelayed",
-    "numba_enabled",
 ]
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-def numba_enabled() -> bool:
-    flag = os.environ.get("NETSTAB_NO_NUMBA", "").strip().lower()
-    return HAVE_NUMBA and flag not in ("1", "true", "yes", "on")
-
 
 OP_ADD = 0
 OP_SUB = 1
@@ -167,106 +141,54 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
     )
 
 
-@njit(cache=True, error_model="numpy")
-def _orbit_scalar(ops, consts, out_regs, n_regs, n, T, hist, steps, stop_delta, stop_streak):
-    regs = np.zeros(n_regs, dtype=np.float64)
-    for j in range(consts.shape[0]):
-        regs[T * n + j] = consts[j]
-    streak = 0
-    for k in range(steps):
-        r = T + k
-        for d in range(T):
-            src = r - 1 - d
-            for i in range(n):
-                regs[d * n + i] = hist[src, i]
-        for t in range(ops.shape[0]):
-            op = ops[t, 0]
-            dst = ops[t, 1]
-            a = regs[ops[t, 2]]
-            if op == OP_ADD:
-                regs[dst] = a + regs[ops[t, 3]]
-            elif op == OP_SUB:
-                regs[dst] = a - regs[ops[t, 3]]
-            elif op == OP_MUL:
-                regs[dst] = a * regs[ops[t, 3]]
-            elif op == OP_DIV:
-                regs[dst] = a / regs[ops[t, 3]]
-            elif op == OP_NEG:
-                regs[dst] = -a
-            elif op == OP_TANH:
-                regs[dst] = math.tanh(a)
-            elif op == OP_SECH:
-                regs[dst] = 1.0 / math.cosh(a)
-            elif op == OP_EXP:
-                regs[dst] = math.exp(a)
-            elif op == OP_SIN:
-                regs[dst] = math.sin(a)
-            elif op == OP_COS:
-                regs[dst] = math.cos(a)
-            elif op == OP_ABS:
-                regs[dst] = abs(a)
-            else:
-                regs[dst] = np.sign(a)
-        finite = True
-        delta = 0.0
-        for i in range(n):
-            v = regs[out_regs[i]]
-            if not np.isfinite(v):
-                finite = False
-            dv = abs(v - hist[r - 1, i])
-            if dv > delta:
-                delta = dv
-        if not finite:
-            return k, 1
-        for i in range(n):
-            hist[r, i] = regs[out_regs[i]]
-        if stop_delta > 0.0:
-            if delta <= stop_delta:
-                streak += 1
-                if streak >= stop_streak:
-                    return k + 1, 0
-            else:
-                streak = 0
-    return steps, 0
+def _sech(a, out):
+    np.cosh(a, out=out)
+    return np.divide(1.0, out, out=out)
 
 
-def _run_tape_numpy(ops, regs):
-    for t in range(ops.shape[0]):
-        op, dst, ia, ib = ops[t]
-        a = regs[ia]
-        if op == OP_ADD:
-            regs[dst] = a + regs[ib]
-        elif op == OP_SUB:
-            regs[dst] = a - regs[ib]
-        elif op == OP_MUL:
-            regs[dst] = a * regs[ib]
-        elif op == OP_DIV:
-            regs[dst] = a / regs[ib]
-        elif op == OP_NEG:
-            regs[dst] = -a
-        elif op == OP_TANH:
-            regs[dst] = np.tanh(a)
-        elif op == OP_SECH:
-            regs[dst] = 1.0 / np.cosh(a)
-        elif op == OP_EXP:
-            regs[dst] = np.exp(a)
-        elif op == OP_SIN:
-            regs[dst] = np.sin(a)
-        elif op == OP_COS:
-            regs[dst] = np.cos(a)
-        elif op == OP_ABS:
-            regs[dst] = np.abs(a)
-        else:
-            regs[dst] = np.sign(a)
+# numpy kernel of each opcode, indexed by opcode
+_KERNELS = (
+    np.add,
+    np.subtract,
+    np.multiply,
+    np.divide,
+    np.negative,
+    np.tanh,
+    _sech,
+    np.exp,
+    np.sin,
+    np.cos,
+    np.absolute,
+    np.sign,
+)
 
 
-def _orbit_batch_numpy(program: Program, hist, steps, stop_delta, stop_streak):
+def _registers(program: Program, trials: int) -> np.ndarray:
+    """Register file of shape (n_regs, trials) with the constant pool loaded."""
+    regs = np.zeros((program.n_regs, trials), dtype=np.float64)
+    c = program.const_offset
+    regs[c : c + program.consts.shape[0], :] = program.consts[:, None]
+    return regs
+
+
+def _bind_tape(ops: np.ndarray, regs: np.ndarray):
+    """Each instruction as (kernel, operand rows, destination row) of ``regs``."""
+    return [
+        (_KERNELS[op], (regs[a],) if b < 0 else (regs[a], regs[b]), regs[dst])
+        for op, dst, a, b in ops.tolist()
+    ]
+
+
+def _run_tape(tape) -> None:
+    for kernel, args, out in tape:
+        kernel(*args, out=out)
+
+
+def _orbit_batch(program: Program, hist, steps, stop_delta, stop_streak):
     n, T = program.n_nodes, program.T
     trials = hist.shape[0]
-    regs = np.zeros((program.n_regs, trials), dtype=np.float64)
-    regs[program.const_offset : program.const_offset + program.consts.shape[0], :] = (
-        program.consts[:, None]
-    )
+    regs = _registers(program, trials)
+    tape = _bind_tape(program.ops, regs)
     steps_done = np.full(trials, steps, dtype=np.int64)
     diverged = np.zeros(trials, dtype=bool)
     active = np.ones(trials, dtype=bool)
@@ -278,7 +200,7 @@ def _orbit_batch_numpy(program: Program, hist, steps, stop_delta, stop_streak):
             r = T + k
             for d in range(T):
                 regs[d * n : (d + 1) * n, :] = hist[:, r - 1 - d, :].T
-            _run_tape_numpy(program.ops, regs)
+            _run_tape(tape)
             out = regs[program.out_regs, :]  # (n, trials)
             finite = np.isfinite(out).all(axis=0)
             delta = np.max(np.abs(out - hist[:, r - 1, :].T), axis=0)
@@ -305,7 +227,6 @@ def run_orbit_batch(
     steps: int,
     stop_delta: float = 0.0,
     stop_streak: int = 8,
-    backend: str | None = None,
 ):
     """Iterate ``trials`` orbits for up to ``steps`` steps each.
 
@@ -324,34 +245,9 @@ def run_orbit_batch(
         )
     hist = np.zeros((trials, T + steps, n), dtype=np.float64)
     hist[:, :T, :] = histories
-    if backend is None:
-        backend = "numba" if numba_enabled() else "numpy"
-    if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        steps_done = np.empty(trials, dtype=np.int64)
-        diverged = np.zeros(trials, dtype=bool)
-        for t in range(trials):
-            done, bad = _orbit_scalar(
-                program.ops,
-                program.consts,
-                program.out_regs,
-                program.n_regs,
-                n,
-                T,
-                hist[t],
-                steps,
-                float(stop_delta),
-                int(stop_streak),
-            )
-            steps_done[t] = done
-            diverged[t] = bool(bad)
-    elif backend == "numpy":
-        steps_done, diverged = _orbit_batch_numpy(
-            program, hist, steps, float(stop_delta), int(stop_streak)
-        )
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    steps_done, diverged = _orbit_batch(
+        program, hist, steps, float(stop_delta), int(stop_streak)
+    )
     return hist, steps_done, diverged
 
 
@@ -361,21 +257,19 @@ def run_orbit(
     steps: int,
     stop_delta: float = 0.0,
     stop_streak: int = 8,
-    backend: str | None = None,
 ):
     """Single-trial convenience wrapper around :func:`run_orbit_batch`."""
     history = np.asarray(history, dtype=np.float64)
     states, steps_done, diverged = run_orbit_batch(
-        program, history[None, :, :], steps, stop_delta, stop_streak, backend
+        program, history[None, :, :], steps, stop_delta, stop_streak
     )
     return states[0], int(steps_done[0]), bool(diverged[0])
 
 
-def apply_undelayed(program: Program, x: np.ndarray, backend: str | None = None) -> np.ndarray:
+def apply_undelayed(program: Program, x: np.ndarray) -> np.ndarray:
     """One application of the map with every window snapshot equal to x."""
-    x = np.asarray(x, dtype=np.float64)
-    window = np.tile(x, (program.T, 1))
-    states, done, diverged = run_orbit(program, window, 1, backend=backend)
-    if diverged:
-        return np.full(program.n_nodes, np.nan)
-    return states[program.T]
+    regs = _registers(program, 1)
+    regs[: program.const_offset, 0] = np.tile(np.asarray(x, dtype=np.float64), program.T)
+    with np.errstate(all="ignore"):
+        _run_tape(_bind_tape(program.ops, regs))
+    return regs[program.out_regs, 0]

@@ -128,9 +128,6 @@ class Interval:
     def sup_abs(self) -> float:
         return max(abs(self.lo), abs(self.hi))
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -392,15 +389,10 @@ def parse_expression(text: str, declared: set[str] | frozenset[str]) -> Expr:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def _fmt_num(v: float) -> str:
-    s = repr(v)
-    return s
-
-
 def to_text(e: Expr) -> str:
     """Render ``e`` so that ``parse_expression(to_text(e))`` recovers it."""
     if isinstance(e, Const):
-        return _fmt_num(e.value)
+        return repr(e.value)
     if isinstance(e, Var):
         return e.node if e.delay == 0 else f"{e.node}[-{e.delay}]"
     if isinstance(e, Call):

@@ -56,12 +56,6 @@ class TimeDelayedNetwork:
     name: str = ""
     cg: CohenGrossbergParams | None = field(default=None, compare=False)
 
-    def update(self, node: str) -> Expr:
-        return self.updates[node]
-
-    def domain(self, node: str) -> Interval:
-        return self.domains[node]
-
     @property
     def size(self) -> int:
         return len(self.nodes)

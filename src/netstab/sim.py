@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,23 +12,17 @@ from . import engine
 from .delays import dedelay
 from .errors import ConvergenceError, NetworkError
 from .network import TimeDelayedNetwork
+from .spectral import _iteration_cap
 
 __all__ = [
     "Trajectory",
     "AttractionVerdict",
     "iterate_orbit",
     "find_fixed_point",
+    "sampling_box",
     "verify_global_attraction",
     "conjugacy_check",
 ]
-
-
-def _iteration_cap(default: int = 100_000) -> int:
-    raw = os.environ.get("NETSTAB_MAX_ITERS", "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
 
 
 @dataclass(frozen=True)
@@ -100,9 +93,7 @@ def _as_history(net: TimeDelayedNetwork, history) -> np.ndarray:
     return arr
 
 
-def iterate_orbit(
-    net: TimeDelayedNetwork, history, steps: int, backend: str | None = None
-) -> Trajectory:
+def iterate_orbit(net: TimeDelayedNetwork, history, steps: int) -> Trajectory:
     """Forward orbit of ``net`` from T chronological snapshots.
 
     Snapshots that leave a node's declared domain set ``left_domain`` but
@@ -113,7 +104,7 @@ def iterate_orbit(
         raise ValueError("steps must be positive")
     hist = _as_history(net, history)
     program = engine.compile_network(net)
-    states, steps_done, diverged = engine.run_orbit(program, hist, steps, backend=backend)
+    states, steps_done, diverged = engine.run_orbit(program, hist, steps)
     states = states[: net.T + steps_done]
 
     left = False
@@ -132,9 +123,7 @@ def iterate_orbit(
     )
 
 
-def find_fixed_point(
-    net: TimeDelayedNetwork, guess, tol: float = 1e-12, backend: str | None = None
-) -> np.ndarray:
+def find_fixed_point(net: TimeDelayedNetwork, guess, tol: float = 1e-12) -> np.ndarray:
     """Point x with d_max(x, H(x, ..., x)) <= tol, by damped iteration.
 
     Damping halves when the residual stops contracting; failure after the
@@ -150,7 +139,7 @@ def find_fixed_point(
     alpha = 1.0
     prev_res = np.inf
     for _ in range(cap):
-        fx = engine.apply_undelayed(program, x, backend=backend)
+        fx = engine.apply_undelayed(program, x)
         if not np.isfinite(fx).all():
             raise ConvergenceError("fixed-point iteration produced a non-finite value")
         res = float(np.max(np.abs(fx - x)))
@@ -171,6 +160,42 @@ def _box_diameter(segment: np.ndarray) -> float:
     return float(np.max(segment.max(axis=0) - segment.min(axis=0)))
 
 
+def sampling_box(
+    net: TimeDelayedNetwork, sample_box: dict[str, tuple[float, float]] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node (lo, hi) bounds for sampling random histories.
+
+    A node takes its bounds from ``sample_box`` when listed there, else from
+    its domain with infinite ends replaced by -10 and 10.  Keys that are
+    not nodes, and bounds that are not two finite numbers lo <= hi, raise
+    NetworkError.
+    """
+    box = sample_box or {}
+    unknown = sorted(set(box) - set(net.nodes))
+    if unknown:
+        raise NetworkError(f"sample_box names unknown nodes: {unknown}")
+    lo = np.empty(net.size)
+    hi = np.empty(net.size)
+    for i, node in enumerate(net.nodes):
+        if node in box:
+            bounds = box[node]
+            try:
+                lo[i], hi[i] = bounds
+            except (TypeError, ValueError):
+                raise NetworkError(
+                    f"sample_box bounds of {node} must be a (lo, hi) pair, got {bounds!r}"
+                ) from None
+            if not (np.isfinite(lo[i]) and np.isfinite(hi[i]) and lo[i] <= hi[i]):
+                raise NetworkError(
+                    f"sample_box bounds of {node} must be finite with lo <= hi, got {bounds!r}"
+                )
+        else:
+            dom = net.domains[node]
+            lo[i] = dom.lo if np.isfinite(dom.lo) else -10.0
+            hi[i] = dom.hi if np.isfinite(dom.hi) else 10.0
+    return lo, hi
+
+
 def verify_global_attraction(
     net: TimeDelayedNetwork,
     trials: int = 20,
@@ -178,7 +203,6 @@ def verify_global_attraction(
     sample_box: dict[str, tuple[float, float]] | None = None,
     tol: float = 1e-8,
     seed: int = 0,
-    backend: str | None = None,
 ) -> AttractionVerdict:
     """Sample random histories, iterate, and report empirical convergence.
 
@@ -188,17 +212,8 @@ def verify_global_attraction(
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
+    lo, hi = sampling_box(net, sample_box)
     rng = np.random.default_rng(seed)
-
-    lo = np.empty(net.size)
-    hi = np.empty(net.size)
-    for i, node in enumerate(net.nodes):
-        dom = net.domains[node]
-        if sample_box and node in sample_box:
-            lo[i], hi[i] = sample_box[node]
-        else:
-            lo[i] = dom.lo if np.isfinite(dom.lo) else -10.0
-            hi[i] = dom.hi if np.isfinite(dom.hi) else 10.0
     histories = rng.uniform(lo, hi, size=(trials, net.T, net.size))
 
     program = engine.compile_network(net)
@@ -208,7 +223,6 @@ def verify_global_attraction(
         steps,
         stop_delta=tol * 1e-3,
         stop_streak=8,
-        backend=backend,
     )
 
     notes: list[str] = []
@@ -249,21 +263,20 @@ def conjugacy_check(
     history,
     steps: int,
     tol: float = 1e-12,
-    backend: str | None = None,
 ) -> bool:
     """True iff the delayed orbit and the projected orbit of the
     de-delayed augmentation agree coordinatewise within ``tol``."""
     hist = _as_history(net, history)
     aug = dedelay(net)
 
-    traj = iterate_orbit(net, hist, steps, backend=backend)
+    traj = iterate_orbit(net, hist, steps)
 
     x0 = np.empty(len(aug.coords))
     for j, coord in enumerate(aug.coords):
         node, delay = aug.projection[coord]
         i = net.nodes.index(node)
         x0[j] = hist[net.T - 1 - delay, i]
-    aug_traj = iterate_orbit(aug.net, x0[None, :], steps, backend=backend)
+    aug_traj = iterate_orbit(aug.net, x0[None, :], steps)
 
     if traj.steps != aug_traj.steps:
         return False

@@ -68,6 +68,7 @@ class StructuralSetReport:
     basic: bool
     branches: tuple[Branch, ...]
     admissible: tuple[Branch, ...]
+    uncovered: tuple[str, ...] = ()  # vertices on no branch, sorted
 
     def branches_by_endpoints(self) -> dict[tuple[str, str], tuple[Branch, ...]]:
         grouped: dict[tuple[str, str], list[Branch]] = {}
@@ -163,27 +164,12 @@ def is_complete_structural(graph: InteractionGraph, S) -> bool:
     Vertices of S count as their own trivial S-to-S paths; every other
     vertex must appear in some branch interior.
     """
-    S = _check_subset(graph, S)
-    if _cycle_outside(graph, S):
-        return False
-    covered = set(S)
-    for br in branch_set(graph, S):
-        covered.update(br.interior)
-    return covered == set(graph.vertices)
+    return report_for(graph, S).complete
 
 
 def is_basic_structural(graph: InteractionGraph, S) -> bool:
     """Complete, and at most one branch per (source, target) pair."""
-    S = _check_subset(graph, S)
-    if not is_complete_structural(graph, S):
-        return False
-    seen: set[tuple[str, str]] = set()
-    for br in branch_set(graph, S):
-        key = (br.source, br.target)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    return report_for(graph, S).basic
 
 
 def admissible_sequences(graph: InteractionGraph, S) -> list[Branch]:
@@ -194,25 +180,34 @@ def admissible_sequences(graph: InteractionGraph, S) -> list[Branch]:
 
 def report_for(graph: InteractionGraph, S) -> StructuralSetReport:
     S = _check_subset(graph, S)
+    return _report(graph, S, acyclic=not _cycle_outside(graph, S))
+
+
+def _report(graph: InteractionGraph, S: tuple[str, ...], acyclic: bool) -> StructuralSetReport:
+    """The report of a checked, sorted S whose cycle test gave ``acyclic``."""
     branches = tuple(branch_set(graph, S))
-    complete = is_complete_structural(graph, S)
+    covered = set(S)
     seen: set[tuple[str, str]] = set()
     duplicated = False
     for br in branches:
+        covered.update(br.interior)
         key = (br.source, br.target)
         if key in seen:
             duplicated = True
         seen.add(key)
+    uncovered = tuple(sorted(set(graph.vertices) - covered))
+    complete = acyclic and not uncovered
     return StructuralSetReport(
         S=S,
         complete=complete,
         basic=complete and not duplicated,
         branches=branches,
         admissible=tuple(b for b in branches if len(b) > 2),
+        uncovered=uncovered,
     )
 
 
-def _greedy_seed(graph: InteractionGraph) -> tuple[str, ...]:
+def _greedy_seed(graph: InteractionGraph) -> StructuralSetReport:
     """Greedy feedback vertex set, grown until complete."""
     S: set[str] = set()
     while _cycle_outside(graph, S):
@@ -226,15 +221,11 @@ def _greedy_seed(graph: InteractionGraph) -> tuple[str, ...]:
             ),
         )
         S.add(best)
-    while not is_complete_structural(graph, S):
-        covered = set(S)
-        for br in branch_set(graph, tuple(sorted(S))):
-            covered.update(br.interior)
-        uncovered = sorted(set(graph.vertices) - covered)
-        if not uncovered:
-            break
-        S.add(uncovered[0])
-    return tuple(sorted(S))
+    rep = _report(graph, tuple(sorted(S)), acyclic=True)
+    while rep.uncovered:
+        S.add(rep.uncovered[0])
+        rep = _report(graph, tuple(sorted(S)), acyclic=True)
+    return rep
 
 
 def find_structural_sets(
@@ -256,7 +247,7 @@ def find_structural_sets(
             for combo in combinations(vertices, size):
                 if _cycle_outside(graph, combo):
                     continue
-                rep = report_for(graph, combo)
+                rep = _report(graph, combo, acyclic=True)
                 if not rep.complete:
                     continue
                 if want_basic and not rep.basic:
@@ -265,8 +256,7 @@ def find_structural_sets(
                 if len(results) >= max_results:
                     return results
         return results
-    seed = _greedy_seed(graph)
-    rep = report_for(graph, seed)
+    rep = _greedy_seed(graph)
     if rep.complete and (rep.basic or not want_basic):
         results.append(rep)
     return results

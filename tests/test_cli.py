@@ -151,6 +151,36 @@ def test_simulate_deterministic_given_seed(in_tmp):
     assert (in_tmp / "a.trajectory.csv").read_bytes() == (in_tmp / "b.trajectory.csv").read_bytes()
 
 
+def test_simulate_box_that_is_not_two_numbers_is_usage_error(in_tmp, capsys):
+    path = _write(in_tmp, "pair.net", gallery.undelayed_pair(0.5, 0.1, 1.0))
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", str(path), "--trials", "2", "--steps", "10", "--box", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--box" in err and "Traceback" not in err
+
+
+def test_simulate_reversed_box_is_domain_error(in_tmp, capsys):
+    path = _write(in_tmp, "pair.net", gallery.undelayed_pair(0.5, 0.1, 1.0))
+    code = run(["simulate", str(path), "--trials", "2", "--steps", "10", "--box", "1,-1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lo <= hi" in err
+    assert not (in_tmp / "pair.verdict.json").exists()
+
+
+def test_simulate_csv_start_window_lies_in_box(in_tmp):
+    net = gallery.delayed_pair(0.5, 0.1, 1.0)
+    path = _write(in_tmp, "pair.net", net)
+    assert run([
+        "simulate", str(path), "--trials", "2", "--steps", "5", "--box", "0.25,0.5",
+    ]) == 0
+    rows = (in_tmp / "pair.trajectory.csv").read_text().splitlines()[1:]
+    window = [[float(v) for v in row.split(",")[1:]] for row in rows[: net.T]]
+    assert [row.split(",")[0] for row in rows[: net.T]] == ["-3", "-2", "-1", "0"]
+    assert all(0.25 <= v <= 0.5 for snapshot in window for v in snapshot)
+
+
 def test_regression_verb_passes(in_tmp, capsys):
     assert run(["verify-paper"]) == 0
     out = capsys.readouterr().out

@@ -1,25 +1,13 @@
 import numpy as np
-import pytest
 
 from gen import random_network
 
 from netstab import engine
 from netstab import gallery
-from netstab.expr import Interval, eval_point
+from netstab.expr import BinOp, Call, Interval, eval_point
 from netstab.network import build_network
 
 R = Interval.whole()
-
-BACKENDS = ["numpy"] + (["numba"] if engine.HAVE_NUMBA else [])
-
-
-def test_flag_disables_numba(monkeypatch):
-    if not engine.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    monkeypatch.delenv("NETSTAB_NO_NUMBA", raising=False)
-    assert engine.numba_enabled()
-    monkeypatch.setenv("NETSTAB_NO_NUMBA", "1")
-    assert not engine.numba_enabled()
 
 
 def test_compile_counts():
@@ -38,14 +26,13 @@ def test_pure_variable_update_compiles_to_window_slot():
     assert prog.out_regs.tolist() == [1 * 2 + 1, 0 * 2 + 1]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_single_step_matches_eval_point(backend):
+def test_single_step_matches_eval_point():
     rng = np.random.default_rng(131)
     for _ in range(25):
         net = random_network(rng, int(rng.integers(1, 5)), max_delay=3)
         prog = engine.compile_network(net)
         history = rng.uniform(-2, 2, (net.T, net.size))
-        states, done, diverged = engine.run_orbit(prog, history, 1, backend=backend)
+        states, done, diverged = engine.run_orbit(prog, history, 1)
         assert done == 1 and not diverged
         assignment = {}
         for i, node in enumerate(net.nodes):
@@ -55,46 +42,30 @@ def test_single_step_matches_eval_point(backend):
         assert np.allclose(states[net.T], expected, rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.skipif(not engine.HAVE_NUMBA, reason="numba not installed")
-def test_backend_parity():
-    rng = np.random.default_rng(137)
-    for _ in range(10):
-        net = random_network(rng, int(rng.integers(1, 5)), max_delay=2)
-        prog = engine.compile_network(net)
-        histories = rng.uniform(-2, 2, (4, net.T, net.size))
-        s_nb, d_nb, f_nb = engine.run_orbit_batch(prog, histories, 150, backend="numba")
-        s_np, d_np, f_np = engine.run_orbit_batch(prog, histories, 150, backend="numpy")
-        assert (d_nb == d_np).all() and (f_nb == f_np).all()
-        assert np.abs(s_nb - s_np).max() < 1e-11
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_early_stop(backend):
+def test_early_stop():
     net = build_network([("x1", R)], [("x1", "0.5*x1")])
     prog = engine.compile_network(net)
     states, done, diverged = engine.run_orbit(
-        prog, [[1.0]], 5000, stop_delta=1e-12, backend=backend
+        prog, [[1.0]], 5000, stop_delta=1e-12
     )
     assert not diverged
     assert done < 200
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_divergence_detection(backend):
+def test_divergence_detection():
     net = build_network([("x1", R)], [("x1", "x1*x1 + 1")])
     prog = engine.compile_network(net)
-    states, done, diverged = engine.run_orbit(prog, [[2.0]], 100, backend=backend)
+    states, done, diverged = engine.run_orbit(prog, [[2.0]], 100)
     assert diverged
     assert done < 100
     assert np.isfinite(states[: 1 + done]).all()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_division_produces_divergence_not_crash(backend):
+def test_division_produces_divergence_not_crash():
     net = build_network([("x1", R)], [("x1", "1 / (x1 - 1)")])
     prog = engine.compile_network(net)
     # hits x1 == 1 exactly on the second step: 1/(2-1) = 1, then 1/0
-    states, done, diverged = engine.run_orbit(prog, [[2.0]], 10, backend=backend)
+    states, done, diverged = engine.run_orbit(prog, [[2.0]], 10)
     assert diverged
 
 
@@ -110,14 +81,42 @@ def test_apply_undelayed():
     assert np.allclose(got, want, atol=1e-14)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_per_trial_stops(backend):
+def test_apply_undelayed_is_bit_identical_to_one_orbit_step():
+    rng = np.random.default_rng(139)
+    calls = set()
+    for _ in range(30):
+        net = random_network(
+            rng, int(rng.integers(2, 6)), max_delay=3, require_delay=True
+        )
+        calls.update(_calls(net))
+        prog = engine.compile_network(net)
+        assert prog.T >= 2
+        x = rng.uniform(-2, 2, net.size)
+        states, _, _ = engine.run_orbit(prog, np.tile(x, (prog.T, 1)), 1)
+        assert np.array_equal(engine.apply_undelayed(prog, x), states[prog.T])
+    assert {"sech", "sin", "cos"} <= calls
+
+
+def _calls(net):
+    found = set()
+    stack = list(net.updates.values())
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Call):
+            found.add(e.func)
+            stack.append(e.arg)
+        elif isinstance(e, BinOp):
+            stack.extend((e.left, e.right))
+    return found
+
+
+def test_batch_per_trial_stops():
     # one contracting trial, one diverging trial
     net = build_network([("x1", R)], [("x1", "x1*x1")])
     prog = engine.compile_network(net)
     histories = np.array([[[0.5]], [[3.0]]])
     states, done, diverged = engine.run_orbit_batch(
-        prog, histories, 400, stop_delta=1e-14, backend=backend
+        prog, histories, 400, stop_delta=1e-14
     )
     assert not diverged[0] and diverged[1]
     assert done[1] < 20

@@ -12,6 +12,7 @@ from netstab.sim import (
     conjugacy_check,
     find_fixed_point,
     iterate_orbit,
+    sampling_box,
     verify_global_attraction,
 )
 from netstab.stability import analyze
@@ -166,6 +167,32 @@ def test_attraction_verdict_json():
     assert data["schema"] == "netstab-report/1"
     assert data["converged"] is True
     assert data["trials"] == 4
+
+
+def test_attraction_rejects_non_finite_sample_box():
+    net = gallery.undelayed_pair(0.5, 0.1, 1.0)
+    with pytest.raises(NetworkError, match="finite"):
+        verify_global_attraction(net, trials=2, steps=10, sample_box={"x1": (np.inf, 1.0)})
+
+
+def test_attraction_rejects_reversed_sample_box():
+    net = gallery.undelayed_pair(0.5, 0.1, 1.0)
+    with pytest.raises(NetworkError, match="lo <= hi"):
+        verify_global_attraction(net, trials=2, steps=10, sample_box={"x2": (1.0, -1.0)})
+
+
+def test_attraction_rejects_sample_box_of_unknown_node():
+    net = gallery.undelayed_pair(0.5, 0.1, 1.0)
+    with pytest.raises(NetworkError, match="unknown nodes"):
+        verify_global_attraction(net, trials=2, steps=10, sample_box={"x9": (0.0, 1.0)})
+
+
+def test_sampling_box_mixes_box_and_domain_bounds():
+    net = build_network([("x1", R), ("x2", Interval(-1.0, 2.0))], [("x1", "0"), ("x2", "0")])
+    lo, hi = sampling_box(net, {"x1": (0.5, 0.75)})
+    assert lo.tolist() == [0.5, -1.0] and hi.tolist() == [0.75, 2.0]
+    lo, hi = sampling_box(net)
+    assert lo.tolist() == [-10.0, -1.0] and hi.tolist() == [10.0, 2.0]
 
 
 def test_conjugacy_trivial_on_undelayed():
