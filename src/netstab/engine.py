@@ -3,8 +3,10 @@
 Update expressions are flattened once into an instruction tape over a
 flat register file (window slots, constant pool, temporaries).  One numpy
 interpreter runs the tape over a (registers, trials) array, so every
-instruction advances all trials at once; each opcode maps to one numpy
-kernel that writes straight into its destination register row.
+instruction advances all trials at once.  Opcodes and their numpy kernels
+come from ``expr.OPERATORS``, the table of the expression vocabulary: an
+opcode is the position of its operator's row, and the row's ``array``
+kernel writes straight into the destination register row.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import BinOp, Call, Const, Expr, Var
+from .expr import OPERATORS, BinOp, Call, Const, Expr, Var
 from .network import TimeDelayedNetwork
 
 __all__ = [
@@ -24,31 +26,8 @@ __all__ = [
     "apply_undelayed",
 ]
 
-OP_ADD = 0
-OP_SUB = 1
-OP_MUL = 2
-OP_DIV = 3
-OP_NEG = 4
-OP_TANH = 5
-OP_SECH = 6
-OP_EXP = 7
-OP_SIN = 8
-OP_COS = 9
-OP_ABS = 10
-OP_SIGN = 11
-
-_CALL_OPS = {
-    "neg": OP_NEG,
-    "tanh": OP_TANH,
-    "sech": OP_SECH,
-    "exp": OP_EXP,
-    "sin": OP_SIN,
-    "cos": OP_COS,
-    "abs": OP_ABS,
-    "sign": OP_SIGN,
-}
-
-_BIN_OPS = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV}
+_ROWS = tuple(OPERATORS.values())
+_OPCODE = {row.name: code for code, row in enumerate(_ROWS)}
 
 
 @dataclass(frozen=True)
@@ -113,14 +92,14 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
             a = emit(e.arg)
             dst = next_reg[0]
             next_reg[0] += 1
-            ops.append((_CALL_OPS[e.func], dst, a, -1))
+            ops.append((_OPCODE[e.func], dst, a, -1))
             return dst
         if isinstance(e, BinOp):
             a = emit(e.left)
             b = emit(e.right)
             dst = next_reg[0]
             next_reg[0] += 1
-            ops.append((_BIN_OPS[e.op], dst, a, b))
+            ops.append((_OPCODE[e.op], dst, a, b))
             return dst
         raise TypeError(f"not an expression: {e!r}")
 
@@ -141,28 +120,6 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
     )
 
 
-def _sech(a, out):
-    np.cosh(a, out=out)
-    return np.divide(1.0, out, out=out)
-
-
-# numpy kernel of each opcode, indexed by opcode
-_KERNELS = (
-    np.add,
-    np.subtract,
-    np.multiply,
-    np.divide,
-    np.negative,
-    np.tanh,
-    _sech,
-    np.exp,
-    np.sin,
-    np.cos,
-    np.absolute,
-    np.sign,
-)
-
-
 def _registers(program: Program, trials: int) -> np.ndarray:
     """Register file of shape (n_regs, trials) with the constant pool loaded."""
     regs = np.zeros((program.n_regs, trials), dtype=np.float64)
@@ -174,7 +131,7 @@ def _registers(program: Program, trials: int) -> np.ndarray:
 def _bind_tape(ops: np.ndarray, regs: np.ndarray):
     """Each instruction as (kernel, operand rows, destination row) of ``regs``."""
     return [
-        (_KERNELS[op], (regs[a],) if b < 0 else (regs[a], regs[b]), regs[dst])
+        (_ROWS[op].array, (regs[a],) if b < 0 else (regs[a], regs[b]), regs[dst])
         for op, dst, a, b in ops.tolist()
     ]
 

@@ -1,9 +1,11 @@
 """Expression trees for node update rules.
 
-An update rule is a tree over a closed function vocabulary (tanh, sech,
-exp, sin, cos, abs, negation and the four arithmetic operators) whose
-leaves are finite constants and references to node values, possibly
-delayed: ``x2[-3]`` is the value of node ``x2`` three steps in the past.
+An update rule is a tree over a closed vocabulary (tanh, sech, exp, sin,
+cos, abs, sign, negation and the four arithmetic operators) whose leaves
+are finite constants and references to node values, possibly delayed:
+``x2[-3]`` is the value of node ``x2`` three steps in the past.  The
+vocabulary is the table ``OPERATORS``: one row per function or operator
+with its point, interval and numpy kernels and its derivative rule.
 
 The module provides parsing, printing, symbolic differentiation, exact
 point evaluation and interval evaluation.  Interval results are widened
@@ -15,8 +17,12 @@ their mathematical ranges afterwards (tanh never exceeds [-1, 1]).
 from __future__ import annotations
 
 import math
+import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EvalError, ParseError
 
@@ -27,6 +33,8 @@ __all__ = [
     "Call",
     "BinOp",
     "Interval",
+    "Operator",
+    "OPERATORS",
     "parse_expression",
     "to_text",
     "differentiate",
@@ -36,14 +44,6 @@ __all__ = [
     "references",
     "substitute",
 ]
-
-# Functions accepted in source text.  "sign" only ever appears in printed
-# derivative trees (d|u|/du); accepting it keeps print -> parse total.
-FUNCTIONS = ("tanh", "sech", "exp", "sin", "cos", "abs", "sign")
-
-_UNARY_FUNCS = FUNCTIONS + ("neg",)
-_BINARY_OPS = ("+", "-", "*", "/")
-
 
 class Expr:
     """Base class for expression nodes.  Instances are immutable."""
@@ -77,7 +77,8 @@ class Call(Expr):
     arg: Expr
 
     def __post_init__(self):
-        if self.func not in _UNARY_FUNCS:
+        row = OPERATORS.get(self.func)
+        if row is None or row.arity != 1:
             raise ValueError(f"unknown function {self.func!r}")
 
 
@@ -88,7 +89,8 @@ class BinOp(Expr):
     right: Expr
 
     def __post_init__(self):
-        if self.op not in _BINARY_OPS:
+        row = OPERATORS.get(self.op)
+        if row is None or row.arity != 2:
             raise ValueError(f"unknown operator {self.op!r}")
 
 
@@ -238,16 +240,82 @@ def _isign(a: Interval) -> Interval:
     return Interval(-1.0, 1.0)
 
 
-_INTERVAL_FUNCS = {
-    "tanh": _itanh,
-    "sech": _isech,
-    "exp": _iexp,
-    "sin": lambda a: _trig_interval(a, math.sin, math.pi / 2.0),
-    "cos": lambda a: _trig_interval(a, math.cos, 0.0),
-    "abs": _iabs,
-    "sign": _isign,
-    "neg": lambda a: Interval(-a.hi, -a.lo),
+# ---------------------------------------------------------------------------
+# the vocabulary
+
+
+def _pdiv(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvalError("division by zero")
+    return a / b
+
+
+def _psign(x: float) -> float:
+    return math.copysign(1.0, x) if x != 0.0 else 0.0
+
+
+def _nsech(a, out):
+    np.cosh(a, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+@dataclass(frozen=True)
+class Operator:
+    """One row of the vocabulary: a unary function or a binary operator.
+
+    ``point`` is the float kernel, ``interval`` the outward-rounded
+    :class:`Interval` kernel and ``array`` the numpy kernel the orbit tape
+    calls with ``out=``.  ``derivative`` maps a function's argument u to
+    its outer derivative f'(u); :func:`differentiate` handles the binary
+    operators and ``neg`` itself.
+    """
+
+    name: str
+    arity: int
+    point: Callable
+    interval: Callable
+    array: Callable
+    derivative: Callable[[Expr], Expr] | None = None
+
+
+# The whole vocabulary.  Adding a function means adding one row here; the
+# orbit tape's opcode of an operator is the position of its row.
+OPERATORS: dict[str, Operator] = {
+    row.name: row
+    for row in (
+        Operator("+", 2, operator.add, _iadd, np.add),
+        Operator("-", 2, operator.sub, _isub, np.subtract),
+        Operator("*", 2, operator.mul, _imul, np.multiply),
+        Operator("/", 2, _pdiv, _idiv, np.divide),
+        Operator("neg", 1, operator.neg, lambda a: Interval(-a.hi, -a.lo), np.negative),
+        Operator(
+            "tanh", 1, math.tanh, _itanh, np.tanh,
+            lambda u: _mul(Call("sech", u), Call("sech", u)),
+        ),
+        Operator(
+            "sech", 1, _sech, _isech, _nsech,
+            lambda u: _neg(_mul(Call("sech", u), Call("tanh", u))),
+        ),
+        Operator("exp", 1, math.exp, _iexp, np.exp, lambda u: Call("exp", u)),
+        Operator(
+            "sin", 1, math.sin, lambda a: _trig_interval(a, math.sin, math.pi / 2.0),
+            np.sin, lambda u: Call("cos", u),
+        ),
+        Operator(
+            "cos", 1, math.cos, lambda a: _trig_interval(a, math.cos, 0.0),
+            np.cos, lambda u: _neg(Call("sin", u)),
+        ),
+        Operator("abs", 1, abs, _iabs, np.absolute, lambda u: Call("sign", u)),
+        Operator("sign", 1, _psign, _isign, np.sign, lambda u: Const(0.0)),
+    )
 }
+
+# Functions accepted in source text: every unary row but neg, which is
+# written as a prefix minus.  "sign" only ever appears in printed
+# derivative trees (d|u|/du); accepting it keeps print -> parse total.
+FUNCTIONS = tuple(
+    name for name, row in OPERATORS.items() if row.arity == 1 and name != "neg"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -541,26 +609,9 @@ def differentiate(e: Expr, wrt: tuple[str, int]) -> Expr:
         inner = differentiate(e.arg, wrt)
         if isinstance(inner, Const) and inner.value == 0.0:
             return Const(0.0)
-        u = e.arg
         if e.func == "neg":
             return _neg(inner)
-        if e.func == "tanh":
-            outer = _mul(Call("sech", u), Call("sech", u))
-        elif e.func == "sech":
-            outer = _neg(_mul(Call("sech", u), Call("tanh", u)))
-        elif e.func == "exp":
-            outer = Call("exp", u)
-        elif e.func == "sin":
-            outer = Call("cos", u)
-        elif e.func == "cos":
-            outer = _neg(Call("sin", u))
-        elif e.func == "abs":
-            outer = Call("sign", u)
-        elif e.func == "sign":
-            outer = Const(0.0)
-        else:  # pragma: no cover - vocabulary is closed
-            raise ValueError(f"no derivative rule for {e.func!r}")
-        return _mul(outer, inner)
+        return _mul(OPERATORS[e.func].derivative(e.arg), inner)
     if isinstance(e, BinOp):
         dl = differentiate(e.left, wrt)
         dr = differentiate(e.right, wrt)
@@ -579,18 +630,6 @@ def differentiate(e: Expr, wrt: tuple[str, int]) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-_POINT_FUNCS = {
-    "tanh": math.tanh,
-    "sech": _sech,
-    "exp": math.exp,
-    "sin": math.sin,
-    "cos": math.cos,
-    "abs": abs,
-    "sign": lambda x: math.copysign(1.0, x) if x != 0.0 else 0.0,
-    "neg": lambda x: -x,
-}
-
-
 def eval_point(e: Expr, assignment: dict[tuple[str, int], float]) -> float:
     """Evaluate ``e`` at a point; every referenced variable must be bound."""
     if isinstance(e, Const):
@@ -602,21 +641,13 @@ def eval_point(e: Expr, assignment: dict[tuple[str, int], float]) -> float:
         return float(assignment[key])
     if isinstance(e, Call):
         try:
-            return _POINT_FUNCS[e.func](eval_point(e.arg, assignment))
+            return OPERATORS[e.func].point(eval_point(e.arg, assignment))
         except OverflowError:
             raise EvalError(f"overflow evaluating {e.func}") from None
     if isinstance(e, BinOp):
-        a = eval_point(e.left, assignment)
-        b = eval_point(e.right, assignment)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0.0:
-            raise EvalError("division by zero")
-        return a / b
+        return OPERATORS[e.op].point(
+            eval_point(e.left, assignment), eval_point(e.right, assignment)
+        )
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -636,17 +667,11 @@ def eval_interval(e: Expr, box: dict[tuple[str, int], Interval]) -> Interval:
             raise EvalError(f"no interval assigned to {to_text(e)}")
         return box[key]
     if isinstance(e, Call):
-        return _INTERVAL_FUNCS[e.func](eval_interval(e.arg, box))
+        return OPERATORS[e.func].interval(eval_interval(e.arg, box))
     if isinstance(e, BinOp):
-        a = eval_interval(e.left, box)
-        b = eval_interval(e.right, box)
-        if e.op == "+":
-            return _iadd(a, b)
-        if e.op == "-":
-            return _isub(a, b)
-        if e.op == "*":
-            return _imul(a, b)
-        return _idiv(a, b)
+        return OPERATORS[e.op].interval(
+            eval_interval(e.left, box), eval_interval(e.right, box)
+        )
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,14 +70,30 @@ class InteractionGraph:
     vertices: tuple[str, ...]
     edges: dict[tuple[str, str], frozenset[int]]
 
-    def successors(self, v: str) -> list[str]:
-        return sorted(t for (s, t) in self.edges if s == v)
+    @cached_property
+    def _successors(self) -> dict[str, tuple[str, ...]]:
+        return _sorted_adjacency(self.edges)
 
-    def predecessors(self, v: str) -> list[str]:
-        return sorted(s for (s, t) in self.edges if t == v)
+    @cached_property
+    def _predecessors(self) -> dict[str, tuple[str, ...]]:
+        return _sorted_adjacency((t, s) for s, t in self.edges)
+
+    def successors(self, v: str) -> tuple[str, ...]:
+        return self._successors.get(v, ())
+
+    def predecessors(self, v: str) -> tuple[str, ...]:
+        return self._predecessors.get(v, ())
 
     def has_edge(self, src: str, tgt: str) -> bool:
         return (src, tgt) in self.edges
+
+
+def _sorted_adjacency(pairs) -> dict[str, tuple[str, ...]]:
+    """Map each vertex to the sorted tuple of vertices it points to."""
+    adjacent: dict[str, list[str]] = {}
+    for v, w in pairs:
+        adjacent.setdefault(v, []).append(w)
+    return {v: tuple(sorted(ws)) for v, ws in adjacent.items()}
 
 
 def _validate(nodes, domains, updates, T, delay_cap):

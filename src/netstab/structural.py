@@ -106,12 +106,10 @@ def branch_set(graph: InteractionGraph, S) -> list[Branch]:
     """
     S = _check_subset(graph, S)
     in_s = set(S)
-    succ = {v: graph.successors(v) for v in graph.vertices}
-
     found: list[Branch] = []
 
     def walk(path: list[str], on_path: set[str]):
-        for nxt in succ[path[-1]]:
+        for nxt in graph.successors(path[-1]):
             if nxt in in_s:
                 found.append(Branch(tuple(path) + (nxt,)))
             elif nxt not in on_path:

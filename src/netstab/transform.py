@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .delays import AugmentedNetwork, StateIndex
+from .delays import AugmentedNetwork, StateIndex, _fresh
 from .errors import TransformError
 from .expr import BinOp, Call, Expr, Var
 from .network import TimeDelayedNetwork, interaction_graph, network_from_exprs
-from .structural import admissible_sequences, is_complete_structural
+from .structural import StructuralSetReport, report_for
 
 __all__ = ["InlineTrace", "inline_traces", "restrict", "expand", "delayed_expansion"]
 
@@ -33,7 +33,10 @@ class InlineTrace:
     leaves: tuple[tuple[str, ...], ...]
 
 
-def _check_preconditions(net: TimeDelayedNetwork, S) -> tuple[str, ...]:
+def _check_preconditions(
+    net: TimeDelayedNetwork, S
+) -> tuple[tuple[str, ...], StructuralSetReport]:
+    """S in network order, and its structural report (whose S is sorted)."""
     if net.T != 1:
         raise TransformError(
             f"network has T = {net.T}; restriction and expansion are defined "
@@ -44,13 +47,13 @@ def _check_preconditions(net: TimeDelayedNetwork, S) -> tuple[str, ...]:
     if unknown:
         raise TransformError(f"not nodes of the network: {sorted(unknown)}")
     S = tuple(n for n in net.nodes if n in requested)
-    graph = interaction_graph(net)
-    if not is_complete_structural(graph, S):
+    report = report_for(interaction_graph(net), S)
+    if not report.complete:
         raise TransformError(
             f"{{{', '.join(S)}}} is not a complete structural set; inlining "
             "would not terminate"
         )
-    return S
+    return S, report
 
 
 def _inline_component(
@@ -82,7 +85,7 @@ def _inline_component(
 
 def inline_traces(net: TimeDelayedNetwork, S) -> tuple[InlineTrace, ...]:
     """Branches encountered while inlining each S component."""
-    S = _check_preconditions(net, S)
+    S, _ = _check_preconditions(net, S)
     in_s = set(S)
     traces = []
     for target in S:
@@ -94,7 +97,7 @@ def inline_traces(net: TimeDelayedNetwork, S) -> tuple[InlineTrace, ...]:
 
 def restrict(net: TimeDelayedNetwork, S) -> TimeDelayedNetwork:
     """Inline every non-S node away; the result lives on S with T = 1."""
-    S = _check_preconditions(net, S)
+    S, _ = _check_preconditions(net, S)
     in_s = set(S)
     updates = {
         target: _inline_component(net, in_s, target, lambda br: Var(br[0], 0), [])
@@ -110,7 +113,7 @@ def delayed_expansion(net: TimeDelayedNetwork, S) -> TimeDelayedNetwork:
     """Like restrict, but each leaf reads its source |branch| - 2 steps in
     the past (length-2 branches read the present).  Removing these delays
     again recovers the restriction exactly."""
-    S = _check_preconditions(net, S)
+    S, _ = _check_preconditions(net, S)
     in_s = set(S)
     updates = {
         target: _inline_component(
@@ -131,24 +134,15 @@ def expand(net: TimeDelayedNetwork, S) -> AugmentedNetwork:
     Distinct branches with the same source get distinct chains, so the
     state dimension is |S| + sum over admissible branches of (length - 2).
     """
-    S = _check_preconditions(net, S)
+    S, report = _check_preconditions(net, S)
     in_s = set(S)
-    graph = interaction_graph(net)
-    admissible = admissible_sequences(graph, S)
 
     taken = set(net.nodes)
     coord_name: dict[tuple[tuple[str, ...], int], str] = {}
-    for br in admissible:
+    for br in report.admissible:
         gamma = br.vertices
         for i in range(2, len(gamma)):
-            base = "_".join(gamma) + f"_s{i}"
-            name = base
-            k = 2
-            while name in taken:
-                name = f"{base}_{k}"
-                k += 1
-            taken.add(name)
-            coord_name[(gamma, i)] = name
+            coord_name[(gamma, i)] = _fresh("_".join(gamma) + f"_s{i}", taken)
 
     def leaf_reader(branch: tuple[str, ...]) -> Expr:
         if len(branch) == 2:
@@ -170,7 +164,7 @@ def expand(net: TimeDelayedNetwork, S) -> AugmentedNetwork:
     for target in S:
         updates[target] = _inline_component(net, in_s, target, leaf_reader, [])
 
-    for br in admissible:
+    for br in report.admissible:
         gamma = br.vertices
         for i in range(2, len(gamma)):
             name = coord_name[(gamma, i)]

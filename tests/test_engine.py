@@ -1,11 +1,21 @@
 import numpy as np
+import pytest
 
 from gen import random_network
 
 from netstab import engine
 from netstab import gallery
-from netstab.expr import BinOp, Call, Interval, eval_point
-from netstab.network import build_network
+from netstab.expr import (
+    OPERATORS,
+    BinOp,
+    Call,
+    Const,
+    Interval,
+    Var,
+    eval_interval,
+    eval_point,
+)
+from netstab.network import build_network, network_from_exprs
 
 R = Interval.whole()
 
@@ -40,6 +50,43 @@ def test_single_step_matches_eval_point():
                 assignment[(node, d)] = history[net.T - 1 - d, i]
         expected = [eval_point(net.updates[n], assignment) for n in net.nodes]
         assert np.allclose(states[net.T], expected, rtol=1e-13, atol=1e-13)
+
+
+# numpy's vectorised transcendental kernels may round differently from the
+# C library's (tanh and cosh by up to 2 ulp measured on an AVX-512 x86-64)
+LIBM_ROWS = {"tanh", "sech", "exp", "sin", "cos"}
+
+
+def _row_cases():
+    x1 = Var("x1")
+    for name, row in OPERATORS.items():
+        if row.arity == 1:
+            # the argument changes sign over the box, so abs and sign see both
+            inner = BinOp("-", BinOp("*", Const(0.7), x1), Const(0.6))
+            yield pytest.param(name, Call(name, inner), id=name)
+        else:
+            yield pytest.param(name, BinOp(name, x1, Const(0.3)), id=f"x1{name}c")
+            yield pytest.param(name, BinOp(name, Const(0.3), x1), id=f"c{name}x1")
+
+
+@pytest.mark.parametrize("name, update", list(_row_cases()))
+def test_every_operator_row_through_the_tape(name, update):
+    box = Interval(0.25, 2.0)
+    net = network_from_exprs(
+        ("x1",), {"x1": box}, {"x1": update}, run_normalize=False
+    )
+    prog = engine.compile_network(net)
+    assert list(OPERATORS).index(name) in prog.ops[:, 0]
+    enclosure = eval_interval(update, {("x1", 0): box})
+    for x in np.linspace(box.lo, box.hi, 15):
+        states, done, diverged = engine.run_orbit(prog, [[x]], 1)
+        assert done == 1 and not diverged
+        want = eval_point(update, {("x1", 0): x})
+        if name in LIBM_ROWS:
+            np.testing.assert_array_max_ulp(states[1, 0], want, maxulp=2)
+        else:
+            assert states[1, 0] == want
+        assert enclosure.lo <= want <= enclosure.hi
 
 
 def test_early_stop():
