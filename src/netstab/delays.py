@@ -6,6 +6,12 @@ node's value ``depth`` steps in the past.  The delay lines are canonical,
 i.e. merged across all readers: coordinates that would always carry the
 same value are represented once.  ``undelay`` sets every delay to zero,
 and ``shift_delay`` moves a single reference one step toward the present.
+
+This module alone fixes the augmented coordinates: ``state_indices``
+gives their order (the stability matrix of a delayed network is indexed
+by it without building the de-delayed network), and ``_with_lines``
+appends the identity delay chains that ``dedelay`` and ``transform.expand``
+add.
 """
 
 from __future__ import annotations
@@ -13,11 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr as ex
-from .errors import NetworkError, TransformError
-from .expr import Expr, Var
+from .errors import TransformError
+from .expr import Expr, Interval, Var
 from .network import TimeDelayedNetwork, max_delay_profile, network_from_exprs
 
-__all__ = ["StateIndex", "AugmentedNetwork", "dedelay", "undelay", "shift_delay"]
+__all__ = [
+    "StateIndex", "AugmentedNetwork", "state_indices", "dedelay", "undelay",
+    "shift_delay",
+]
 
 
 @dataclass(frozen=True, order=True)
@@ -41,9 +50,24 @@ class AugmentedNetwork:
     """
 
     net: TimeDelayedNetwork
-    coords: tuple[str, ...]
-    indices: tuple[StateIndex, ...]
     projection: dict[str, tuple[str, int]]
+
+    @property
+    def coords(self) -> tuple[str, ...]:
+        return self.net.nodes
+
+    @property
+    def indices(self) -> tuple[StateIndex, ...]:
+        return tuple(StateIndex(*self.projection[c]) for c in self.net.nodes)
+
+
+def state_indices(net: TimeDelayedNetwork) -> tuple[StateIndex, ...]:
+    """The de-delayed coordinates of ``net`` in order: every node at
+    depth 0, then each node's depths 1 .. the largest delay it is read at."""
+    profile = max_delay_profile(net)
+    return tuple(StateIndex(n, 0) for n in net.nodes) + tuple(
+        StateIndex(n, d) for n in net.nodes for d in range(1, profile[n] + 1)
+    )
 
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -56,71 +80,59 @@ def _fresh(base: str, taken: set[str]) -> str:
     return name
 
 
-def line_names(net: TimeDelayedNetwork) -> dict[tuple[str, int], str]:
-    """Deterministic identifiers for the delay-line coordinates of ``net``."""
-    profile = max_delay_profile(net)
-    taken = set(net.nodes)
-    names: dict[tuple[str, int], str] = {}
-    for node in net.nodes:
-        for depth in range(1, profile[node] + 1):
-            names[(node, depth)] = _fresh(f"{node}_d{depth}", taken)
-    return names
+def _with_lines(
+    nodes: tuple[str, ...],
+    domains: dict[str, Interval],
+    updates: dict[str, Expr],
+    lines: list[tuple[str, StateIndex]],
+    name: str,
+) -> AugmentedNetwork:
+    """``nodes`` with their ``updates``, plus identity delay lines.
+
+    ``lines`` lists (coordinate name, index) in chain order: a coordinate
+    at depth 1 reads its source node, a deeper one the coordinate listed
+    just before it.  Every coordinate takes its source's domain.  Updates
+    are taken as given, without renormalizing.
+    """
+    projection = {n: (n, 0) for n in nodes}
+    updates = dict(updates)
+    previous = ""
+    for cname, idx in lines:
+        projection[cname] = (idx.node, idx.depth)
+        updates[cname] = Var(idx.node if idx.depth == 1 else previous, 0)
+        previous = cname
+    aug_net = network_from_exprs(
+        tuple(projection),
+        {c: domains[node] for c, (node, _) in projection.items()},
+        updates,
+        name=name,
+        run_normalize=False,
+    )
+    return AugmentedNetwork(net=aug_net, projection=projection)
 
 
 def dedelay(net: TimeDelayedNetwork) -> AugmentedNetwork:
     """Equivalent undelayed network on base nodes plus delay lines.
 
+    Coordinates follow :func:`state_indices`; the line of ``x`` at depth
+    3 is named ``x_d3``, or ``x_d3_2`` (``_3`` ...) if that name is taken.
     Base node updates keep their expression with each delayed read
     ``x[-m]`` rewired to the depth-m line coordinate; line coordinates
     shift by one: line(i, d) updates to line(i, d-1), and line(i, 1) to
     the base value.  Orbits of the result project onto orbits of ``net``.
     """
-    profile = max_delay_profile(net)
-    names = line_names(net)
-
-    coords: list[str] = list(net.nodes)
-    indices: list[StateIndex] = [StateIndex(n, 0) for n in net.nodes]
-    projection: dict[str, tuple[str, int]] = {n: (n, 0) for n in net.nodes}
-    for node in net.nodes:
-        for depth in range(1, profile[node] + 1):
-            cname = names[(node, depth)]
-            coords.append(cname)
-            indices.append(StateIndex(node, depth))
-            projection[cname] = (node, depth)
-
-    rewiring = {
-        (node, depth): Var(names[(node, depth)], 0)
-        for (node, depth) in names
-    }
-    updates: dict[str, Expr] = {}
-    domains = {}
-    for node in net.nodes:
-        updates[node] = ex.substitute(net.updates[node], rewiring)
-        domains[node] = net.domains[node]
-    for node in net.nodes:
-        for depth in range(1, profile[node] + 1):
-            cname = names[(node, depth)]
-            source = node if depth == 1 else names[(node, depth - 1)]
-            updates[cname] = Var(source, 0)
-            domains[cname] = net.domains[node]
-
-    # leaf renaming preserves the input's normal form, so skip
-    # renormalizing: orbits of net and of the augmentation then agree
-    # bit for bit under projection
-    aug_net = network_from_exprs(
-        tuple(coords),
-        domains,
-        updates,
-        name=f"{net.name}+lines" if net.name else "",
-        run_normalize=False,
-    )
-    if aug_net.T != 1:
-        raise NetworkError("internal error: dedelayed network is not undelayed")
-    return AugmentedNetwork(
-        net=aug_net,
-        coords=tuple(coords),
-        indices=tuple(indices),
-        projection=projection,
+    taken = set(net.nodes)
+    lines = [
+        (_fresh(f"{idx.node}_d{idx.depth}", taken), idx)
+        for idx in state_indices(net)[net.size:]
+    ]
+    rewiring = {(idx.node, idx.depth): Var(cname, 0) for cname, idx in lines}
+    # leaf renaming preserves the input's normal form, so _with_lines
+    # does not renormalize: orbits of net and of the augmentation then
+    # agree bit for bit under projection
+    updates = {n: ex.substitute(net.updates[n], rewiring) for n in net.nodes}
+    return _with_lines(
+        net.nodes, net.domains, updates, lines, f"{net.name}+lines" if net.name else ""
     )
 
 

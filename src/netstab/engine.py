@@ -29,6 +29,9 @@ __all__ = [
 _ROWS = tuple(OPERATORS.values())
 _OPCODE = {row.name: code for code, row in enumerate(_ROWS)}
 
+# consecutive small steps after which a trial with a positive stop_delta stops
+STOP_STREAK = 8
+
 
 @dataclass(frozen=True)
 class Program:
@@ -141,7 +144,7 @@ def _run_tape(tape) -> None:
         kernel(*args, out=out)
 
 
-def _orbit_batch(program: Program, hist, steps, stop_delta, stop_streak):
+def _orbit_batch(program: Program, hist, steps, stop_delta):
     n, T = program.n_nodes, program.T
     trials = hist.shape[0]
     regs = _registers(program, trials)
@@ -172,7 +175,7 @@ def _orbit_batch(program: Program, hist, steps, stop_delta, stop_streak):
 
             if stop_delta > 0.0:
                 streak = np.where(delta <= stop_delta, streak + 1, 0)
-                stopping = active & (streak >= stop_streak)
+                stopping = active & (streak >= STOP_STREAK)
                 steps_done[stopping] = k + 1
                 active &= ~stopping
     return steps_done, diverged
@@ -183,7 +186,6 @@ def run_orbit_batch(
     histories: np.ndarray,
     steps: int,
     stop_delta: float = 0.0,
-    stop_streak: int = 8,
 ):
     """Iterate ``trials`` orbits for up to ``steps`` steps each.
 
@@ -192,7 +194,7 @@ def run_orbit_batch(
     has shape (trials, T + steps, n); rows of a trial beyond
     ``T + steps_done[t]`` are meaningless.  A positive ``stop_delta``
     stops a trial once the max-norm step change stays at or below it for
-    ``stop_streak`` consecutive steps.
+    ``STOP_STREAK`` consecutive steps.
     """
     histories = np.asarray(histories, dtype=np.float64)
     trials, T, n = histories.shape
@@ -202,9 +204,7 @@ def run_orbit_batch(
         )
     hist = np.zeros((trials, T + steps, n), dtype=np.float64)
     hist[:, :T, :] = histories
-    steps_done, diverged = _orbit_batch(
-        program, hist, steps, float(stop_delta), int(stop_streak)
-    )
+    steps_done, diverged = _orbit_batch(program, hist, steps, float(stop_delta))
     return hist, steps_done, diverged
 
 
@@ -213,12 +213,11 @@ def run_orbit(
     history: np.ndarray,
     steps: int,
     stop_delta: float = 0.0,
-    stop_streak: int = 8,
 ):
     """Single-trial convenience wrapper around :func:`run_orbit_batch`."""
     history = np.asarray(history, dtype=np.float64)
     states, steps_done, diverged = run_orbit_batch(
-        program, history[None, :, :], steps, stop_delta, stop_streak
+        program, history[None, :, :], steps, stop_delta
     )
     return states[0], int(steps_done[0]), bool(diverged[0])
 

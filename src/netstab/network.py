@@ -96,29 +96,6 @@ def _sorted_adjacency(pairs) -> dict[str, tuple[str, ...]]:
     return {v: tuple(sorted(ws)) for v, ws in adjacent.items()}
 
 
-def _validate(nodes, domains, updates, T, delay_cap):
-    declared = set(nodes)
-    max_delay = 0
-    for node in nodes:
-        for ref_node, delay in ex.references(updates[node]):
-            if ref_node not in declared:
-                raise NetworkError(
-                    f"update of {node!r} references undeclared node {ref_node!r}"
-                )
-            if delay > delay_cap:
-                raise NetworkError(
-                    f"update of {node!r} references {ref_node!r} at delay "
-                    f"{delay}, above the cap {delay_cap}"
-                )
-            max_delay = max(max_delay, delay)
-    if T != max_delay + 1:
-        raise NetworkError(f"T = {T} but maximum referenced delay is {max_delay}")
-    for node in nodes:
-        dom = domains[node]
-        if dom.lo == math.inf or dom.hi == -math.inf:
-            raise NetworkError(f"empty domain for node {node!r}")
-
-
 def network_from_exprs(
     nodes: tuple[str, ...] | list[str],
     domains: dict[str, Interval],
@@ -137,11 +114,25 @@ def network_from_exprs(
     nodes = tuple(nodes)
     if run_normalize:
         updates = {n: ex.normalize(u) for n, u in updates.items()}
+    declared = set(nodes)
     max_delay = 0
-    for u in updates.values():
-        for _, d in ex.references(u):
-            max_delay = max(max_delay, d)
-    net = TimeDelayedNetwork(
+    for node in nodes:
+        if node not in updates:
+            raise NetworkError(f"no update for node {node!r}")
+        if node not in domains:
+            raise NetworkError(f"no domain for node {node!r}")
+        for ref_node, delay in ex.references(updates[node]):
+            if ref_node not in declared:
+                raise NetworkError(
+                    f"update of {node!r} references undeclared node {ref_node!r}"
+                )
+            if delay > delay_cap:
+                raise NetworkError(
+                    f"update of {node!r} references {ref_node!r} at delay "
+                    f"{delay}, above the cap {delay_cap}"
+                )
+            max_delay = max(max_delay, delay)
+    return TimeDelayedNetwork(
         nodes=nodes,
         domains=dict(domains),
         updates=dict(updates),
@@ -149,8 +140,6 @@ def network_from_exprs(
         name=name,
         cg=cg,
     )
-    _validate(net.nodes, net.domains, net.updates, net.T, delay_cap)
-    return net
 
 
 def build_network(

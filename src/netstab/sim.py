@@ -218,11 +218,7 @@ def verify_global_attraction(
 
     program = engine.compile_network(net)
     states, steps_done, diverged = engine.run_orbit_batch(
-        program,
-        histories,
-        steps,
-        stop_delta=tol * 1e-3,
-        stop_streak=8,
+        program, histories, steps, stop_delta=tol * 1e-3
     )
 
     notes: list[str] = []

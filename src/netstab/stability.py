@@ -2,9 +2,12 @@
 
 The stability matrix of a network bounds |dF_j / dx_i| over the domain
 box, entry (row j, column i); its spectral radius below 1 certifies a
-globally attracting fixed point.  Delayed networks are de-delayed first,
-so the matrix lives over the augmented coordinate list and delay-line
-rows carry a single 1.
+globally attracting fixed point.  For a delayed network the matrix lives
+over the lag coordinates (node, depth) of ``delays.state_indices``, the
+de-delayed coordinate order: each node's own update is differentiated with
+respect to every (source, delay) it reads, the partial lands at column
+(source, delay), and delay-line rows carry a single exact 1.  The
+de-delayed network itself is never built.
 
 ``jacobian_matrix``/``local_spectral_radius`` evaluate the signed
 Jacobian at a single point instead of bounding over the box; that is the
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .delays import dedelay
+from .delays import state_indices
 from .errors import UnboundedDerivativeError
 from .network import TimeDelayedNetwork
 from .spectral import NonnegMatrix, spectral_radius
@@ -66,15 +69,6 @@ class StabilityReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _undelayed_view(net: TimeDelayedNetwork):
-    """(working net with T == 1, display labels, base-point map)."""
-    if net.T == 1:
-        return net, tuple(net.nodes), {n: (n, 0) for n in net.nodes}
-    aug = dedelay(net)
-    labels = tuple(idx.label() for idx in aug.indices)
-    return aug.net, labels, dict(aug.projection)
-
-
 def stability_matrix(net: TimeDelayedNetwork) -> NonnegMatrix:
     """Bound |dF_j/dx_i| entrywise over the domain box.
 
@@ -85,29 +79,38 @@ def stability_matrix(net: TimeDelayedNetwork) -> NonnegMatrix:
     return matrix
 
 
+def _partials(net: TimeDelayedNetwork, indices):
+    """(row, column, partial) for each entry that can be nonzero.
+
+    Row j < n differentiates node j's own update with respect to each
+    (source, delay) it reads, at that read's lag coordinate; a delay-line
+    row holds the exact 1.0 from the coordinate one step shallower.
+    """
+    pos = {(idx.node, idx.depth): k for k, idx in enumerate(indices)}
+    for j, target in enumerate(net.nodes):
+        update = net.updates[target]
+        for ref in sorted(ex.references(update)):
+            yield j, pos[ref], ex.differentiate(update, ref)
+    for j in range(net.size, len(indices)):
+        yield j, pos[(indices[j].node, indices[j].depth - 1)], ex.Const(1.0)
+
+
 def _assemble(net: TimeDelayedNetwork):
-    work, labels, projection = _undelayed_view(net)
-    pos = {node: i for i, node in enumerate(work.nodes)}
-    box = {(node, 0): work.domains[node] for node in work.nodes}
-    data = np.zeros((work.size, work.size))
+    indices = state_indices(net)
+    labels = tuple(idx.label() for idx in indices)
+    box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
+    data = np.zeros((len(indices), len(indices)))
     provenance: dict[str, str] = {}
-    for target in work.nodes:
-        update = work.updates[target]
-        j = pos[target]
-        for source, _ in sorted(ex.references(update)):
-            i = pos[source]
-            partial = ex.differentiate(update, (source, 0))
-            interval = ex.eval_interval(partial, box)
-            sup = interval.sup_abs()
-            if not math.isfinite(sup):
-                orig_node, orig_delay = projection[source]
-                ref = orig_node if orig_delay == 0 else f"{orig_node}[-{orig_delay}]"
-                raise UnboundedDerivativeError(
-                    f"|d({target})/d({ref})| is unbounded over the domain box "
-                    f"(term: {ex.to_text(partial)})"
-                )
-            data[j, i] = sup
-            provenance[f"{labels[j]}<-{labels[i]}"] = ex.to_text(partial)
+    for j, i, partial in _partials(net, indices):
+        sup = ex.eval_interval(partial, box).sup_abs()
+        if not math.isfinite(sup):
+            ref = ex.to_text(ex.Var(indices[i].node, indices[i].depth))
+            raise UnboundedDerivativeError(
+                f"|d({net.nodes[j]})/d({ref})| is unbounded over the domain box "
+                f"(term: {ex.to_text(partial)})"
+            )
+        data[j, i] = sup
+        provenance[f"{labels[j]}<-{labels[i]}"] = ex.to_text(partial)
     return NonnegMatrix(data, labels), provenance
 
 
@@ -141,26 +144,21 @@ def analyze(net: TimeDelayedNetwork) -> StabilityReport:
 def jacobian_matrix(net: TimeDelayedNetwork, point) -> tuple[np.ndarray, tuple[str, ...]]:
     """Signed Jacobian of the (de-delayed) map at a constant state.
 
-    ``point`` assigns one value per base node; delay-line coordinates
-    take the same value, which is exactly the augmented image of a fixed
-    point.  Returns (J, labels) with J[j, i] = dF_j/dx_i at the point.
+    ``point`` assigns one value per base node; every delayed read of a
+    node takes the same value, which is exactly the augmented image of a
+    fixed point.  Returns (J, labels) with J[j, i] = dF_j/dx_i at the
+    point, over the coordinates of :func:`~netstab.delays.state_indices`.
     """
-    work, labels, projection = _undelayed_view(net)
     base = np.asarray(point, dtype=np.float64)
     if base.shape != (net.size,):
         raise ValueError(f"point must have {net.size} entries")
-    node_value = {node: base[i] for i, node in enumerate(net.nodes)}
-    assignment = {
-        (coord, 0): node_value[projection[coord][0]] for coord in work.nodes
-    }
-    pos = {node: i for i, node in enumerate(work.nodes)}
-    J = np.zeros((work.size, work.size))
-    for target in work.nodes:
-        update = work.updates[target]
-        for source, _ in ex.references(update):
-            partial = ex.differentiate(update, (source, 0))
-            J[pos[target], pos[source]] = ex.eval_point(partial, assignment)
-    return J, labels
+    indices = state_indices(net)
+    value = dict(zip(net.nodes, base))
+    assignment = {(idx.node, idx.depth): value[idx.node] for idx in indices}
+    J = np.zeros((len(indices), len(indices)))
+    for j, i, partial in _partials(net, indices):
+        J[j, i] = ex.eval_point(partial, assignment)
+    return J, tuple(idx.label() for idx in indices)
 
 
 def local_spectral_radius(net: TimeDelayedNetwork, point) -> float:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .delays import AugmentedNetwork, StateIndex, _fresh
+from .delays import AugmentedNetwork, StateIndex, _fresh, _with_lines
 from .errors import TransformError
-from .expr import BinOp, Call, Expr, Var
+from .expr import BinOp, Call, Expr, Var, normalize
 from .network import TimeDelayedNetwork, interaction_graph, network_from_exprs
 from .structural import StructuralSetReport, report_for
 
@@ -95,36 +95,28 @@ def inline_traces(net: TimeDelayedNetwork, S) -> tuple[InlineTrace, ...]:
     return tuple(traces)
 
 
-def restrict(net: TimeDelayedNetwork, S) -> TimeDelayedNetwork:
-    """Inline every non-S node away; the result lives on S with T = 1."""
+def _inline_over(net: TimeDelayedNetwork, S, leaf_reader, suffix: str):
     S, _ = _check_preconditions(net, S)
     in_s = set(S)
     updates = {
-        target: _inline_component(net, in_s, target, lambda br: Var(br[0], 0), [])
-        for target in S
+        target: _inline_component(net, in_s, target, leaf_reader, []) for target in S
     }
     domains = {n: net.domains[n] for n in S}
     return network_from_exprs(
-        S, domains, updates, name=f"{net.name}|restricted" if net.name else ""
+        S, domains, updates, name=f"{net.name}|{suffix}" if net.name else ""
     )
+
+
+def restrict(net: TimeDelayedNetwork, S) -> TimeDelayedNetwork:
+    """Inline every non-S node away; the result lives on S with T = 1."""
+    return _inline_over(net, S, lambda br: Var(br[0], 0), "restricted")
 
 
 def delayed_expansion(net: TimeDelayedNetwork, S) -> TimeDelayedNetwork:
     """Like restrict, but each leaf reads its source |branch| - 2 steps in
     the past (length-2 branches read the present).  Removing these delays
     again recovers the restriction exactly."""
-    S, _ = _check_preconditions(net, S)
-    in_s = set(S)
-    updates = {
-        target: _inline_component(
-            net, in_s, target, lambda br: Var(br[0], len(br) - 2), []
-        )
-        for target in S
-    }
-    domains = {n: net.domains[n] for n in S}
-    return network_from_exprs(
-        S, domains, updates, name=f"{net.name}|delayed" if net.name else ""
-    )
+    return _inline_over(net, S, lambda br: Var(br[0], len(br) - 2), "delayed")
 
 
 def expand(net: TimeDelayedNetwork, S) -> AugmentedNetwork:
@@ -138,53 +130,29 @@ def expand(net: TimeDelayedNetwork, S) -> AugmentedNetwork:
     in_s = set(S)
 
     taken = set(net.nodes)
-    coord_name: dict[tuple[tuple[str, ...], int], str] = {}
+    lines: list[tuple[str, StateIndex]] = []
+    coord_name: dict[tuple[str, ...], str] = {}
     for br in report.admissible:
         gamma = br.vertices
         for i in range(2, len(gamma)):
-            coord_name[(gamma, i)] = _fresh("_".join(gamma) + f"_s{i}", taken)
+            # leaves inlined through gamma read the deepest coordinate
+            coord_name[gamma] = _fresh("_".join(gamma) + f"_s{i}", taken)
+            lines.append((coord_name[gamma], StateIndex(gamma[0], i - 1)))
 
     def leaf_reader(branch: tuple[str, ...]) -> Expr:
         if len(branch) == 2:
             return Var(branch[0], 0)
-        key = (branch, len(branch) - 1)
-        if key not in coord_name:
+        if branch not in coord_name:
             raise TransformError(
                 f"inlining produced branch {'->'.join(branch)} outside the "
                 "admissible set"
             )
-        return Var(coord_name[key], 0)
+        return Var(coord_name[branch], 0)
 
-    coords: list[str] = list(S)
-    indices: list[StateIndex] = [StateIndex(n, 0) for n in S]
-    projection: dict[str, tuple[str, int]] = {n: (n, 0) for n in S}
-    updates: dict[str, Expr] = {}
-    domains = {n: net.domains[n] for n in S}
-
-    for target in S:
-        updates[target] = _inline_component(net, in_s, target, leaf_reader, [])
-
-    for br in report.admissible:
-        gamma = br.vertices
-        for i in range(2, len(gamma)):
-            name = coord_name[(gamma, i)]
-            coords.append(name)
-            indices.append(StateIndex(gamma[0], i - 1))
-            projection[name] = (gamma[0], i - 1)
-            domains[name] = net.domains[gamma[0]]
-            updates[name] = (
-                Var(gamma[0], 0) if i == 2 else Var(coord_name[(gamma, i - 1)], 0)
-            )
-
-    expanded = network_from_exprs(
-        tuple(coords),
-        domains,
-        updates,
-        name=f"{net.name}|expanded" if net.name else "",
-    )
-    return AugmentedNetwork(
-        net=expanded,
-        coords=tuple(coords),
-        indices=tuple(indices),
-        projection=projection,
+    updates = {
+        target: normalize(_inline_component(net, in_s, target, leaf_reader, []))
+        for target in S
+    }
+    return _with_lines(
+        S, net.domains, updates, lines, f"{net.name}|expanded" if net.name else ""
     )

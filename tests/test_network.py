@@ -12,6 +12,7 @@ from netstab.network import (
     load_network,
     make_cohen_grossberg,
     max_delay_profile,
+    network_from_exprs,
 )
 
 R = Interval.whole()
@@ -50,6 +51,13 @@ def test_build_rejects_delay_above_cap():
         build_network([("x1", R)], [("x1", "x1[-65]")])
     net = build_network([("x1", R)], [("x1", "x1[-65]")], delay_cap=100)
     assert net.T == 66
+
+
+def test_from_exprs_names_node_without_domain_or_update():
+    with pytest.raises(NetworkError, match="no domain for node 'a'"):
+        network_from_exprs(("a",), {}, {"a": Var("a", 1)})
+    with pytest.raises(NetworkError, match="no update for node 'b'"):
+        network_from_exprs(("a", "b"), {"a": R, "b": R}, {"a": Var("b", 0)})
 
 
 def test_cohen_grossberg_matches_delayed_pair():

@@ -7,7 +7,7 @@ import pytest
 from gen import random_network
 
 from netstab import gallery
-from netstab.delays import undelay
+from netstab.delays import dedelay, undelay
 from netstab.errors import UnboundedDerivativeError
 from netstab.expr import Interval
 from netstab.network import build_network, make_cohen_grossberg
@@ -65,6 +65,32 @@ def test_matrix_unbounded_derivative_raises():
         stability_matrix(net)
 
 
+def test_matrix_unbounded_delayed_read_names_the_read():
+    net = build_network([("x1", R)], [("x1", "x1[-2]*x1[-2]")])
+    with pytest.raises(UnboundedDerivativeError, match=r"d\(x1\)/d\(x1\[-2\]\)"):
+        stability_matrix(net)
+
+
+def test_matrix_and_jacobian_of_delayed_rules_equal_dedelayed_network():
+    # read off the original rules, the matrix and the Jacobian equal those
+    # of the de-delayed network bit for bit, in the same coordinate order
+    rng = np.random.default_rng(67)
+    for _ in range(36):
+        net = random_network(
+            rng, int(rng.integers(2, 6)), max_delay=int(rng.integers(1, 5)),
+            require_delay=True,
+        )
+        aug = dedelay(net)
+        M = stability_matrix(net)
+        assert np.array_equal(M.data, stability_matrix(aug.net).data)
+        assert M.index == tuple(idx.label() for idx in aug.indices)
+        point = rng.uniform(-1, 1, net.size)
+        tiled = [point[net.nodes.index(aug.projection[c][0])] for c in aug.coords]
+        J, labels = jacobian_matrix(net, point)
+        assert np.array_equal(J, jacobian_matrix(aug.net, tiled)[0])
+        assert labels == M.index
+
+
 def test_matrix_bounded_on_finite_domain():
     net = build_network([("x1", Interval(-2, 3))], [("x1", "x1*x1")])
     M = stability_matrix(net)
@@ -113,6 +139,9 @@ def test_analyze_boundary_flag():
 def test_provenance_names_partials():
     report = analyze(gallery.delayed_pair(0.5, 0.1, 1.0))
     assert any("sech" in v for v in report.provenance.values())
+    # delayed reads print in the rules' own notation
+    assert report.provenance["x1<-x2@3"] == "0.2 * (sech(x2[-3]) * sech(x2[-3]))"
+    assert report.provenance["x1@2<-x1@1"] == "1.0"
 
 
 def test_user_supplied_larger_matrix_dominates():
