@@ -32,6 +32,7 @@ from .spectral import (
     NonnegMatrix,
     is_irreducible,
     perron_eigenvector,
+    spectral_bracket,
     spectral_radius,
     strongly_connected_components,
     theta_extension,
@@ -109,6 +110,7 @@ __all__ = [
     "perron_eigenvector",
     "restrict",
     "shift_delay",
+    "spectral_bracket",
     "spectral_radius",
     "stability_matrix",
     "strongly_connected_components",

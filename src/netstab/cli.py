@@ -71,8 +71,9 @@ def _cmd_analyze(args) -> int:
     net = _read_network(args.network)
     report = analyze(net)
     print(f"rho = {report.rho:.6g} verdict = {report.verdict}")
+    print(f"certified bracket: {report.rho_lower!r} <= rho <= {report.rho_upper!r}")
     if report.boundary:
-        print("note: rho is within 1e-12 of 1; verdict is a boundary case")
+        print("note: the certified bracket contains 1; verdict is a boundary case")
     if report.cg_criterion is not None:
         print(f"cohen-grossberg criterion |1-eps| + L*rho(|W|) = {report.cg_criterion:.6g}")
     out = _out_path(args, f"{Path(args.network).stem}.report.json")

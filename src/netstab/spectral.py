@@ -1,11 +1,11 @@
 """Nonnegative-matrix spectral machinery.
 
-Spectral radii are computed per strongly connected component: the
-component matrix is shifted by the identity so its Perron root becomes
-strictly dominant (delay cycles make these matrices periodic), power
-iteration with Collatz-Wielandt brackets pins the root, and the shift is
-subtracted back out.  Trivial components (single vertex, no loop)
-contribute 0 and the component results are maximized.
+Spectral radii are bracketed per strongly connected component by one
+power iteration, which also gives the Perron vector: the component matrix
+is shifted by the identity so its Perron root becomes strictly dominant
+(delay cycles make these matrices periodic), and the Collatz-Wielandt
+bracket at the converged vector is rounded outward so it holds for the
+exact root.  Trivial components (single vertex, no loop) contribute 0.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NetstabError
 
 __all__ = [
     "NonnegMatrix",
     "Component",
     "strongly_connected_components",
+    "spectral_bracket",
     "spectral_radius",
     "is_irreducible",
     "perron_eigenvector",
@@ -30,10 +31,15 @@ __all__ = [
 
 def _iteration_cap(default: int = 100_000) -> int:
     raw = os.environ.get("NETSTAB_MAX_ITERS", "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
+    if not raw:
         return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise NetstabError(f"NETSTAB_MAX_ITERS must be a positive integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -146,50 +152,62 @@ def strongly_connected_components(M) -> list[Component]:
     return components
 
 
-def _cw_radius(A: np.ndarray, cap: int) -> float:
-    """Perron root of an irreducible nonnegative matrix via power
-    iteration on A + I with Collatz-Wielandt bracketing."""
+def _perron(A: np.ndarray, cap: int) -> tuple[float, float, np.ndarray]:
+    """(lower, upper, v): v > 0 with max entry 1 and lower <= rho(A) <= upper
+    for irreducible nonnegative A.
+
+    Iterates P = (B / max B)^4, B = A + I (A's Perron vector, four steps
+    of B per step) until P's bracket is 1e-12 relative wide.  The bracket
+    of A at v is rounded outward: barring underflow, fl(Av) is within
+    gamma_n * Av, and one more gamma term covers the division and the
+    rounding of 1 - gamma.
+    """
     n = A.shape[0]
     if n == 1:
-        return float(A[0, 0])
+        return float(A[0, 0]), float(A[0, 0]), np.ones(1)
     B = A + np.eye(n)
+    scale = B.max()
+    P = np.linalg.matrix_power(B / scale, 4)
     v = np.ones(n)
-    prev_mid = np.inf
-    stagnant = 0
     for _ in range(cap):
-        w = B @ v
+        w = P @ v
         ratios = w / v
-        lower = float(ratios.min())
-        upper = float(ratios.max())
-        mid = 0.5 * (lower + upper)
-        if upper - lower <= 1e-12 * max(1.0, upper):
-            return mid - 1.0
-        if abs(mid - prev_mid) <= 1e-12 * max(1.0, abs(mid)):
-            stagnant += 1
-            if stagnant >= 3:
-                return mid - 1.0
-        else:
-            stagnant = 0
-        prev_mid = mid
+        lower, upper = ratios.min(), ratios.max()
         v = w / w.max()
-    raise ConvergenceError(
-        f"power iteration did not converge within {cap} iterations"
-    )
+        if upper - lower <= 1e-12 * upper:
+            break
+    else:
+        lo, hi = scale * np.array([lower, upper]) ** 0.25 - 1.0
+        raise ConvergenceError(f"power iteration did not converge within {cap} "
+                               f"iterations (rho in [{lo:.17g}, {hi:.17g}])")
+    u = np.finfo(np.float64).eps / 2
+    shrink = 1.0 - (n + 2) * u / (1.0 - (n + 2) * u)
+    ratios = (A @ v) / v
+    lower = float(np.nextafter(ratios.min() * shrink, 0.0))
+    upper = float(np.nextafter(ratios.max() / shrink, np.inf))
+    return lower, upper, v
 
 
-def spectral_radius(M) -> float:
-    """rho(M) for nonnegative M, exact to about 1e-10 absolute."""
+def spectral_bracket(M) -> tuple[float, float]:
+    """(lower, upper) with lower <= rho(M) <= upper for nonnegative M,
+    rounding included: the max of the nontrivial components' brackets."""
     A = _as_array(M)
     if not np.isfinite(A).all() or (A < 0).any():
-        raise ValueError("spectral_radius requires a finite nonnegative matrix")
+        raise ValueError("spectral_bracket requires a finite nonnegative matrix")
     cap = _iteration_cap()
-    rho = 0.0
+    lower = upper = 0.0
     for comp in strongly_connected_components(A):
         if comp.trivial:
             continue
-        sub = A[np.ix_(comp.indices, comp.indices)]
-        rho = max(rho, _cw_radius(sub, cap))
-    return rho
+        lo, hi, _ = _perron(A[np.ix_(comp.indices, comp.indices)], cap)
+        lower, upper = max(lower, lo), max(upper, hi)
+    return lower, upper
+
+
+def spectral_radius(M) -> float:
+    """rho(M) for nonnegative M: the midpoint of :func:`spectral_bracket`."""
+    lower, upper = spectral_bracket(M)
+    return 0.5 * (lower + upper)
 
 
 def is_irreducible(M) -> bool:
@@ -199,34 +217,16 @@ def is_irreducible(M) -> bool:
 
 
 def perron_eigenvector(M) -> tuple[float, np.ndarray]:
-    """(rho, v) with v > 0, max-entry 1, and ||Mv - rho v||_inf <= 1e-8.
-
-    Requires irreducible input.
+    """(rho, v) with v > 0 and max entry 1; rho equals spectral_radius(M)
+    and |Mv - rho v| <= v * (upper - lower) / 2.  Requires irreducible M.
     """
     A = _as_array(M)
     if not is_irreducible(A):
         raise ValueError("perron_eigenvector requires an irreducible matrix")
-    n = A.shape[0]
-    if n == 1:
-        return float(A[0, 0]), np.ones(1)
-    cap = _iteration_cap()
-    B = A + np.eye(n)
-    v = np.ones(n)
-    for _ in range(cap):
-        w = B @ v
-        v = w / w.max()
-        ratios = (A @ v) / v
-        rho = 0.5 * float(ratios.min() + ratios.max())
-        residual = float(np.max(np.abs(A @ v - rho * v)))
-        if residual <= 1e-10 * max(1.0, rho):
-            break
-    else:
-        raise ConvergenceError(f"no Perron pair within {cap} iterations")
-    if residual > 1e-8:
-        raise ConvergenceError(f"Perron residual {residual:.3e} above 1e-8")
+    lower, upper, v = _perron(A, _iteration_cap())
     if (v <= 0).any():
         raise ConvergenceError("Perron vector failed to stay positive")
-    return rho, v
+    return 0.5 * (lower + upper), v
 
 
 def theta_extension(M, row: int, col: int, alpha: float, lip: float, theta: float):

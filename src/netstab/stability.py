@@ -27,7 +27,7 @@ from . import expr as ex
 from .delays import state_indices
 from .errors import UnboundedDerivativeError
 from .network import TimeDelayedNetwork
-from .spectral import NonnegMatrix, spectral_radius
+from .spectral import NonnegMatrix, spectral_bracket, spectral_radius
 
 __all__ = [
     "StabilityReport",
@@ -35,16 +35,15 @@ __all__ = [
     "analyze",
     "jacobian_matrix",
     "local_spectral_radius",
-    "VERDICT_GUARD",
 ]
-
-VERDICT_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
 class StabilityReport:
     matrix: NonnegMatrix
-    rho: float
+    rho: float  # midpoint of the certified bracket [rho_lower, rho_upper]
+    rho_lower: float
+    rho_upper: float
     verdict: str  # "stable" | "inconclusive"
     boundary: bool
     provenance: dict[str, str]
@@ -56,6 +55,8 @@ class StabilityReport:
             "schema": "netstab-report/1",
             "name": self.network_name,
             "rho": self.rho,
+            "rho_lower": self.rho_lower,
+            "rho_upper": self.rho_upper,
             "verdict": self.verdict,
             "boundary": self.boundary,
             "provenance": self.provenance,
@@ -117,24 +118,25 @@ def _assemble(net: TimeDelayedNetwork):
 def analyze(net: TimeDelayedNetwork) -> StabilityReport:
     """Assemble the stability matrix and render the rho < 1 verdict.
 
-    rho >= 1 is inconclusive by design: it does not certify instability.
-    Values within the guard band of 1 are flagged as boundary cases.
-    Networks built by the Cohen-Grossberg constructor also report the
-    closed-form criterion |1 - eps| + L * rho(|W|).
+    ``stable`` needs the certified upper bound rho_upper < 1; anything else
+    is inconclusive by design: it does not certify instability.  A bracket
+    that contains 1 is flagged as a boundary case.  Networks built by the
+    Cohen-Grossberg constructor also report the closed-form criterion
+    |1 - eps| + L * rho(|W|).
     """
     matrix, provenance = _assemble(net)
-    rho = spectral_radius(matrix)
-    boundary = abs(rho - 1.0) <= VERDICT_GUARD
-    verdict = "stable" if rho < 1.0 - VERDICT_GUARD else "inconclusive"
+    rho_lower, rho_upper = spectral_bracket(matrix)
     cg_criterion = None
     if net.cg is not None:
         absW = np.abs(np.array(net.cg.weights))
         cg_criterion = abs(1.0 - net.cg.epsilon) + net.cg.lipschitz * spectral_radius(absW)
     return StabilityReport(
         matrix=matrix,
-        rho=rho,
-        verdict=verdict,
-        boundary=boundary,
+        rho=0.5 * (rho_lower + rho_upper),
+        rho_lower=rho_lower,
+        rho_upper=rho_upper,
+        verdict="stable" if rho_upper < 1.0 else "inconclusive",
+        boundary=rho_lower <= 1.0 <= rho_upper,
         provenance=provenance,
         cg_criterion=cg_criterion,
         network_name=net.name,

@@ -32,6 +32,24 @@ def test_analyze_prints_rho_and_writes_report(in_tmp, capsys):
     report = json.loads((in_tmp / "pair.report.json").read_text())
     assert report["schema"] == "netstab-report/1"
     assert report["verdict"] == "stable"
+    bracket = f"certified bracket: {report['rho_lower']!r} <= rho <= {report['rho_upper']!r}"
+    assert bracket in out
+
+
+def test_analyze_notes_a_bracket_that_contains_one(in_tmp, capsys):
+    path = in_tmp / "unit.net"
+    path.write_text("node x1 domain [-inf,inf]\nupdate x1 = x1\n")
+    assert run(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "verdict = inconclusive" in out
+    assert "note: the certified bracket contains 1" in out
+
+
+def test_analyze_bad_iteration_cap_exit_code(in_tmp, capsys, monkeypatch):
+    path = _write(in_tmp, "pair.net", gallery.undelayed_pair(0.5, 0.1, 1.0))
+    monkeypatch.setenv("NETSTAB_MAX_ITERS", "abc")
+    assert run(["analyze", str(path)]) == 1
+    assert "NETSTAB_MAX_ITERS" in capsys.readouterr().err
 
 
 def test_analyze_domain_error_exit_code(in_tmp, capsys):

@@ -5,7 +5,7 @@ from gen import random_network
 
 from netstab import gallery
 from netstab.delays import dedelay, undelay
-from netstab.errors import ConvergenceError, NetworkError
+from netstab.errors import ConvergenceError, NetstabError, NetworkError
 from netstab.expr import Interval, Var
 from netstab.network import build_network, network_from_exprs
 from netstab.sim import (
@@ -114,6 +114,14 @@ def test_fixed_point_cap(monkeypatch):
     net = build_network([("x1", R)], [("x1", "0.999*x1 + 1")])
     with pytest.raises(ConvergenceError):
         find_fixed_point(net, [0.0], tol=1e-14)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_fixed_point_rejects_bad_cap(monkeypatch, raw):
+    monkeypatch.setenv("NETSTAB_MAX_ITERS", raw)
+    net = build_network([("x1", R)], [("x1", "0.5*x1")])
+    with pytest.raises(NetstabError, match="NETSTAB_MAX_ITERS"):
+        find_fixed_point(net, [0.0])
 
 
 def test_fixed_points_of_delayed_and_undelayed_coincide():

@@ -1,13 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from netstab.errors import ConvergenceError
+from gen import random_network
+
+from netstab.errors import ConvergenceError, NetstabError
 from netstab.spectral import (
     NonnegMatrix,
     is_irreducible,
     perron_eigenvector,
+    spectral_bracket,
     spectral_radius,
     strongly_connected_components,
     theta_extension,
@@ -179,6 +183,63 @@ def test_radius_respects_iteration_cap(monkeypatch):
         spectral_radius(M)
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
+def test_radius_rejects_bad_iteration_cap(monkeypatch, raw):
+    monkeypatch.setenv("NETSTAB_MAX_ITERS", raw)
+    with pytest.raises(NetstabError, match="NETSTAB_MAX_ITERS"):
+        spectral_radius(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# certified bracket
+
+
+def test_bracket_of_scalar_and_triangular_is_exact():
+    assert spectral_bracket(np.array([[0.7]])) == (0.7, 0.7)
+    assert spectral_bracket(np.array([[0.0, 3.0], [0.0, 0.0]])) == (0.0, 0.0)
+
+
+def test_bracket_contains_eigenvalue_radius():
+    # eigvals is itself off by up to 13 ulps on these draws, while a
+    # 40-digit mpmath radius lies inside every bracket, so eigvals gets 64
+    # ulps of slack; the brackets are ~1e-13 wide
+    rng = np.random.default_rng(59)
+    for k in range(600):
+        n = int(rng.integers(1, 8))
+        M = random_irreducible(rng, n + 1) if k % 2 else random_nonneg(rng, n)
+        lower, upper = spectral_bracket(M)
+        rho = eig_radius(M)
+        slack = 64 * np.spacing(rho)
+        assert lower - slack <= rho <= upper + slack, (M, lower, rho, upper)
+        assert upper - lower <= 1e-11 * max(1.0, upper)
+
+
+def test_bracket_contains_eigenvalue_radius_of_delayed_networks():
+    from netstab.stability import stability_matrix
+
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        net = random_network(rng, int(rng.integers(2, 7)), max_delay=int(rng.integers(0, 5)))
+        M = stability_matrix(net)
+        lower, upper = spectral_bracket(M)
+        assert lower <= eig_radius(M) <= upper
+
+
+def test_bracket_is_sound_in_exact_arithmetic():
+    # Collatz-Wielandt: every exact ratio (Mv)_i / v_i at the Perron vector
+    # lies in the outward-rounded bracket, so the bracket holds for rho(M)
+    rng = np.random.default_rng(67)
+    for _ in range(500):
+        M = random_irreducible(rng, int(rng.integers(2, 8)))
+        M *= float(rng.uniform(0.01, 100.0))
+        lower, upper = spectral_bracket(M)
+        _, v = perron_eigenvector(M)
+        vq = [Fraction(x) for x in v]
+        for row, vi in zip(M, vq):
+            ratio = sum(Fraction(a) * x for a, x in zip(row, vq)) / vi
+            assert Fraction(lower) <= ratio <= Fraction(upper)
+
+
 # ---------------------------------------------------------------------------
 # irreducibility and Perron pairs
 
@@ -218,6 +279,13 @@ def test_perron_residual_and_positivity():
         assert (v > 0).all()
         assert v.max() == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(M @ v - rho * v)) <= 1e-8
+
+
+def test_perron_root_is_spectral_radius_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for _ in range(100):
+        M = random_irreducible(rng, int(rng.integers(2, 9)))
+        assert perron_eigenvector(M)[0] == spectral_radius(M)
 
 
 def test_perron_rejects_reducible():

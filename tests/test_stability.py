@@ -22,6 +22,34 @@ from netstab.stability import (
 R = Interval.whole()
 
 
+def rescaled_ring(n, max_delay, excess):
+    """Linear ring with the weights and delays of benchmarks/bench_orbit.py
+    (rng 12345, neighbour delays 0..max_delay, self delay 1, leak 0.5),
+    scaled so that the spectral radius of its stability matrix is
+    1 + excess.
+
+    Its lag blocks A_d are nonnegative, so the Perron root r solves
+    r = rho(sum_d A_d r^-d); scaling every block by r / rho(sum_d A_d r^-d)
+    puts the root at r.
+    """
+    rng = np.random.default_rng(12345)
+    terms = {j: [(0.5, j, 1)] for j in range(n)}
+    for j in range(n):
+        for i in ((j - 1) % n, (j + 1) % n):
+            terms[j].append((rng.uniform(0.05, 0.25), i, int(rng.integers(0, max_delay + 1))))
+    r = 1.0 + excess
+    lagged = np.zeros((n, n))
+    for j, row in terms.items():
+        for w, i, d in row:
+            lagged[j, i] += w * r**-d
+    s = r / np.max(np.abs(np.linalg.eigvals(lagged)))
+    rules = [
+        (f"x{j}", " + ".join(f"{float(w * s)!r}*x{i}[-{d}]" for w, i, d in row))
+        for j, row in terms.items()
+    ]
+    return build_network([(f"x{j}", R) for j in range(n)], rules)
+
+
 def test_matrix_of_undelayed_pair():
     eps, a, b = 0.5, 0.1, 1.0
     M = stability_matrix(gallery.undelayed_pair(eps, a, b))
@@ -124,6 +152,8 @@ def test_analyze_report_json():
     data = json.loads(report.to_json())
     assert data["schema"] == "netstab-report/1"
     assert data["verdict"] == "stable"
+    assert data["rho_lower"] <= data["rho"] <= data["rho_upper"] < 1.0
+    assert data["rho"] == 0.5 * (data["rho_lower"] + data["rho_upper"])
     assert data["indices"] == ["x1", "x2"]
     assert len(data["matrix"]) == 2
     assert data["provenance"]["x1<-x2"]
@@ -134,6 +164,26 @@ def test_analyze_boundary_flag():
     report = analyze(net)
     assert report.boundary
     assert report.verdict == "inconclusive"
+    assert (report.rho_lower, report.rho, report.rho_upper) == (1.0, 1.0, 1.0)
+
+
+def test_radius_just_above_one_is_not_stable():
+    # an uncertified float estimate of rho can land below 1 here
+    net = rescaled_ring(12, 8, 1e-10)
+    M = stability_matrix(net)
+    assert M.n == 73
+    assert np.max(np.abs(np.linalg.eigvals(M.data))) > 1.0
+    report = analyze(net)
+    assert report.rho_upper >= 1.0
+    assert report.verdict == "inconclusive"
+    assert report.rho_lower <= 1.0 + 1e-10 <= report.rho_upper
+
+
+def test_radius_just_below_one_is_stable():
+    report = analyze(rescaled_ring(12, 8, -1e-10))
+    assert report.rho_upper < 1.0
+    assert report.verdict == "stable"
+    assert not report.boundary
 
 
 def test_provenance_names_partials():
