@@ -6,7 +6,9 @@ interpreter runs the tape over a (registers, trials) array, so every
 instruction advances all trials at once.  Opcodes and their numpy kernels
 come from ``expr.OPERATORS``, the table of the expression vocabulary: an
 opcode is the position of its operator's row, and the row's ``array``
-kernel writes straight into the destination register row.
+kernel writes straight into the destination register row.  Each distinct
+expression node is compiled once, so a subexpression shared by several
+readers is computed once per step.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import OPERATORS, BinOp, Call, Const, Expr, Var
+from .expr import OPERATORS, BinOp, Call, Const, Var, _postorder
 from .network import TimeDelayedNetwork
 
 __all__ = [
@@ -62,7 +64,6 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
     const_slots: dict[str, int] = {}
     consts: list[float] = []
     ops: list[tuple[int, int, int, int]] = []
-    next_reg = [T * n]  # constant pool claims slots first, temps follow
 
     def const_slot(v: float) -> int:
         key = repr(v)
@@ -71,42 +72,32 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
             consts.append(v)
         return const_slots[key]
 
-    pending: list[Expr] = [net.updates[node] for node in net.nodes]
-
-    def reserve_consts(e: Expr):
+    # every distinct node once, operands first: a node shared by several
+    # readers is computed into one register that all of them read
+    order = _postorder([net.updates[node] for node in net.nodes])
+    for e in order:
         if isinstance(e, Const):
             const_slot(e.value)
-        elif isinstance(e, Call):
-            reserve_consts(e.arg)
-        elif isinstance(e, BinOp):
-            reserve_consts(e.left)
-            reserve_consts(e.right)
-
-    for e in pending:
-        reserve_consts(e)
-    next_reg[0] = T * n + len(consts)
-
-    def emit(e: Expr) -> int:
+    # the constant pool claims slots first, temporaries follow
+    next_reg = T * n + len(consts)
+    reg: dict[int, int] = {}
+    for e in order:
         if isinstance(e, Var):
-            return e.delay * n + node_idx[e.node]
-        if isinstance(e, Const):
-            return const_slot(e.value)
-        if isinstance(e, Call):
-            a = emit(e.arg)
-            dst = next_reg[0]
-            next_reg[0] += 1
-            ops.append((_OPCODE[e.func], dst, a, -1))
-            return dst
-        if isinstance(e, BinOp):
-            a = emit(e.left)
-            b = emit(e.right)
-            dst = next_reg[0]
-            next_reg[0] += 1
-            ops.append((_OPCODE[e.op], dst, a, b))
-            return dst
-        raise TypeError(f"not an expression: {e!r}")
+            reg[id(e)] = e.delay * n + node_idx[e.node]
+        elif isinstance(e, Const):
+            reg[id(e)] = const_slot(e.value)
+        elif isinstance(e, Call):
+            ops.append((_OPCODE[e.func], next_reg, reg[id(e.arg)], -1))
+            reg[id(e)] = next_reg
+            next_reg += 1
+        elif isinstance(e, BinOp):
+            ops.append((_OPCODE[e.op], next_reg, reg[id(e.left)], reg[id(e.right)]))
+            reg[id(e)] = next_reg
+            next_reg += 1
+        else:
+            raise TypeError(f"not an expression: {e!r}")
 
-    out_regs = [emit(net.updates[node]) for node in net.nodes]
+    out_regs = [reg[id(net.updates[node])] for node in net.nodes]
     ops_arr = (
         np.array(ops, dtype=np.int64)
         if ops
@@ -116,7 +107,7 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
         ops=ops_arr,
         consts=np.array(consts, dtype=np.float64),
         out_regs=np.array(out_regs, dtype=np.int64),
-        n_regs=next_reg[0],
+        n_regs=next_reg,
         n_nodes=n,
         T=T,
         nodes=net.nodes,

@@ -1,11 +1,22 @@
-"""Expression trees for node update rules.
+"""Expression DAGs for node update rules.
 
-An update rule is a tree over a closed vocabulary (tanh, sech, exp, sin,
-cos, abs, sign, negation and the four arithmetic operators) whose leaves
-are finite constants and references to node values, possibly delayed:
-``x2[-3]`` is the value of node ``x2`` three steps in the past.  The
-vocabulary is the table ``OPERATORS``: one row per function or operator
-with its point, interval and numpy kernels and its derivative rule.
+An update rule is an expression over a closed vocabulary (tanh, sech, exp,
+sin, cos, abs, sign, negation and the four arithmetic operators) whose
+leaves are finite constants and references to node values, possibly
+delayed: ``x2[-3]`` is the value of node ``x2`` three steps in the past.
+The vocabulary is the table ``OPERATORS``: one row per function or
+operator with its point, interval and numpy kernels and its derivative
+rule.
+
+Expressions are DAGs: a node may be the child of several parents.  The
+parser shares identical subexpressions within one rule, and restriction
+shares each inlined node among all its readers.  Every walker (printing,
+normalization, differentiation, point and interval evaluation,
+substitution) visits each distinct node once, iteratively, with a memo
+local to the call, so its cost is O(distinct nodes) and deep input does
+not exhaust the interpreter stack; a shared input node maps to one shared
+output node.  Printed text still expands the sharing, so the text of a
+restricted rule grows with the number of paths, not of nodes.
 
 The module provides parsing, printing, symbolic differentiation, exact
 point evaluation and interval evaluation.  Interval results are widened
@@ -92,6 +103,43 @@ class BinOp(Expr):
         row = OPERATORS.get(self.op)
         if row is None or row.arity != 2:
             raise ValueError(f"unknown operator {self.op!r}")
+
+
+def _postorder(roots, sums_as_terms: bool = False, repeated: set[int] | None = None):
+    """Each distinct node (by identity) reachable from ``roots``, once,
+    children before parents and left before right: the order in which a
+    recursive walk first finishes each node.
+
+    With ``sums_as_terms`` the children of an additive chain are its terms
+    (what :func:`normalize` reads) instead of its two operands.  When
+    ``repeated`` is given, the id of every node reached along more than
+    one edge is added to it.
+    """
+    order: list[Expr] = []
+    seen: set[int] = set()
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        if node is None:  # the node below has all its children in order
+            order.append(stack.pop())
+            continue
+        if id(node) in seen:
+            if repeated is not None:
+                repeated.add(id(node))
+            continue
+        seen.add(id(node))
+        kind = type(node)
+        if kind is BinOp:
+            if sums_as_terms and node.op in ("+", "-"):
+                stack += (node, None)
+                stack += [term for _, term in reversed(_flatten_add(node))]
+            else:
+                stack += (node, None, node.right, node.left)
+        elif kind is Call:
+            stack += (node, None, node.arg)
+        else:
+            order.append(node)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +398,45 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest parenthesis or function-call nesting the parser accepts.  Each
+# level costs five interpreter frames, so this keeps parsing well inside
+# Python's default recursion limit; printed restrictions of a k-layer
+# diamond nest k + 1 levels.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, declared: set[str]):
         self.text = text
         self.declared = declared
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
+        # one node per distinct subexpression of this text; children are
+        # interned first, so their identity stands for their structure
+        self.table: dict[tuple, Expr] = {}
+
+    def intern(self, node: Expr) -> Expr:
+        if isinstance(node, Const):
+            # 0.0 == -0.0, but they print differently
+            key = (Const, node.value, math.copysign(1.0, node.value))
+        elif isinstance(node, Var):
+            key = (Var, node.node, node.delay)
+        elif isinstance(node, Call):
+            key = (Call, node.func, id(node.arg))
+        else:
+            key = (BinOp, node.op, id(node.left), id(node.right))
+        return self.table.setdefault(key, node)
+
+    def nested(self, pos: int) -> Expr:
+        """The expression up to the closing parenthesis, one level deeper."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        e = self.expr()
+        self.depth -= 1
+        self.expect_op(")")
+        return e
 
     def peek(self):
         return self.tokens[self.i]
@@ -384,7 +465,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value in ("+", "-"):
                 self.advance()
-                e = BinOp(value, e, self.term())
+                e = self.intern(BinOp(value, e, self.term()))
             else:
                 return e
 
@@ -394,7 +475,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value in ("*", "/"):
                 self.advance()
-                e = BinOp(value, e, self.factor())
+                e = self.intern(BinOp(value, e, self.factor()))
             else:
                 return e
 
@@ -406,27 +487,23 @@ class _Parser:
             # a minus sign directly on a numeral is the negative constant
             if nkind == "num":
                 self.advance()
-                return Const(-float(nvalue))
-            return Call("neg", self.atom())
+                return self.intern(Const(-float(nvalue)))
+            return self.intern(Call("neg", self.atom()))
         return self.atom()
 
     def atom(self) -> Expr:
         kind, value, pos = self.advance()
         if kind == "num":
-            return Const(float(value))
+            return self.intern(Const(float(value)))
         if kind == "op" and value == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            return self.nested(pos)
         if kind == "ident":
             nxt_kind, nxt_value, _ = self.peek()
             if nxt_kind == "op" and nxt_value == "(":
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function {value!r}", pos)
                 self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(value, arg)
+                return self.intern(Call(value, self.nested(pos)))
             if value not in self.declared:
                 raise ParseError(f"undeclared identifier {value!r}", pos)
             delay = 0
@@ -438,15 +515,16 @@ class _Parser:
                     raise ParseError("delay must be a nonnegative integer", dpos)
                 delay = int(dvalue)
                 self.expect_op("]")
-            return Var(value, delay)
+            return self.intern(Var(value, delay))
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
 def parse_expression(text: str, declared: set[str] | frozenset[str]) -> Expr:
     """Parse ``text`` into the unique tree under standard precedence.
 
-    ``declared`` is the set of node identifiers a variable reference may
-    name; anything else is an error.
+    Identical subexpressions come back as one shared node.  ``declared``
+    is the set of node identifiers a variable reference may name; anything
+    else is an error, and so is nesting deeper than ``MAX_NESTING``.
     """
     return _Parser(text, set(declared)).parse()
 
@@ -458,35 +536,61 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def to_text(e: Expr) -> str:
-    """Render ``e`` so that ``parse_expression(to_text(e))`` recovers it."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.node if e.delay == 0 else f"{e.node}[-{e.delay}]"
-    if isinstance(e, Call):
-        if e.func == "neg":
-            inner = to_text(e.arg)
-            needs_parens = isinstance(e.arg, (BinOp, Const)) or (
-                isinstance(e.arg, Call) and e.arg.func == "neg"
-            )
-            if needs_parens:
+    """Render ``e`` so that ``parse_expression(to_text(e))`` recovers it.
+
+    A node reached along several edges is rendered once and its text
+    reused; every other node is written straight into one list of pieces.
+    """
+    repeated: set[int] = set()
+    order = _postorder((e,), repeated=repeated)
+    shared: dict[int, str] = {}
+    for cur in order if repeated else ():
+        if id(cur) in repeated and isinstance(cur, (Call, BinOp)):
+            shared[id(cur)] = _render(cur, shared)
+    return _render(e, shared)
+
+
+def _render(e: Expr, shared: dict[int, str]) -> str:
+    pieces: list[str] = []
+    stack: list[Expr | str] = [e]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, str):
+            pieces.append(cur)
+        elif id(cur) in shared:
+            pieces.append(shared[id(cur)])
+        elif isinstance(cur, Const):
+            pieces.append(repr(cur.value))
+        elif isinstance(cur, Var):
+            pieces.append(cur.node if cur.delay == 0 else f"{cur.node}[-{cur.delay}]")
+        elif isinstance(cur, Call) and cur.func == "neg":
+            if isinstance(cur.arg, (BinOp, Const)) or (
+                isinstance(cur.arg, Call) and cur.arg.func == "neg"
+            ):
                 # so "-" does not merge into a numeral, grab only part of
                 # the operand, or stack into the ungrammatical "--"
-                return f"-({inner})"
-            return f"-{inner}"
-        return f"{e.func}({to_text(e.arg)})"
-    if isinstance(e, BinOp):
-        lp = _PREC[e.op]
-        left = to_text(e.left)
-        if isinstance(e.left, BinOp) and _PREC[e.left.op] < lp:
-            left = f"({left})"
-        right = to_text(e.right)
-        if isinstance(e.right, BinOp) and _PREC[e.right.op] <= lp:
-            right = f"({right})"
-        elif isinstance(e.right, Call) and e.right.func == "neg" and e.op in ("-", "/"):
-            right = f"({right})"
-        return f"{left} {e.op} {right}"
-    raise TypeError(f"not an expression: {e!r}")
+                stack += [")", cur.arg, "-("]
+            else:
+                stack += [cur.arg, "-"]
+        elif isinstance(cur, Call):
+            stack += [")", cur.arg, f"{cur.func}("]
+        elif isinstance(cur, BinOp):
+            lp = _PREC[cur.op]
+            left, right = cur.left, cur.right
+            if (isinstance(right, BinOp) and _PREC[right.op] <= lp) or (
+                isinstance(right, Call) and right.func == "neg" and cur.op in ("-", "/")
+            ):
+                stack += [")", right, "("]
+            else:
+                stack.append(right)
+            stack.append(f" {cur.op} ")
+            if isinstance(left, BinOp) and _PREC[left.op] < lp:
+                stack += [")", left, "("]
+            else:
+                stack.append(left)
+        else:
+            raise TypeError(f"not an expression: {cur!r}")
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -495,29 +599,25 @@ def to_text(e: Expr) -> str:
 
 def references(e: Expr) -> set[tuple[str, int]]:
     """All (node, delay) pairs read by ``e``."""
-    out: set[tuple[str, int]] = set()
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Var):
-            out.add((cur.node, cur.delay))
-        elif isinstance(cur, Call):
-            stack.append(cur.arg)
-        elif isinstance(cur, BinOp):
-            stack.append(cur.left)
-            stack.append(cur.right)
-    return out
+    return {(v.node, v.delay) for v in _postorder((e,)) if isinstance(v, Var)}
 
 
 def substitute(e: Expr, mapping: dict[tuple[str, int], Expr]) -> Expr:
     """Replace every ``Var`` whose (node, delay) is in ``mapping``."""
-    if isinstance(e, Var):
-        return mapping.get((e.node, e.delay), e)
-    if isinstance(e, Call):
-        return Call(e.func, substitute(e.arg, mapping))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, substitute(e.left, mapping), substitute(e.right, mapping))
-    return e
+    out: dict[int, Expr] = {}
+    for cur in _postorder((e,)):
+        if isinstance(cur, Var):
+            new = mapping.get((cur.node, cur.delay), cur)
+        elif isinstance(cur, Call) and out[id(cur.arg)] is not cur.arg:
+            new = Call(cur.func, out[id(cur.arg)])
+        elif isinstance(cur, BinOp) and (
+            out[id(cur.left)] is not cur.left or out[id(cur.right)] is not cur.right
+        ):
+            new = BinOp(cur.op, out[id(cur.left)], out[id(cur.right)])
+        else:
+            new = cur
+        out[id(cur)] = new
+    return out[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -601,30 +701,36 @@ def differentiate(e: Expr, wrt: tuple[str, int]) -> Expr:
     interval containing 0 evaluates to [-1, 1].
     """
     node, delay = wrt
-    if isinstance(e, Const):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0) if (e.node, e.delay) == (node, delay) else Const(0.0)
-    if isinstance(e, Call):
-        inner = differentiate(e.arg, wrt)
-        if isinstance(inner, Const) and inner.value == 0.0:
-            return Const(0.0)
-        if e.func == "neg":
-            return _neg(inner)
-        return _mul(OPERATORS[e.func].derivative(e.arg), inner)
-    if isinstance(e, BinOp):
-        dl = differentiate(e.left, wrt)
-        dr = differentiate(e.right, wrt)
-        if e.op == "+":
-            return _add(dl, dr)
-        if e.op == "-":
-            return _sub(dl, dr)
-        if e.op == "*":
-            return _add(_mul(dl, e.right), _mul(e.left, dr))
-        # quotient rule
-        num = _sub(_mul(dl, e.right), _mul(e.left, dr))
-        return _div(num, _mul(e.right, e.right))
-    raise TypeError(f"not an expression: {e!r}")
+    zero, one = Const(0.0), Const(1.0)
+    d: dict[int, Expr] = {}
+    for cur in _postorder((e,)):
+        if isinstance(cur, Const):
+            out = zero
+        elif isinstance(cur, Var):
+            out = one if cur.node == node and cur.delay == delay else zero
+        elif isinstance(cur, Call):
+            inner = d[id(cur.arg)]
+            if isinstance(inner, Const) and inner.value == 0.0:
+                out = zero
+            elif cur.func == "neg":
+                out = _neg(inner)
+            else:
+                out = _mul(OPERATORS[cur.func].derivative(cur.arg), inner)
+        elif isinstance(cur, BinOp):
+            dl, dr = d[id(cur.left)], d[id(cur.right)]
+            if cur.op == "+":
+                out = _add(dl, dr)
+            elif cur.op == "-":
+                out = _sub(dl, dr)
+            elif cur.op == "*":
+                out = _add(_mul(dl, cur.right), _mul(cur.left, dr))
+            else:  # quotient rule
+                num = _sub(_mul(dl, cur.right), _mul(cur.left, dr))
+                out = _div(num, _mul(cur.right, cur.right))
+        else:
+            raise TypeError(f"not an expression: {cur!r}")
+        d[id(cur)] = out
+    return d[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -632,23 +738,26 @@ def differentiate(e: Expr, wrt: tuple[str, int]) -> Expr:
 
 def eval_point(e: Expr, assignment: dict[tuple[str, int], float]) -> float:
     """Evaluate ``e`` at a point; every referenced variable must be bound."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        key = (e.node, e.delay)
-        if key not in assignment:
-            raise EvalError(f"no value assigned to {to_text(e)}")
-        return float(assignment[key])
-    if isinstance(e, Call):
-        try:
-            return OPERATORS[e.func].point(eval_point(e.arg, assignment))
-        except OverflowError:
-            raise EvalError(f"overflow evaluating {e.func}") from None
-    if isinstance(e, BinOp):
-        return OPERATORS[e.op].point(
-            eval_point(e.left, assignment), eval_point(e.right, assignment)
-        )
-    raise TypeError(f"not an expression: {e!r}")
+    val: dict[int, float] = {}
+    for cur in _postorder((e,)):
+        if isinstance(cur, Const):
+            v = cur.value
+        elif isinstance(cur, Var):
+            key = (cur.node, cur.delay)
+            if key not in assignment:
+                raise EvalError(f"no value assigned to {to_text(cur)}")
+            v = float(assignment[key])
+        elif isinstance(cur, Call):
+            try:
+                v = OPERATORS[cur.func].point(val[id(cur.arg)])
+            except OverflowError:
+                raise EvalError(f"overflow evaluating {cur.func}") from None
+        elif isinstance(cur, BinOp):
+            v = OPERATORS[cur.op].point(val[id(cur.left)], val[id(cur.right)])
+        else:
+            raise TypeError(f"not an expression: {cur!r}")
+        val[id(cur)] = v
+    return val[id(e)]
 
 
 def eval_interval(e: Expr, box: dict[tuple[str, int], Interval]) -> Interval:
@@ -659,57 +768,90 @@ def eval_interval(e: Expr, box: dict[tuple[str, int], Interval]) -> Interval:
     unbounded boxes; polynomial growth over an unbounded box yields
     infinite endpoints, left to the caller to reject.
     """
-    if isinstance(e, Const):
-        return Interval.point(e.value)
-    if isinstance(e, Var):
-        key = (e.node, e.delay)
-        if key not in box:
-            raise EvalError(f"no interval assigned to {to_text(e)}")
-        return box[key]
-    if isinstance(e, Call):
-        return OPERATORS[e.func].interval(eval_interval(e.arg, box))
-    if isinstance(e, BinOp):
-        return OPERATORS[e.op].interval(
-            eval_interval(e.left, box), eval_interval(e.right, box)
-        )
-    raise TypeError(f"not an expression: {e!r}")
+    val: dict[int, Interval] = {}
+    for cur in _postorder((e,)):
+        if isinstance(cur, Const):
+            v = Interval.point(cur.value)
+        elif isinstance(cur, Var):
+            key = (cur.node, cur.delay)
+            if key not in box:
+                raise EvalError(f"no interval assigned to {to_text(cur)}")
+            v = box[key]
+        elif isinstance(cur, Call):
+            v = OPERATORS[cur.func].interval(val[id(cur.arg)])
+        elif isinstance(cur, BinOp):
+            v = OPERATORS[cur.op].interval(val[id(cur.left)], val[id(cur.right)])
+        else:
+            raise TypeError(f"not an expression: {cur!r}")
+        val[id(cur)] = v
+    return val[id(e)]
 
 
 # ---------------------------------------------------------------------------
 # normalization
 
 
-def _flatten_add(e: Expr, sign: int, terms: list[tuple[int, Expr]]):
-    if isinstance(e, BinOp) and e.op == "+":
-        _flatten_add(e.left, sign, terms)
-        _flatten_add(e.right, sign, terms)
-    elif isinstance(e, BinOp) and e.op == "-":
-        _flatten_add(e.left, sign, terms)
-        _flatten_add(e.right, -sign, terms)
-    elif isinstance(e, Call) and e.func == "neg":
-        _flatten_add(e.arg, -sign, terms)
-    else:
-        terms.append((sign, e))
+def _flatten_add(e: Expr) -> list[tuple[int, Expr]]:
+    """The signed terms of the additive chain at ``e``, left to right."""
+    terms: list[tuple[int, Expr]] = []
+    stack = [(1, e)]
+    while stack:
+        sign, cur = stack.pop()
+        if isinstance(cur, BinOp) and cur.op in ("+", "-"):
+            stack.append((-sign if cur.op == "-" else sign, cur.right))
+            stack.append((sign, cur.left))
+        elif isinstance(cur, Call) and cur.func == "neg":
+            stack.append((-sign, cur.arg))
+        else:
+            terms.append((sign, cur))
+    return terms
 
 
 def _flatten_mul(e: Expr, factors: list[Expr]) -> float:
-    coeff = 1.0
-    if isinstance(e, BinOp) and e.op == "*":
-        coeff *= _flatten_mul(e.left, factors)
-        coeff *= _flatten_mul(e.right, factors)
-    elif isinstance(e, Call) and e.func == "neg":
-        coeff *= -_flatten_mul(e.arg, factors)
-    elif isinstance(e, Const):
-        coeff *= e.value
-    else:
+    """Append the non-constant factors of the product chain at ``e`` to
+    ``factors``, left to right, and return its constant coefficient.
+
+    The coefficient is multiplied up in the chain's own grouping, left
+    factor times right factor, so it does not depend on how the chain
+    was walked.
+    """
+    if isinstance(e, Const):
+        return e.value
+    if not (
+        isinstance(e, BinOp) and e.op == "*" or isinstance(e, Call) and e.func == "neg"
+    ):
         factors.append(e)
-    return coeff
+        return 1.0
+    order: list[Expr] = []
+    stack = [e]
+    while stack:
+        cur = stack.pop()
+        order.append(cur)
+        if isinstance(cur, BinOp) and cur.op == "*":
+            stack += [cur.left, cur.right]
+        elif isinstance(cur, Call) and cur.func == "neg":
+            stack.append(cur.arg)
+    # order is root, right, left: reversed, every node follows its operands
+    coeffs: list[float] = []
+    for cur in reversed(order):
+        if isinstance(cur, BinOp) and cur.op == "*":
+            right = coeffs.pop()
+            coeffs.append(coeffs.pop() * right)
+        elif isinstance(cur, Call) and cur.func == "neg":
+            coeffs.append(-coeffs.pop())
+        elif isinstance(cur, Const):
+            coeffs.append(cur.value)
+        else:
+            factors.append(cur)
+            coeffs.append(1.0)
+    return coeffs[0]
 
 
 def _rebuild_product(coeff: float, factors: list[Expr]) -> Expr:
     if coeff == 0.0:
         return Const(0.0)
-    factors = sorted(factors, key=to_text)
+    if len(factors) > 1:
+        factors = sorted(factors, key=to_text)
     out: Expr | None = None
     for f in factors:
         out = f if out is None else BinOp("*", out, f)
@@ -722,35 +864,12 @@ def _rebuild_product(coeff: float, factors: list[Expr]) -> Expr:
     return BinOp("*", Const(coeff), out)
 
 
-def normalize(e: Expr) -> Expr:
-    """Canonical form: constants folded, commutative chains flattened and
-    sorted, identical additive terms combined (``u - u`` cancels, ``u + u``
-    becomes ``2*u``) and multiplications by literal zero dropped.
-
-    Point values are preserved; only the tree shape changes.
-    """
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Call):
-        return _call(e.func, normalize(e.arg))
-    if isinstance(e, BinOp) and e.op == "/":
-        return _div(normalize(e.left), normalize(e.right))
-    if isinstance(e, BinOp) and e.op == "*":
-        factors: list[Expr] = []
-        coeff = _flatten_mul(
-            BinOp("*", normalize(e.left), normalize(e.right)), factors
-        )
-        return _rebuild_product(coeff, factors)
-
-    # additive chain
-    raw: list[tuple[int, Expr]] = []
-    _flatten_add(e, 1, raw)
+def _normalize_sum(e: Expr, normal: dict[int, Expr]) -> Expr:
     const_part = 0.0
     grouped: dict[str, tuple[Expr, float]] = {}
-    for sign, term in raw:
-        term = normalize(term)
-        factors = []
-        coeff = sign * _flatten_mul(term, factors)
+    for sign, term in _flatten_add(e):
+        factors: list[Expr] = []
+        coeff = sign * _flatten_mul(normal[id(term)], factors)
         if not factors:
             const_part += coeff
             continue
@@ -770,3 +889,34 @@ def normalize(e: Expr) -> Expr:
     if const_part != 0.0:
         out = BinOp("+", out, Const(const_part))
     return out
+
+
+def normalize(e: Expr) -> Expr:
+    """Canonical form: constants folded, commutative chains flattened and
+    sorted, identical additive terms combined (``u - u`` cancels, ``u + u``
+    becomes ``2*u``) and multiplications by literal zero dropped.
+
+    Point values are preserved; only the tree shape changes.  Each
+    distinct node is normalized once; an additive chain is summed whole,
+    never from the normal forms of its sub-chains, so its coefficients
+    add up in one fixed order.
+    """
+    normal: dict[int, Expr] = {}
+    for cur in _postorder((e,), sums_as_terms=True):
+        if isinstance(cur, (Const, Var)):
+            out = cur
+        elif isinstance(cur, Call):
+            out = _call(cur.func, normal[id(cur.arg)])
+        elif not isinstance(cur, BinOp):
+            raise TypeError(f"not an expression: {cur!r}")
+        elif cur.op == "/":
+            out = _div(normal[id(cur.left)], normal[id(cur.right)])
+        elif cur.op == "*":
+            factors: list[Expr] = []
+            coeff = _flatten_mul(normal[id(cur.left)], factors)
+            coeff *= _flatten_mul(normal[id(cur.right)], factors)
+            out = _rebuild_product(coeff, factors)
+        else:
+            out = _normalize_sum(cur, normal)
+        normal[id(cur)] = out
+    return normal[id(e)]

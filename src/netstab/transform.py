@@ -1,14 +1,20 @@
 """Restriction and expansion of undelayed networks over a structural set.
 
-All three transforms share one inlining pass: starting from the update of
-an S node, every read of a non-S node is replaced by that node's update,
-depth-first and leftmost-innermost, until only S-variable leaves remain.
-Each leaf then carries the branch (the S-to-S dependency chain) it came
-through, and the transforms differ only in what the leaf reads:
+All three transforms inline: starting from the update of an S node, every
+read of a non-S node is replaced by that node's update until only
+S-variable leaves remain.  Each leaf then carries the branch (the S-to-S
+dependency chain) it came through, and the transforms differ only in what
+the leaf reads:
 
 * restrict: the source node directly (delay 0),
 * delayed expansion: the source node at delay |branch| - 2,
 * expand: a chain of identity coordinates keyed by the full branch.
+
+For the first two a leaf depends only on the length of its branch, so each
+non-S node is inlined once per depth and the result is a DAG whose size is
+linear in the network, although its printed text counts every branch.
+``expand`` and ``inline_traces`` work branch by branch, as their output
+does.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 from .delays import AugmentedNetwork, StateIndex, _fresh, _with_lines
 from .errors import TransformError
-from .expr import BinOp, Call, Expr, Var, normalize
+from .expr import BinOp, Call, Expr, Var, normalize, references, substitute
 from .network import TimeDelayedNetwork, interaction_graph, network_from_exprs
 from .structural import StructuralSetReport, report_for
 
@@ -63,24 +69,80 @@ def _inline_component(
     leaf_reader,
     leaves: list[tuple[str, ...]],
 ) -> Expr:
-    def subst(e: Expr, chain: tuple[str, ...]) -> Expr:
-        if isinstance(e, Var):
-            if e.node in in_s:
-                branch = (e.node,) + chain
-                leaves.append(branch)
-                return leaf_reader(branch)
+    """``target``'s update inlined branch by branch: every read of a
+    non-S node is replaced by its own copy of that node's inlined update,
+    and each S leaf reads ``leaf_reader(branch)``."""
+    done: list[Expr] = []  # finished subexpressions, in post-order
+    stack: list[tuple[Expr, tuple[str, ...], bool]] = [
+        (net.updates[target], (target,), False)
+    ]
+    while stack:
+        e, chain, operands_done = stack.pop()
+        if operands_done and isinstance(e, Call):
+            done.append(Call(e.func, done.pop()))
+        elif operands_done:
+            right = done.pop()
+            done.append(BinOp(e.op, done.pop(), right))
+        elif isinstance(e, Var) and e.node in in_s:
+            branch = (e.node,) + chain
+            leaves.append(branch)
+            done.append(leaf_reader(branch))
+        elif isinstance(e, Var):
             if e.node in chain:
                 raise TransformError(
                     f"cycle through {e.node!r} avoids S; set is not complete"
                 )
-            return subst(net.updates[e.node], (e.node,) + chain)
-        if isinstance(e, Call):
-            return Call(e.func, subst(e.arg, chain))
-        if isinstance(e, BinOp):
-            return BinOp(e.op, subst(e.left, chain), subst(e.right, chain))
-        return e
+            stack.append((net.updates[e.node], (e.node,) + chain, False))
+        elif isinstance(e, Call):
+            stack += [(e, chain, True), (e.arg, chain, False)]
+        elif isinstance(e, BinOp):
+            stack += [
+                (e, chain, True), (e.right, chain, False), (e.left, chain, False)
+            ]
+        else:
+            done.append(e)
+    return done[0]
 
-    return subst(net.updates[target], (target,))
+
+def _inline_shared(
+    net: TimeDelayedNetwork, in_s: set[str], target: str, leaf_delay
+) -> Expr:
+    """``target``'s update with every non-S read inlined, when an S leaf
+    reached through a branch of length L reads its source at delay
+    ``leaf_delay(L)``.  The inlined update of a non-S node then depends
+    only on its depth in the branch, so each (node, depth) is inlined once
+    and shared by all its readers."""
+    inlined: dict[tuple[str, int], Expr] = {}
+    stack = [(target, 1)]
+    while stack:
+        node, depth = stack[-1]
+        if (node, depth) in inlined:
+            stack.pop()
+            continue
+        sources = {src for src, _ in references(net.updates[node])}
+        pending = [
+            (src, depth + 1)
+            for src in sorted(sources - in_s)
+            if (src, depth + 1) not in inlined
+        ]
+        if pending:
+            if depth >= len(net.nodes):
+                raise TransformError(
+                    f"cycle through {node!r} avoids S; set is not complete"
+                )
+            stack += pending
+            continue
+        stack.pop()
+        inlined[(node, depth)] = substitute(
+            net.updates[node],
+            {
+                (src, 0): Var(src, leaf_delay(depth + 1))
+                if src in in_s
+                else inlined[(src, depth + 1)]
+                for src in sources
+            },
+        )
+    return inlined[(target, 1)]
 
 
 def inline_traces(net: TimeDelayedNetwork, S) -> tuple[InlineTrace, ...]:
@@ -95,12 +157,10 @@ def inline_traces(net: TimeDelayedNetwork, S) -> tuple[InlineTrace, ...]:
     return tuple(traces)
 
 
-def _inline_over(net: TimeDelayedNetwork, S, leaf_reader, suffix: str):
+def _inline_over(net: TimeDelayedNetwork, S, leaf_delay, suffix: str):
     S, _ = _check_preconditions(net, S)
     in_s = set(S)
-    updates = {
-        target: _inline_component(net, in_s, target, leaf_reader, []) for target in S
-    }
+    updates = {target: _inline_shared(net, in_s, target, leaf_delay) for target in S}
     domains = {n: net.domains[n] for n in S}
     return network_from_exprs(
         S, domains, updates, name=f"{net.name}|{suffix}" if net.name else ""
@@ -109,14 +169,14 @@ def _inline_over(net: TimeDelayedNetwork, S, leaf_reader, suffix: str):
 
 def restrict(net: TimeDelayedNetwork, S) -> TimeDelayedNetwork:
     """Inline every non-S node away; the result lives on S with T = 1."""
-    return _inline_over(net, S, lambda br: Var(br[0], 0), "restricted")
+    return _inline_over(net, S, lambda length: 0, "restricted")
 
 
 def delayed_expansion(net: TimeDelayedNetwork, S) -> TimeDelayedNetwork:
     """Like restrict, but each leaf reads its source |branch| - 2 steps in
     the past (length-2 branches read the present).  Removing these delays
     again recovers the restriction exactly."""
-    return _inline_over(net, S, lambda br: Var(br[0], len(br) - 2), "delayed")
+    return _inline_over(net, S, lambda length: length - 2, "delayed")
 
 
 def expand(net: TimeDelayedNetwork, S) -> AugmentedNetwork:

@@ -10,7 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from netstab.expr import BinOp, Call, Const, Expr, Interval, Var
-from netstab.network import TimeDelayedNetwork, interaction_graph, network_from_exprs
+from netstab.network import (
+    TimeDelayedNetwork,
+    interaction_graph,
+    load_network,
+    network_from_exprs,
+)
 from netstab.structural import find_structural_sets
 
 BOUNDED_FUNCS = ("tanh", "sin", "cos", "sech")
@@ -101,3 +106,25 @@ def random_basic_set(rng: np.random.Generator, net: TimeDelayedNetwork):
     if not proper:
         return None
     return proper[int(rng.integers(0, len(proper)))].S
+
+
+def diamond_network(rng: np.random.Generator, k: int) -> TimeDelayedNetwork:
+    """s -> (a1, b1) -> ... -> (ak, bk) -> s, every read through tanh.
+
+    a_i reads layer i-1 with weights (p_i, q_i) and b_i with (q_i, p_i),
+    so restricting onto {s} inlines each layer into both nodes of the next:
+    2^k branches through 2k + 1 nodes.  Built from rule text, as a file
+    would be.
+    """
+    p, q = rng.uniform(0.2, 0.4), rng.uniform(0.5, 0.7)
+    rules = {"s": [], "a1": [f"{p!r}*tanh(s)"], "b1": [f"{q!r}*tanh(s)"]}
+    for i in range(2, k + 1):
+        p, q = rng.uniform(0.2, 0.4), rng.uniform(0.5, 0.7)
+        a, b = f"a{i - 1}", f"b{i - 1}"
+        rules[f"a{i}"] = [f"{p!r}*tanh({a})", f"{q!r}*tanh({b})"]
+        rules[f"b{i}"] = [f"{q!r}*tanh({a})", f"{p!r}*tanh({b})"]
+    back = rng.uniform(0.4, 0.5)
+    rules["s"] = [f"{back!r}*tanh(a{k})", f"{back!r}*tanh(b{k})"]
+    lines = ["network diamond"] + [f"node {v} domain [-inf,inf]" for v in rules]
+    lines += [f"update {v} = {' + '.join(terms)}" for v, terms in rules.items()]
+    return load_network("\n".join(lines) + "\n")

@@ -199,6 +199,29 @@ def test_simulate_csv_start_window_lies_in_box(in_tmp):
     assert all(0.25 <= v <= 0.5 for snapshot in window for v in snapshot)
 
 
+def _one_rule_file(tmp_path: Path, rule: str) -> Path:
+    path = tmp_path / "deep.net"
+    path.write_text(f"network deep\nnode x1 domain [-1,1]\nupdate x1 = {rule}\n")
+    return path
+
+
+def test_long_sum_runs_through_analyze_and_simulate(in_tmp, capsys):
+    n = 3000
+    rule = " + ".join(f"{0.3 / n!r}*tanh(x1 - {i / n!r})" for i in range(n))
+    path = _one_rule_file(in_tmp, rule)
+    assert run(["analyze", str(path)]) == 0
+    assert "verdict = stable" in capsys.readouterr().out
+    assert run(["simulate", str(path), "--trials", "2", "--steps", "3"]) == 0
+
+
+def test_deep_nesting_is_a_parse_error(in_tmp, capsys):
+    path = _one_rule_file(in_tmp, "(" * 2000 + "0.5*x1" + ")" * 2000)
+    for verb in ("analyze", "simulate"):
+        assert run([verb, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nesting deeper than" in err
+
+
 def test_regression_verb_passes(in_tmp, capsys):
     assert run(["verify-paper"]) == 0
     out = capsys.readouterr().out

@@ -36,6 +36,30 @@ def test_pure_variable_update_compiles_to_window_slot():
     assert prog.out_regs.tolist() == [1 * 2 + 1, 0 * 2 + 1]
 
 
+def test_shared_node_is_computed_once_with_the_same_orbit():
+    def update(shared: bool):
+        a = Call("tanh", BinOp("*", Const(0.5), Var("x2")))
+        b = a if shared else Call("tanh", BinOp("*", Const(0.5), Var("x2")))
+        return BinOp("-", BinOp("*", a, b), BinOp("*", Const(0.1), Var("x1")))
+
+    dag, tree = (
+        engine.compile_network(
+            network_from_exprs(
+                ("x1", "x2"),
+                {"x1": R, "x2": R},
+                {"x1": update(shared), "x2": Call("sin", Var("x1"))},
+                run_normalize=False,
+            )
+        )
+        for shared in (True, False)
+    )
+    assert dag.ops.shape[0] == tree.ops.shape[0] - 2
+    history = np.array([[0.3, -0.7]])
+    dag_states, _, _ = engine.run_orbit(dag, history, 50)
+    tree_states, _, _ = engine.run_orbit(tree, history, 50)
+    assert np.array_equal(dag_states, tree_states)
+
+
 def test_single_step_matches_eval_point():
     rng = np.random.default_rng(131)
     for _ in range(25):

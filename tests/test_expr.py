@@ -3,21 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from gen import diamond_network
 from netstab.errors import EvalError, ParseError
 from netstab.expr import (
+    MAX_NESTING,
     BinOp,
     Call,
     Const,
     Interval,
     Var,
+    _postorder,
     differentiate,
     eval_interval,
     eval_point,
     normalize,
     parse_expression,
     references,
+    substitute,
     to_text,
 )
+from netstab.transform import restrict
 
 NODES = {"x1", "x2", "x3"}
 
@@ -288,3 +293,92 @@ def test_interval_invariants():
 def test_const_must_be_finite():
     with pytest.raises(ValueError):
         Const(math.inf)
+
+
+# ---------------------------------------------------------------------------
+# shared DAGs and deep input
+
+
+def test_parse_shares_identical_subexpressions():
+    e = parse_expression("tanh(x1 + 0.5) * tanh(x1 + 0.5) - x1", NODES)
+    assert e.left.left is e.left.right
+    assert e.right is e.left.left.arg.left
+
+
+def test_parse_keeps_signed_zeros_apart():
+    # 0.0 == -0.0, so a key on the value alone would merge the two leaves
+    text = "tanh(-0.0) + tanh(0.0)"
+    assert to_text(parse_expression(text, set())) == text
+
+
+def _unshared(e):
+    """A copy of ``e`` in which every node has one parent."""
+    if isinstance(e, Call):
+        return Call(e.func, _unshared(e.arg))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _unshared(e.left), _unshared(e.right))
+    if isinstance(e, Const):
+        return Const(e.value)
+    return Var(e.node, e.delay)
+
+
+def _bits(v: Interval):
+    return v.lo.hex(), v.hi.hex()
+
+
+def test_shared_dag_walks_bit_identical_to_its_tree():
+    dag = restrict(diamond_network(np.random.default_rng(6), 6), ["s"]).updates["s"]
+    tree = _unshared(dag)
+    assert len(_postorder([dag])) < 200 < len(_postorder([tree]))
+    assert to_text(dag) == to_text(tree)
+    assert to_text(normalize(dag)) == to_text(normalize(tree))
+    for box in ({("s", 0): Interval(-2.0, 3.0)}, {("s", 0): Interval.whole()}):
+        assert _bits(eval_interval(dag, box)) == _bits(eval_interval(tree, box))
+    for x in (-1.3, 0.0, 0.7):
+        point = {("s", 0): x}
+        assert eval_point(dag, point).hex() == eval_point(tree, point).hex()
+    for ref in references(dag) | {("s", 1)}:
+        d_dag, d_tree = differentiate(dag, ref), differentiate(tree, ref)
+        assert to_text(d_dag) == to_text(d_tree)
+        box = {("s", 0): Interval(-2.0, 3.0)}
+        assert _bits(eval_interval(d_dag, box)) == _bits(eval_interval(d_tree, box))
+
+
+def test_walkers_map_a_shared_node_to_one_node():
+    u = parse_expression("sin(x1 * x2) * sin(x1 * x2)", NODES)
+    d = differentiate(u, ("x1", 0))  # d * sin + sin * d, d = cos(x1 * x2) * x2
+    assert d.left.left is d.right.right
+    e = parse_expression("tanh(x1) * x2 + tanh(x1)", NODES)
+    out = substitute(e, {("x1", 0): parse_expression("x2 - x3", NODES)})
+    assert to_text(out) == "tanh(x2 - x3) * x2 + tanh(x2 - x3)"
+    assert out.left.left is out.right
+
+
+def test_long_sum_walks_without_recursion():
+    n = 3000
+    text = " + ".join(f"{0.5 / n!r}*tanh(x1 - {i / n!r})" for i in range(n))
+    e = parse_expression(text, NODES)
+    printed = to_text(e)
+    assert to_text(parse_expression(printed, NODES)) == printed
+    ne = normalize(e)
+    assert references(ne) == {("x1", 0)}
+    d = differentiate(ne, ("x1", 0))
+    assert eval_interval(d, {("x1", 0): Interval.whole()}).sup_abs() <= 0.5 + 1e-9
+    assert eval_point(ne, {("x1", 0): 0.2}) == pytest.approx(
+        eval_point(e, {("x1", 0): 0.2}), rel=1e-12
+    )
+
+
+def test_parse_nesting_limit():
+    for depth in (MAX_NESTING, 1):
+        text = "(" * depth + "x1" + ")" * depth
+        assert to_text(parse_expression(text, NODES)) == "x1"
+    deepest = "tanh(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert to_text(parse_expression(deepest, NODES)) == deepest
+    for text in (
+        "(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1),
+        "sin(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1),
+        "(" * 2000 + "x1" + ")" * 2000,
+    ):
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_expression(text, NODES)

@@ -3,12 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from gen import random_basic_set, random_complete_set, random_network
+from gen import diamond_network, random_basic_set, random_complete_set, random_network
 
 from netstab import gallery
 from netstab.delays import dedelay, undelay
 from netstab.errors import TransformError
-from netstab.expr import Interval, eval_point, normalize, references, to_text
+from netstab.expr import (
+    Interval,
+    _postorder,
+    differentiate,
+    eval_point,
+    normalize,
+    references,
+    to_text,
+)
 from netstab.network import build_network, interaction_graph
 from netstab.stability import analyze
 from netstab.structural import branch_set
@@ -85,6 +93,30 @@ def test_restrict_rejects_incomplete_set():
     net = gallery.six_node()
     with pytest.raises(TransformError):
         restrict(net, ("x1",))
+
+
+def test_restriction_keeps_sharing():
+    # a k-layer diamond has 2^k branches but 2k + 1 nodes; each inlined
+    # node is shared by both of its readers
+    k = 12
+    net = diamond_network(np.random.default_rng(12), k)
+    for transform in (restrict, delayed_expansion):
+        update = transform(net, ["s"]).updates["s"]
+        assert len(_postorder([update])) <= 20 * k
+    update = restrict(net, ["s"]).updates["s"]
+    # each p * tanh(u) term adds p * (sech(u) * sech(u) * du) on top of
+    # the update's own nodes, which sech(u) reads
+    assert len(_postorder([differentiate(update, ("s", 0))])) <= 40 * k
+    assert len(to_text(update)) > 2**k
+
+
+def test_delayed_expansion_of_diamond_reads_by_depth():
+    # every branch s -> a1|b1 -> ... -> a4|b4 -> s has 6 vertices
+    net = diamond_network(np.random.default_rng(3), 4)
+    delayed = delayed_expansion(net, ["s"])
+    assert references(delayed.updates["s"]) == {("s", 4)}
+    restricted = restrict(net, ["s"])
+    assert to_text(undelay(delayed).updates["s"]) == to_text(restricted.updates["s"])
 
 
 def test_inline_traces_match_branch_set():
