@@ -1,4 +1,4 @@
-"""Benchmark the expression and restriction layers on diamond chains.
+"""Benchmark the expression, restriction and orbit layers.
 
 Usage: python benchmarks/bench_layers.py [-o OUT.json] [--repeats N] [--layers 10,12,14]
 
@@ -12,6 +12,14 @@ of the printed rule, distinct expression nodes of the parsed rule and
 characters of the report's derivative provenance.  ``peak_rss_mb`` is the
 process's peak resident set (``resource.getrusage``) once that k is done;
 layers run in increasing k, so it is the peak of the largest k so far.
+
+The orbit layer runs the 48-node delayed ring of ``bench_orbit.py`` (the
+contracting ring of the ``attraction_sim`` workload) three ways, as
+``netstab simulate`` and ``find_fixed_point`` do: a batch of 200 trials
+of up to 600 steps that stop early at the default tolerance, one
+600-step trajectory, and the fixed-point iteration from the origin.  Each
+records the best of ``--repeats`` wall times in ms and the trial steps
+it ran.
 
 Prints one JSON document and writes it to ``-o`` when given.
 """
@@ -28,7 +36,10 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_orbit import build_benchmark_network
+from netstab import engine
 from netstab.network import dump_network, load_network
+from netstab.sim import find_fixed_point
 from netstab.stability import analyze
 from netstab.transform import restrict
 
@@ -86,6 +97,29 @@ def bench_diamond(k: int, repeats: int) -> dict:
     }
 
 
+def bench_orbit(repeats: int) -> list[dict]:
+    net = build_benchmark_network(48)
+    program = engine.compile_network(net)
+    histories = np.random.default_rng(0).uniform(-1, 1, (200, net.T, net.size))
+    steps = 600
+    # verify_global_attraction's stop threshold at the default --tol 1e-8
+    batch_ms, (_, done, _) = best_of(
+        repeats, lambda: engine.run_orbit_batch(program, histories, steps, stop_delta=1e-11)
+    )
+    single_ms, (_, single_done, _) = best_of(
+        repeats, lambda: engine.run_orbit(program, histories[0], steps)
+    )
+    fixed_ms, _ = best_of(repeats, lambda: find_fixed_point(net, np.zeros(net.size)))
+    ring = {"nodes": net.size, "T": net.T, "tape_ops": int(program.ops.shape[0])}
+    return [
+        {"case": "batch", **ring, "trials": histories.shape[0], "steps": steps,
+         "trial_steps": int(done.sum()), "ms": round(batch_ms, 2)},
+        {"case": "single", **ring, "trials": 1, "steps": steps,
+         "trial_steps": single_done, "ms": round(single_ms, 2)},
+        {"case": "fixed_point", **ring, "ms": round(fixed_ms, 2)},
+    ]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-o", "--output", type=Path)
@@ -102,6 +136,7 @@ def main():
         "diamond": [
             bench_diamond(int(k), args.repeats) for k in args.layers.split(",")
         ],
+        "orbit": bench_orbit(args.repeats),
     }
     text = json.dumps(results, indent=2)
     print(text)

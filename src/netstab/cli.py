@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -173,6 +174,25 @@ def _box_arg(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _checked(kind, ok, what: str):
+    """argparse type: ``kind(text)`` when ``ok`` holds for it, else a usage error."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _int_at_least(least: int):
+    return _checked(int, lambda v: v >= least, f"an integer >= {least}")
+
+
 def _cmd_verify(args) -> int:
     results = regressions.run_regressions()
     width = max(len(r.name) for r in results)
@@ -206,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sets = with_common(sub.add_parser("sets", help="list complete structural sets"))
     p_sets.add_argument("--basic", action="store_true",
                         help="also flag each set basic / non-basic")
-    p_sets.add_argument("--max-results", type=int, default=16)
+    p_sets.add_argument("--max-results", type=_int_at_least(1), default=16)
 
     for verb in ("restrict", "expand"):
         p = with_common(sub.add_parser(verb, help=f"{verb} onto a structural set"),
@@ -217,10 +237,11 @@ def _build_parser() -> argparse.ArgumentParser:
     with_common(sub.add_parser("dedelay", help="augment with canonical delay lines"))
 
     p_sim = with_common(sub.add_parser("simulate", help="random-history attraction check"))
-    p_sim.add_argument("--trials", type=int, default=20)
-    p_sim.add_argument("--steps", type=int, default=5000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--tol", type=float, default=1e-8)
+    p_sim.add_argument("--trials", type=_int_at_least(2), default=20)
+    p_sim.add_argument("--steps", type=_int_at_least(1), default=5000)
+    p_sim.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_sim.add_argument("--tol", default=1e-8, type=_checked(
+        float, lambda v: math.isfinite(v) and v > 0, "a finite positive number"))
     p_sim.add_argument("--box", type=_box_arg, default=None,
                        help="lo,hi sampling box applied to every node "
                             "(write --box=-1,1 when lo is negative)")

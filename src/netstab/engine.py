@@ -1,18 +1,26 @@
 """Orbit stepping.
 
 Update expressions are flattened once into an instruction tape over a
-flat register file (window slots, constant pool, temporaries).  One numpy
-interpreter runs the tape over a (registers, trials) array, so every
-instruction advances all trials at once.  Opcodes and their numpy kernels
-come from ``expr.OPERATORS``, the table of the expression vocabulary: an
-opcode is the position of its operator's row, and the row's ``array``
-kernel writes straight into the destination register row.  Each distinct
-expression node is compiled once, so a subexpression shared by several
-readers is computed once per step.
+flat register file (window slots, constant pool, temporaries).  Opcodes
+and their numpy kernels come from ``expr.OPERATORS``, the table of the
+expression vocabulary: an opcode is the position of its operator's row.
+Each distinct expression node is compiled once, so a subexpression shared
+by several readers is computed once per step.
+
+The tape is level-major.  An instruction's level is one more than the
+highest level among its operands (window slots and constants are level
+0), and the tape is sorted by (level, opcode), so each (level, opcode)
+group writes one contiguous range of temporaries and reads only the
+window, the constants and lower groups.  One interpreter runs a group as
+one gather of its operand rows and one kernel call into its destination
+range of a (registers, trials) array: every trial and every instruction
+of the group advance at once, and a step costs a few numpy calls per
+group, not per instruction.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +33,7 @@ __all__ = [
     "compile_network",
     "run_orbit",
     "run_orbit_batch",
+    "undelayed_map",
     "apply_undelayed",
 ]
 
@@ -41,10 +50,14 @@ class Program:
 
     Register layout: ``[0, T*n)`` window slots (slot of node i at delay d
     is ``d*n + i``), then the constant pool, then temporaries.  One pass
-    over the tape computes all next-state values simultaneously.
+    over the tape computes all next-state values simultaneously.  The
+    tape is sorted by (level, opcode); ``groups`` holds the (start, stop)
+    rows of ``ops`` of each group, whose destinations are consecutive
+    registers.
     """
 
     ops: np.ndarray  # (m, 4) int64: opcode, dst, a, b (-1 when unused)
+    groups: tuple[tuple[int, int], ...]
     consts: np.ndarray  # float64 constant pool
     out_regs: np.ndarray  # (n,) int64 register holding each node's output
     n_regs: int
@@ -63,7 +76,6 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
     node_idx = {name: i for i, name in enumerate(net.nodes)}
     const_slots: dict[str, int] = {}
     consts: list[float] = []
-    ops: list[tuple[int, int, int, int]] = []
 
     def const_slot(v: float) -> int:
         key = repr(v)
@@ -75,27 +87,42 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
     # every distinct node once, operands first: a node shared by several
     # readers is computed into one register that all of them read
     order = _postorder([net.updates[node] for node in net.nodes])
-    for e in order:
-        if isinstance(e, Const):
-            const_slot(e.value)
-    # the constant pool claims slots first, temporaries follow
-    next_reg = T * n + len(consts)
     reg: dict[int, int] = {}
+    level: dict[int, int] = {}
+    pending: list[tuple[int, int, Call | BinOp]] = []
     for e in order:
         if isinstance(e, Var):
             reg[id(e)] = e.delay * n + node_idx[e.node]
+            level[id(e)] = 0
         elif isinstance(e, Const):
             reg[id(e)] = const_slot(e.value)
+            level[id(e)] = 0
         elif isinstance(e, Call):
-            ops.append((_OPCODE[e.func], next_reg, reg[id(e.arg)], -1))
-            reg[id(e)] = next_reg
-            next_reg += 1
+            level[id(e)] = 1 + level[id(e.arg)]
+            pending.append((level[id(e)], _OPCODE[e.func], e))
         elif isinstance(e, BinOp):
-            ops.append((_OPCODE[e.op], next_reg, reg[id(e.left)], reg[id(e.right)]))
-            reg[id(e)] = next_reg
-            next_reg += 1
+            level[id(e)] = 1 + max(level[id(e.left)], level[id(e.right)])
+            pending.append((level[id(e)], _OPCODE[e.op], e))
         else:
             raise TypeError(f"not an expression: {e!r}")
+
+    # the constant pool claims slots first, temporaries follow in tape
+    # order, so each group's destinations are consecutive; the sort is
+    # stable, and operands sit in lower levels, so they have registers
+    pending.sort(key=lambda p: p[:2])
+    next_reg = T * n + len(consts)
+    ops: list[tuple[int, int, int, int]] = []
+    groups: list[tuple[int, int]] = []
+    for _, members in itertools.groupby(pending, key=lambda p: p[:2]):
+        start = len(ops)
+        for _, code, e in members:
+            if isinstance(e, Call):
+                ops.append((code, next_reg, reg[id(e.arg)], -1))
+            else:
+                ops.append((code, next_reg, reg[id(e.left)], reg[id(e.right)]))
+            reg[id(e)] = next_reg
+            next_reg += 1
+        groups.append((start, len(ops)))
 
     out_regs = [reg[id(net.updates[node])] for node in net.nodes]
     ops_arr = (
@@ -105,6 +132,7 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
     )
     return Program(
         ops=ops_arr,
+        groups=tuple(groups),
         consts=np.array(consts, dtype=np.float64),
         out_regs=np.array(out_regs, dtype=np.int64),
         n_regs=next_reg,
@@ -122,24 +150,35 @@ def _registers(program: Program, trials: int) -> np.ndarray:
     return regs
 
 
-def _bind_tape(ops: np.ndarray, regs: np.ndarray):
-    """Each instruction as (kernel, operand rows, destination row) of ``regs``."""
-    return [
-        (_ROWS[op].array, (regs[a],) if b < 0 else (regs[a], regs[b]), regs[dst])
-        for op, dst, a, b in ops.tolist()
-    ]
+def _rows(index: np.ndarray):
+    """Register rows as a slice when they are consecutive, else the index array."""
+    if (np.diff(index) == 1).all():
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
 
 
-def _run_tape(tape) -> None:
-    for kernel, args, out in tape:
-        kernel(*args, out=out)
+def _bind(program: Program, regs: np.ndarray):
+    """Each group as (kernel, operand rows, destination rows of ``regs``)."""
+    bound = []
+    for start, stop in program.groups:
+        code, dst = program.ops[start, :2].tolist()
+        row = _ROWS[code]
+        operands = tuple(_rows(program.ops[start:stop, 2 + j]) for j in range(row.arity))
+        bound.append((row.array, operands, regs[dst : dst + stop - start]))
+    return bound
+
+
+def _run(bound, regs: np.ndarray) -> None:
+    for kernel, operands, out in bound:
+        kernel(*[regs[rows] for rows in operands], out=out)
 
 
 def _orbit_batch(program: Program, hist, steps, stop_delta):
     n, T = program.n_nodes, program.T
     trials = hist.shape[0]
     regs = _registers(program, trials)
-    tape = _bind_tape(program.ops, regs)
+    window = regs[: T * n].reshape(T, n, trials)  # window[d, i]: node i at delay d
+    bound = _bind(program, regs)
     steps_done = np.full(trials, steps, dtype=np.int64)
     diverged = np.zeros(trials, dtype=bool)
     active = np.ones(trials, dtype=bool)
@@ -149,12 +188,10 @@ def _orbit_batch(program: Program, hist, steps, stop_delta):
             if not active.any():
                 break
             r = T + k
-            for d in range(T):
-                regs[d * n : (d + 1) * n, :] = hist[:, r - 1 - d, :].T
-            _run_tape(tape)
+            window[...] = hist[:, k:r][:, ::-1].transpose(1, 2, 0)
+            _run(bound, regs)
             out = regs[program.out_regs, :]  # (n, trials)
             finite = np.isfinite(out).all(axis=0)
-            delta = np.max(np.abs(out - hist[:, r - 1, :].T), axis=0)
 
             newly_diverged = active & ~finite
             steps_done[newly_diverged] = k
@@ -165,6 +202,7 @@ def _orbit_batch(program: Program, hist, steps, stop_delta):
             hist[write, r, :] = out[:, write].T
 
             if stop_delta > 0.0:
+                delta = np.max(np.abs(out - window[0]), axis=0)
                 streak = np.where(delta <= stop_delta, streak + 1, 0)
                 stopping = active & (streak >= STOP_STREAK)
                 steps_done[stopping] = k + 1
@@ -213,10 +251,26 @@ def run_orbit(
     return states[0], int(steps_done[0]), bool(diverged[0])
 
 
+def undelayed_map(program: Program):
+    """The map x -> H(x, ..., x), every window snapshot equal to x.
+
+    The tape is bound to its registers once, so a caller that applies
+    the map many times, as a fixed-point iteration does, pays for that
+    once.  Each call returns a new array.
+    """
+    regs = _registers(program, 1)
+    window = regs[: program.const_offset].reshape(program.T, program.n_nodes)
+    bound = _bind(program, regs)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        window[...] = x
+        with np.errstate(all="ignore"):
+            _run(bound, regs)
+        return regs[program.out_regs, 0]
+
+    return apply
+
+
 def apply_undelayed(program: Program, x: np.ndarray) -> np.ndarray:
     """One application of the map with every window snapshot equal to x."""
-    regs = _registers(program, 1)
-    regs[: program.const_offset, 0] = np.tile(np.asarray(x, dtype=np.float64), program.T)
-    with np.errstate(all="ignore"):
-        _run_tape(_bind_tape(program.ops, regs))
-    return regs[program.out_regs, 0]
+    return undelayed_map(program)(x)

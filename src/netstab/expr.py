@@ -31,7 +31,7 @@ import math
 import operator
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,12 +57,45 @@ __all__ = [
 ]
 
 class Expr:
-    """Base class for expression nodes.  Instances are immutable."""
+    """Base class for expression nodes.  Instances are immutable.
+
+    Equality is structural and ``hash`` agrees with it.  Both walk each
+    distinct node once, iteratively, so two separate parses of a deep or
+    widely shared rule compare in time linear in their distinct nodes;
+    ``repr`` is iterative too, but spells out every path.
+    """
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        table: dict[tuple, int] = {}
+        shape = _fold((self, other), lambda key: table.setdefault(key, len(table)))
+        return shape[id(self)] == shape[id(other)]
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return _fold((self,), hash)[id(self)]
+
+    def __repr__(self):
+        pieces: list[str] = []
+        stack: list[Expr | str] = [self]
+        while stack:
+            cur = stack.pop()
+            if isinstance(cur, str):
+                pieces.append(cur)
+                continue
+            parts: list[Expr | str] = [f"{type(cur).__name__}("]
+            for i, f in enumerate(fields(cur)):
+                value = getattr(cur, f.name)
+                parts += [", " if i else "", f"{f.name}="]
+                parts.append(value if isinstance(value, Expr) else repr(value))
+            parts.append(")")
+            stack += reversed(parts)
+        return "".join(pieces)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     value: float
 
@@ -72,7 +105,7 @@ class Const(Expr):
             raise ValueError(f"constants must be finite, got {self.value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     node: str
     delay: int = 0
@@ -82,7 +115,7 @@ class Var(Expr):
             raise ValueError(f"negative delay {self.delay} on {self.node}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(Expr):
     func: str
     arg: Expr
@@ -93,7 +126,7 @@ class Call(Expr):
             raise ValueError(f"unknown function {self.func!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(Expr):
     op: str
     left: Expr
@@ -140,6 +173,26 @@ def _postorder(roots, sums_as_terms: bool = False, repeated: set[int] | None = N
         else:
             order.append(node)
     return order
+
+
+def _fold(roots, combine) -> dict[int, object]:
+    """``combine`` of each distinct node's kind, own fields and the
+    results of its children, by node id, for every node reachable from
+    ``roots``.  Constants fold by value, so 0.0 and -0.0 fold alike, as
+    they compare."""
+    val: dict[int, object] = {}
+    for cur in _postorder(roots):
+        kind = type(cur)
+        if kind is Const:
+            key = (Const, cur.value)
+        elif kind is Var:
+            key = (Var, cur.node, cur.delay)
+        elif kind is Call:
+            key = (Call, cur.func, val[id(cur.arg)])
+        else:
+            key = (BinOp, cur.op, val[id(cur.left)], val[id(cur.right)])
+        val[id(cur)] = combine(key)
+    return val
 
 
 # ---------------------------------------------------------------------------

@@ -134,12 +134,12 @@ def find_fixed_point(net: TimeDelayedNetwork, guess, tol: float = 1e-12) -> np.n
     x = np.asarray(guess, dtype=np.float64).copy()
     if x.shape != (net.size,):
         raise NetworkError(f"guess must have {net.size} entries")
-    program = engine.compile_network(net)
+    apply = engine.undelayed_map(engine.compile_network(net))
     cap = _iteration_cap()
     alpha = 1.0
     prev_res = np.inf
     for _ in range(cap):
-        fx = engine.apply_undelayed(program, x)
+        fx = apply(x)
         if not np.isfinite(fx).all():
             raise ConvergenceError("fixed-point iteration produced a non-finite value")
         res = float(np.max(np.abs(fx - x)))

@@ -178,6 +178,31 @@ def test_simulate_box_that_is_not_two_numbers_is_usage_error(in_tmp, capsys):
     assert "--box" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "verb, flags",
+    [
+        ("simulate", ["--trials", "1"]),
+        ("simulate", ["--trials", "0"]),
+        ("simulate", ["--steps", "0"]),
+        ("simulate", ["--steps", "-5"]),
+        ("simulate", ["--tol", "-1"]),
+        ("simulate", ["--tol", "nan"]),
+        ("simulate", ["--seed", "-1"]),
+        ("sets", ["--max-results", "0"]),
+        ("sets", ["--max-results", "-1"]),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_out_of_range_count_or_tolerance_is_usage_error(in_tmp, capsys, verb, flags):
+    path = _write(in_tmp, "pair.net", gallery.undelayed_pair(0.5, 0.1, 1.0))
+    with pytest.raises(SystemExit) as exc:
+        run([verb, str(path), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flags[0] in err and "Traceback" not in err
+    assert not list(in_tmp.glob("pair.verdict.json"))
+
+
 def test_simulate_reversed_box_is_domain_error(in_tmp, capsys):
     path = _write(in_tmp, "pair.net", gallery.undelayed_pair(0.5, 0.1, 1.0))
     code = run(["simulate", str(path), "--trials", "2", "--steps", "10", "--box", "1,-1"])

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -191,3 +194,168 @@ def test_batch_per_trial_stops():
     )
     assert not diverged[0] and diverged[1]
     assert done[1] < 20
+
+
+# ---------------------------------------------------------------------------
+# grouped execution against an instruction-at-a-time reference
+
+ROWS = tuple(OPERATORS.values())
+
+
+def _reference_registers(program, trials):
+    regs = np.zeros((program.n_regs, trials))
+    c = program.const_offset
+    regs[c : c + program.consts.shape[0], :] = program.consts[:, None]
+    tape = [
+        (ROWS[op].array, (regs[a],) if b < 0 else (regs[a], regs[b]), regs[dst])
+        for op, dst, a, b in program.ops.tolist()
+    ]
+    return regs, tape
+
+
+def _reference_run(tape):
+    for kernel, args, out in tape:
+        kernel(*args, out=out)
+
+
+def reference_orbit_batch(program, histories, steps, stop_delta=0.0):
+    """The orbit loop run one instruction of ``Program.ops`` at a time."""
+    histories = np.asarray(histories, dtype=np.float64)
+    trials, T, n = histories.shape
+    hist = np.zeros((trials, T + steps, n))
+    hist[:, :T, :] = histories
+    regs, tape = _reference_registers(program, trials)
+    steps_done = np.full(trials, steps, dtype=np.int64)
+    diverged = np.zeros(trials, dtype=bool)
+    active = np.ones(trials, dtype=bool)
+    streak = np.zeros(trials, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for k in range(steps):
+            if not active.any():
+                break
+            r = T + k
+            for d in range(T):
+                regs[d * n : (d + 1) * n, :] = hist[:, r - 1 - d, :].T
+            _reference_run(tape)
+            out = regs[program.out_regs, :]
+            finite = np.isfinite(out).all(axis=0)
+            delta = np.max(np.abs(out - hist[:, r - 1, :].T), axis=0)
+            newly_diverged = active & ~finite
+            steps_done[newly_diverged] = k
+            diverged[newly_diverged] = True
+            active &= finite
+            write = np.nonzero(active)[0]
+            hist[write, r, :] = out[:, write].T
+            if stop_delta > 0.0:
+                streak = np.where(delta <= stop_delta, streak + 1, 0)
+                stopping = active & (streak >= engine.STOP_STREAK)
+                steps_done[stopping] = k + 1
+                active &= ~stopping
+    return hist, steps_done, diverged
+
+
+def reference_apply_undelayed(program, x):
+    regs, tape = _reference_registers(program, 1)
+    regs[: program.const_offset, 0] = np.tile(x, program.T)
+    with np.errstate(all="ignore"):
+        _reference_run(tape)
+    return regs[program.out_regs, 0]
+
+
+def _every_row_term(rng, net):
+    """A term that runs every operator row, built around one node ``u``
+    that it reads several times."""
+    src = Var(net.nodes[int(rng.integers(net.size))], int(rng.integers(0, 3)))
+    u = Call("tanh", BinOp("*", Const(float(rng.uniform(0.5, 1.5))), src))
+    pieces = [
+        Call("exp", Call("neg", Call("abs", u))),
+        BinOp("*", Call("sign", u), u),
+        BinOp("/", u, BinOp("+", Const(2.0), Call("cos", u))),
+        Call("sin", BinOp("-", u, Call("sech", src))),
+    ]
+    total = pieces[0]
+    for p in pieces[1:]:
+        total = BinOp("+", total, p)
+    return BinOp("*", Const(float(rng.uniform(-0.2, 0.2))), total)
+
+
+def _grouped_cases():
+    rng = np.random.default_rng(151)
+    for _ in range(30):
+        net = random_network(
+            rng, int(rng.integers(2, 7)), max_delay=3, require_delay=True
+        )
+        term = _every_row_term(rng, net)
+        updates = dict(net.updates)
+        # one term object in two updates: its nodes are shared across roots
+        for node in {net.nodes[0], net.nodes[-1]}:
+            updates[node] = BinOp("+", updates[node], term)
+        yield network_from_exprs(
+            net.nodes, net.domains, updates, run_normalize=False
+        )
+
+
+def _assert_same_orbits(prog, histories, steps, stop_delta):
+    got = engine.run_orbit_batch(prog, histories, steps, stop_delta)
+    want = reference_orbit_batch(prog, histories, steps, stop_delta)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    return got
+
+
+def test_grouped_tape_is_bit_identical_to_one_instruction_at_a_time():
+    rng = np.random.default_rng(8)
+    rows = set()
+    for net in _grouped_cases():
+        prog = engine.compile_network(net)
+        rows.update(prog.ops[:, 0].tolist())
+        assert prog.T >= 2
+        # every group is one opcode writing consecutive registers, and reads
+        # only registers written before the group
+        for start, stop in prog.groups:
+            block = prog.ops[start:stop]
+            assert (block[:, 0] == block[0, 0]).all()
+            assert (np.diff(block[:, 1]) == 1).all()
+            assert (block[:, 2:] < block[0, 1]).all()
+        for trials, steps, stop_delta in ((1, 60, 0.0), (7, 60, 0.0), (7, 400, 1e-9)):
+            histories = rng.uniform(-2, 2, (trials, prog.T, prog.n_nodes))
+            _assert_same_orbits(prog, histories, steps, stop_delta)
+        xs = rng.uniform(-2, 2, (3, prog.n_nodes))
+        assert np.array_equal(
+            engine.apply_undelayed(prog, xs[0]), reference_apply_undelayed(prog, xs[0])
+        )
+        # one binding applied repeatedly, as find_fixed_point does
+        apply = engine.undelayed_map(prog)
+        for x in xs[1:]:
+            assert np.array_equal(apply(x), reference_apply_undelayed(prog, x))
+    assert rows == set(range(len(OPERATORS)))
+
+
+def test_grouped_tape_matches_the_reference_on_divergence_and_early_stops():
+    net = build_network(
+        [("x1", R), ("x2", R)],
+        [("x1", "x1*x1 + 0.1*tanh(x2[-2])"), ("x2", "0.5*x2 - 0.2*x1[-1]")],
+    )
+    prog = engine.compile_network(net)
+    histories = np.array(
+        [[[0.5, 0.1]] * 3, [[3.0, -1.0]] * 3, [[0.9, 2.0]] * 3, [[1.2, 0.0]] * 3]
+    )
+    for stop_delta in (0.0, 1e-12):
+        _, done, diverged = _assert_same_orbits(prog, histories, 300, stop_delta)
+        assert diverged.tolist() == [False, True, False, True]
+    _, done, diverged = _assert_same_orbits(prog, histories[1:2], 300, 0.0)
+    assert diverged[0] and done[0] < 20
+
+
+def _bench_orbit():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_orbit.py"
+    spec = importlib.util.spec_from_file_location("bench_orbit", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_ring_runs_in_six_groups():
+    prog = engine.compile_network(_bench_orbit().build_benchmark_network(48))
+    assert prog.ops.shape[0] == 384
+    assert len(prog.groups) <= 6

@@ -369,6 +369,30 @@ def test_long_sum_walks_without_recursion():
     )
 
 
+def test_long_sum_compares_hashes_and_prints_without_recursion():
+    n = 3000
+    text = " + ".join(f"{0.5 / n!r}*tanh(x1 - {i / n!r})" for i in range(n))
+    a, b = parse_expression(text, NODES), parse_expression(text, NODES)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert repr(a).startswith("BinOp(op='+', left=BinOp(op='+', left=")
+    last = "Var(node='x1', delay=0), right=Const(value=0.9996666666666667)))))"
+    assert repr(a).endswith(last)
+    changed = parse_expression(text.replace("0.9996666666666667", "0.9997"), NODES)
+    assert a != changed
+
+
+def test_separate_parses_of_a_restricted_diamond_compare_equal():
+    text = to_text(restrict(diamond_network(np.random.default_rng(5), 12), ["s"]).updates["s"])
+    a, b = parse_expression(text, {"s"}), parse_expression(text, {"s"})
+    assert a is not b and len(_postorder([a])) < 300
+    assert a == b and hash(a) == hash(b)
+    # the innermost read of s, under every one of the 2^12 branches
+    changed = parse_expression(text.replace("tanh(s)", "tanh(s[-1])"), {"s"})
+    assert a != changed and not a == changed
+
+
 def test_parse_nesting_limit():
     for depth in (MAX_NESTING, 1):
         text = "(" * depth + "x1" + ")" * depth
