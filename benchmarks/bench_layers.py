@@ -1,4 +1,4 @@
-"""Benchmark the expression, restriction and orbit layers.
+"""Benchmark the expression, restriction, spectral and orbit layers.
 
 Usage: python benchmarks/bench_layers.py [-o OUT.json] [--repeats N] [--layers 10,12,14]
 
@@ -12,6 +12,14 @@ of the printed rule, distinct expression nodes of the parsed rule and
 characters of the report's derivative provenance.  ``peak_rss_mb`` is the
 process's peak resident set (``resource.getrusage``) once that k is done;
 layers run in increasing k, so it is the peak of the largest k so far.
+
+The spectral layer assembles the stability matrix of three delayed rings
+(``tests/gen.py``'s ``rescaled_ring``: the ``bench_orbit.py`` weights with
+neighbour delays 0..D, scaled so that rho = 1 - 1e-10) and brackets its
+spectral radius, as ``netstab analyze`` does: n = 50, D <= 32;
+n = 100, D <= 16; n = 200, D <= 8, each over a thousand lag coordinates.
+It records the best of ``--repeats`` wall times in ms, the dimension, the
+nonzero entries, the certified bracket and whether it reads ``stable``.
 
 The orbit layer runs the 48-node delayed ring of ``bench_orbit.py`` (the
 contracting ring of the ``attraction_sim`` workload) three ways, as
@@ -40,11 +48,18 @@ from bench_orbit import build_benchmark_network
 from netstab import engine
 from netstab.network import dump_network, load_network
 from netstab.sim import find_fixed_point
-from netstab.stability import analyze
+from netstab.spectral import spectral_bracket
+from netstab.stability import analyze, stability_matrix
 from netstab.transform import restrict
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
+from gen import rescaled_ring  # noqa: E402
 from workloads import diamond_spec, diamond_text  # noqa: E402
+
+# (nodes, largest neighbour delay): the rings where the spectral layer's
+# cost used to jump
+SPECTRAL_RINGS = ((50, 32), (100, 16), (200, 8))
 
 
 def distinct_nodes(e) -> int:
@@ -97,6 +112,27 @@ def bench_diamond(k: int, repeats: int) -> dict:
     }
 
 
+def bench_spectral(repeats: int) -> list[dict]:
+    rows = []
+    for nodes, max_delay in SPECTRAL_RINGS:
+        net = rescaled_ring(nodes, max_delay, -1e-10)
+        assemble_ms, matrix = best_of(repeats, lambda: stability_matrix(net))
+        bracket_ms, (lower, upper) = best_of(repeats, lambda: spectral_bracket(matrix))
+        rows.append({
+            "nodes": nodes,
+            "max_delay": max_delay,
+            "dim": matrix.n,
+            "nnz": int(np.count_nonzero(matrix.data)),
+            "assemble_ms": round(assemble_ms, 2),
+            "bracket_ms": round(bracket_ms, 2),
+            "rho_lower": lower,
+            "rho_upper": upper,
+            "stable": upper < 1.0,
+            "peak_rss_mb": round(peak_rss_mb(), 1),
+        })
+    return rows
+
+
 def bench_orbit(repeats: int) -> list[dict]:
     net = build_benchmark_network(48)
     program = engine.compile_network(net)
@@ -136,6 +172,7 @@ def main():
         "diamond": [
             bench_diamond(int(k), args.repeats) for k in args.layers.split(",")
         ],
+        "spectral": bench_spectral(args.repeats),
         "orbit": bench_orbit(args.repeats),
     }
     text = json.dumps(results, indent=2)

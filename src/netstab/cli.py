@@ -19,7 +19,7 @@ import numpy as np
 from . import regressions
 from .delays import dedelay, undelay
 from .errors import NetstabError
-from .network import InteractionGraph, dump_network, interaction_graph, load_network
+from .network import REPORT_SCHEMA, InteractionGraph, dump_network, interaction_graph, load_network
 from .sim import iterate_orbit, sampling_box, verify_global_attraction
 from .stability import analyze
 from .structural import find_structural_sets
@@ -106,7 +106,7 @@ def _cmd_sets(args) -> int:
         print("no complete structural sets found")
     if args.output:
         Path(args.output).write_text(
-            json.dumps({"schema": "netstab-report/1", "sets": rows}, sort_keys=True, indent=2)
+            json.dumps({"schema": REPORT_SCHEMA, "sets": rows}, sort_keys=True, indent=2)
             + "\n"
         )
     return 0

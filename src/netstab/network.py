@@ -30,7 +30,11 @@ __all__ = [
     "max_delay_profile",
     "load_network",
     "dump_network",
+    "REPORT_SCHEMA",
 ]
+
+# the "schema" tag of every JSON report: analyze, sets and simulate
+REPORT_SCHEMA = "netstab-report/2"
 
 DEFAULT_DELAY_CAP = 64
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import engine
 from .delays import dedelay
 from .errors import ConvergenceError, NetworkError
-from .network import TimeDelayedNetwork
+from .network import REPORT_SCHEMA, TimeDelayedNetwork
 from .spectral import _iteration_cap
 
 __all__ = [
@@ -65,7 +65,7 @@ class AttractionVerdict:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "netstab-report/1",
+            "schema": REPORT_SCHEMA,
             "converged": self.converged,
             "witness": None if self.witness is None else [float(v) for v in self.witness],
             "final_diameter": self.final_diameter,

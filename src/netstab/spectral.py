@@ -6,6 +6,15 @@ is shifted by the identity so its Perron root becomes strictly dominant
 (delay cycles make these matrices periodic), and the Collatz-Wielandt
 bracket at the converged vector is rounded outward so it holds for the
 exact root.  Trivial components (single vertex, no loop) contribute 0.
+
+The iteration starts from the Perron vector of the component's lag-block
+reduction: the chains of vertices with a single in-edge (the delay lines
+of a de-delayed network) fold into blocks C_k over the other vertices,
+rho = r solves rho(sum_k C_k r^-k) = r on that small matrix, and the
+small Perron vector lifts back along the chains.  The certificate does
+not rest on it: the Collatz-Wielandt bracket holds at any positive vector,
+and the power iteration runs only where the start's bracket is wider than
+its exit width.
 """
 
 from __future__ import annotations
@@ -69,9 +78,17 @@ class NonnegMatrix:
         return float(self.data[self.index.index(row_label), self.index.index(col_label)])
 
     def to_json_dict(self) -> dict:
+        """``indices`` in order, and ``entries``: each nonzero entry keyed
+        ``"row<-col"`` by its labels."""
+        rows, cols = np.nonzero(self.data)
+        values = self.data[rows, cols].tolist()
+        labels = self.index
         return {
-            "indices": list(self.index),
-            "matrix": [[float(v) for v in row] for row in self.data],
+            "indices": list(labels),
+            "entries": {
+                f"{labels[j]}<-{labels[i]}": value
+                for j, i, value in zip(rows.tolist(), cols.tolist(), values)
+            },
         }
 
 
@@ -98,8 +115,16 @@ def strongly_connected_components(M) -> list[Component]:
     loop.
     """
     A = _as_array(M)
+    rows, cols = np.nonzero(A > 0)
+    return _components(A, rows, cols)
+
+
+def _components(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list[Component]:
+    """Tarjan's SCCs over the edge list rows[e] -> cols[e], sorted by row."""
     n = A.shape[0]
-    adjacency = [np.nonzero(A[i] > 0)[0] for i in range(n)]
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    targets = cols.tolist()
+    adjacency = [targets[bounds[i]:bounds[i + 1]] for i in range(n)]
 
     index_of = [-1] * n
     lowlink = [0] * n
@@ -123,7 +148,7 @@ def strongly_connected_components(M) -> list[Component]:
             advanced = False
             neighbors = adjacency[v]
             while child < len(neighbors):
-                w = int(neighbors[child])
+                w = neighbors[child]
                 child += 1
                 if index_of[w] == -1:
                     work[-1] = (v, child)
@@ -152,37 +177,177 @@ def strongly_connected_components(M) -> list[Component]:
     return components
 
 
-def _perron(A: np.ndarray, cap: int) -> tuple[float, float, np.ndarray]:
-    """(lower, upper, v): v > 0 with max entry 1 and lower <= rho(A) <= upper
-    for irreducible nonnegative A.
+@dataclass(frozen=True)
+class _LagReduction:
+    """A nonnegative matrix A folded onto its ``size`` kept vertices.
 
-    Iterates P = (B / max B)^4, B = A + I (A's Perron vector, four steps
-    of B per step) until P's bracket is 1e-12 relative wide.  The bracket
-    of A at v is rounded outward: barring underflow, fl(Av) is within
-    gamma_n * Av, and one more gamma term covers the division and the
-    rounding of 1 - gamma.
+    Every other vertex v has in-degree 1: its row holds one nonzero entry,
+    A[v, parent] (v is computed from that one coordinate), so an eigenpair
+    A x = r x has x_v = A[v, parent] x_parent / r.  Following parents from
+    v reaches kept vertex number ``origin[v]`` after ``depth[v]`` steps,
+    with ``weight[v]`` the product of the entries on the way, so
+    x_v = weight[v] x_origin / r^depth.  On the kept vertices
+    the eigen-equation becomes r x = R(r) x, R(r) = sum_k C_k r^-k, the sum
+    over terms ``coef * r^-lag`` at (``row``, ``col``): rho(A) = r iff
+    rho(R(r)) = r.  For the stability matrix of a delayed network with the
+    base nodes kept, the chains are the delay lines and C_d is the lag
+    block A_d.
+    """
+
+    size: int
+    origin: np.ndarray
+    depth: np.ndarray
+    weight: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+    lag: np.ndarray
+
+    @classmethod
+    def of(cls, A: np.ndarray, rows: np.ndarray, cols: np.ndarray, keep) -> "_LagReduction":
+        """Fold A, whose edges are rows[e] -> cols[e], onto ``keep``
+        (increasing); every chain of other vertices must start in it."""
+        n = A.shape[0]
+        keep = np.asarray(keep, dtype=np.intp)
+        kept = np.zeros(n, dtype=bool)
+        kept[keep] = True
+        parent = np.zeros(n, dtype=np.intp)
+        chained = ~kept[rows]
+        parent[rows[chained]] = cols[chained]
+        depth = np.where(kept, 0, -1)
+        origin = np.cumsum(kept) - 1
+        weight = np.ones(n)
+        todo = np.flatnonzero(~kept)
+        while todo.size:  # one chain step per pass
+            ready = depth[parent[todo]] >= 0
+            if not ready.any():
+                raise ValueError("a chain of single-entry rows misses the kept set")
+            v = todo[ready]
+            p = parent[v]
+            depth[v] = depth[p] + 1
+            origin[v] = origin[p]
+            weight[v] = A[v, p] * weight[p]
+            todo = todo[~ready]
+        fold = kept[rows]
+        src, dst = rows[fold], cols[fold]
+        return cls(keep.size, origin, depth, weight, row=origin[src], col=origin[dst],
+                   coef=A[src, dst] * weight[dst], lag=depth[dst])
+
+    def _sum(self, terms: np.ndarray) -> np.ndarray:
+        s = self.size
+        return np.bincount(self.row * s + self.col, weights=terms, minlength=s * s).reshape(s, s)
+
+    def matrix(self, r: float) -> np.ndarray:
+        """R(r) over the kept vertices."""
+        return self._sum(self.coef * r ** -self.lag)
+
+    def log_slope(self, r: float) -> np.ndarray:
+        """dR/d(log r) = -sum_k k C_k r^-k."""
+        return self._sum(-self.lag * (self.coef * r ** -self.lag))
+
+    def lift(self, x: np.ndarray, r: float) -> np.ndarray:
+        """The full vector whose kept entries are ``x``."""
+        return self.weight * x[self.origin] / r ** self.depth
+
+
+def _reduced_perron(red: _LagReduction) -> tuple[float, np.ndarray]:
+    """(r, x): r solves rho(R(r)) = r and x >= 0, largest entry 1, solves
+    R(r) x = r x.
+
+    log rho(R(e^t)) is convex in t (every entry of R is a sum of
+    exponentials in t), so Newton's method on log rho(R(e^t)) = t, with the
+    Perron derivative u^T R' v / u^T v, converges from r = 1.  x then comes
+    from one linear solve: with its largest entry fixed at 1 the others
+    solve a nonsingular M-matrix system, which keeps the tiny entries of
+    localized Perron vectors that eig's eigenvector loses.
+    """
+    t = 0.0
+    for _ in range(50):
+        r = np.exp(t)
+        R = red.matrix(r)
+        lam, V = np.linalg.eig(R)
+        k = np.argmax(lam.real)  # the Perron root has the largest real part
+        rho = lam[k].real
+        v = np.abs(V[:, k])
+        lam_left, U = np.linalg.eig(R.T)
+        u = np.abs(U[:, np.argmax(lam_left.real)])
+        slope = u @ red.log_slope(r) @ v / (rho * (u @ v))
+        step = (np.log(rho) - t) / (slope - 1.0)
+        t -= step
+        # eig's rho is noisy near 1e-15; a nan step also stops here
+        if not abs(step) > 1e-13 * max(1.0, abs(t)):
+            break
+    r = np.exp(t)
+    R = red.matrix(r)
+    top = np.argmax(v)
+    rest = np.arange(R.shape[0]) != top
+    x = np.ones(R.shape[0])
+    x[rest] = np.linalg.solve(r * np.eye(R.shape[0] - 1) - R[np.ix_(rest, rest)], R[rest, top])
+    return r, x
+
+
+def _perron_start(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Start vector for irreducible A: the Perron vector of its lag-block
+    reduction lifted back, scaled to max 1, or ones where that is not
+    finite and strictly positive (say, where a chain weight underflows).
+
+    The kept vertices are those whose row does not hold exactly one
+    nonzero entry; a simple cycle keeps one.  Where more than half of A
+    is kept, ones: dense eigensolves of the kept block would then cost
+    more than the power iteration they shorten.
+    """
+    n = A.shape[0]
+    keep = np.flatnonzero(np.bincount(rows, minlength=n) != 1)
+    if 2 * keep.size > n:
+        return np.ones(n)
+    red = _LagReduction.of(A, rows, cols, keep if keep.size else [0])
+    with np.errstate(all="ignore"):
+        try:
+            r, x = _reduced_perron(red)
+        except np.linalg.LinAlgError:  # a singular solve, or a non-finite R
+            return np.ones(n)
+        v = red.lift(x, r)
+        v = v / v.max()
+    if np.isfinite(v).all() and (v > 0).all():
+        return v
+    return np.ones(n)
+
+
+def _perron(A: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            cap: int) -> tuple[float, float, np.ndarray]:
+    """(lower, upper, v): v > 0 with max entry 1 and lower <= rho(A) <= upper
+    for irreducible nonnegative A with edges rows[e] -> cols[e].
+
+    v starts at :func:`_perron_start`.  Unless A's bracket there is already
+    1e-12 relative wide, it iterates P = (B / max B)^4, B = A + I (A's
+    Perron vector, four steps of B per step) until P's bracket is.  The
+    bracket of A at v is rounded outward: barring underflow, fl(Av) is
+    within gamma_n * Av, and one more gamma term covers the division and
+    the rounding of 1 - gamma.
     """
     n = A.shape[0]
     if n == 1:
         return float(A[0, 0]), float(A[0, 0]), np.ones(1)
-    B = A + np.eye(n)
-    scale = B.max()
-    P = np.linalg.matrix_power(B / scale, 4)
-    v = np.ones(n)
-    for _ in range(cap):
-        w = P @ v
-        ratios = w / v
-        lower, upper = ratios.min(), ratios.max()
-        v = w / w.max()
-        if upper - lower <= 1e-12 * upper:
-            break
-    else:
-        lo, hi = scale * np.array([lower, upper]) ** 0.25 - 1.0
-        raise ConvergenceError(f"power iteration did not converge within {cap} "
-                               f"iterations (rho in [{lo:.17g}, {hi:.17g}])")
+    v = _perron_start(A, rows, cols)
+    ratios = (A @ v) / v
+    if ratios.max() - ratios.min() > 1e-12 * ratios.max():
+        B = A + np.eye(n)
+        scale = B.max()
+        P = np.linalg.matrix_power(B / scale, 4)
+        for _ in range(cap):
+            w = P @ v
+            ratios = w / v
+            lower, upper = ratios.min(), ratios.max()
+            v = w / w.max()
+            if upper - lower <= 1e-12 * upper:
+                break
+        else:
+            lo, hi = scale * np.array([lower, upper]) ** 0.25 - 1.0
+            raise ConvergenceError(f"power iteration did not converge within {cap} "
+                                   f"iterations (rho in [{lo:.17g}, {hi:.17g}])")
+        ratios = (A @ v) / v
     u = np.finfo(np.float64).eps / 2
     shrink = 1.0 - (n + 2) * u / (1.0 - (n + 2) * u)
-    ratios = (A @ v) / v
     lower = float(np.nextafter(ratios.min() * shrink, 0.0))
     upper = float(np.nextafter(ratios.max() / shrink, np.inf))
     return lower, upper, v
@@ -195,11 +360,24 @@ def spectral_bracket(M) -> tuple[float, float]:
     if not np.isfinite(A).all() or (A < 0).any():
         raise ValueError("spectral_bracket requires a finite nonnegative matrix")
     cap = _iteration_cap()
+    rows, cols = np.nonzero(A)
+    comps = _components(A, rows, cols)
+    # each component's own edges, in its local positions, grouped by component
+    label = np.empty(A.shape[0], dtype=np.intp)
+    local = np.empty(A.shape[0], dtype=np.intp)
+    for c, comp in enumerate(comps):
+        label[list(comp.indices)] = c
+        local[list(comp.indices)] = np.arange(len(comp.indices))
+    inner = np.flatnonzero(label[rows] == label[cols])
+    inner = inner[np.argsort(label[rows[inner]], kind="stable")]
+    bounds = np.searchsorted(label[rows[inner]], np.arange(len(comps) + 1))
     lower = upper = 0.0
-    for comp in strongly_connected_components(A):
+    for c, comp in enumerate(comps):
         if comp.trivial:
             continue
-        lo, hi, _ = _perron(A[np.ix_(comp.indices, comp.indices)], cap)
+        e = inner[bounds[c]:bounds[c + 1]]
+        sub = A[np.ix_(comp.indices, comp.indices)]
+        lo, hi, _ = _perron(sub, local[rows[e]], local[cols[e]], cap)
         lower, upper = max(lower, lo), max(upper, hi)
     return lower, upper
 
@@ -221,9 +399,10 @@ def perron_eigenvector(M) -> tuple[float, np.ndarray]:
     and |Mv - rho v| <= v * (upper - lower) / 2.  Requires irreducible M.
     """
     A = _as_array(M)
-    if not is_irreducible(A):
+    rows, cols = np.nonzero(A > 0)
+    if len(_components(A, rows, cols)) != 1:
         raise ValueError("perron_eigenvector requires an irreducible matrix")
-    lower, upper, v = _perron(A, _iteration_cap())
+    lower, upper, v = _perron(A, rows, cols, _iteration_cap())
     if (v <= 0).any():
         raise ConvergenceError("Perron vector failed to stay positive")
     return 0.5 * (lower + upper), v

@@ -26,7 +26,7 @@ import numpy as np
 from . import expr as ex
 from .delays import state_indices
 from .errors import UnboundedDerivativeError
-from .network import TimeDelayedNetwork
+from .network import REPORT_SCHEMA, TimeDelayedNetwork
 from .spectral import NonnegMatrix, spectral_bracket, spectral_radius
 
 __all__ = [
@@ -52,7 +52,7 @@ class StabilityReport:
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema": "netstab-report/1",
+            "schema": REPORT_SCHEMA,
             "name": self.network_name,
             "rho": self.rho,
             "rho_lower": self.rho_lower,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NetworkError
-from .network import InteractionGraph
+from .network import REPORT_SCHEMA, InteractionGraph
 
 __all__ = [
     "Branch",
@@ -78,7 +78,7 @@ class StructuralSetReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "netstab-report/1",
+            "schema": REPORT_SCHEMA,
             "S": list(self.S),
             "complete": self.complete,
             "basic": self.basic,

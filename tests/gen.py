@@ -12,6 +12,7 @@ import numpy as np
 from netstab.expr import BinOp, Call, Const, Expr, Interval, Var
 from netstab.network import (
     TimeDelayedNetwork,
+    build_network,
     interaction_graph,
     load_network,
     network_from_exprs,
@@ -128,3 +129,31 @@ def diamond_network(rng: np.random.Generator, k: int) -> TimeDelayedNetwork:
     lines = ["network diamond"] + [f"node {v} domain [-inf,inf]" for v in rules]
     lines += [f"update {v} = {' + '.join(terms)}" for v, terms in rules.items()]
     return load_network("\n".join(lines) + "\n")
+
+
+def rescaled_ring(n: int, max_delay: int, excess: float, seed: int = 12345) -> TimeDelayedNetwork:
+    """Linear ring with the weights and delays of benchmarks/bench_orbit.py
+    (rng ``seed``, neighbour delays 0..max_delay, self delay 1, leak 0.5),
+    scaled so that the spectral radius of its stability matrix is
+    1 + excess.
+
+    Its lag blocks A_d are nonnegative, so the Perron root r solves
+    r = rho(sum_d A_d r^-d); scaling every block by r / rho(sum_d A_d r^-d)
+    puts the root at r.
+    """
+    rng = np.random.default_rng(seed)
+    terms = {j: [(0.5, j, 1)] for j in range(n)}
+    for j in range(n):
+        for i in ((j - 1) % n, (j + 1) % n):
+            terms[j].append((rng.uniform(0.05, 0.25), i, int(rng.integers(0, max_delay + 1))))
+    r = 1.0 + excess
+    lagged = np.zeros((n, n))
+    for j, row in terms.items():
+        for w, i, d in row:
+            lagged[j, i] += w * r**-d
+    s = r / np.max(np.abs(np.linalg.eigvals(lagged)))
+    rules = [
+        (f"x{j}", " + ".join(f"{float(w * s)!r}*x{i}[-{d}]" for w, i, d in row))
+        for j, row in terms.items()
+    ]
+    return build_network([(f"x{j}", Interval.whole()) for j in range(n)], rules)

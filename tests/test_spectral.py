@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gen import random_network
+from gen import random_network, rescaled_ring
 
+from netstab import spectral
 from netstab.errors import ConvergenceError, NetstabError
 from netstab.spectral import (
     NonnegMatrix,
@@ -22,6 +23,31 @@ def eig_radius(M) -> float:
     """Oracle: max modulus of the eigenvalues (characteristic roots)."""
     data = M.data if isinstance(M, NonnegMatrix) else np.asarray(M, float)
     return float(np.max(np.abs(np.linalg.eigvals(data))))
+
+
+def exceeds_radius(M, lam) -> bool:
+    """Exactly whether lam > rho(M), for nonnegative M: then and only then
+    is lam I - M a nonsingular M-matrix, whose Gaussian elimination without
+    pivoting, in rational arithmetic, meets only positive pivots."""
+    a = [[Fraction(lam) * (i == j) - Fraction(x) for j, x in enumerate(row)]
+         for i, row in enumerate(np.asarray(M, dtype=float).tolist())]
+    for k, pivot_row in enumerate(a):
+        if pivot_row[k] <= 0:
+            return False
+        for row in a[k + 1:]:
+            if row[k]:
+                f = row[k] / pivot_row[k]
+                for j in range(k + 1, len(a)):
+                    if pivot_row[j]:
+                        row[j] -= f * pivot_row[j]
+    return True
+
+
+def forbid_power_steps(monkeypatch):
+    """Fail the test if a power iteration forms its matrix P."""
+    def fail(*args):
+        raise AssertionError("the power iteration ran")
+    monkeypatch.setattr(np.linalg, "matrix_power", fail)
 
 
 def random_nonneg(rng, n, density=0.6):
@@ -215,6 +241,8 @@ def test_bracket_contains_eigenvalue_radius():
 
 
 def test_bracket_contains_eigenvalue_radius_of_delayed_networks():
+    # these brackets are ~1e-14 wide, narrower than the error of eigvals on
+    # the full matrix, so both ends are checked against rho exactly
     from netstab.stability import stability_matrix
 
     rng = np.random.default_rng(61)
@@ -222,7 +250,74 @@ def test_bracket_contains_eigenvalue_radius_of_delayed_networks():
         net = random_network(rng, int(rng.integers(2, 7)), max_delay=int(rng.integers(0, 5)))
         M = stability_matrix(net)
         lower, upper = spectral_bracket(M)
+        assert not exceeds_radius(M.data, lower)
+        assert exceeds_radius(M.data, upper) or lower == upper
+
+
+# ---------------------------------------------------------------------------
+# the lag-block start vector
+
+
+def test_bracket_of_simple_cycle_is_exact(monkeypatch):
+    # every vertex has in-degree 1, so one vertex is kept, R(r) is the
+    # scalar prod(a) r^-(L-1), and the lifted vector certifies the root
+    # prod(a)^(1/L) to the rounding of the certificate, with no power step
+    forbid_power_steps(monkeypatch)
+    rng = np.random.default_rng(79)
+    for L in (2, 3, 7, 40):
+        M = np.zeros((L, L))
+        perm = rng.permutation(L)
+        for i in range(L):
+            M[perm[i], perm[(i + 1) % L]] = rng.uniform(0.1, 3.0)
+        lower, upper = spectral_bracket(M)
         assert lower <= eig_radius(M) <= upper
+        assert not exceeds_radius(M, lower) and exceeds_radius(M, upper)
+        assert upper - lower <= 4 * (L + 2) * np.finfo(np.float64).eps * upper
+
+
+def test_bracket_when_lifted_chain_underflows():
+    # chain weights of 1e-200 multiply to 0 two steps from the kept vertex,
+    # so the lifted vector weight * x_s / r^k is 0/0 and the iteration
+    # starts from ones
+    M = np.zeros((3, 3))
+    M[0, 1], M[1, 2], M[2, 0] = 1e-200, 2e-200, 3e-200
+    rows, cols = np.nonzero(M)
+    assert spectral._perron_start(M, rows, cols).tolist() == [1.0, 1.0, 1.0]
+    lower, upper = spectral_bracket(M)
+    assert lower <= eig_radius(M) <= upper
+
+
+def test_bracket_of_scc_without_in_degree_one_vertex():
+    # nothing folds away, so the power iteration starts from ones; eigvals
+    # gets the 64 ulps of test_bracket_contains_eigenvalue_radius, and the
+    # exact radius none
+    rng = np.random.default_rng(83)
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        M = random_irreducible(rng, n) + np.diag(rng.uniform(0.1, 1.0, n))
+        rows, cols = np.nonzero(M)
+        assert spectral._perron_start(M, rows, cols).tolist() == [1.0] * n
+        lower, upper = spectral_bracket(M)
+        rho = eig_radius(M)
+        assert lower - 64 * np.spacing(rho) <= rho <= upper + 64 * np.spacing(rho)
+        assert not exceeds_radius(M, lower) and exceeds_radius(M, upper)
+        assert upper - lower <= 1e-11 * upper
+
+
+def test_bracket_of_seeded_delayed_rings(monkeypatch):
+    # the base nodes are kept and the delay lines fold into lag blocks; the
+    # lifted vector certifies rho = 1 -+ 1e-10 with no power step
+    from netstab.stability import stability_matrix
+
+    forbid_power_steps(monkeypatch)
+    for seed in range(4):
+        for n, max_delay in ((8, 6), (12, 8), (20, 4)):
+            excess = 1e-10 if seed % 2 else -1e-10
+            M = stability_matrix(rescaled_ring(n, max_delay, excess, seed=seed))
+            lower, upper = spectral_bracket(M)
+            assert lower <= eig_radius(M) <= upper
+            assert upper - lower <= 1e-12 * upper
+            assert (upper < 1.0) == (excess < 0)
 
 
 def test_bracket_is_sound_in_exact_arithmetic():

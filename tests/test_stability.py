@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from gen import random_network
+from gen import random_network, rescaled_ring
 
 from netstab import gallery
 from netstab.delays import dedelay, undelay
 from netstab.errors import UnboundedDerivativeError
 from netstab.expr import Interval
 from netstab.network import build_network, make_cohen_grossberg
-from netstab.spectral import spectral_radius
+from netstab.spectral import _LagReduction, spectral_radius
 from netstab.stability import (
     analyze,
     jacobian_matrix,
@@ -20,34 +20,6 @@ from netstab.stability import (
 )
 
 R = Interval.whole()
-
-
-def rescaled_ring(n, max_delay, excess):
-    """Linear ring with the weights and delays of benchmarks/bench_orbit.py
-    (rng 12345, neighbour delays 0..max_delay, self delay 1, leak 0.5),
-    scaled so that the spectral radius of its stability matrix is
-    1 + excess.
-
-    Its lag blocks A_d are nonnegative, so the Perron root r solves
-    r = rho(sum_d A_d r^-d); scaling every block by r / rho(sum_d A_d r^-d)
-    puts the root at r.
-    """
-    rng = np.random.default_rng(12345)
-    terms = {j: [(0.5, j, 1)] for j in range(n)}
-    for j in range(n):
-        for i in ((j - 1) % n, (j + 1) % n):
-            terms[j].append((rng.uniform(0.05, 0.25), i, int(rng.integers(0, max_delay + 1))))
-    r = 1.0 + excess
-    lagged = np.zeros((n, n))
-    for j, row in terms.items():
-        for w, i, d in row:
-            lagged[j, i] += w * r**-d
-    s = r / np.max(np.abs(np.linalg.eigvals(lagged)))
-    rules = [
-        (f"x{j}", " + ".join(f"{float(w * s)!r}*x{i}[-{d}]" for w, i, d in row))
-        for j, row in terms.items()
-    ]
-    return build_network([(f"x{j}", R) for j in range(n)], rules)
 
 
 def test_matrix_of_undelayed_pair():
@@ -150,12 +122,13 @@ def test_analyze_tanh_ring_inconclusive():
 def test_analyze_report_json():
     report = analyze(gallery.undelayed_pair(0.5, 0.1, 1.0))
     data = json.loads(report.to_json())
-    assert data["schema"] == "netstab-report/1"
+    assert data["schema"] == "netstab-report/2"
     assert data["verdict"] == "stable"
     assert data["rho_lower"] <= data["rho"] <= data["rho_upper"] < 1.0
     assert data["rho"] == 0.5 * (data["rho_lower"] + data["rho_upper"])
     assert data["indices"] == ["x1", "x2"]
-    assert len(data["matrix"]) == 2
+    off = 0.2000000000000001  # the interval bound of 2|ab| = 0.2
+    assert data["entries"] == {"x1<-x1": 0.5, "x1<-x2": off, "x2<-x1": off, "x2<-x2": 0.5}
     assert data["provenance"]["x1<-x2"]
 
 
@@ -221,6 +194,35 @@ def test_delay_invariance_for_non_distributed():
             continue
         assert (rho_d < 1) == (rho_u < 1), (rho_d, rho_u)
         done += 1
+
+
+def lag_sum(net):
+    """sum_d A_d: the lag-block reduction of the stability matrix onto the
+    base nodes, at r = 1."""
+    A = stability_matrix(net).data
+    rows, cols = np.nonzero(A)
+    return _LagReduction.of(A, rows, cols, np.arange(net.size)).matrix(1.0)
+
+
+def test_lag_blocks_sum_to_the_undelayed_matrix():
+    # the paper's delay-independence theorem: for a non-distributed network
+    # rho(companion) < 1 iff rho(sum_d A_d) < 1, and sum_d A_d is the
+    # stability matrix of the undelayed network
+    rng = np.random.default_rng(73)
+    for _ in range(40):
+        net = random_network(
+            rng, int(rng.integers(2, 7)), max_delay=4, non_distributed=True, require_delay=True,
+        )
+        assert np.array_equal(lag_sum(net), stability_matrix(undelay(net)).data)
+
+
+def test_lag_blocks_of_distributed_pair():
+    # with distributed delays sum_d A_d and the full matrix are both
+    # inconclusive, while undelay's 0.5 would be a false certificate
+    net = gallery.distributed_pair(eps=0.5, b=1.0)
+    assert spectral_radius(lag_sum(net)) == pytest.approx(2.5, abs=1e-12)
+    assert spectral_radius(stability_matrix(net)) == pytest.approx(2.0, abs=1e-12)
+    assert spectral_radius(stability_matrix(undelay(net))) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_stable_delayed_implies_stable_undelayed():
