@@ -13,13 +13,18 @@ characters of the report's derivative provenance.  ``peak_rss_mb`` is the
 process's peak resident set (``resource.getrusage``) once that k is done;
 layers run in increasing k, so it is the peak of the largest k so far.
 
-The spectral layer assembles the stability matrix of three delayed rings
+The spectral layer assembles the stability matrix of five rings
 (``tests/gen.py``'s ``rescaled_ring``: the ``bench_orbit.py`` weights with
-neighbour delays 0..D, scaled so that rho = 1 - 1e-10) and brackets its
-spectral radius, as ``netstab analyze`` does: n = 50, D <= 32;
-n = 100, D <= 16; n = 200, D <= 8, each over a thousand lag coordinates.
+neighbour delays 0..D and self delay 1, scaled so that rho = 1 - 1e-10)
+and brackets its spectral radius, as ``netstab analyze`` does: n = 50,
+D <= 32; n = 100, D <= 16; n = 200, D <= 8, each over a thousand lag
+coordinates; n = 400, D = 0, where half the coordinates are the self
+delay lines; and that ring undelayed, where no row holds a single entry,
+so nothing folds into lag blocks and the iteration starts from ones.
 It records the best of ``--repeats`` wall times in ms, the dimension, the
-nonzero entries, the certified bracket and whether it reads ``stable``.
+nonzero entries, the vertices the lag-block reduction keeps (those whose
+row does not hold exactly one entry), the certified bracket and whether
+it reads ``stable``.
 
 The orbit layer runs the 48-node delayed ring of ``bench_orbit.py`` (the
 contracting ring of the ``attraction_sim`` workload) three ways, as
@@ -46,6 +51,7 @@ import numpy as np
 
 from bench_orbit import build_benchmark_network
 from netstab import engine
+from netstab.delays import undelay
 from netstab.network import dump_network, load_network
 from netstab.sim import find_fixed_point
 from netstab.spectral import spectral_bracket
@@ -57,9 +63,12 @@ sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 from gen import rescaled_ring  # noqa: E402
 from workloads import diamond_spec, diamond_text  # noqa: E402
 
-# (nodes, largest neighbour delay): the rings where the spectral layer's
-# cost used to jump
-SPECTRAL_RINGS = ((50, 32), (100, 16), (200, 8))
+# (nodes, largest neighbour delay, undelayed): the rings where the spectral
+# layer's cost used to jump, a ring whose reduction keeps half of it, and
+# that ring with nothing to fold
+SPECTRAL_RINGS = (
+    (50, 32, False), (100, 16, False), (200, 8, False), (400, 0, False), (400, 0, True),
+)
 
 
 def distinct_nodes(e) -> int:
@@ -114,15 +123,19 @@ def bench_diamond(k: int, repeats: int) -> dict:
 
 def bench_spectral(repeats: int) -> list[dict]:
     rows = []
-    for nodes, max_delay in SPECTRAL_RINGS:
+    for nodes, max_delay, undelayed in SPECTRAL_RINGS:
         net = rescaled_ring(nodes, max_delay, -1e-10)
+        if undelayed:
+            net = undelay(net)
         assemble_ms, matrix = best_of(repeats, lambda: stability_matrix(net))
         bracket_ms, (lower, upper) = best_of(repeats, lambda: spectral_bracket(matrix))
         rows.append({
             "nodes": nodes,
             "max_delay": max_delay,
+            "undelayed": undelayed,
             "dim": matrix.n,
             "nnz": int(np.count_nonzero(matrix.data)),
+            "kept": int(np.sum(np.count_nonzero(matrix.data, axis=1) != 1)),
             "assemble_ms": round(assemble_ms, 2),
             "bracket_ms": round(bracket_ms, 2),
             "rho_lower": lower,

@@ -11,10 +11,11 @@ The iteration starts from the Perron vector of the component's lag-block
 reduction: the chains of vertices with a single in-edge (the delay lines
 of a de-delayed network) fold into blocks C_k over the other vertices,
 rho = r solves rho(sum_k C_k r^-k) = r on that small matrix, and the
-small Perron vector lifts back along the chains.  The certificate does
-not rest on it: the Collatz-Wielandt bracket holds at any positive vector,
-and the power iteration runs only where the start's bracket is wider than
-its exit width.
+small Perron vector lifts back along the chains (where nothing folds,
+the iteration starts from ones).  The certificate does not rest on it:
+the Collatz-Wielandt bracket holds at any positive vector, and the power
+iteration runs only where the start's bracket is wider than its exit
+width.
 """
 
 from __future__ import annotations
@@ -115,13 +116,8 @@ def strongly_connected_components(M) -> list[Component]:
     loop.
     """
     A = _as_array(M)
-    rows, cols = np.nonzero(A > 0)
-    return _components(A, rows, cols)
-
-
-def _components(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list[Component]:
-    """Tarjan's SCCs over the edge list rows[e] -> cols[e], sorted by row."""
     n = A.shape[0]
+    rows, cols = np.nonzero(A > 0)
     bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
     targets = cols.tolist()
     adjacency = [targets[bounds[i]:bounds[i + 1]] for i in range(n)]
@@ -204,10 +200,11 @@ class _LagReduction:
     lag: np.ndarray
 
     @classmethod
-    def of(cls, A: np.ndarray, rows: np.ndarray, cols: np.ndarray, keep) -> "_LagReduction":
-        """Fold A, whose edges are rows[e] -> cols[e], onto ``keep``
-        (increasing); every chain of other vertices must start in it."""
+    def of(cls, A: np.ndarray, keep) -> "_LagReduction":
+        """Fold A onto ``keep`` (increasing); every chain of other vertices
+        must start in it."""
         n = A.shape[0]
+        rows, cols = np.nonzero(A)
         keep = np.asarray(keep, dtype=np.intp)
         kept = np.zeros(n, dtype=bool)
         kept[keep] = True
@@ -286,21 +283,21 @@ def _reduced_perron(red: _LagReduction) -> tuple[float, np.ndarray]:
     return r, x
 
 
-def _perron_start(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _perron_start(A: np.ndarray) -> np.ndarray:
     """Start vector for irreducible A: the Perron vector of its lag-block
     reduction lifted back, scaled to max 1, or ones where that is not
     finite and strictly positive (say, where a chain weight underflows).
 
     The kept vertices are those whose row does not hold exactly one
-    nonzero entry; a simple cycle keeps one.  Where more than half of A
-    is kept, ones: dense eigensolves of the kept block would then cost
-    more than the power iteration they shorten.
+    nonzero entry; a simple cycle keeps one.  Where every vertex is kept
+    nothing folds, R(r) is A itself, and the start is ones: A's Perron
+    vector is what the power iteration computes.
     """
     n = A.shape[0]
-    keep = np.flatnonzero(np.bincount(rows, minlength=n) != 1)
-    if 2 * keep.size > n:
+    keep = np.flatnonzero(np.count_nonzero(A, axis=1) != 1)
+    if keep.size == n:
         return np.ones(n)
-    red = _LagReduction.of(A, rows, cols, keep if keep.size else [0])
+    red = _LagReduction.of(A, keep if keep.size else [0])
     with np.errstate(all="ignore"):
         try:
             r, x = _reduced_perron(red)
@@ -313,10 +310,9 @@ def _perron_start(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     return np.ones(n)
 
 
-def _perron(A: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-            cap: int) -> tuple[float, float, np.ndarray]:
+def _perron(A: np.ndarray, cap: int) -> tuple[float, float, np.ndarray]:
     """(lower, upper, v): v > 0 with max entry 1 and lower <= rho(A) <= upper
-    for irreducible nonnegative A with edges rows[e] -> cols[e].
+    for irreducible nonnegative A.
 
     v starts at :func:`_perron_start`.  Unless A's bracket there is already
     1e-12 relative wide, it iterates P = (B / max B)^4, B = A + I (A's
@@ -328,7 +324,7 @@ def _perron(A: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     n = A.shape[0]
     if n == 1:
         return float(A[0, 0]), float(A[0, 0]), np.ones(1)
-    v = _perron_start(A, rows, cols)
+    v = _perron_start(A)
     ratios = (A @ v) / v
     if ratios.max() - ratios.min() > 1e-12 * ratios.max():
         B = A + np.eye(n)
@@ -360,24 +356,11 @@ def spectral_bracket(M) -> tuple[float, float]:
     if not np.isfinite(A).all() or (A < 0).any():
         raise ValueError("spectral_bracket requires a finite nonnegative matrix")
     cap = _iteration_cap()
-    rows, cols = np.nonzero(A)
-    comps = _components(A, rows, cols)
-    # each component's own edges, in its local positions, grouped by component
-    label = np.empty(A.shape[0], dtype=np.intp)
-    local = np.empty(A.shape[0], dtype=np.intp)
-    for c, comp in enumerate(comps):
-        label[list(comp.indices)] = c
-        local[list(comp.indices)] = np.arange(len(comp.indices))
-    inner = np.flatnonzero(label[rows] == label[cols])
-    inner = inner[np.argsort(label[rows[inner]], kind="stable")]
-    bounds = np.searchsorted(label[rows[inner]], np.arange(len(comps) + 1))
     lower = upper = 0.0
-    for c, comp in enumerate(comps):
+    for comp in strongly_connected_components(A):
         if comp.trivial:
             continue
-        e = inner[bounds[c]:bounds[c + 1]]
-        sub = A[np.ix_(comp.indices, comp.indices)]
-        lo, hi, _ = _perron(sub, local[rows[e]], local[cols[e]], cap)
+        lo, hi, _ = _perron(A[np.ix_(comp.indices, comp.indices)], cap)
         lower, upper = max(lower, lo), max(upper, hi)
     return lower, upper
 
@@ -399,10 +382,9 @@ def perron_eigenvector(M) -> tuple[float, np.ndarray]:
     and |Mv - rho v| <= v * (upper - lower) / 2.  Requires irreducible M.
     """
     A = _as_array(M)
-    rows, cols = np.nonzero(A > 0)
-    if len(_components(A, rows, cols)) != 1:
+    if not is_irreducible(A):
         raise ValueError("perron_eigenvector requires an irreducible matrix")
-    lower, upper, v = _perron(A, rows, cols, _iteration_cap())
+    lower, upper, v = _perron(A, _iteration_cap())
     if (v <= 0).any():
         raise ConvergenceError("Perron vector failed to stay positive")
     return 0.5 * (lower + upper), v

@@ -25,21 +25,46 @@ def eig_radius(M) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(data))))
 
 
-def exceeds_radius(M, lam) -> bool:
-    """Exactly whether lam > rho(M), for nonnegative M: then and only then
-    is lam I - M a nonsingular M-matrix, whose Gaussian elimination without
-    pivoting, in rational arithmetic, meets only positive pivots."""
+def pivots(M, lam) -> list[Fraction]:
+    """The pivots of Gaussian elimination without pivoting on lam I - M, in
+    rational arithmetic, up to and including the first that is not positive."""
     a = [[Fraction(lam) * (i == j) - Fraction(x) for j, x in enumerate(row)]
          for i, row in enumerate(np.asarray(M, dtype=float).tolist())]
+    out = []
     for k, pivot_row in enumerate(a):
+        out.append(pivot_row[k])
         if pivot_row[k] <= 0:
-            return False
+            break
         for row in a[k + 1:]:
             if row[k]:
                 f = row[k] / pivot_row[k]
                 for j in range(k + 1, len(a)):
                     if pivot_row[j]:
                         row[j] -= f * pivot_row[j]
+    return out
+
+
+def exceeds_radius(M, lam) -> bool:
+    """Exactly whether lam > rho(M), for nonnegative M: then and only then
+    is lam I - M a nonsingular M-matrix, whose elimination meets only
+    positive pivots."""
+    return all(p > 0 for p in pivots(M, lam))
+
+
+def reaches_radius(M, lam) -> bool:
+    """Exactly whether lam >= rho(M), for nonnegative M and lam >= 0.
+
+    rho(M) is the largest radius of M's irreducible diagonal blocks M_C,
+    and lam >= rho(M_C) iff lam I - M_C is a possibly singular M-matrix:
+    its elimination meets positive pivots but for the last, which is >= 0.
+    """
+    M = np.asarray(M, dtype=float)
+    for comp in strongly_connected_components(M):
+        if comp.trivial:
+            continue
+        p = pivots(M[np.ix_(comp.indices, comp.indices)], lam)
+        if len(p) < len(comp.indices) or p[-1] < 0:
+            return False
     return True
 
 
@@ -251,7 +276,7 @@ def test_bracket_contains_eigenvalue_radius_of_delayed_networks():
         M = stability_matrix(net)
         lower, upper = spectral_bracket(M)
         assert not exceeds_radius(M.data, lower)
-        assert exceeds_radius(M.data, upper) or lower == upper
+        assert reaches_radius(M.data, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +306,7 @@ def test_bracket_when_lifted_chain_underflows():
     # starts from ones
     M = np.zeros((3, 3))
     M[0, 1], M[1, 2], M[2, 0] = 1e-200, 2e-200, 3e-200
-    rows, cols = np.nonzero(M)
-    assert spectral._perron_start(M, rows, cols).tolist() == [1.0, 1.0, 1.0]
+    assert spectral._perron_start(M).tolist() == [1.0, 1.0, 1.0]
     lower, upper = spectral_bracket(M)
     assert lower <= eig_radius(M) <= upper
 
@@ -295,8 +319,7 @@ def test_bracket_of_scc_without_in_degree_one_vertex():
     for _ in range(100):
         n = int(rng.integers(2, 9))
         M = random_irreducible(rng, n) + np.diag(rng.uniform(0.1, 1.0, n))
-        rows, cols = np.nonzero(M)
-        assert spectral._perron_start(M, rows, cols).tolist() == [1.0] * n
+        assert spectral._perron_start(M).tolist() == [1.0] * n
         lower, upper = spectral_bracket(M)
         rho = eig_radius(M)
         assert lower - 64 * np.spacing(rho) <= rho <= upper + 64 * np.spacing(rho)

@@ -200,8 +200,7 @@ def lag_sum(net):
     """sum_d A_d: the lag-block reduction of the stability matrix onto the
     base nodes, at r = 1."""
     A = stability_matrix(net).data
-    rows, cols = np.nonzero(A)
-    return _LagReduction.of(A, rows, cols, np.arange(net.size)).matrix(1.0)
+    return _LagReduction.of(A, np.arange(net.size)).matrix(1.0)
 
 
 def test_lag_blocks_sum_to_the_undelayed_matrix():
