@@ -1,4 +1,4 @@
-"""Benchmark the expression, restriction, spectral and orbit layers.
+"""Benchmark the expression, restriction, spectral, structural and orbit layers.
 
 Usage: python benchmarks/bench_layers.py [-o OUT.json] [--repeats N] [--layers 10,12,14]
 
@@ -26,6 +26,15 @@ nonzero entries, the vertices the lag-block reduction keeps (those whose
 row does not hold exactly one entry), the certified bracket and whether
 it reads ``stable``.
 
+The structural layer searches four interaction graphs for their first
+16 complete structural sets, as ``netstab sets`` does: those of
+``tests/gen.py``'s random networks at 16, 24 and 40 nodes (rng seeded
+with the node count), where most vertices read themselves and are forced
+into every set, and a loop-free 20-vertex graph where every vertex reads
+two others (``loop_free_graph``, rng 0), where none is.  It records the
+best of ``--repeats`` wall times in ms, the sets found and the smallest
+set's size.
+
 The orbit layer runs the 48-node delayed ring of ``bench_orbit.py`` (the
 contracting ring of the ``attraction_sim`` workload) three ways, as
 ``netstab simulate`` and ``find_fixed_point`` do: a batch of 200 trials
@@ -52,15 +61,16 @@ import numpy as np
 from bench_orbit import build_benchmark_network
 from netstab import engine
 from netstab.delays import undelay
-from netstab.network import dump_network, load_network
+from netstab.network import dump_network, interaction_graph, load_network
 from netstab.sim import find_fixed_point
 from netstab.spectral import spectral_bracket
 from netstab.stability import analyze, stability_matrix
+from netstab.structural import find_structural_sets
 from netstab.transform import restrict
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
-from gen import rescaled_ring  # noqa: E402
+from gen import loop_free_graph, random_network, rescaled_ring  # noqa: E402
 from workloads import diamond_spec, diamond_text  # noqa: E402
 
 # (nodes, largest neighbour delay, undelayed): the rings where the spectral
@@ -146,6 +156,25 @@ def bench_spectral(repeats: int) -> list[dict]:
     return rows
 
 
+def bench_structural(repeats: int) -> list[dict]:
+    graphs = [(f"random{n}", interaction_graph(random_network(np.random.default_rng(n), n)))
+              for n in (16, 24, 40)]
+    graphs.append(("loop_free20", loop_free_graph(np.random.default_rng(0), 20)))
+    rows = []
+    for label, graph in graphs:
+        ms, reports = best_of(repeats, lambda: find_structural_sets(graph))
+        rows.append({
+            "graph": label,
+            "vertices": len(graph.vertices),
+            "edges": len(graph.edges),
+            "ms": round(ms, 2),
+            "sets_found": len(reports),
+            "min_set": min(len(rep.S) for rep in reports) if reports else None,
+            "peak_rss_mb": round(peak_rss_mb(), 1),
+        })
+    return rows
+
+
 def bench_orbit(repeats: int) -> list[dict]:
     net = build_benchmark_network(48)
     program = engine.compile_network(net)
@@ -186,6 +215,7 @@ def main():
             bench_diamond(int(k), args.repeats) for k in args.layers.split(",")
         ],
         "spectral": bench_spectral(args.repeats),
+        "structural": bench_structural(args.repeats),
         "orbit": bench_orbit(args.repeats),
     }
     text = json.dumps(results, indent=2)

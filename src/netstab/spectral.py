@@ -2,10 +2,10 @@
 
 Spectral radii are bracketed per strongly connected component by one
 power iteration, which also gives the Perron vector: the component matrix
-is shifted by the identity so its Perron root becomes strictly dominant
-(delay cycles make these matrices periodic), and the Collatz-Wielandt
-bracket at the converged vector is rounded outward so it holds for the
-exact root.  Trivial components (single vertex, no loop) contribute 0.
+is scaled by its largest entry and shifted by the identity so its Perron
+root becomes strictly dominant (delay cycles make these matrices
+periodic), and the Collatz-Wielandt bracket at the converged vector is
+rounded outward so it holds for the exact root.  Trivial components (single vertex, no loop) contribute 0.
 
 The iteration starts from the Perron vector of the component's lag-block
 reduction: the chains of vertices with a single in-edge (the delay lines
@@ -297,8 +297,8 @@ def _perron_start(A: np.ndarray) -> np.ndarray:
     keep = np.flatnonzero(np.count_nonzero(A, axis=1) != 1)
     if keep.size == n:
         return np.ones(n)
-    red = _LagReduction.of(A, keep if keep.size else [0])
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # chain weights may overflow or underflow
+        red = _LagReduction.of(A, keep if keep.size else [0])
         try:
             r, x = _reduced_perron(red)
         except np.linalg.LinAlgError:  # a singular solve, or a non-finite R
@@ -315,11 +315,12 @@ def _perron(A: np.ndarray, cap: int) -> tuple[float, float, np.ndarray]:
     for irreducible nonnegative A.
 
     v starts at :func:`_perron_start`.  Unless A's bracket there is already
-    1e-12 relative wide, it iterates P = (B / max B)^4, B = A + I (A's
-    Perron vector, four steps of B per step) until P's bracket is.  The
-    bracket of A at v is rounded outward: barring underflow, fl(Av) is
-    within gamma_n * Av, and one more gamma term covers the division and
-    the rounding of 1 - gamma.
+    1e-12 relative wide, it iterates P = (A / max A + I)^4 (A's Perron
+    vector, four steps of the shifted matrix per step) until P's bracket
+    is; scaling before the shift keeps the shift from swamping or
+    vanishing beside A's entries at any scale.  The bracket of A at v is
+    rounded outward: barring underflow, fl(Av) is within gamma_n * Av, and
+    one more gamma term covers the division and the rounding of 1 - gamma.
     """
     n = A.shape[0]
     if n == 1:
@@ -327,9 +328,8 @@ def _perron(A: np.ndarray, cap: int) -> tuple[float, float, np.ndarray]:
     v = _perron_start(A)
     ratios = (A @ v) / v
     if ratios.max() - ratios.min() > 1e-12 * ratios.max():
-        B = A + np.eye(n)
-        scale = B.max()
-        P = np.linalg.matrix_power(B / scale, 4)
+        scale = A.max()
+        P = np.linalg.matrix_power(A / scale + np.eye(n), 4)
         for _ in range(cap):
             w = P @ v
             ratios = w / v
@@ -338,7 +338,7 @@ def _perron(A: np.ndarray, cap: int) -> tuple[float, float, np.ndarray]:
             if upper - lower <= 1e-12 * upper:
                 break
         else:
-            lo, hi = scale * np.array([lower, upper]) ** 0.25 - 1.0
+            lo, hi = scale * (np.array([lower, upper]) ** 0.25 - 1.0)
             raise ConvergenceError(f"power iteration did not converge within {cap} "
                                    f"iterations (rho in [{lo:.17g}, {hi:.17g}])")
         ratios = (A @ v) / v

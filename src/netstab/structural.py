@@ -6,6 +6,10 @@ graph acyclic and every vertex lies on some branch; it is basic when,
 additionally, no endpoint pair has two distinct branches.  Complete sets
 are where restriction and expansion are defined; basic sets are where
 the restricted verdict transfers back to the original network.
+
+Completeness is decided in linear time without enumerating a branch
+(there can be exponentially many); branches are enumerated only where
+they are output: in reports, admissible sequences and the basic test.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NetworkError
+from .errors import ConvergenceError, NetworkError
 from .network import REPORT_SCHEMA, InteractionGraph
+from .spectral import _iteration_cap
 
 __all__ = [
     "Branch",
@@ -25,10 +30,7 @@ __all__ = [
     "is_basic_structural",
     "admissible_sequences",
     "find_structural_sets",
-    "EXHAUSTIVE_LIMIT",
 ]
-
-EXHAUSTIVE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,6 @@ class StructuralSetReport:
     basic: bool
     branches: tuple[Branch, ...]
     admissible: tuple[Branch, ...]
-    uncovered: tuple[str, ...] = ()  # vertices on no branch, sorted
 
     def branches_by_endpoints(self) -> dict[tuple[str, str], tuple[Branch, ...]]:
         grouped: dict[tuple[str, str], list[Branch]] = {}
@@ -101,59 +102,67 @@ def _check_subset(graph: InteractionGraph, S) -> tuple[str, ...]:
 def branch_set(graph: InteractionGraph, S) -> list[Branch]:
     """All paths/cycles with endpoints in S and no interior vertex in S.
 
-    Depth-first enumeration from each S vertex through non-S interiors;
-    output in lexicographic order of the vertex sequences.
+    Depth-first enumeration, with an explicit stack, from each S vertex
+    through non-S interiors; output in lexicographic order of the vertex
+    sequences.
     """
     S = _check_subset(graph, S)
     in_s = set(S)
     found: list[Branch] = []
-
-    def walk(path: list[str], on_path: set[str]):
-        for nxt in graph.successors(path[-1]):
-            if nxt in in_s:
-                found.append(Branch(tuple(path) + (nxt,)))
-            elif nxt not in on_path:
-                on_path.add(nxt)
-                path.append(nxt)
-                walk(path, on_path)
-                path.pop()
-                on_path.discard(nxt)
-
     for start in S:
-        walk([start], set())
+        stack = [(start,)]
+        while stack:
+            path = stack.pop()
+            for nxt in graph.successors(path[-1]):
+                if nxt in in_s:
+                    found.append(Branch(path + (nxt,)))
+                elif nxt not in path:
+                    stack.append(path + (nxt,))
     found.sort(key=lambda b: b.vertices)
     return found
 
 
-def _cycle_outside(graph: InteractionGraph, S) -> bool:
-    """Does a cycle survive after deleting S?  (Self-loops count.)"""
-    in_s = set(S)
-    remaining = [v for v in graph.vertices if v not in in_s]
-    succ = {
-        v: [w for w in graph.successors(v) if w not in in_s] for v in remaining
+def _forced(graph: InteractionGraph) -> set[str]:
+    """Vertices every complete set contains: those with a loop, no
+    predecessor or no successor, which lie on no branch interior."""
+    return {
+        v for v in graph.vertices
+        if graph.has_edge(v, v) or not graph.predecessors(v) or not graph.successors(v)
     }
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in remaining}
-    for root in remaining:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = GRAY
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color[w] == GRAY:
-                    return True
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    stack.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = BLACK
-                stack.pop()
-    return False
+
+
+def _acyclic(succ: dict[str, tuple[str, ...]], removed) -> bool:
+    """Is the digraph ``succ`` (vertex -> successors) acyclic once the
+    vertices in ``removed`` are deleted?  Kahn's topological sort."""
+    indegree = {v: 0 for v in succ if v not in removed}
+    for v in indegree:
+        for w in succ[v]:
+            if w in indegree:
+                indegree[w] += 1
+    ready = [v for v, d in indegree.items() if not d]
+    for v in ready:  # grows while it is read: the sort's queue
+        for w in succ[v]:
+            if w in indegree:
+                indegree[w] -= 1
+                if not indegree[w]:
+                    ready.append(w)
+    return len(ready) == len(indegree)
+
+
+def _complete(graph: InteractionGraph, S) -> bool:
+    """Is S complete?  Linear time; no branch is enumerated.
+
+    S is complete iff it holds every forced vertex and G - S is acyclic.
+    Then every vertex outside S has a predecessor and a successor, so from
+    any such v, following predecessors outside S must reach S (G - S has
+    no cycle to go round), and so must following successors; the two
+    halves share only v, or they would close a cycle outside S, so they
+    join into a branch through v.
+    """
+    in_s = set(S)
+    return _forced(graph) <= in_s and _acyclic(
+        {v: graph.successors(v) for v in graph.vertices}, in_s
+    )
 
 
 def is_complete_structural(graph: InteractionGraph, S) -> bool:
@@ -162,7 +171,7 @@ def is_complete_structural(graph: InteractionGraph, S) -> bool:
     Vertices of S count as their own trivial S-to-S paths; every other
     vertex must appear in some branch interior.
     """
-    return report_for(graph, S).complete
+    return _complete(graph, _check_subset(graph, S))
 
 
 def is_basic_structural(graph: InteractionGraph, S) -> bool:
@@ -178,83 +187,55 @@ def admissible_sequences(graph: InteractionGraph, S) -> list[Branch]:
 
 def report_for(graph: InteractionGraph, S) -> StructuralSetReport:
     S = _check_subset(graph, S)
-    return _report(graph, S, acyclic=not _cycle_outside(graph, S))
-
-
-def _report(graph: InteractionGraph, S: tuple[str, ...], acyclic: bool) -> StructuralSetReport:
-    """The report of a checked, sorted S whose cycle test gave ``acyclic``."""
+    complete = _complete(graph, S)
     branches = tuple(branch_set(graph, S))
-    covered = set(S)
-    seen: set[tuple[str, str]] = set()
-    duplicated = False
-    for br in branches:
-        covered.update(br.interior)
-        key = (br.source, br.target)
-        if key in seen:
-            duplicated = True
-        seen.add(key)
-    uncovered = tuple(sorted(set(graph.vertices) - covered))
-    complete = acyclic and not uncovered
+    ends = {(br.source, br.target) for br in branches}
     return StructuralSetReport(
         S=S,
         complete=complete,
-        basic=complete and not duplicated,
+        basic=complete and len(ends) == len(branches),
         branches=branches,
         admissible=tuple(b for b in branches if len(b) > 2),
-        uncovered=uncovered,
     )
-
-
-def _greedy_seed(graph: InteractionGraph) -> StructuralSetReport:
-    """Greedy feedback vertex set, grown until complete."""
-    S: set[str] = set()
-    while _cycle_outside(graph, S):
-        remaining = [v for v in graph.vertices if v not in S]
-        best = max(
-            remaining,
-            key=lambda v: (
-                len([w for w in graph.successors(v) if w not in S])
-                * len([w for w in graph.predecessors(v) if w not in S]),
-                graph.has_edge(v, v),
-            ),
-        )
-        S.add(best)
-    rep = _report(graph, tuple(sorted(S)), acyclic=True)
-    while rep.uncovered:
-        S.add(rep.uncovered[0])
-        rep = _report(graph, tuple(sorted(S)), acyclic=True)
-    return rep
 
 
 def find_structural_sets(
     graph: InteractionGraph, want_basic: bool = False, max_results: int = 16
 ) -> list[StructuralSetReport]:
-    """Search for complete (or basic) structural sets.
+    """Complete (or, with ``want_basic``, basic) structural sets, ordered
+    by |S| and then lexicographically: the first ``max_results`` of them.
 
-    Small graphs (|V| <= 20) are enumerated exhaustively by increasing
-    set size with the acyclicity test as an early filter; larger graphs
-    get a single greedy feedback-vertex-set candidate, verified exactly.
-    Results are ordered by |S|, then lexicographically.
+    The search is exact at every graph size.  Every complete set contains
+    the forced vertices F (a loop, no predecessor or no successor), and
+    F plus a set C of the other vertices is complete iff deleting it leaves
+    the graph acyclic, so the candidates are F + C over C by size and then
+    lexicographically, which is the (|S|, lex) order of the sets.  Only
+    complete candidates are reported, and only their branches enumerated.
+    At most ``NETSTAB_MAX_ITERS`` candidates are tried (default 2^20, every
+    C of 20 free vertices); the next one raises ConvergenceError.
     """
     if max_results < 1:
         raise ValueError("max_results must be positive")
+    forced = _forced(graph)
+    free = sorted(set(graph.vertices) - forced)
+    succ = {v: tuple(w for w in graph.successors(v) if w not in forced) for v in free}
+    cap = _iteration_cap(1 << 20)
+    tried = 0
     results: list[StructuralSetReport] = []
-    vertices = tuple(sorted(graph.vertices))
-    if len(vertices) <= EXHAUSTIVE_LIMIT:
-        for size in range(len(vertices) + 1):
-            for combo in combinations(vertices, size):
-                if _cycle_outside(graph, combo):
-                    continue
-                rep = _report(graph, combo, acyclic=True)
-                if not rep.complete:
-                    continue
-                if want_basic and not rep.basic:
-                    continue
-                results.append(rep)
-                if len(results) >= max_results:
-                    return results
-        return results
-    rep = _greedy_seed(graph)
-    if rep.complete and (rep.basic or not want_basic):
-        results.append(rep)
+    for size in range(len(free) + 1):
+        for combo in combinations(free, size):
+            if tried == cap:
+                raise ConvergenceError(
+                    f"structural-set search stopped after {cap} candidate sets at "
+                    f"|S| = {len(forced) + size}, with {len(results)} sets found"
+                )
+            tried += 1
+            if not _acyclic(succ, combo):
+                continue
+            rep = report_for(graph, forced.union(combo))
+            if want_basic and not rep.basic:
+                continue
+            results.append(rep)
+            if len(results) >= max_results:
+                return results
     return results

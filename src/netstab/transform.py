@@ -14,7 +14,9 @@ For the first two a leaf depends only on the length of its branch, so each
 non-S node is inlined once per depth and the result is a DAG whose size is
 linear in the network, although its printed text counts every branch.
 ``expand`` and ``inline_traces`` work branch by branch, as their output
-does.
+does.  Every transform first checks that S is complete, in time linear in
+the network; only ``expand``, whose coordinates are per branch, lists the
+admissible branches.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 from .delays import AugmentedNetwork, StateIndex, _fresh, _with_lines
 from .errors import TransformError
 from .expr import BinOp, Call, Expr, Var, normalize, references, substitute
-from .network import TimeDelayedNetwork, interaction_graph, network_from_exprs
-from .structural import StructuralSetReport, report_for
+from .network import InteractionGraph, TimeDelayedNetwork, interaction_graph, network_from_exprs
+from .structural import admissible_sequences, is_complete_structural
 
 __all__ = ["InlineTrace", "inline_traces", "restrict", "expand", "delayed_expansion"]
 
@@ -41,8 +43,8 @@ class InlineTrace:
 
 def _check_preconditions(
     net: TimeDelayedNetwork, S
-) -> tuple[tuple[str, ...], StructuralSetReport]:
-    """S in network order, and its structural report (whose S is sorted)."""
+) -> tuple[tuple[str, ...], InteractionGraph]:
+    """S in network order, checked complete, and the interaction graph."""
     if net.T != 1:
         raise TransformError(
             f"network has T = {net.T}; restriction and expansion are defined "
@@ -53,13 +55,13 @@ def _check_preconditions(
     if unknown:
         raise TransformError(f"not nodes of the network: {sorted(unknown)}")
     S = tuple(n for n in net.nodes if n in requested)
-    report = report_for(interaction_graph(net), S)
-    if not report.complete:
+    graph = interaction_graph(net)
+    if not is_complete_structural(graph, S):
         raise TransformError(
             f"{{{', '.join(S)}}} is not a complete structural set; inlining "
             "would not terminate"
         )
-    return S, report
+    return S, graph
 
 
 def _inline_component(
@@ -186,13 +188,13 @@ def expand(net: TimeDelayedNetwork, S) -> AugmentedNetwork:
     Distinct branches with the same source get distinct chains, so the
     state dimension is |S| + sum over admissible branches of (length - 2).
     """
-    S, report = _check_preconditions(net, S)
+    S, graph = _check_preconditions(net, S)
     in_s = set(S)
 
     taken = set(net.nodes)
     lines: list[tuple[str, StateIndex]] = []
     coord_name: dict[tuple[str, ...], str] = {}
-    for br in report.admissible:
+    for br in admissible_sequences(graph, S):
         gamma = br.vertices
         for i in range(2, len(gamma)):
             # leaves inlined through gamma read the deepest coordinate

@@ -11,6 +11,7 @@ import numpy as np
 
 from netstab.expr import BinOp, Call, Const, Expr, Interval, Var
 from netstab.network import (
+    InteractionGraph,
     TimeDelayedNetwork,
     build_network,
     interaction_graph,
@@ -86,6 +87,18 @@ def random_network(
             name=name or f"random{n}",
         )
     return net
+
+
+def loop_free_graph(rng: np.random.Generator, n: int, reads: int = 2) -> InteractionGraph:
+    """Interaction graph on v0..v(n-1) where every vertex reads ``reads``
+    distinct other vertices: no loops, so few vertices are forced into a
+    structural set and the search has the most to do."""
+    vertices = tuple(f"v{i}" for i in range(n))
+    edges = {}
+    for j in range(n):
+        for i in rng.choice([i for i in range(n) if i != j], size=reads, replace=False):
+            edges[(vertices[int(i)], vertices[j])] = frozenset({0})
+    return InteractionGraph(vertices=vertices, edges=edges)
 
 
 def random_complete_set(rng: np.random.Generator, net: TimeDelayedNetwork):

@@ -106,6 +106,33 @@ def test_sets_lists_and_flags(in_tmp, capsys):
     assert any(s["S"] == ["x1", "x3", "x5"] for s in data["sets"])
 
 
+def test_sets_on_a_long_ring(in_tmp, capsys):
+    # its one branch per singleton is 1501 vertices long, deeper than
+    # Python's recursion limit
+    n = 1500
+    path = in_tmp / "ring.net"
+    path.write_text("".join(
+        f"node v{i} domain [-inf,inf]\nupdate v{i} = tanh(v{(i - 1) % n})\n" for i in range(n)
+    ))
+    assert run(["sets", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "{v0} complete"
+
+
+def test_sets_candidate_cap_exit_code(in_tmp, capsys, monkeypatch):
+    # every node reads every other, so S needs 7 of the 8 nodes
+    nodes = [f"x{i}" for i in range(8)]
+    path = in_tmp / "dense.net"
+    path.write_text("".join(
+        f"node {v} domain [-inf,inf]\nupdate {v} = "
+        + " + ".join(f"0.1*tanh({w})" for w in nodes if w != v) + "\n"
+        for v in nodes
+    ))
+    monkeypatch.setenv("NETSTAB_MAX_ITERS", "50")
+    assert run(["sets", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: structural-set search stopped after 50 candidate sets")
+
+
 def test_restrict_requires_set(in_tmp):
     path = _write(in_tmp, "six.net", gallery.six_node())
     with pytest.raises(SystemExit) as exc:

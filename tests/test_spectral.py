@@ -311,6 +311,22 @@ def test_bracket_when_lifted_chain_underflows():
     assert lower <= eig_radius(M) <= upper
 
 
+@pytest.mark.parametrize("rows, scale", [
+    ([[0, 1, 0], [0, 0, 2], [3, 0, 0]], 1e-200),
+    ([[0, 1, 0], [0, 0, 2], [3, 0, 0]], 1e200),
+    ([[0, 0, 1, 2], [0, 0, 3, 1], [2, 1, 0, 0], [1, 3, 0, 0]], 1e15),
+])
+def test_bracket_is_tight_at_extreme_scales(rows, scale):
+    # the iteration scales by the largest entry before it shifts by I: a
+    # shift added first vanishes beside entries of 1e-200 (the bracket
+    # stays the row sums), and beside 1e200 or 1e15 it leaves the cycle
+    # periodic and the bipartite matrix nearly so
+    M = np.array(rows, dtype=float) * scale
+    lower, upper = spectral_bracket(M)
+    assert not exceeds_radius(M, lower) and exceeds_radius(M, upper)
+    assert upper - lower <= 1e-12 * upper
+
+
 def test_bracket_of_scc_without_in_degree_one_vertex():
     # nothing folds away, so the power iteration starts from ones; eigvals
     # gets the 64 ulps of test_bracket_contains_eigenvalue_radius, and the

@@ -1,12 +1,14 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
+import pytest
 
-from gen import random_network
+from gen import loop_free_graph, random_network
 
 from netstab import gallery
+from netstab.errors import ConvergenceError
 from netstab.expr import Interval
-from netstab.network import build_network, interaction_graph
+from netstab.network import InteractionGraph, build_network, interaction_graph
 from netstab.structural import (
     admissible_sequences,
     branch_set,
@@ -262,13 +264,124 @@ def test_find_sets_want_basic_filters():
 
 
 def test_find_sets_greedy_path_on_large_graph():
-    # 24 vertices: a long directed cycle, forcing the heuristic branch
+    # 24 vertices on one directed cycle: any single vertex cuts it, so the
+    # exact search returns the first four singletons in lexicographic order
     n = 24
     decls = [(f"v{i}", R) for i in range(n)]
     rules = [(f"v{i}", f"tanh(v{(i - 1) % n})") for i in range(n)]
     g = interaction_graph(build_network(decls, rules))
     reports = find_structural_sets(g, max_results=4)
-    assert reports and reports[0].complete
+    assert [rep.S for rep in reports] == [("v0",), ("v1",), ("v10",), ("v11",)]
+    assert all(rep.complete for rep in reports)
+
+
+def cycle_outside(graph, S) -> bool:
+    """Oracle: some vertex outside S reaches itself through vertices
+    outside S."""
+    removed = set(S)
+    for v in graph.vertices:
+        if v in removed:
+            continue
+        seen, stack = set(), [v]
+        while stack:
+            for w in graph.successors(stack.pop()):
+                if w == v:
+                    return True
+                if w not in removed and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return False
+
+
+def complete_by_branches(graph, S) -> bool:
+    """Oracle: the definition, with every vertex outside S covered by the
+    interior of some branch of branch_set."""
+    if cycle_outside(graph, S):
+        return False
+    covered = set(S).union(*(b.interior for b in branch_set(graph, S)))
+    return covered == set(graph.vertices)
+
+
+def exhaustive_sets(graph, want_basic, max_results):
+    """Oracle: every vertex subset by size and then lexicographically,
+    kept when complete (and basic) by the branch definition."""
+    found = []
+    vertices = sorted(graph.vertices)
+    for size in range(len(vertices) + 1):
+        for S in combinations(vertices, size):
+            if not complete_by_branches(graph, S):
+                continue
+            branches = tuple(branch_set(graph, S))
+            ends = {(b.source, b.target) for b in branches}
+            if want_basic and len(ends) < len(branches):
+                continue
+            found.append((S, len(ends) == len(branches), branches))
+            if len(found) == max_results:
+                return found
+    return found
+
+
+def seeded_graphs(seed, count, largest):
+    """Interaction graphs of random networks, and loop-free graphs, on at
+    most ``largest`` vertices."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield interaction_graph(random_network(rng, int(rng.integers(2, largest + 1))))
+        yield loop_free_graph(rng, int(rng.integers(3, largest + 1)), int(rng.integers(1, 3)))
+
+
+def test_complete_matches_branch_definition():
+    rng = np.random.default_rng(89)
+    for g in seeded_graphs(97, 30, 9):
+        verts = list(g.vertices)
+        for _ in range(12):
+            share = rng.uniform(0.2, 0.9)
+            S = [v for v in verts if rng.random() < share]
+            assert is_complete_structural(g, S) == complete_by_branches(g, S)
+            assert report_for(g, S).complete == complete_by_branches(g, S)
+
+
+def test_find_sets_matches_exhaustive_search():
+    for g in seeded_graphs(101, 8, 12):
+        for want_basic in (False, True):
+            expected = exhaustive_sets(g, want_basic, 16)
+            for max_results in (1, 4, 16):
+                got = [
+                    (rep.S, rep.basic, rep.branches)
+                    for rep in find_structural_sets(g, want_basic, max_results)
+                ]
+                assert got == expected[:max_results]
+
+
+def test_first_set_is_minimal_on_24_vertex_loop_free_graph():
+    g = loop_free_graph(np.random.default_rng(1), 24)
+    first = find_structural_sets(g, max_results=1)[0]
+    assert complete_by_branches(g, first.S)
+    # every complete set holds the vertices without a predecessor or a
+    # successor (there are no loops), so a smaller one is those plus
+    # fewer free vertices
+    forced = {v for v in g.vertices if not g.predecessors(v) or not g.successors(v)}
+    assert forced <= set(first.S)
+    free = sorted(set(g.vertices) - forced)
+    smaller = len(first.S) - len(forced) - 1
+    assert not any(
+        complete_by_branches(g, forced.union(C)) for C in combinations(free, smaller)
+    )
+
+
+def test_find_sets_stops_at_the_candidate_cap(monkeypatch):
+    # a complete digraph on 8 vertices needs 7 of them in S: 247 smaller
+    # candidates come first, and the 51st has 3 vertices
+    verts = tuple(f"v{i}" for i in range(8))
+    edges = {(a, b): frozenset({0}) for a in verts for b in verts if a != b}
+    g = InteractionGraph(vertices=verts, edges=edges)
+    assert [rep.S for rep in find_structural_sets(g, max_results=2)] == [
+        verts[:7], verts[:6] + verts[7:]
+    ]
+    monkeypatch.setenv("NETSTAB_MAX_ITERS", "50")
+    cap_hit = "after 50 candidate sets at \\|S\\| = 3, with 0 sets found"
+    with pytest.raises(ConvergenceError, match=cap_hit):
+        find_structural_sets(g)
 
 
 def test_report_json():

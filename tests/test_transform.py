@@ -5,7 +5,7 @@ import pytest
 
 from gen import diamond_network, random_basic_set, random_complete_set, random_network
 
-from netstab import gallery
+from netstab import gallery, structural
 from netstab.delays import dedelay, undelay
 from netstab.errors import TransformError
 from netstab.expr import (
@@ -19,7 +19,7 @@ from netstab.expr import (
 )
 from netstab.network import build_network, interaction_graph
 from netstab.stability import analyze
-from netstab.structural import branch_set
+from netstab.structural import branch_set, is_complete_structural
 from netstab.transform import delayed_expansion, expand, inline_traces, restrict
 
 R = Interval.whole()
@@ -108,6 +108,23 @@ def test_restriction_keeps_sharing():
     # the update's own nodes, which sech(u) reads
     assert len(_postorder([differentiate(update, ("s", 0))])) <= 40 * k
     assert len(to_text(update)) > 2**k
+
+
+def test_completeness_checks_enumerate_no_branch(monkeypatch):
+    # a 12-layer diamond has 4096 branches; deciding that a set is complete
+    # (or not), and restricting onto it, lists none of them
+    def refuse(graph, S):
+        raise AssertionError("branch_set called")
+
+    monkeypatch.setattr(structural, "branch_set", refuse)
+    net = diamond_network(np.random.default_rng(12), 12)
+    for transform in (restrict, delayed_expansion):
+        assert transform(net, ["s"]).nodes == ("s",)
+        with pytest.raises(TransformError):
+            transform(net, ["a1"])
+    graph = interaction_graph(net)
+    assert is_complete_structural(graph, ["s"])
+    assert not is_complete_structural(graph, ["a3"])
 
 
 def test_delayed_expansion_of_diamond_reads_by_depth():
