@@ -14,8 +14,9 @@ process's peak resident set (``resource.getrusage``) once that k is done;
 layers run in increasing k, so it is the peak of the largest k so far.
 
 The spectral layer assembles the stability matrix of five rings
-(``tests/gen.py``'s ``rescaled_ring``: the ``bench_orbit.py`` weights with
-neighbour delays 0..D and self delay 1, scaled so that rho = 1 - 1e-10)
+(``tests/gen.py``'s ``rescaled_ring``: the weights of the orbit layer's
+ring with neighbour delays 0..D and self delay 1, scaled so that
+rho = 1 - 1e-10)
 and brackets its spectral radius, as ``netstab analyze`` does: n = 50,
 D <= 32; n = 100, D <= 16; n = 200, D <= 8, each over a thousand lag
 coordinates; n = 400, D = 0, where half the coordinates are the self
@@ -35,13 +36,16 @@ two others (``loop_free_graph``, rng 0), where none is.  It records the
 best of ``--repeats`` wall times in ms, the sets found and the smallest
 set's size.
 
-The orbit layer runs the 48-node delayed ring of ``bench_orbit.py`` (the
-contracting ring of the ``attraction_sim`` workload) three ways, as
-``netstab simulate`` and ``find_fixed_point`` do: a batch of 200 trials
-of up to 600 steps that stop early at the default tolerance, one
-600-step trajectory, and the fixed-point iteration from the origin.  Each
-records the best of ``--repeats`` wall times in ms and the trial steps
-it ran.
+The orbit layer runs the 48-node delayed ring of ``tests/gen.py``'s
+``build_benchmark_network`` (the contracting ring of the
+``attraction_sim`` workload) four ways, as ``netstab simulate`` and
+``find_fixed_point`` do: ``verify_global_attraction`` with 200 trials of
+up to 600 steps at the default tolerance; the same batch through
+``run_orbit_batch`` keeping every state; one 600-step trajectory; and the
+fixed-point iteration from the origin.  Each records the best of
+``--repeats`` wall times in ms, the trial steps it ran (for the
+attraction check, the steps of its slowest trial) and ``peak_mb``, the
+peak of the memory ``tracemalloc`` traces during one more call.
 
 Prints one JSON document and writes it to ``-o`` when given.
 """
@@ -54,15 +58,15 @@ import platform
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from bench_orbit import build_benchmark_network
 from netstab import engine
 from netstab.delays import undelay
 from netstab.network import dump_network, interaction_graph, load_network
-from netstab.sim import find_fixed_point
+from netstab.sim import find_fixed_point, verify_global_attraction
 from netstab.spectral import spectral_bracket
 from netstab.stability import analyze, stability_matrix
 from netstab.structural import find_structural_sets
@@ -70,7 +74,12 @@ from netstab.transform import restrict
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
-from gen import loop_free_graph, random_network, rescaled_ring  # noqa: E402
+from gen import (  # noqa: E402
+    build_benchmark_network,
+    loop_free_graph,
+    random_network,
+    rescaled_ring,
+)
 from workloads import diamond_spec, diamond_text  # noqa: E402
 
 # (nodes, largest neighbour delay, undelayed): the rings where the spectral
@@ -102,6 +111,16 @@ def best_of(repeats: int, fn):
         out = fn()
         best = min(best, time.perf_counter() - t0)
     return 1e3 * best, out
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak of the memory tracemalloc traces during one call of ``fn``, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 1e6, 1)
+    finally:
+        tracemalloc.stop()
 
 
 def peak_rss_mb() -> float:
@@ -179,22 +198,38 @@ def bench_orbit(repeats: int) -> list[dict]:
     net = build_benchmark_network(48)
     program = engine.compile_network(net)
     histories = np.random.default_rng(0).uniform(-1, 1, (200, net.T, net.size))
-    steps = 600
-    # verify_global_attraction's stop threshold at the default --tol 1e-8
-    batch_ms, (_, done, _) = best_of(
-        repeats, lambda: engine.run_orbit_batch(program, histories, steps, stop_delta=1e-11)
-    )
-    single_ms, (_, single_done, _) = best_of(
-        repeats, lambda: engine.run_orbit(program, histories[0], steps)
-    )
-    fixed_ms, _ = best_of(repeats, lambda: find_fixed_point(net, np.zeros(net.size)))
+    trials, steps = histories.shape[0], 600
+
+    def attraction():
+        return verify_global_attraction(net, trials=trials, steps=steps)
+
+    def batch():
+        # verify_global_attraction's stop threshold at the default --tol 1e-8
+        return engine.run_orbit_batch(program, histories, steps, stop_delta=1e-11)
+
+    def single():
+        return engine.run_orbit(program, histories[0], steps)
+
+    def fixed():
+        return find_fixed_point(net, np.zeros(net.size))
+
+    attraction_ms, verdict = best_of(repeats, attraction)
+    batch_ms, (_, done, _) = best_of(repeats, batch)
+    single_ms, (_, single_done, _) = best_of(repeats, single)
+    fixed_ms, _ = best_of(repeats, fixed)
     ring = {"nodes": net.size, "T": net.T, "tape_ops": int(program.ops.shape[0])}
     return [
-        {"case": "batch", **ring, "trials": histories.shape[0], "steps": steps,
-         "trial_steps": int(done.sum()), "ms": round(batch_ms, 2)},
+        {"case": "attraction", **ring, "trials": trials, "steps": steps,
+         "iterations_used": verdict.iterations_used, "ms": round(attraction_ms, 2),
+         "peak_mb": traced_peak_mb(attraction)},
+        {"case": "batch", **ring, "trials": trials, "steps": steps,
+         "trial_steps": int(done.sum()), "ms": round(batch_ms, 2),
+         "peak_mb": traced_peak_mb(batch)},
         {"case": "single", **ring, "trials": 1, "steps": steps,
-         "trial_steps": single_done, "ms": round(single_ms, 2)},
-        {"case": "fixed_point", **ring, "ms": round(fixed_ms, 2)},
+         "trial_steps": single_done, "ms": round(single_ms, 2),
+         "peak_mb": traced_peak_mb(single)},
+        {"case": "fixed_point", **ring, "ms": round(fixed_ms, 2),
+         "peak_mb": traced_peak_mb(fixed)},
     ]
 
 

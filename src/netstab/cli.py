@@ -2,8 +2,8 @@
 
 Verbs: analyze, graph, sets, restrict, expand, undelay, dedelay,
 simulate, verify-paper.  Exit status 0 on success, 1 on domain errors
-(bad rules, unbounded bounds, invalid structural sets), 2 on usage
-errors.
+(bad rules, unbounded bounds, invalid structural sets) and when the
+reader of stdout goes away, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -272,7 +273,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``netstab sets FILE | head -1``): stop
+        # quietly, with stdout on devnull so the exit-time flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

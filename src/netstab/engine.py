@@ -173,40 +173,58 @@ def _run(bound, regs: np.ndarray) -> None:
         kernel(*[regs[rows] for rows in operands], out=out)
 
 
-def _orbit_batch(program: Program, hist, steps, stop_delta):
+def _orbit_batch(program: Program, ring, histories, steps, stop_delta):
+    """Run the batch, writing state r of trial t to ``ring[r % keep, :, t]``.
+
+    The window is shifted in place each step, not gathered from the ring.
+    Stopped and diverged trials are dropped: the register file keeps only
+    the live trials' columns, ``ids`` maps them back to trial numbers.
+    """
     n, T = program.n_nodes, program.T
-    trials = hist.shape[0]
+    keep = ring.shape[0]
+    trials = histories.shape[0]
     regs = _registers(program, trials)
     window = regs[: T * n].reshape(T, n, trials)  # window[d, i]: node i at delay d
+    window[...] = histories[:, ::-1].transpose(1, 2, 0)
     bound = _bind(program, regs)
+    ids = np.arange(trials)
+    cols = slice(None)  # the live trials' columns of the ring
     steps_done = np.full(trials, steps, dtype=np.int64)
     diverged = np.zeros(trials, dtype=bool)
-    active = np.ones(trials, dtype=bool)
     streak = np.zeros(trials, dtype=np.int64)
     with np.errstate(all="ignore"):
         for k in range(steps):
-            if not active.any():
+            if ids.size == 0:
                 break
-            r = T + k
-            window[...] = hist[:, k:r][:, ::-1].transpose(1, 2, 0)
             _run(bound, regs)
-            out = regs[program.out_regs, :]  # (n, trials)
+            out = regs[program.out_regs, :]  # (n, live trials)
             finite = np.isfinite(out).all(axis=0)
-
-            newly_diverged = active & ~finite
-            steps_done[newly_diverged] = k
-            diverged[newly_diverged] = True
-            active &= finite
-
-            write = np.nonzero(active)[0]
-            hist[write, r, :] = out[:, write].T
-
+            live = finite
             if stop_delta > 0.0:
                 delta = np.max(np.abs(out - window[0]), axis=0)
                 streak = np.where(delta <= stop_delta, streak + 1, 0)
-                stopping = active & (streak >= STOP_STREAK)
-                steps_done[stopping] = k + 1
-                active &= ~stopping
+                live = finite & (streak < STOP_STREAK)
+
+            row = ring[(T + k) % keep]
+            if finite.all():
+                row[:, cols] = out
+            else:
+                row[:, ids[finite]] = out[:, finite]
+            window[1:] = window[:-1]
+            window[0] = out
+            if live.all():
+                continue
+
+            diverged[ids[~finite]] = True
+            steps_done[ids[~finite]] = k
+            steps_done[ids[finite & ~live]] = k + 1
+            ids = cols = ids[live]
+            streak = streak[live]
+            # compress copies in C order; regs[:, live] would be F-ordered,
+            # and numpy's tanh and cosh round differently on strided operands
+            regs = regs.compress(live, axis=1)
+            window = regs[: T * n].reshape(T, n, ids.size)
+            bound = _bind(program, regs)
     return steps_done, diverged
 
 
@@ -215,15 +233,19 @@ def run_orbit_batch(
     histories: np.ndarray,
     steps: int,
     stop_delta: float = 0.0,
+    keep: int | None = None,
 ):
     """Iterate ``trials`` orbits for up to ``steps`` steps each.
 
     ``histories`` has shape (trials, T, n) in chronological order, oldest
     snapshot first.  Returns (states, steps_done, diverged) where states
-    has shape (trials, T + steps, n); rows of a trial beyond
-    ``T + steps_done[t]`` are meaningless.  A positive ``stop_delta``
-    stops a trial once the max-norm step change stays at or below it for
-    ``STOP_STREAK`` consecutive steps.
+    has shape (trials, keep, n) and holds state r of a trial (the
+    histories are states 0 .. T-1) in row ``r % keep``; only the last
+    ``keep`` states of each trial are kept.  ``keep=None`` keeps all
+    T + steps, in order.  States of a trial beyond ``T + steps_done[t]``
+    are not written.  A positive ``stop_delta`` stops a trial once the
+    max-norm step change stays at or below it for ``STOP_STREAK``
+    consecutive steps.
     """
     histories = np.asarray(histories, dtype=np.float64)
     trials, T, n = histories.shape
@@ -231,10 +253,14 @@ def run_orbit_batch(
         raise ValueError(
             f"history shape {histories.shape} does not match program (T={program.T}, n={program.n_nodes})"
         )
-    hist = np.zeros((trials, T + steps, n), dtype=np.float64)
-    hist[:, :T, :] = histories
-    steps_done, diverged = _orbit_batch(program, hist, steps, float(stop_delta))
-    return hist, steps_done, diverged
+    keep = T + steps if keep is None else int(keep)
+    if keep < 1:
+        raise ValueError("keep must be positive")
+    ring = np.zeros((keep, n, trials), dtype=np.float64)
+    first = max(0, T - keep)
+    ring[np.arange(first, T) % keep] = histories[:, first:].transpose(1, 2, 0)
+    steps_done, diverged = _orbit_batch(program, ring, histories, steps, float(stop_delta))
+    return ring.transpose(2, 0, 1), steps_done, diverged
 
 
 def run_orbit(

@@ -46,9 +46,8 @@ class Trajectory:
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("step," + ",".join(self.nodes) + "\n")
-        for row_index, row in enumerate(self.states):
-            step = row_index - self.T + 1
-            buf.write(str(step) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        for step, row in enumerate(self.states.tolist(), start=1 - self.T):
+            buf.write(f"{step}," + ",".join(map(repr, row)) + "\n")
         return buf.getvalue()
 
 
@@ -217,8 +216,10 @@ def verify_global_attraction(
     histories = rng.uniform(lo, hi, size=(trials, net.T, net.size))
 
     program = engine.compile_network(net)
+    # every tail read below is at most max(8, (T + steps) // 4) states long
+    keep = max(8, (net.T + steps) // 4)
     states, steps_done, diverged = engine.run_orbit_batch(
-        program, histories, steps, stop_delta=tol * 1e-3
+        program, histories, steps, stop_delta=tol * 1e-3, keep=keep
     )
 
     notes: list[str] = []
@@ -227,8 +228,8 @@ def verify_global_attraction(
     shrinking = True
     for t in range(trials):
         length = net.T + int(steps_done[t])
-        endpoints[t] = states[t, length - 1]
-        tail = states[t, max(0, length - max(8, length // 4)) : length]
+        endpoints[t] = states[t, (length - 1) % keep]
+        tail = states[t, np.arange(max(0, length - max(8, length // 4)), length) % keep]
         half = tail.shape[0] // 2
         d1 = _box_diameter(tail[:half])
         d2 = _box_diameter(tail[half:])

@@ -16,6 +16,7 @@ from netstab.network import (
     build_network,
     interaction_graph,
     load_network,
+    make_cohen_grossberg,
     network_from_exprs,
 )
 from netstab.structural import find_structural_sets
@@ -144,8 +145,26 @@ def diamond_network(rng: np.random.Generator, k: int) -> TimeDelayedNetwork:
     return load_network("\n".join(lines) + "\n")
 
 
+def build_benchmark_network(nodes: int) -> TimeDelayedNetwork:
+    """Delayed Cohen-Grossberg ring with leak 0.5 (rng 12345): every node
+    reads both neighbours through tanh with weights U(0.05, 0.25) at
+    delays 0..3, and itself at delay 1.  The orbit benchmark's ring."""
+    rng = np.random.default_rng(12345)
+    W = np.zeros((nodes, nodes))
+    delays = np.zeros((nodes, nodes), dtype=int)
+    for j in range(nodes):
+        for i in ((j - 1) % nodes, (j + 1) % nodes):
+            W[i, j] = rng.uniform(0.05, 0.25)
+            delays[i, j] = int(rng.integers(0, 4))
+    return make_cohen_grossberg(
+        W, 0.5, b=1.0, c=rng.uniform(-0.2, 0.2, nodes),
+        delays=delays, self_delays=np.ones(nodes, dtype=int),
+        name="bench_ring",
+    )
+
+
 def rescaled_ring(n: int, max_delay: int, excess: float, seed: int = 12345) -> TimeDelayedNetwork:
-    """Linear ring with the weights and delays of benchmarks/bench_orbit.py
+    """Linear ring with the weights and delays of ``build_benchmark_network``
     (rng ``seed``, neighbour delays 0..max_delay, self delay 1, leak 0.5),
     scaled so that the spectral radius of its stability matrix is
     1 + excess.

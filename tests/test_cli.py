@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,6 +119,33 @@ def test_sets_on_a_long_ring(in_tmp, capsys):
     ))
     assert run(["sets", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "{v0} complete"
+
+
+def test_sets_into_a_closed_pipe_exits_quietly(tmp_path):
+    # 16 sets of one 20 kB name each: more than the pipe holds, so the
+    # writer is still printing when head has read one line and exited
+    n = 16
+    name = [f"v{'_' * 20000}{i}" for i in range(n)]
+    path = tmp_path / "ring.net"
+    path.write_text("".join(
+        f"node {name[i]} domain [-inf,inf]\nupdate {name[i]} = tanh({name[i - 1]})\n"
+        for i in range(n)
+    ))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    ))
+    netstab = subprocess.Popen(
+        [sys.executable, "-m", "netstab.cli", "sets", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = subprocess.Popen(["head", "-1"], stdin=netstab.stdout, stdout=subprocess.PIPE)
+    netstab.stdout.close()
+    first = head.communicate()[0]
+    err = netstab.stderr.read()
+    netstab.stderr.close()
+    assert netstab.wait() == 1
+    assert err == b""
+    assert first.startswith(b"{v___")
 
 
 def test_sets_candidate_cap_exit_code(in_tmp, capsys, monkeypatch):

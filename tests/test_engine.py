@@ -1,10 +1,7 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from gen import random_network
+from gen import build_benchmark_network, random_network
 
 from netstab import engine
 from netstab import gallery
@@ -347,15 +344,42 @@ def test_grouped_tape_matches_the_reference_on_divergence_and_early_stops():
     assert diverged[0] and done[0] < 20
 
 
-def _bench_orbit():
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_orbit.py"
-    spec = importlib.util.spec_from_file_location("bench_orbit", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _ring_cases():
+    """Batches whose trials stop at different steps, and batches where some
+    trials diverge, so the live set shrinks while the ring fills."""
+    rng = np.random.default_rng(9)
+    for net in _grouped_cases():
+        prog = engine.compile_network(net)
+        yield prog, rng.uniform(-2, 2, (7, prog.T, prog.n_nodes)), 400, 1e-9
+    prog = engine.compile_network(build_network(
+        [("x1", R), ("x2", R)],
+        [("x1", "x1*x1 + 0.1*tanh(x2[-2])"), ("x2", "0.5*x2 - 0.2*x1[-1]")],
+    ))
+    histories = rng.uniform(-1.5, 1.5, (40, prog.T, prog.n_nodes))
+    for stop_delta in (0.0, 1e-12):
+        yield prog, histories, 300, stop_delta
+
+
+def test_ring_holds_the_last_states_of_the_full_history():
+    stops = divergences = 0
+    for prog, histories, steps, stop_delta in _ring_cases():
+        full, done, diverged = engine.run_orbit_batch(prog, histories, steps, stop_delta)
+        stops += len(set(done[~diverged].tolist())) > 1
+        divergences += 0 < diverged.sum() < diverged.size
+        for keep in (1, prog.T + 1, 64):
+            ring, ring_done, ring_diverged = engine.run_orbit_batch(
+                prog, histories, steps, stop_delta, keep=keep
+            )
+            assert ring.shape == (histories.shape[0], keep, prog.n_nodes)
+            assert np.array_equal(ring_done, done)
+            assert np.array_equal(ring_diverged, diverged)
+            for t, length in enumerate(prog.T + done):
+                rows = np.arange(max(0, length - keep), length)
+                assert np.array_equal(ring[t, rows % keep], full[t, rows])
+    assert stops >= 30 and divergences == 2
 
 
 def test_bench_ring_runs_in_six_groups():
-    prog = engine.compile_network(_bench_orbit().build_benchmark_network(48))
+    prog = engine.compile_network(build_benchmark_network(48))
     assert prog.ops.shape[0] == 384
     assert len(prog.groups) <= 6

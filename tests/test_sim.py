@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gen import random_network
+from gen import build_benchmark_network, random_network
 
-from netstab import gallery
+from netstab import engine, gallery
 from netstab.delays import dedelay, undelay
 from netstab.errors import ConvergenceError, NetstabError, NetworkError
 from netstab.expr import Interval, Var
@@ -175,6 +177,73 @@ def test_attraction_verdict_json():
     assert data["schema"] == "netstab-report/2"
     assert data["converged"] is True
     assert data["trials"] == 4
+
+
+def _full_history_verdict(net, trials, steps, tol, seed):
+    """verify_global_attraction's verdict, read off every state of every trial."""
+    lo, hi = sampling_box(net)
+    histories = np.random.default_rng(seed).uniform(lo, hi, size=(trials, net.T, net.size))
+    states, done, diverged = engine.run_orbit_batch(
+        engine.compile_network(net), histories, steps, stop_delta=tol * 1e-3
+    )
+    endpoints, shrinking = [], True
+    for t in range(trials):
+        length = net.T + int(done[t])
+        endpoints.append(states[t, length - 1])
+        tail = states[t, max(0, length - max(8, length // 4)) : length]
+        half = tail.shape[0] // 2
+        d1, d2 = (float(np.ptp(part, axis=0).max()) if part.size else 0.0
+                  for part in (tail[:half], tail[half:]))
+        shrinking &= d2 <= d1 * (1.0 + 1e-9) + 1e-15
+    n_div = int(diverged.sum())
+    spread = float(np.ptp(endpoints, axis=0).max()) if n_div == 0 else np.inf
+    converged = n_div == 0 and shrinking and spread <= tol
+    return {
+        "converged": converged,
+        "witness": np.mean(endpoints, axis=0).tolist() if converged else None,
+        "final_diameter": spread,
+        "iterations_used": int(done.max()),
+        "diverged_trials": n_div,
+        "shrinking": shrinking,
+    }
+
+
+def test_attraction_verdict_equals_the_full_history_reference():
+    rng = np.random.default_rng(163)
+    nets = [
+        random_network(rng, int(rng.integers(2, 7)), max_delay=3,
+                       amplitude=float(rng.choice([0.2, 0.6, 1.5])))
+        for _ in range(12)
+    ]
+    nets += [gallery.distributed_pair(), build_network([("x1", Interval(-2, 2))], [("x1", "x1*x1")])]
+    seen = set()
+    for i, net in enumerate(nets):
+        for steps in (3, 40, 700):
+            want = _full_history_verdict(net, 9, steps, 1e-8, i)
+            got = verify_global_attraction(net, trials=9, steps=steps, tol=1e-8, seed=i)
+            data = got.to_json_dict()
+            assert {k: data[k] for k in want if k in data} == {
+                k: v for k, v in want.items() if k != "shrinking"
+            }
+            tail_note = "tail diameter increased in at least one trial" in got.notes
+            assert tail_note == (not want["shrinking"])
+            seen.add((want["converged"], want["shrinking"], want["diverged_trials"] > 0))
+    assert {(True, True, False), (False, False, False), (False, False, True)} <= seen
+
+
+def test_attraction_memory_is_bounded_by_the_tail():
+    # the 48-node benchmark ring, 200 trials x 600 steps: the whole history
+    # would be 200 * 604 * 48 * 8 B = 46.4 MB
+    net = build_benchmark_network(48)
+    full = 200 * (net.T + 600) * net.size * 8
+    tracemalloc.start()
+    try:
+        verdict = verify_global_attraction(net, trials=200, steps=600)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.converged
+    assert peak < full / 2
 
 
 def test_attraction_rejects_non_finite_sample_box():
