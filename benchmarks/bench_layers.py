@@ -5,11 +5,13 @@ Usage: python benchmarks/bench_layers.py [-o OUT.json] [--repeats N] [--layers 1
 A k-layer diamond chain s -> (a1, b1) -> ... -> (ak, bk) -> s (the
 construction of the ``restrict_diamond`` benchmark workload) has 2^k
 branches through 2k + 1 nodes.  For each k this restricts it onto {s},
-prints the result, parses it back and analyzes it, as ``netstab restrict``
+prints the result, loads it back and analyzes it, as ``netstab restrict``
 followed by ``netstab analyze`` would, and records per step the best of
 ``--repeats`` wall times in ms, plus the sizes that drive them: characters
 of the printed rule, distinct expression nodes of the parsed rule and
-characters of the report's derivative provenance.  ``peak_rss_mb`` is the
+characters of the report's derivative provenance.  The load is also
+split into its two layers: ``parse_ms`` parses the printed rules and
+``normalize_ms`` normalizes the parsed ones.  ``peak_rss_mb`` is the
 process's peak resident set (``resource.getrusage``) once that k is done;
 layers run in increasing k, so it is the peak of the largest k so far.
 
@@ -48,6 +50,10 @@ attraction check, the steps of its slowest trial) and ``peak_mb``, the
 peak of the memory ``tracemalloc`` traces during one more call.
 
 Prints one JSON document and writes it to ``-o`` when given.
+``BENCH_layers.json`` keeps these documents as a history: one entry of
+``pairs`` per change measured, oldest first, each keyed by its parent and
+change commits and holding the ``before`` and ``after`` runs, both taken
+with the same ``bench_layers.py``.  A new measurement appends a pair.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ import numpy as np
 
 from netstab import engine
 from netstab.delays import undelay
+from netstab.expr import normalize, parse_expression
 from netstab.network import dump_network, interaction_graph, load_network
 from netstab.sim import find_fixed_point, verify_global_attraction
 from netstab.spectral import spectral_bracket
@@ -134,12 +141,20 @@ def bench_diamond(k: int, repeats: int) -> dict:
     restrict_ms, restricted = best_of(repeats, lambda: restrict(net, ["s"]))
     dump_ms, text = best_of(repeats, lambda: dump_network(restricted))
     load_ms, loaded = best_of(repeats, lambda: load_network(text))
+    rules = [line.split("=", 1)[1].strip() for line in text.splitlines()
+             if line.startswith("update ")]
+    declared = set(restricted.nodes)
+    parse_ms, parsed = best_of(
+        repeats, lambda: [parse_expression(rule, declared) for rule in rules])
+    normalize_ms, _ = best_of(repeats, lambda: [normalize(e) for e in parsed])
     analyze_ms, report = best_of(repeats, lambda: analyze(loaded))
     return {
         "layers": k,
         "restrict_ms": round(restrict_ms, 2),
         "dump_ms": round(dump_ms, 2),
         "load_ms": round(load_ms, 2),
+        "parse_ms": round(parse_ms, 2),
+        "normalize_ms": round(normalize_ms, 2),
         "analyze_ms": round(analyze_ms, 2),
         "total_ms": round(restrict_ms + dump_ms + load_ms + analyze_ms, 2),
         "rule_chars": len(text.splitlines()[-1]),

@@ -9,6 +9,7 @@ reader of stdout goes away, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -207,7 +208,10 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no
+    state in it, so every :func:`run` reads its own argv alone."""
     parser = argparse.ArgumentParser(
         prog="netstab",
         description="Stability analysis of discrete-time dynamical networks",

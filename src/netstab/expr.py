@@ -16,7 +16,8 @@ substitution) visits each distinct node once, iteratively, with a memo
 local to the call, so its cost is O(distinct nodes) and deep input does
 not exhaust the interpreter stack; a shared input node maps to one shared
 output node.  Printed text still expands the sharing, so the text of a
-restricted rule grows with the number of paths, not of nodes.
+restricted rule grows with the number of paths, not of nodes; the parser
+reads each distinct parenthesised group of it once.
 
 The module provides parsing, printing, symbolic differentiation, exact
 point evaluation and interval evaluation.  Interval results are widened
@@ -427,29 +428,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/()\[\]]))"
 )
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
+_PARENS_RE = re.compile(r"[()]")
 
 # Deepest parenthesis or function-call nesting the parser accepts.  Each
 # level costs five interpreter frames, so this keeps parsing well inside
@@ -458,16 +437,41 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 MAX_NESTING = 100
 
 
+def _matching_parens(text: str) -> dict[int, int]:
+    """The position of the ``)`` that closes each ``(`` of ``text`` that
+    has one."""
+    close: dict[int, int] = {}
+    opened: list[int] = []
+    for m in _PARENS_RE.finditer(text):
+        if m.group() == "(":
+            opened.append(m.start())
+        elif opened:
+            close[opened.pop()] = m.start()
+    return close
+
+
 class _Parser:
+    """Recursive descent over tokens read lazily from a character position.
+
+    A printed restriction spells every shared node out once per path, so
+    its text repeats the same parenthesised groups many times.  The parser
+    keeps the node and nesting height of each group text it has parsed and
+    steps over every later copy, so it reads each distinct group once.
+    """
+
     def __init__(self, text: str, declared: set[str]):
         self.text = text
         self.declared = declared
-        self.tokens = _tokenize(text)
-        self.i = 0
+        self.close = _matching_parens(text)
+        self.seek(0)
         self.depth = 0
+        # deepest nesting reached inside the innermost open group
+        self.peak = 0
         # one node per distinct subexpression of this text; children are
         # interned first, so their identity stands for their structure
         self.table: dict[tuple, Expr] = {}
+        # inner text of each group parsed so far -> (node, nesting height)
+        self.groups: dict[str, tuple[Expr, int]] = {}
 
     def intern(self, node: Expr) -> Expr:
         if isinstance(node, Const):
@@ -481,41 +485,77 @@ class _Parser:
             key = (BinOp, node.op, id(node.left), id(node.right))
         return self.table.setdefault(key, node)
 
-    def nested(self, pos: int) -> Expr:
-        """The expression up to the closing parenthesis, one level deeper."""
+    def seek(self, pos: int):
+        """Read the token that starts at or after ``pos`` into ``self.tok``.
+
+        A character no token starts with becomes a ``bad`` token, an error
+        only once the parse reaches it.
+        """
+        text = self.text
+        m = _TOKEN_RE.match(text, pos)
+        if m is not None:
+            kind = m.lastgroup
+            self.tok, self.end = (kind, m.group(kind), m.start(kind)), m.end()
+            return
+        stripped = text[pos:].lstrip()
+        at = len(text) - len(stripped)
+        self.tok = ("bad", stripped[0], at) if stripped else ("end", "", at)
+        self.end = at + 1
+
+    def error(self, message: str, tok) -> ParseError:
+        kind, value, pos = tok
+        if kind == "bad":
+            message = f"unexpected character {value!r}"
+        return ParseError(message, pos)
+
+    def nested(self, at: int, open_pos: int) -> Expr:
+        """The expression inside the group that opens at ``open_pos``, one
+        level deeper, up to and past its closing parenthesis; ``at`` is
+        where a nesting error is reported."""
         if self.depth >= MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", at)
+        close = self.close.get(open_pos)
+        inner = None if close is None else self.text[open_pos + 1:close]
+        seen = self.groups.get(inner)
+        # a copy of a parsed group parses to the same node, unless it now
+        # sits too deep: then it is parsed again and fails where it must
+        if seen is not None and self.depth + 1 + seen[1] <= MAX_NESTING:
+            self.peak = max(self.peak, self.depth + 1 + seen[1])
+            self.seek(close + 1)
+            return seen[0]
         self.depth += 1
+        outer_peak, self.peak = self.peak, self.depth
         e = self.expr()
+        height = self.peak - self.depth
+        self.peak = max(outer_peak, self.peak)
         self.depth -= 1
         self.expect_op(")")
+        if inner is not None:
+            self.groups[inner] = (e, height)
         return e
 
-    def peek(self):
-        return self.tokens[self.i]
-
     def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
+        tok = self.tok
+        self.seek(self.end)
         return tok
 
     def expect_op(self, symbol: str):
-        kind, value, pos = self.peek()
+        kind, value, _ = self.tok
         if kind != "op" or value != symbol:
-            raise ParseError(f"expected {symbol!r}", pos)
+            raise self.error(f"expected {symbol!r}", self.tok)
         return self.advance()
 
     def parse(self) -> Expr:
         e = self.expr()
-        kind, value, pos = self.peek()
+        kind, value, _ = self.tok
         if kind != "end":
-            raise ParseError(f"unexpected trailing input {value!r}", pos)
+            raise self.error(f"unexpected trailing input {value!r}", self.tok)
         return e
 
     def expr(self) -> Expr:
         e = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, _ = self.tok
             if kind == "op" and value in ("+", "-"):
                 self.advance()
                 e = self.intern(BinOp(value, e, self.term()))
@@ -525,7 +565,7 @@ class _Parser:
     def term(self) -> Expr:
         e = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, _ = self.tok
             if kind == "op" and value in ("*", "/"):
                 self.advance()
                 e = self.intern(BinOp(value, e, self.factor()))
@@ -533,10 +573,10 @@ class _Parser:
                 return e
 
     def factor(self) -> Expr:
-        kind, value, _ = self.peek()
+        kind, value, _ = self.tok
         if kind == "op" and value == "-":
             self.advance()
-            nkind, nvalue, _ = self.peek()
+            nkind, nvalue, _ = self.tok
             # a minus sign directly on a numeral is the negative constant
             if nkind == "num":
                 self.advance()
@@ -545,31 +585,32 @@ class _Parser:
         return self.atom()
 
     def atom(self) -> Expr:
-        kind, value, pos = self.advance()
+        tok = self.advance()
+        kind, value, pos = tok
         if kind == "num":
             return self.intern(Const(float(value)))
         if kind == "op" and value == "(":
-            return self.nested(pos)
+            return self.nested(pos, pos)
         if kind == "ident":
-            nxt_kind, nxt_value, _ = self.peek()
+            nxt_kind, nxt_value, nxt_pos = self.tok
             if nxt_kind == "op" and nxt_value == "(":
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function {value!r}", pos)
                 self.advance()
-                return self.intern(Call(value, self.nested(pos)))
+                return self.intern(Call(value, self.nested(pos, nxt_pos)))
             if value not in self.declared:
                 raise ParseError(f"undeclared identifier {value!r}", pos)
             delay = 0
             if nxt_kind == "op" and nxt_value == "[":
                 self.advance()
                 self.expect_op("-")
-                dkind, dvalue, dpos = self.advance()
-                if dkind != "num" or not dvalue.isdigit():
-                    raise ParseError("delay must be a nonnegative integer", dpos)
-                delay = int(dvalue)
+                dtok = self.advance()
+                if dtok[0] != "num" or not dtok[1].isdigit():
+                    raise self.error("delay must be a nonnegative integer", dtok)
+                delay = int(dtok[1])
                 self.expect_op("]")
             return self.intern(Var(value, delay))
-        raise ParseError(f"unexpected token {value!r}", pos)
+        raise self.error(f"unexpected token {value!r}", tok)
 
 
 def parse_expression(text: str, declared: set[str] | frozenset[str]) -> Expr:
@@ -578,6 +619,8 @@ def parse_expression(text: str, declared: set[str] | frozenset[str]) -> Expr:
     Identical subexpressions come back as one shared node.  ``declared``
     is the set of node identifiers a variable reference may name; anything
     else is an error, and so is nesting deeper than ``MAX_NESTING``.
+    Tokens are read as the parse reaches them, so of several errors the
+    one met first in reading order is reported.
     """
     return _Parser(text, set(declared)).parse()
 
@@ -596,14 +639,16 @@ def to_text(e: Expr) -> str:
     """
     repeated: set[int] = set()
     order = _postorder((e,), repeated=repeated)
-    shared: dict[int, str] = {}
+    shared: dict[int, tuple[Expr, str]] = {}
     for cur in order if repeated else ():
         if id(cur) in repeated and isinstance(cur, (Call, BinOp)):
-            shared[id(cur)] = _render(cur, shared)
+            shared[id(cur)] = (cur, _render(cur, shared))
     return _render(e, shared)
 
 
-def _render(e: Expr, shared: dict[int, str]) -> str:
+def _render(e: Expr, shared: dict[int, tuple[Expr, str]]) -> str:
+    """The text of ``e``, taking the text of every node in ``shared`` from
+    there: a node prints the same wherever it sits."""
     pieces: list[str] = []
     stack: list[Expr | str] = [e]
     while stack:
@@ -611,7 +656,7 @@ def _render(e: Expr, shared: dict[int, str]) -> str:
         if isinstance(cur, str):
             pieces.append(cur)
         elif id(cur) in shared:
-            pieces.append(shared[id(cur)])
+            pieces.append(shared[id(cur)][1])
         elif isinstance(cur, Const):
             pieces.append(repr(cur.value))
         elif isinstance(cur, Var):
@@ -900,11 +945,21 @@ def _flatten_mul(e: Expr, factors: list[Expr]) -> float:
     return coeffs[0]
 
 
-def _rebuild_product(coeff: float, factors: list[Expr]) -> Expr:
+def _key(e: Expr, keys: dict[int, tuple[Expr, str]]) -> str:
+    """``to_text(e)``, rendered once per :func:`normalize` call from the
+    texts of the nodes keyed before it.  ``keys`` holds each keyed node
+    with its text, so no id in it is reused while it lives."""
+    hit = keys.get(id(e))
+    if hit is None:
+        hit = keys[id(e)] = (e, _render(e, keys))
+    return hit[1]
+
+
+def _rebuild_product(coeff: float, factors: list[Expr], keys: dict) -> Expr:
     if coeff == 0.0:
         return Const(0.0)
     if len(factors) > 1:
-        factors = sorted(factors, key=to_text)
+        factors = sorted(factors, key=lambda f: _key(f, keys))
     out: Expr | None = None
     for f in factors:
         out = f if out is None else BinOp("*", out, f)
@@ -917,7 +972,7 @@ def _rebuild_product(coeff: float, factors: list[Expr]) -> Expr:
     return BinOp("*", Const(coeff), out)
 
 
-def _normalize_sum(e: Expr, normal: dict[int, Expr]) -> Expr:
+def _normalize_sum(e: Expr, normal: dict[int, Expr], keys: dict) -> Expr:
     const_part = 0.0
     grouped: dict[str, tuple[Expr, float]] = {}
     for sign, term in _flatten_add(e):
@@ -926,14 +981,14 @@ def _normalize_sum(e: Expr, normal: dict[int, Expr]) -> Expr:
         if not factors:
             const_part += coeff
             continue
-        core = _rebuild_product(1.0, factors)
-        key = to_text(core)
+        core = _rebuild_product(1.0, factors, keys)
+        key = _key(core, keys)
         prev = grouped.get(key)
         grouped[key] = (core, coeff + (prev[1] if prev else 0.0))
     out: Expr | None = None
     for key in sorted(grouped):
         core, coeff = grouped[key]
-        piece = _rebuild_product(coeff, [core])
+        piece = _rebuild_product(coeff, [core], keys)
         if isinstance(piece, Const) and piece.value == 0.0:
             continue
         out = piece if out is None else BinOp("+", out, piece)
@@ -952,9 +1007,11 @@ def normalize(e: Expr) -> Expr:
     Point values are preserved; only the tree shape changes.  Each
     distinct node is normalized once; an additive chain is summed whole,
     never from the normal forms of its sub-chains, so its coefficients
-    add up in one fixed order.
+    add up in one fixed order.  Terms and factors are ordered by their
+    printed text, each rendered once per call from its children's.
     """
     normal: dict[int, Expr] = {}
+    keys: dict[int, tuple[Expr, str]] = {}
     for cur in _postorder((e,), sums_as_terms=True):
         if isinstance(cur, (Const, Var)):
             out = cur
@@ -968,8 +1025,8 @@ def normalize(e: Expr) -> Expr:
             factors: list[Expr] = []
             coeff = _flatten_mul(normal[id(cur.left)], factors)
             coeff *= _flatten_mul(normal[id(cur.right)], factors)
-            out = _rebuild_product(coeff, factors)
+            out = _rebuild_product(coeff, factors, keys)
         else:
-            out = _normalize_sum(cur, normal)
+            out = _normalize_sum(cur, normal, keys)
         normal[id(cur)] = out
     return normal[id(e)]

@@ -103,6 +103,12 @@ def _assemble(net: TimeDelayedNetwork):
     data = np.zeros((len(indices), len(indices)))
     provenance: dict[str, str] = {}
     for j, i, partial in _partials(net, indices):
+        key = f"{labels[j]}<-{labels[i]}"
+        if type(partial) is ex.Const:
+            # what eval_interval and to_text give a constant, without the walks
+            data[j, i] = abs(partial.value)
+            provenance[key] = repr(partial.value)
+            continue
         sup = ex.eval_interval(partial, box).sup_abs()
         if not math.isfinite(sup):
             ref = ex.to_text(ex.Var(indices[i].node, indices[i].depth))
@@ -111,7 +117,7 @@ def _assemble(net: TimeDelayedNetwork):
                 f"(term: {ex.to_text(partial)})"
             )
         data[j, i] = sup
-        provenance[f"{labels[j]}<-{labels[i]}"] = ex.to_text(partial)
+        provenance[key] = ex.to_text(partial)
     return NonnegMatrix(data, labels), provenance
 
 

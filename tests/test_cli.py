@@ -109,6 +109,22 @@ def test_sets_lists_and_flags(in_tmp, capsys):
     assert any(s["S"] == ["x1", "x3", "x5"] for s in data["sets"])
 
 
+def test_consecutive_runs_do_not_share_options(in_tmp, capsys):
+    six = _write(in_tmp, "six.net", gallery.six_node())
+    assert run(["sets", "--basic", str(six)]) == 0
+    assert "{x1,x3,x5} complete non-basic" in capsys.readouterr().out
+    assert run(["sets", str(six)]) == 0
+    out = capsys.readouterr().out
+    assert "{x1,x3,x5} complete\n" in out and "basic" not in out
+    pair = _write(in_tmp, "pair.net", gallery.undelayed_pair(0.5, 0.1, 1.0))
+    assert run(["simulate", str(pair), "--trials", "3", "--steps", "50", "--seed", "4"]) == 0
+    assert json.loads((in_tmp / "pair.verdict.json").read_text())["trials"] == 3
+    assert run(["simulate", str(pair)]) == 0
+    verdict = json.loads((in_tmp / "pair.verdict.json").read_text())
+    assert verdict["trials"] == 20
+    assert len((in_tmp / "pair.trajectory.csv").read_text().splitlines()) > 5000
+
+
 def test_sets_on_a_long_ring(in_tmp, capsys):
     # its one branch per singleton is 1501 vertices long, deeper than
     # Python's recursion limit

@@ -12,6 +12,7 @@ from netstab.expr import (
     Const,
     Interval,
     Var,
+    _Parser,
     _postorder,
     differentiate,
     eval_interval,
@@ -22,6 +23,7 @@ from netstab.expr import (
     substitute,
     to_text,
 )
+from netstab.network import dump_network, load_network
 from netstab.transform import restrict
 
 NODES = {"x1", "x2", "x3"}
@@ -406,3 +408,93 @@ def test_parse_nesting_limit():
     ):
         with pytest.raises(ParseError, match="nesting deeper than"):
             parse_expression(text, NODES)
+
+
+# ---------------------------------------------------------------------------
+# repeated groups are parsed once
+
+
+class _CountingParser(_Parser):
+    """Counts the (sub)expressions it parses token by token."""
+
+    def expr(self):
+        self.parsed = getattr(self, "parsed", 0) + 1
+        return super().expr()
+
+
+def test_repeated_group_is_the_node_a_fresh_parse_interns():
+    group = "x1 + tanh(x2 * x3[-1])"
+    once = _CountingParser(f"({group})", NODES)
+    once.parse()
+    parser = _CountingParser(f"({group}) * sin({group}) - ({group})", NODES)
+    e = parser.parse()
+    # the copies are stepped over, not read again
+    assert parser.parsed == once.parsed == 3
+    first = e.left.left
+    assert e.left.right.arg is first and e.right is first
+    fresh = _Parser(group, NODES)
+    fresh.table = parser.table
+    assert fresh.parse() is first
+
+
+def test_restricted_diamond_text_loads_back_equal():
+    net = restrict(diamond_network(np.random.default_rng(12), 12), ["s"])
+    text = dump_network(net)
+    assert len(text) > 300_000
+    loaded = load_network(text)
+    assert loaded == net
+    assert dump_network(loaded) == text
+
+
+def test_nesting_limit_holds_for_a_repeated_group():
+    # tanh^50(x1) is legal where it first appears; its copies nest 50 more
+    # levels under whatever encloses them
+    group = "tanh(" * 50 + "x1" + ")" * 50
+    outer = f"sin({group})"  # its copy of the group is a repeat
+    for prefix in (group, f"{group} + {outer}"):
+        fits = f"{prefix} + " + "(" * 49 + outer + ")" * 49
+        assert to_text(parse_expression(fits, NODES)).endswith(outer)
+        for copy, height in ((group, 50), (outer, 51)):
+            extra = MAX_NESTING + 1 - height  # one level too many
+            deep = "(" * extra + copy + ")" * extra
+            with pytest.raises(ParseError, match="nesting deeper than") as alone:
+                parse_expression(deep, NODES)
+            with pytest.raises(ParseError, match="nesting deeper than") as repeated:
+                parse_expression(f"{prefix} + {deep}", NODES)
+            assert repeated.value.position == alone.value.position + len(prefix) + 3
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("(x1 + x2", "expected ')'", 8),
+    ("tanh(x1", "expected ')'", 7),
+    ("((x1) + (x2)", "expected ')'", 12),
+    ("x1 + x2)", "unexpected trailing input ')'", 7),
+    ("tanh(x2)) + (x1", "unexpected trailing input ')'", 8),
+    (")x1(", "unexpected token ')'", 0),
+    ("()", "unexpected token ')'", 1),
+    ("x1 + @", "unexpected character '@'", 5),
+    ("x1 + (x2 $ x3)", "unexpected character '$'", 9),
+    ("(x1 + x2) + (x1 + x2 $)", "unexpected character '$'", 21),
+    ("tanh(x1) # c", "unexpected character '#'", 9),
+    ("x1[-@]", "unexpected character '@'", 4),
+    ("x1[-2.5]", "delay must be a nonnegative integer", 4),
+])
+def test_parse_error_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, NODES)
+    assert str(err.value).startswith(message)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("x9 + @", "undeclared identifier 'x9'", 0),
+    ("cot(x1) @", "unknown function 'cot'", 0),
+    ("x1 x2 @", "unexpected trailing input 'x2'", 3),
+    ("(x1 @ x9) + x9", "unexpected character '@'", 4),
+    ("x1 + (x2 + x9) $", "undeclared identifier 'x9'", 11),
+])
+def test_parse_reports_the_first_error_in_reading_order(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, NODES)
+    assert str(err.value).startswith(message)
+    assert err.value.position == position

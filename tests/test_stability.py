@@ -6,13 +6,15 @@ import pytest
 
 from gen import random_network, rescaled_ring
 
+from netstab import expr as ex
 from netstab import gallery
-from netstab.delays import dedelay, undelay
+from netstab.delays import dedelay, state_indices, undelay
 from netstab.errors import UnboundedDerivativeError
 from netstab.expr import Interval
 from netstab.network import build_network, make_cohen_grossberg
 from netstab.spectral import _LagReduction, spectral_radius
 from netstab.stability import (
+    _partials,
     analyze,
     jacobian_matrix,
     local_spectral_radius,
@@ -165,6 +167,32 @@ def test_provenance_names_partials():
     # delayed reads print in the rules' own notation
     assert report.provenance["x1<-x2@3"] == "0.2 * (sech(x2[-3]) * sech(x2[-3]))"
     assert report.provenance["x1@2<-x1@1"] == "1.0"
+
+
+@pytest.mark.parametrize("net", [
+    gallery.cg_ring(5, 0.3, 1.5, 0.2),
+    gallery.delayed_pair(0.5, 0.1, 1.0),
+    gallery.undelayed_pair(0.5, 0.1, 1.0),
+    gallery.distributed_pair(),
+    gallery.tanh_ring(6, 3.0),
+    gallery.six_node(),
+    rescaled_ring(12, 4, -1e-3),
+    random_network(np.random.default_rng(3), 8, max_delay=3),
+], ids=lambda net: net.name or "ring")
+def test_constant_partials_match_the_generic_path(net):
+    # every partial through eval_interval and to_text, constants included
+    indices = state_indices(net)
+    labels = [idx.label() for idx in indices]
+    box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
+    data = np.zeros((len(indices), len(indices)))
+    provenance = {}
+    for j, i, partial in _partials(net, indices):
+        data[j, i] = ex.eval_interval(partial, box).sup_abs()
+        provenance[f"{labels[j]}<-{labels[i]}"] = ex.to_text(partial)
+    report = analyze(net)
+    assert report.matrix.data.tobytes() == data.tobytes()
+    assert report.provenance == provenance
+    assert list(report.provenance) == list(provenance)
 
 
 def test_user_supplied_larger_matrix_dominates():
