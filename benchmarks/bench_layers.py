@@ -7,9 +7,13 @@ construction of the ``restrict_diamond`` benchmark workload) has 2^k
 branches through 2k + 1 nodes.  For each k this restricts it onto {s},
 prints the result, loads it back and analyzes it, as ``netstab restrict``
 followed by ``netstab analyze`` would, and records per step the best of
-``--repeats`` wall times in ms, plus the sizes that drive them: characters
-of the printed rule, distinct expression nodes of the parsed rule and
-characters of the report's derivative provenance.  The load is also
+``--repeats`` wall times in ms (``total_ms`` sums restrict, dump, load
+and analyze), plus the sizes that drive them: characters of the printed
+rule, distinct expression nodes of the parsed rule and characters of the
+report's derivative provenance (its entries and the texts of the shared
+subexpressions they name).  ``report_json_ms`` times
+``StabilityReport.to_json`` and ``report_chars`` counts what it writes,
+as ``netstab analyze -o`` would.  The load is also
 split into its two layers: ``parse_ms`` parses the printed rules and
 ``normalize_ms`` normalizes the parsed ones.  ``peak_rss_mb`` is the
 process's peak resident set (``resource.getrusage``) once that k is done;
@@ -46,7 +50,7 @@ up to 600 steps at the default tolerance; the same batch through
 ``run_orbit_batch`` keeping every state; one 600-step trajectory; and the
 fixed-point iteration from the origin.  Each records the best of
 ``--repeats`` wall times in ms, the trial steps it ran (for the
-attraction check, the steps of its slowest trial) and ``peak_mb``, the
+attraction check also the steps of its slowest trial) and ``peak_mb``, the
 peak of the memory ``tracemalloc`` traces during one more call.
 
 Prints one JSON document and writes it to ``-o`` when given.
@@ -148,6 +152,8 @@ def bench_diamond(k: int, repeats: int) -> dict:
         repeats, lambda: [parse_expression(rule, declared) for rule in rules])
     normalize_ms, _ = best_of(repeats, lambda: [normalize(e) for e in parsed])
     analyze_ms, report = best_of(repeats, lambda: analyze(loaded))
+    report_json_ms, report_text = best_of(repeats, report.to_json)
+    provenance = [*report.provenance.values(), *report.shared.values()]
     return {
         "layers": k,
         "restrict_ms": round(restrict_ms, 2),
@@ -156,10 +162,12 @@ def bench_diamond(k: int, repeats: int) -> dict:
         "parse_ms": round(parse_ms, 2),
         "normalize_ms": round(normalize_ms, 2),
         "analyze_ms": round(analyze_ms, 2),
+        "report_json_ms": round(report_json_ms, 2),
         "total_ms": round(restrict_ms + dump_ms + load_ms + analyze_ms, 2),
         "rule_chars": len(text.splitlines()[-1]),
         "distinct_nodes": distinct_nodes(loaded.updates["s"]),
-        "provenance_chars": sum(len(v) for v in report.provenance.values()),
+        "provenance_chars": sum(len(v) for v in provenance),
+        "report_chars": len(report_text),
         "rho": report.rho,
         "peak_rss_mb": round(peak_rss_mb(), 1),
     }
@@ -235,7 +243,8 @@ def bench_orbit(repeats: int) -> list[dict]:
     ring = {"nodes": net.size, "T": net.T, "tape_ops": int(program.ops.shape[0])}
     return [
         {"case": "attraction", **ring, "trials": trials, "steps": steps,
-         "iterations_used": verdict.iterations_used, "ms": round(attraction_ms, 2),
+         "iterations_used": verdict.iterations_used, "trial_steps": verdict.trial_steps,
+         "ms": round(attraction_ms, 2),
          "peak_mb": traced_peak_mb(attraction)},
         {"case": "batch", **ring, "trials": trials, "steps": steps,
          "trial_steps": int(done.sum()), "ms": round(batch_ms, 2),

@@ -17,7 +17,8 @@ local to the call, so its cost is O(distinct nodes) and deep input does
 not exhaust the interpreter stack; a shared input node maps to one shared
 output node.  Printed text still expands the sharing, so the text of a
 restricted rule grows with the number of paths, not of nodes; the parser
-reads each distinct parenthesised group of it once.
+reads each distinct parenthesised group of it once.  The report's
+derivative provenance names the nodes whose sharing nests instead.
 
 The module provides parsing, printing, symbolic differentiation, exact
 point evaluation and interval evaluation.  Interval results are widened
@@ -428,7 +429,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/()\[\]]))"
 )
-_PARENS_RE = re.compile(r"[()]")
 
 # Deepest parenthesis or function-call nesting the parser accepts.  Each
 # level costs five interpreter frames, so this keeps parsing well inside
@@ -436,18 +436,10 @@ _PARENS_RE = re.compile(r"[()]")
 # diamond nest k + 1 levels.
 MAX_NESTING = 100
 
-
-def _matching_parens(text: str) -> dict[int, int]:
-    """The position of the ``)`` that closes each ``(`` of ``text`` that
-    has one."""
-    close: dict[int, int] = {}
-    opened: list[int] = []
-    for m in _PARENS_RE.finditer(text):
-        if m.group() == "(":
-            opened.append(m.start())
-        elif opened:
-            close[opened.pop()] = m.start()
-    return close
+# A group whose inner text has at least this many characters is
+# remembered under its first _GROUP_KEY characters; a shorter one is
+# parsed again at each copy, which costs no more than looking it up.
+_GROUP_KEY = 16
 
 
 class _Parser:
@@ -455,14 +447,16 @@ class _Parser:
 
     A printed restriction spells every shared node out once per path, so
     its text repeats the same parenthesised groups many times.  The parser
-    keeps the node and nesting height of each group text it has parsed and
-    steps over every later copy, so it reads each distinct group once.
+    remembers the inner text, node and nesting height of each group it has
+    parsed, keyed by the text's first characters.  At a ``(`` whose text
+    goes on with a remembered inner text and then ``)``, it steps over the
+    copy: the inner text is balanced, so that ``)`` closes the group.  It
+    reads each distinct group once, and never scans the whole text.
     """
 
     def __init__(self, text: str, declared: set[str]):
         self.text = text
         self.declared = declared
-        self.close = _matching_parens(text)
         self.seek(0)
         self.depth = 0
         # deepest nesting reached inside the innermost open group
@@ -470,8 +464,9 @@ class _Parser:
         # one node per distinct subexpression of this text; children are
         # interned first, so their identity stands for their structure
         self.table: dict[tuple, Expr] = {}
-        # inner text of each group parsed so far -> (node, nesting height)
-        self.groups: dict[str, tuple[Expr, int]] = {}
+        # first _GROUP_KEY characters -> (inner text, node, nesting height)
+        # of each group parsed so far
+        self.groups: dict[str, list[tuple[str, Expr, int]]] = {}
 
     def intern(self, node: Expr) -> Expr:
         if isinstance(node, Const):
@@ -514,24 +509,29 @@ class _Parser:
         where a nesting error is reported."""
         if self.depth >= MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", at)
-        close = self.close.get(open_pos)
-        inner = None if close is None else self.text[open_pos + 1:close]
-        seen = self.groups.get(inner)
-        # a copy of a parsed group parses to the same node, unless it now
-        # sits too deep: then it is parsed again and fails where it must
-        if seen is not None and self.depth + 1 + seen[1] <= MAX_NESTING:
-            self.peak = max(self.peak, self.depth + 1 + seen[1])
-            self.seek(close + 1)
-            return seen[0]
+        text, start = self.text, open_pos + 1
+        for inner, node, height in self.groups.get(text[start:start + _GROUP_KEY], ()):
+            close = start + len(inner)
+            # a copy of a parsed group parses to the same node, unless it now
+            # sits too deep: then it is parsed again and fails where it must
+            if (
+                text.startswith(inner, start) and text.startswith(")", close)
+                and self.depth + 1 + height <= MAX_NESTING
+            ):
+                self.peak = max(self.peak, self.depth + 1 + height)
+                self.seek(close + 1)
+                return node
         self.depth += 1
         outer_peak, self.peak = self.peak, self.depth
         e = self.expr()
         height = self.peak - self.depth
         self.peak = max(outer_peak, self.peak)
         self.depth -= 1
+        close = self.tok[2]
         self.expect_op(")")
-        if inner is not None:
-            self.groups[inner] = (e, height)
+        if close - start >= _GROUP_KEY:
+            self.groups.setdefault(text[start:start + _GROUP_KEY], []).append(
+                (text[start:close], e, height))
         return e
 
     def advance(self):
@@ -637,12 +637,35 @@ def to_text(e: Expr) -> str:
     A node reached along several edges is rendered once and its text
     reused; every other node is written straight into one list of pieces.
     """
+    return _text(e)
+
+
+def _text(e: Expr, name: Callable[[str], str] | None = None) -> str:
+    """``to_text(e)``, or with ``name`` that text with some of its shared
+    nodes named.
+
+    A node reached along several edges that has another such node below
+    it prints as ``name(text)``, ``text`` being its own rendering with
+    the names of the nodes below it: nested sharing is what makes the
+    full text grow with the number of paths.  A name stands where the
+    full text of its node stood, parentheses included, so putting each
+    name's text back in its place gives ``to_text(e)``.
+    """
     repeated: set[int] = set()
     order = _postorder((e,), repeated=repeated)
     shared: dict[int, tuple[Expr, str]] = {}
+    nested: set[int] = set()  # nodes with a repeated node below them
     for cur in order if repeated else ():
-        if id(cur) in repeated and isinstance(cur, (Call, BinOp)):
-            shared[id(cur)] = (cur, _render(cur, shared))
+        kind = type(cur)
+        if kind is not Call and kind is not BinOp:
+            continue
+        if name is not None:
+            below = (cur.arg,) if kind is Call else (cur.left, cur.right)
+            if any(id(c) in shared or id(c) in nested for c in below):
+                nested.add(id(cur))
+        if id(cur) in repeated:
+            text = _render(cur, shared)
+            shared[id(cur)] = (cur, name(text) if id(cur) in nested else text)
     return _render(e, shared)
 
 

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 # the "schema" tag of every JSON report: analyze, sets and simulate
-REPORT_SCHEMA = "netstab-report/2"
+REPORT_SCHEMA = "netstab-report/3"
 
 DEFAULT_DELAY_CAP = 64
 

@@ -60,6 +60,8 @@ class AttractionVerdict:
     trials: int
     seed: int
     diverged_trials: int = 0
+    # steps run, summed over trials; a trial that stops early adds its own
+    trial_steps: int = 0
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     def to_json_dict(self) -> dict:
@@ -72,6 +74,7 @@ class AttractionVerdict:
             "trials": self.trials,
             "seed": self.seed,
             "diverged_trials": self.diverged_trials,
+            "trial_steps": self.trial_steps,
             "notes": list(self.notes),
         }
 
@@ -251,6 +254,7 @@ def verify_global_attraction(
         trials=trials,
         seed=seed,
         diverged_trials=n_div,
+        trial_steps=int(steps_done.sum()),
         notes=tuple(notes),
     )
 

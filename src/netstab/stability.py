@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .delays import state_indices
+from .delays import _fresh, state_indices
 from .errors import UnboundedDerivativeError
 from .network import REPORT_SCHEMA, TimeDelayedNetwork
 from .spectral import NonnegMatrix, spectral_bracket, spectral_radius
@@ -47,6 +47,9 @@ class StabilityReport:
     verdict: str  # "stable" | "inconclusive"
     boundary: bool
     provenance: dict[str, str]
+    # name -> text of each shared subexpression the provenance names, in
+    # definition order: a text uses only names defined before it
+    shared: dict[str, str]
     cg_criterion: float | None = None
     network_name: str = ""
 
@@ -60,6 +63,8 @@ class StabilityReport:
             "verdict": self.verdict,
             "boundary": self.boundary,
             "provenance": self.provenance,
+            # pairs, since the sorted keys of an object would lose the order
+            "shared": [[name, text] for name, text in self.shared.items()],
         }
         out.update(self.matrix.to_json_dict())
         if self.cg_criterion is not None:
@@ -76,7 +81,7 @@ def stability_matrix(net: TimeDelayedNetwork) -> NonnegMatrix:
     Every variable ranges over its node's declared domain at every delay.
     Raises when a required sup is not finite, naming the offending term.
     """
-    matrix, _ = _assemble(net)
+    matrix, _, _ = _assemble(net)
     return matrix
 
 
@@ -97,11 +102,25 @@ def _partials(net: TimeDelayedNetwork, indices):
 
 
 def _assemble(net: TimeDelayedNetwork):
+    """The stability matrix, the provenance of each entry and the shared
+    subexpressions the provenance names.
+
+    Names are fresh identifiers ``t1``, ``t2``, ... (neither node names nor
+    functions), one per distinct text, shared by all partials.
+    """
     indices = state_indices(net)
     labels = tuple(idx.label() for idx in indices)
     box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
     data = np.zeros((len(indices), len(indices)))
     provenance: dict[str, str] = {}
+    names: dict[str, str] = {}  # text -> name, in definition order
+    taken = set(net.nodes) | set(ex.FUNCTIONS)
+
+    def name(text: str) -> str:
+        if text not in names:
+            names[text] = _fresh(f"t{len(names) + 1}", taken)
+        return names[text]
+
     for j, i, partial in _partials(net, indices):
         key = f"{labels[j]}<-{labels[i]}"
         if type(partial) is ex.Const:
@@ -117,8 +136,9 @@ def _assemble(net: TimeDelayedNetwork):
                 f"(term: {ex.to_text(partial)})"
             )
         data[j, i] = sup
-        provenance[key] = ex.to_text(partial)
-    return NonnegMatrix(data, labels), provenance
+        provenance[key] = ex._text(partial, name)
+    shared = {name: text for text, name in names.items()}
+    return NonnegMatrix(data, labels), provenance, shared
 
 
 def analyze(net: TimeDelayedNetwork) -> StabilityReport:
@@ -130,7 +150,7 @@ def analyze(net: TimeDelayedNetwork) -> StabilityReport:
     Cohen-Grossberg constructor also report the closed-form criterion
     |1 - eps| + L * rho(|W|).
     """
-    matrix, provenance = _assemble(net)
+    matrix, provenance, shared = _assemble(net)
     rho_lower, rho_upper = spectral_bracket(matrix)
     cg_criterion = None
     if net.cg is not None:
@@ -144,6 +164,7 @@ def analyze(net: TimeDelayedNetwork) -> StabilityReport:
         verdict="stable" if rho_upper < 1.0 else "inconclusive",
         boundary=rho_lower <= 1.0 <= rho_upper,
         provenance=provenance,
+        shared=shared,
         cg_criterion=cg_criterion,
         network_name=net.name,
     )

@@ -33,7 +33,7 @@ def test_analyze_prints_rho_and_writes_report(in_tmp, capsys):
     assert "rho = 0.7" in out
     assert "verdict = stable" in out
     report = json.loads((in_tmp / "pair.report.json").read_text())
-    assert report["schema"] == "netstab-report/2"
+    assert report["schema"] == "netstab-report/3"
     assert report["verdict"] == "stable"
     bracket = f"certified bracket: {report['rho_lower']!r} <= rho <= {report['rho_upper']!r}"
     assert bracket in out

@@ -437,6 +437,21 @@ def test_repeated_group_is_the_node_a_fresh_parse_interns():
     assert fresh.parse() is first
 
 
+@pytest.mark.parametrize("first, second", [
+    ("x1", "x1 + x2"),
+    ("x1 + x2 * x3 - x1", "x1 + x2 * x3 - x1 + x2"),
+    ("x1 + x2 * x3 - x1", "x1 + x2 * x3 - x1[-1]"),
+    ("x1 + x2 * x3 - x1", "x1 + x2 * x3 - x1 * tanh(x2)"),
+])
+def test_a_remembered_group_that_starts_a_longer_one_is_not_its_copy(first, second):
+    text = f"({first}) + ({second})"
+    parser = _CountingParser(text, NODES)
+    e = parser.parse()
+    assert e == parse_expression(f"{first} + ({second})", NODES)
+    # the second group is read, not stepped over
+    assert parser.parsed == 3 + second.count("(")
+
+
 def test_restricted_diamond_text_loads_back_equal():
     net = restrict(diamond_network(np.random.default_rng(12), 12), ["s"])
     text = dump_network(net)
@@ -468,6 +483,8 @@ def test_nesting_limit_holds_for_a_repeated_group():
     ("(x1 + x2", "expected ')'", 8),
     ("tanh(x1", "expected ')'", 7),
     ("((x1) + (x2)", "expected ')'", 12),
+    ("(x1) + (x1", "expected ')'", 10),
+    ("(x1 + x2 * x3 - x1) + (x1 + x2 * x3 - x1", "expected ')'", 40),
     ("x1 + x2)", "unexpected trailing input ')'", 7),
     ("tanh(x2)) + (x1", "unexpected trailing input ')'", 8),
     (")x1(", "unexpected token ')'", 0),

@@ -174,7 +174,7 @@ def test_attraction_verdict_json():
         gallery.undelayed_pair(0.5, 0.1, 1.0), trials=4, steps=1000, seed=0
     )
     data = verdict.to_json_dict()
-    assert data["schema"] == "netstab-report/2"
+    assert data["schema"] == "netstab-report/3"
     assert data["converged"] is True
     assert data["trials"] == 4
 
@@ -203,6 +203,7 @@ def _full_history_verdict(net, trials, steps, tol, seed):
         "witness": np.mean(endpoints, axis=0).tolist() if converged else None,
         "final_diameter": spread,
         "iterations_used": int(done.max()),
+        "trial_steps": int(done.sum()),
         "diverged_trials": n_div,
         "shrinking": shrinking,
     }
@@ -229,6 +230,16 @@ def test_attraction_verdict_equals_the_full_history_reference():
             assert tail_note == (not want["shrinking"])
             seen.add((want["converged"], want["shrinking"], want["diverged_trials"] > 0))
     assert {(True, True, False), (False, False, False), (False, False, True)} <= seen
+
+
+def test_attraction_counts_the_steps_each_trial_ran():
+    # trials that settle at different times stop at different steps, so the
+    # steps run fall short of every trial running as long as the slowest
+    net = build_benchmark_network(12)
+    verdict = verify_global_attraction(net, trials=20, steps=600, seed=4)
+    assert verdict.converged and verdict.iterations_used < 600
+    assert 0 < verdict.trial_steps < verdict.trials * verdict.iterations_used
+    assert verdict.to_json_dict()["trial_steps"] == verdict.trial_steps
 
 
 def test_attraction_memory_is_bounded_by_the_tail():

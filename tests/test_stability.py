@@ -1,17 +1,18 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from gen import random_network, rescaled_ring
+from gen import diamond_network, random_network, rescaled_ring
 
 from netstab import expr as ex
 from netstab import gallery
 from netstab.delays import dedelay, state_indices, undelay
 from netstab.errors import UnboundedDerivativeError
 from netstab.expr import Interval
-from netstab.network import build_network, make_cohen_grossberg
+from netstab.network import build_network, dump_network, load_network, make_cohen_grossberg
 from netstab.spectral import _LagReduction, spectral_radius
 from netstab.stability import (
     _partials,
@@ -20,6 +21,7 @@ from netstab.stability import (
     local_spectral_radius,
     stability_matrix,
 )
+from netstab.transform import restrict
 
 R = Interval.whole()
 
@@ -124,7 +126,7 @@ def test_analyze_tanh_ring_inconclusive():
 def test_analyze_report_json():
     report = analyze(gallery.undelayed_pair(0.5, 0.1, 1.0))
     data = json.loads(report.to_json())
-    assert data["schema"] == "netstab-report/2"
+    assert data["schema"] == "netstab-report/3"
     assert data["verdict"] == "stable"
     assert data["rho_lower"] <= data["rho"] <= data["rho_upper"] < 1.0
     assert data["rho"] == 0.5 * (data["rho_lower"] + data["rho_upper"])
@@ -132,6 +134,7 @@ def test_analyze_report_json():
     off = 0.2000000000000001  # the interval bound of 2|ab| = 0.2
     assert data["entries"] == {"x1<-x1": 0.5, "x1<-x2": off, "x2<-x1": off, "x2<-x2": 0.5}
     assert data["provenance"]["x1<-x2"]
+    assert data["shared"] == []
 
 
 def test_analyze_boundary_flag():
@@ -193,6 +196,96 @@ def test_constant_partials_match_the_generic_path(net):
     assert report.matrix.data.tobytes() == data.tobytes()
     assert report.provenance == provenance
     assert list(report.provenance) == list(provenance)
+
+
+_IDENT = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _spelled_out(report) -> dict[str, str]:
+    """The provenance with every shared name replaced by its full text.
+
+    Names are put back in definition order, so a name used before its
+    definition would stay in the text."""
+    full: dict[str, str] = {}
+
+    def put_back(text):
+        return _IDENT.sub(lambda m: full.get(m.group(), m.group()), text)
+
+    for name, text in report.shared.items():
+        full[name] = put_back(text)
+    return {key: put_back(text) for key, text in report.provenance.items()}
+
+
+def _plain_provenance(net) -> dict[str, str]:
+    indices = state_indices(net)
+    labels = [idx.label() for idx in indices]
+    return {f"{labels[j]}<-{labels[i]}": ex.to_text(partial)
+            for j, i, partial in _partials(net, indices)}
+
+
+def _restricted_diamond(k: int, rename: str = "s"):
+    net = restrict(diamond_network(np.random.default_rng(k), k), ["s"])
+    text = re.sub(r"\bs\b", rename, dump_network(net))
+    return load_network(text)
+
+
+def _check_names(report, net):
+    names = list(report.shared)
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert _IDENT.fullmatch(name)
+        assert name not in net.nodes and name not in ex.FUNCTIONS
+    data = json.loads(report.to_json())
+    assert data["shared"] == [[name, text] for name, text in report.shared.items()]
+
+
+def _diamonds():
+    for k in range(4, 13):
+        net = restrict(diamond_network(np.random.default_rng(k), k), ["s"])
+        yield pytest.param(net, id=f"diamond{k}")
+        yield pytest.param(_restricted_diamond(k), id=f"diamond{k}-loaded")
+
+
+@pytest.mark.parametrize("net", [
+    gallery.cg_ring(5, 0.3, 1.5, 0.2),
+    gallery.delayed_pair(0.5, 0.1, 1.0),
+    gallery.undelayed_pair(0.5, 0.1, 1.0),
+    gallery.distributed_pair(),
+    gallery.tanh_ring(6, 3.0),
+    gallery.six_node(),
+    *_diamonds(),
+], ids=lambda net: net.name)
+def test_shared_names_spell_out_to_the_plain_provenance(net):
+    report = analyze(net)
+    _check_names(report, net)
+    assert _spelled_out(report) == _plain_provenance(net)
+    # sharing one level deep, as in cg_ring's sech(u) * sech(u), stays inline
+    assert bool(report.shared) == net.name.endswith("|restricted")
+
+
+def test_report_grows_linearly_with_the_diamond_depth():
+    chars = {k: len(analyze(_restricted_diamond(k)).to_json()) for k in (10, 12, 14)}
+    # two layers add a bounded amount of text; spelled out, they add 4x
+    step, next_step = chars[12] - chars[10], chars[14] - chars[12]
+    assert 0 < step < 2000 and 0 < next_step < 2000
+    assert abs(next_step - step) < step / 4
+
+
+def test_shared_names_avoid_node_names():
+    net = _restricted_diamond(6, rename="t1")
+    report = analyze(net)
+    _check_names(report, net)
+    assert "t1_2" in report.shared and "t1" not in report.shared
+    assert _spelled_out(report) == _plain_provenance(net)
+    # nodes that take the first names a partial would get
+    lines = ["network clash"] + [f"node {v} domain [-1,1]" for v in ("t1", "t1_2", "t2")]
+    lines += ["update t1 = tanh(0.5*tanh(t2) + t1_2) * tanh(0.5*tanh(t2) + t1_2)",
+              "update t1_2 = 0.5*t1", "update t2 = 0.5*t1_2"]
+    net = load_network("\n".join(lines) + "\n")
+    report = analyze(net)
+    _check_names(report, net)
+    assert list(report.shared)[:2] == ["t1_3", "t2_2"]
+    assert _spelled_out(report) == _plain_provenance(net)
 
 
 def test_user_supplied_larger_matrix_dominates():
