@@ -18,6 +18,9 @@ split into its two layers: ``parse_ms`` parses the printed rules and
 ``normalize_ms`` normalizes the parsed ones.  ``peak_rss_mb`` is the
 process's peak resident set (``resource.getrusage``) once that k is done;
 layers run in increasing k, so it is the peak of the largest k so far.
+The ``expand`` row times ``expand`` onto {s} of the k = 10 diamond, which
+inlines once per branch and adds a delay chain per branch, and records its
+coordinates (state dimension) and the distinct nodes of its update of s.
 
 The spectral layer assembles the stability matrix of five rings
 (``tests/gen.py``'s ``rescaled_ring``: the weights of the orbit layer's
@@ -81,7 +84,7 @@ from netstab.sim import find_fixed_point, verify_global_attraction
 from netstab.spectral import spectral_bracket
 from netstab.stability import analyze, stability_matrix
 from netstab.structural import find_structural_sets
-from netstab.transform import restrict
+from netstab.transform import expand, restrict
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
@@ -92,6 +95,9 @@ from gen import (  # noqa: E402
     rescaled_ring,
 )
 from workloads import diamond_spec, diamond_text  # noqa: E402
+
+# the diamond expand is timed on: 2^10 branches, each with its own chain
+EXPAND_LAYERS = 10
 
 # (nodes, largest neighbour delay, undelayed): the rings where the spectral
 # layer's cost used to jump, a ring whose reduction keeps half of it, and
@@ -170,6 +176,17 @@ def bench_diamond(k: int, repeats: int) -> dict:
         "report_chars": len(report_text),
         "rho": report.rho,
         "peak_rss_mb": round(peak_rss_mb(), 1),
+    }
+
+
+def bench_expand(k: int, repeats: int) -> dict:
+    net = load_network(diamond_text(diamond_spec(np.random.default_rng(k), k), "diamond"))
+    ms, aug = best_of(repeats, lambda: expand(net, ["s"]))
+    return {
+        "layers": k,
+        "ms": round(ms, 2),
+        "coords": len(aug.coords),
+        "distinct_nodes": distinct_nodes(aug.net.updates["s"]),
     }
 
 
@@ -273,6 +290,7 @@ def main():
         "diamond": [
             bench_diamond(int(k), args.repeats) for k in args.layers.split(",")
         ],
+        "expand": [bench_expand(EXPAND_LAYERS, args.repeats)],
         "spectral": bench_spectral(args.repeats),
         "structural": bench_structural(args.repeats),
         "orbit": bench_orbit(args.repeats),

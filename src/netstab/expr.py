@@ -9,8 +9,9 @@ operator with its point, interval and numpy kernels and its derivative
 rule.
 
 Expressions are DAGs: a node may be the child of several parents.  The
-parser shares identical subexpressions within one rule, and restriction
-shares each inlined node among all its readers.  Every walker (printing,
+parser shares identical subexpressions within one rule, restriction
+shares each inlined node among all its readers, and normalization
+returns one node per distinct structure.  Every walker (printing,
 normalization, differentiation, point and interval evaluation,
 substitution) visits each distinct node once, iteratively, with a memo
 local to the call, so its cost is O(distinct nodes) and deep input does
@@ -195,6 +196,23 @@ def _fold(roots, combine) -> dict[int, object]:
             key = (BinOp, cur.op, val[id(cur.left)], val[id(cur.right)])
         val[id(cur)] = combine(key)
     return val
+
+
+def _intern(table: dict[tuple, Expr], node: Expr) -> Expr:
+    """The node of ``table`` with ``node``'s structure, ``node`` itself if
+    there is none yet.  ``node``'s children must come from ``table``, so
+    their identity stands for their structure."""
+    kind = type(node)
+    if kind is Const:
+        # 0.0 == -0.0, but they print differently
+        key = (Const, node.value, math.copysign(1.0, node.value))
+    elif kind is Var:
+        key = (Var, node.node, node.delay)
+    elif kind is Call:
+        key = (Call, node.func, id(node.arg))
+    else:
+        key = (BinOp, node.op, id(node.left), id(node.right))
+    return table.setdefault(key, node)
 
 
 # ---------------------------------------------------------------------------
@@ -468,18 +486,6 @@ class _Parser:
         # of each group parsed so far
         self.groups: dict[str, list[tuple[str, Expr, int]]] = {}
 
-    def intern(self, node: Expr) -> Expr:
-        if isinstance(node, Const):
-            # 0.0 == -0.0, but they print differently
-            key = (Const, node.value, math.copysign(1.0, node.value))
-        elif isinstance(node, Var):
-            key = (Var, node.node, node.delay)
-        elif isinstance(node, Call):
-            key = (Call, node.func, id(node.arg))
-        else:
-            key = (BinOp, node.op, id(node.left), id(node.right))
-        return self.table.setdefault(key, node)
-
     def seek(self, pos: int):
         """Read the token that starts at or after ``pos`` into ``self.tok``.
 
@@ -558,7 +564,7 @@ class _Parser:
             kind, value, _ = self.tok
             if kind == "op" and value in ("+", "-"):
                 self.advance()
-                e = self.intern(BinOp(value, e, self.term()))
+                e = _intern(self.table, BinOp(value, e, self.term()))
             else:
                 return e
 
@@ -568,7 +574,7 @@ class _Parser:
             kind, value, _ = self.tok
             if kind == "op" and value in ("*", "/"):
                 self.advance()
-                e = self.intern(BinOp(value, e, self.factor()))
+                e = _intern(self.table, BinOp(value, e, self.factor()))
             else:
                 return e
 
@@ -580,15 +586,15 @@ class _Parser:
             # a minus sign directly on a numeral is the negative constant
             if nkind == "num":
                 self.advance()
-                return self.intern(Const(-float(nvalue)))
-            return self.intern(Call("neg", self.atom()))
+                return _intern(self.table, Const(-float(nvalue)))
+            return _intern(self.table, Call("neg", self.atom()))
         return self.atom()
 
     def atom(self) -> Expr:
         tok = self.advance()
         kind, value, pos = tok
         if kind == "num":
-            return self.intern(Const(float(value)))
+            return _intern(self.table, Const(float(value)))
         if kind == "op" and value == "(":
             return self.nested(pos, pos)
         if kind == "ident":
@@ -597,7 +603,7 @@ class _Parser:
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function {value!r}", pos)
                 self.advance()
-                return self.intern(Call(value, self.nested(pos, nxt_pos)))
+                return _intern(self.table, Call(value, self.nested(pos, nxt_pos)))
             if value not in self.declared:
                 raise ParseError(f"undeclared identifier {value!r}", pos)
             delay = 0
@@ -609,7 +615,7 @@ class _Parser:
                     raise self.error("delay must be a nonnegative integer", dtok)
                 delay = int(dtok[1])
                 self.expect_op("]")
-            return self.intern(Var(value, delay))
+            return _intern(self.table, Var(value, delay))
         raise self.error(f"unexpected token {value!r}", tok)
 
 
@@ -978,24 +984,26 @@ def _key(e: Expr, keys: dict[int, tuple[Expr, str]]) -> str:
     return hit[1]
 
 
-def _rebuild_product(coeff: float, factors: list[Expr], keys: dict) -> Expr:
+def _rebuild_product(coeff: float, factors: list[Expr], keys: dict, table: dict) -> Expr:
+    """The product, its inner nodes interned in ``table``: the caller
+    interns the node returned."""
     if coeff == 0.0:
         return Const(0.0)
     if len(factors) > 1:
         factors = sorted(factors, key=lambda f: _key(f, keys))
     out: Expr | None = None
     for f in factors:
-        out = f if out is None else BinOp("*", out, f)
+        out = f if out is None else _intern(table, BinOp("*", out, f))
     if out is None:
         return Const(coeff)
     if coeff == 1.0:
         return out
     if coeff == -1.0:
         return Call("neg", out)
-    return BinOp("*", Const(coeff), out)
+    return BinOp("*", _intern(table, Const(coeff)), out)
 
 
-def _normalize_sum(e: Expr, normal: dict[int, Expr], keys: dict) -> Expr:
+def _normalize_sum(e: Expr, normal: dict[int, Expr], keys: dict, table: dict) -> Expr:
     const_part = 0.0
     grouped: dict[str, tuple[Expr, float]] = {}
     for sign, term in _flatten_add(e):
@@ -1004,21 +1012,21 @@ def _normalize_sum(e: Expr, normal: dict[int, Expr], keys: dict) -> Expr:
         if not factors:
             const_part += coeff
             continue
-        core = _rebuild_product(1.0, factors, keys)
+        core = _intern(table, _rebuild_product(1.0, factors, keys, table))
         key = _key(core, keys)
         prev = grouped.get(key)
         grouped[key] = (core, coeff + (prev[1] if prev else 0.0))
     out: Expr | None = None
     for key in sorted(grouped):
         core, coeff = grouped[key]
-        piece = _rebuild_product(coeff, [core], keys)
+        piece = _intern(table, _rebuild_product(coeff, [core], keys, table))
         if isinstance(piece, Const) and piece.value == 0.0:
             continue
-        out = piece if out is None else BinOp("+", out, piece)
+        out = piece if out is None else _intern(table, BinOp("+", out, piece))
     if out is None:
         return Const(const_part)
     if const_part != 0.0:
-        out = BinOp("+", out, Const(const_part))
+        out = BinOp("+", out, _intern(table, Const(const_part)))
     return out
 
 
@@ -1031,10 +1039,15 @@ def normalize(e: Expr) -> Expr:
     distinct node is normalized once; an additive chain is summed whole,
     never from the normal forms of its sub-chains, so its coefficients
     add up in one fixed order.  Terms and factors are ordered by their
-    printed text, each rendered once per call from its children's.
+    printed text, each rendered once per call from its children's.  The
+    result has one node per distinct structure, however ``e`` shared its
+    nodes.
     """
     normal: dict[int, Expr] = {}
     keys: dict[int, tuple[Expr, str]] = {}
+    # every node built is interned, so that how ``e`` happened to share
+    # its nodes leaves no trace in the result
+    table: dict[tuple, Expr] = {}
     for cur in _postorder((e,), sums_as_terms=True):
         if isinstance(cur, (Const, Var)):
             out = cur
@@ -1048,8 +1061,8 @@ def normalize(e: Expr) -> Expr:
             factors: list[Expr] = []
             coeff = _flatten_mul(normal[id(cur.left)], factors)
             coeff *= _flatten_mul(normal[id(cur.right)], factors)
-            out = _rebuild_product(coeff, factors, keys)
+            out = _rebuild_product(coeff, factors, keys, table)
         else:
-            out = _normalize_sum(cur, normal, keys)
-        normal[id(cur)] = out
+            out = _normalize_sum(cur, normal, keys, table)
+        normal[id(cur)] = _intern(table, out)
     return normal[id(e)]

@@ -36,7 +36,9 @@ __all__ = [
 # the "schema" tag of every JSON report: analyze, sets and simulate
 REPORT_SCHEMA = "netstab-report/3"
 
-DEFAULT_DELAY_CAP = 64
+# Largest delay a rule may read: de-delaying adds one coordinate per
+# delay step of a node, so the cap bounds the state a rule can ask for.
+MAX_DELAY = 64
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,6 @@ def network_from_exprs(
     name: str = "",
     cg: CohenGrossbergParams | None = None,
     run_normalize: bool = True,
-    delay_cap: int = DEFAULT_DELAY_CAP,
 ) -> TimeDelayedNetwork:
     """Assemble a network from already-built expression trees.
 
@@ -130,10 +131,10 @@ def network_from_exprs(
                 raise NetworkError(
                     f"update of {node!r} references undeclared node {ref_node!r}"
                 )
-            if delay > delay_cap:
+            if delay > MAX_DELAY:
                 raise NetworkError(
                     f"update of {node!r} references {ref_node!r} at delay "
-                    f"{delay}, above the cap {delay_cap}"
+                    f"{delay}, above the cap {MAX_DELAY}"
                 )
             max_delay = max(max_delay, delay)
     return TimeDelayedNetwork(
@@ -150,7 +151,6 @@ def build_network(
     declarations: list[tuple[str, Interval]],
     rules: list[tuple[str, str]],
     name: str = "",
-    delay_cap: int = DEFAULT_DELAY_CAP,
 ) -> TimeDelayedNetwork:
     """Parse and validate a network from per-node rule text.
 
@@ -178,7 +178,7 @@ def build_network(
     missing = declared - seen
     if missing:
         raise NetworkError(f"missing rules for nodes {sorted(missing)}")
-    return network_from_exprs(nodes, domains, updates, name=name, delay_cap=delay_cap)
+    return network_from_exprs(nodes, domains, updates, name=name)
 
 
 def make_cohen_grossberg(

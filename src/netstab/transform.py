@@ -10,35 +10,25 @@ the leaf reads:
 * delayed expansion: the source node at delay |branch| - 2,
 * expand: a chain of identity coordinates keyed by the full branch.
 
-For the first two a leaf depends only on the length of its branch, so each
-non-S node is inlined once per depth and the result is a DAG whose size is
-linear in the network, although its printed text counts every branch.
-``expand`` and ``inline_traces`` work branch by branch, as their output
-does.  Every transform first checks that S is complete, in time linear in
-the network; only ``expand``, whose coordinates are per branch, lists the
-admissible branches.
+One walker, ``_inline``, does all three.  It inlines each non-S node once
+per key of the chain that reaches it, and the key is what the leaves
+below the node depend on: the chain's length for the first two, so the
+result is a DAG whose size is linear in the network although its printed
+text counts every branch; the whole chain for ``expand``, whose
+coordinates are per branch, so it inlines once per branch.  Every
+transform first checks that S is complete, in time linear in the network;
+only ``expand`` lists the admissible branches, to name its coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .delays import AugmentedNetwork, StateIndex, _fresh, _with_lines
 from .errors import TransformError
-from .expr import BinOp, Call, Expr, Var, normalize, references, substitute
+from .expr import Expr, Var, normalize, references, substitute
 from .network import InteractionGraph, TimeDelayedNetwork, interaction_graph, network_from_exprs
 from .structural import admissible_sequences, is_complete_structural
 
-__all__ = ["InlineTrace", "inline_traces", "restrict", "expand", "delayed_expansion"]
-
-
-@dataclass(frozen=True)
-class InlineTrace:
-    """Branch carried by each leaf of one inlined component, in
-    depth-first traversal order."""
-
-    component: str
-    leaves: tuple[tuple[str, ...], ...]
+__all__ = ["restrict", "expand", "delayed_expansion"]
 
 
 def _check_preconditions(
@@ -64,105 +54,56 @@ def _check_preconditions(
     return S, graph
 
 
-def _inline_component(
-    net: TimeDelayedNetwork,
-    in_s: set[str],
-    target: str,
-    leaf_reader,
-    leaves: list[tuple[str, ...]],
-) -> Expr:
-    """``target``'s update inlined branch by branch: every read of a
-    non-S node is replaced by its own copy of that node's inlined update,
-    and each S leaf reads ``leaf_reader(branch)``."""
-    done: list[Expr] = []  # finished subexpressions, in post-order
-    stack: list[tuple[Expr, tuple[str, ...], bool]] = [
-        (net.updates[target], (target,), False)
-    ]
-    while stack:
-        e, chain, operands_done = stack.pop()
-        if operands_done and isinstance(e, Call):
-            done.append(Call(e.func, done.pop()))
-        elif operands_done:
-            right = done.pop()
-            done.append(BinOp(e.op, done.pop(), right))
-        elif isinstance(e, Var) and e.node in in_s:
-            branch = (e.node,) + chain
-            leaves.append(branch)
-            done.append(leaf_reader(branch))
-        elif isinstance(e, Var):
-            if e.node in chain:
-                raise TransformError(
-                    f"cycle through {e.node!r} avoids S; set is not complete"
-                )
-            stack.append((net.updates[e.node], (e.node,) + chain, False))
-        elif isinstance(e, Call):
-            stack += [(e, chain, True), (e.arg, chain, False)]
-        elif isinstance(e, BinOp):
-            stack += [
-                (e, chain, True), (e.right, chain, False), (e.left, chain, False)
-            ]
-        else:
-            done.append(e)
-    return done[0]
+def _inline(net: TimeDelayedNetwork, in_s: set[str], target: str, leaf, key) -> Expr:
+    """``target``'s update with every non-S read inlined.
 
-
-def _inline_shared(
-    net: TimeDelayedNetwork, in_s: set[str], target: str, leaf_delay
-) -> Expr:
-    """``target``'s update with every non-S read inlined, when an S leaf
-    reached through a branch of length L reads its source at delay
-    ``leaf_delay(L)``.  The inlined update of a non-S node then depends
-    only on its depth in the branch, so each (node, depth) is inlined once
-    and shared by all its readers."""
-    inlined: dict[tuple[str, int], Expr] = {}
-    stack = [(target, 1)]
+    The walk follows chains ``(node, ..., target)``: an S read of ``src``
+    by the head of a chain reads ``leaf((src,) + chain)``, its branch.
+    Each non-S node is inlined once per ``key(chain)`` and the result
+    shared by every reader whose chain has that key, so ``key`` must
+    determine every leaf below the node.
+    """
+    inlined: dict[tuple, Expr] = {}
+    reads: dict[str, set[str]] = {}
+    stack = [(target,)]
     while stack:
-        node, depth = stack[-1]
-        if (node, depth) in inlined:
+        chain = stack[-1]
+        node = chain[0]
+        if (node, key(chain)) in inlined:
             stack.pop()
             continue
-        sources = {src for src, _ in references(net.updates[node])}
+        sources = reads.get(node)
+        if sources is None:
+            sources = reads[node] = {src for src, _ in references(net.updates[node])}
         pending = [
-            (src, depth + 1)
+            (src,) + chain
             for src in sorted(sources - in_s)
-            if (src, depth + 1) not in inlined
+            if (src, key((src,) + chain)) not in inlined
         ]
         if pending:
-            if depth >= len(net.nodes):
+            if len(chain) >= len(net.nodes):
                 raise TransformError(
                     f"cycle through {node!r} avoids S; set is not complete"
                 )
             stack += pending
             continue
         stack.pop()
-        inlined[(node, depth)] = substitute(
+        inlined[(node, key(chain))] = substitute(
             net.updates[node],
             {
-                (src, 0): Var(src, leaf_delay(depth + 1))
+                (src, 0): leaf((src,) + chain)
                 if src in in_s
-                else inlined[(src, depth + 1)]
+                else inlined[(src, key((src,) + chain))]
                 for src in sources
             },
         )
-    return inlined[(target, 1)]
+    return inlined[(target, key((target,)))]
 
 
-def inline_traces(net: TimeDelayedNetwork, S) -> tuple[InlineTrace, ...]:
-    """Branches encountered while inlining each S component."""
+def _inline_over(net: TimeDelayedNetwork, S, leaf, suffix: str):
     S, _ = _check_preconditions(net, S)
     in_s = set(S)
-    traces = []
-    for target in S:
-        leaves: list[tuple[str, ...]] = []
-        _inline_component(net, in_s, target, lambda br: Var(br[0], 0), leaves)
-        traces.append(InlineTrace(component=target, leaves=tuple(leaves)))
-    return tuple(traces)
-
-
-def _inline_over(net: TimeDelayedNetwork, S, leaf_delay, suffix: str):
-    S, _ = _check_preconditions(net, S)
-    in_s = set(S)
-    updates = {target: _inline_shared(net, in_s, target, leaf_delay) for target in S}
+    updates = {target: _inline(net, in_s, target, leaf, len) for target in S}
     domains = {n: net.domains[n] for n in S}
     return network_from_exprs(
         S, domains, updates, name=f"{net.name}|{suffix}" if net.name else ""
@@ -171,14 +112,16 @@ def _inline_over(net: TimeDelayedNetwork, S, leaf_delay, suffix: str):
 
 def restrict(net: TimeDelayedNetwork, S) -> TimeDelayedNetwork:
     """Inline every non-S node away; the result lives on S with T = 1."""
-    return _inline_over(net, S, lambda length: 0, "restricted")
+    return _inline_over(net, S, lambda branch: Var(branch[0], 0), "restricted")
 
 
 def delayed_expansion(net: TimeDelayedNetwork, S) -> TimeDelayedNetwork:
     """Like restrict, but each leaf reads its source |branch| - 2 steps in
     the past (length-2 branches read the present).  Removing these delays
     again recovers the restriction exactly."""
-    return _inline_over(net, S, lambda length: length - 2, "delayed")
+    return _inline_over(
+        net, S, lambda branch: Var(branch[0], len(branch) - 2), "delayed"
+    )
 
 
 def expand(net: TimeDelayedNetwork, S) -> AugmentedNetwork:
@@ -201,7 +144,7 @@ def expand(net: TimeDelayedNetwork, S) -> AugmentedNetwork:
             coord_name[gamma] = _fresh("_".join(gamma) + f"_s{i}", taken)
             lines.append((coord_name[gamma], StateIndex(gamma[0], i - 1)))
 
-    def leaf_reader(branch: tuple[str, ...]) -> Expr:
+    def leaf(branch: tuple[str, ...]) -> Expr:
         if len(branch) == 2:
             return Var(branch[0], 0)
         if branch not in coord_name:
@@ -212,7 +155,7 @@ def expand(net: TimeDelayedNetwork, S) -> AugmentedNetwork:
         return Var(coord_name[branch], 0)
 
     updates = {
-        target: normalize(_inline_component(net, in_s, target, leaf_reader, []))
+        target: normalize(_inline(net, in_s, target, leaf, lambda chain: chain))
         for target in S
     }
     return _with_lines(

@@ -268,6 +268,18 @@ def test_normalize_drops_zero_products():
     assert normalize(e) == Var("x2")
 
 
+def test_normalize_returns_one_node_per_structure():
+    # equal subtrees built apart come back as one node, as parsing the
+    # printed text would share them
+    def inner():
+        return Call("tanh", BinOp("+", Var("x1"), Const(0.5)))
+
+    e = BinOp("+", Call("sin", inner()), BinOp("*", Const(2.0), Call("cos", inner())))
+    nodes = _postorder([normalize(e)])
+    assert len(nodes) == len({to_text(n) for n in nodes})
+    assert len(nodes) == len(_postorder([normalize(parse_expression(to_text(e), NODES))]))
+
+
 def test_normalize_idempotent_and_value_preserving():
     rng = np.random.default_rng(13)
     for _ in range(300):

@@ -49,8 +49,8 @@ def test_build_rejects_duplicate_and_missing_rules():
 def test_build_rejects_delay_above_cap():
     with pytest.raises(NetworkError):
         build_network([("x1", R)], [("x1", "x1[-65]")])
-    net = build_network([("x1", R)], [("x1", "x1[-65]")], delay_cap=100)
-    assert net.T == 66
+    net = build_network([("x1", R)], [("x1", "x1[-64]")])
+    assert net.T == 65
 
 
 def test_from_exprs_names_node_without_domain_or_update():

@@ -288,6 +288,19 @@ def test_shared_names_avoid_node_names():
     assert _spelled_out(report) == _plain_provenance(net)
 
 
+@pytest.mark.parametrize("net", [
+    restrict(gallery.tanh_ring(6, 1.5), gallery.even_vertices(gallery.tanh_ring(6, 1.5))),
+    restrict(diamond_network(np.random.default_rng(4), 4), ["s"]),
+    restrict(diamond_network(np.random.default_rng(10), 10), ["s"]),
+], ids=["ring6", "diamond4", "diamond10"])
+def test_shared_names_do_not_depend_on_how_the_network_was_built(net):
+    # the parser shares equal nodes that restrict builds apart; the names
+    # must follow the structure alone, so both write the same report
+    report = analyze(net)
+    assert report.shared
+    assert report.to_json() == analyze(load_network(dump_network(net))).to_json()
+
+
 def test_user_supplied_larger_matrix_dominates():
     # entrywise larger bounds can only raise the spectral radius
     rng = np.random.default_rng(47)

@@ -20,7 +20,7 @@ from netstab.expr import (
 from netstab.network import build_network, interaction_graph
 from netstab.stability import analyze
 from netstab.structural import branch_set, is_complete_structural
-from netstab.transform import delayed_expansion, expand, inline_traces, restrict
+from netstab.transform import delayed_expansion, expand, restrict
 
 R = Interval.whole()
 
@@ -136,15 +136,36 @@ def test_delayed_expansion_of_diamond_reads_by_depth():
     assert to_text(undelay(delayed).updates["s"]) == to_text(restricted.updates["s"])
 
 
-def test_inline_traces_match_branch_set():
-    net = gallery.six_node()
-    S = ("x1", "x3", "x5")
-    graph = interaction_graph(net)
-    branches = branch_set(graph, S)
-    traces = {t.component: t for t in inline_traces(net, S)}
-    for j in S:
-        expected = {b.vertices for b in branches if b.target == j}
-        assert set(traces[j].leaves) == expected
+def test_expanded_updates_read_one_coordinate_per_branch():
+    # each S node reads the deepest coordinate of every admissible branch
+    # into it, and the source itself of every 2-vertex branch; in the
+    # diamond, many branches reach one node at one depth, so inlining it
+    # once per depth would give them one coordinate
+    rng = np.random.default_rng(71)
+    cases = [
+        (gallery.six_node(), ("x1", "x3", "x5")),
+        (diamond_network(np.random.default_rng(4), 4), ("s",)),
+    ]
+    while len(cases) < 20:
+        net = random_network(rng, int(rng.integers(2, 7)))
+        S = random_complete_set(rng, net)
+        if S is not None:
+            cases.append((net, S))
+    for net, S in cases:
+        branches = branch_set(interaction_graph(net), S)
+        aug = expand(net, S)
+        for j in S:
+            expected = set()
+            for b in branches:
+                if b.target != j:
+                    continue
+                if len(b) == 2:
+                    expected.add(b.vertices[0])
+                    continue
+                coord = "_".join(b.vertices) + f"_s{len(b) - 1}"
+                assert aug.projection[coord] == (b.vertices[0], len(b) - 2)
+                expected.add(coord)
+            assert {r for r, _ in references(aug.net.updates[j])} == expected
 
 
 def test_expand_chain():
