@@ -18,6 +18,12 @@ split into its two layers: ``parse_ms`` parses the printed rules and
 ``normalize_ms`` normalizes the parsed ones.  ``peak_rss_mb`` is the
 process's peak resident set (``resource.getrusage``) once that k is done;
 layers run in increasing k, so it is the peak of the largest k so far.
+The ``live_nodes`` row counts the expression nodes alive in the process
+(``gc.get_objects``, after a full collection) before one more round of
+the largest k (restrict, print, load back, analyze both), while its
+networks and reports are held, and after they are released: nodes are
+hash-consed, so the held count is the distinct structures of the round
+and the released count must return to the first.
 The ``expand`` row times ``expand`` onto {s} of the k = 10 diamond, which
 inlines once per branch and adds a delay chain per branch, and records its
 coordinates (state dimension) and the distinct nodes of its update of s.
@@ -66,6 +72,7 @@ with the same ``bench_layers.py``.  A new measurement appends a pair.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import resource
@@ -78,7 +85,7 @@ import numpy as np
 
 from netstab import engine
 from netstab.delays import undelay
-from netstab.expr import normalize, parse_expression
+from netstab.expr import Expr, normalize, parse_expression
 from netstab.network import dump_network, interaction_graph, load_network
 from netstab.sim import find_fixed_point, verify_global_attraction
 from netstab.spectral import spectral_bracket
@@ -177,6 +184,23 @@ def bench_diamond(k: int, repeats: int) -> dict:
         "rho": report.rho,
         "peak_rss_mb": round(peak_rss_mb(), 1),
     }
+
+
+def live_nodes() -> int:
+    """Expression nodes alive in the process, after a full collection."""
+    gc.collect()
+    return sum(isinstance(o, Expr) for o in gc.get_objects())
+
+
+def bench_live_nodes(k: int) -> dict:
+    before = live_nodes()
+    net = load_network(diamond_text(diamond_spec(np.random.default_rng(k), k), "diamond"))
+    restricted = restrict(net, ["s"])
+    loaded = load_network(dump_network(restricted))
+    reports = analyze(restricted), analyze(loaded)
+    held = live_nodes()
+    del net, restricted, loaded, reports
+    return {"layers": k, "before": before, "held": held, "released": live_nodes()}
 
 
 def bench_expand(k: int, repeats: int) -> dict:
@@ -290,6 +314,7 @@ def main():
         "diamond": [
             bench_diamond(int(k), args.repeats) for k in args.layers.split(",")
         ],
+        "live_nodes": [bench_live_nodes(max(int(k) for k in args.layers.split(",")))],
         "expand": [bench_expand(EXPAND_LAYERS, args.repeats)],
         "spectral": bench_spectral(args.repeats),
         "structural": bench_structural(args.repeats),

@@ -92,7 +92,8 @@ def _with_lines(
     ``lines`` lists (coordinate name, index) in chain order: a coordinate
     at depth 1 reads its source node, a deeper one the coordinate listed
     just before it.  Every coordinate takes its source's domain.  Updates
-    are taken as given, without renormalizing.
+    are taken as given, without renormalizing, and must read only present
+    values: the result has T = 1.
     """
     projection = {n: (n, 0) for n in nodes}
     updates = dict(updates)
@@ -101,12 +102,12 @@ def _with_lines(
         projection[cname] = (idx.node, idx.depth)
         updates[cname] = Var(idx.node if idx.depth == 1 else previous, 0)
         previous = cname
-    aug_net = network_from_exprs(
-        tuple(projection),
-        {c: domains[node] for c, (node, _) in projection.items()},
-        updates,
+    aug_net = TimeDelayedNetwork(
+        nodes=tuple(projection),
+        domains={c: domains[node] for c, (node, _) in projection.items()},
+        updates=updates,
+        T=1,
         name=name,
-        run_normalize=False,
     )
     return AugmentedNetwork(net=aug_net, projection=projection)
 

@@ -4,8 +4,11 @@ Update expressions are flattened once into an instruction tape over a
 flat register file (window slots, constant pool, temporaries).  Opcodes
 and their numpy kernels come from ``expr.OPERATORS``, the table of the
 expression vocabulary: an opcode is the position of its operator's row.
-Each distinct expression node is compiled once, so a subexpression shared
-by several readers is computed once per step.
+Each distinct node of an update is compiled once, so a subexpression that
+several readers in one update share is computed once per step.  A node
+that several updates share (expression nodes are hash-consed, so equal
+terms of different rules are one node) is compiled once per update: that
+keeps the operand rows of each group consecutive, as a slice reads them.
 
 The tape is level-major.  An instruction's level is one more than the
 highest level among its operands (window slots and constants are level
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import OPERATORS, BinOp, Call, Const, Var, _postorder
+from .expr import OPERATORS, BinOp, Call, Const, Expr, Var, _postorder
 from .network import TimeDelayedNetwork
 
 __all__ = [
@@ -34,7 +37,6 @@ __all__ = [
     "run_orbit",
     "run_orbit_batch",
     "undelayed_map",
-    "apply_undelayed",
 ]
 
 _ROWS = tuple(OPERATORS.values())
@@ -84,27 +86,29 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
             consts.append(v)
         return const_slots[key]
 
-    # every distinct node once, operands first: a node shared by several
-    # readers is computed into one register that all of them read
-    order = _postorder([net.updates[node] for node in net.nodes])
-    reg: dict[int, int] = {}
-    level: dict[int, int] = {}
-    pending: list[tuple[int, int, Call | BinOp]] = []
-    for e in order:
-        if isinstance(e, Var):
-            reg[id(e)] = e.delay * n + node_idx[e.node]
-            level[id(e)] = 0
-        elif isinstance(e, Const):
-            reg[id(e)] = const_slot(e.value)
-            level[id(e)] = 0
-        elif isinstance(e, Call):
-            level[id(e)] = 1 + level[id(e.arg)]
-            pending.append((level[id(e)], _OPCODE[e.func], e))
-        elif isinstance(e, BinOp):
-            level[id(e)] = 1 + max(level[id(e.left)], level[id(e.right)])
-            pending.append((level[id(e)], _OPCODE[e.op], e))
-        else:
-            raise TypeError(f"not an expression: {e!r}")
+    # each update's distinct nodes once, operands first, with a memo per
+    # update: a node that several updates share gets a register in each
+    memos: list[dict[Expr, int]] = []
+    pending: list[tuple[int, int, Call | BinOp, dict[Expr, int]]] = []
+    for node in net.nodes:
+        reg: dict[Expr, int] = {}
+        level: dict[Expr, int] = {}
+        for e in _postorder((net.updates[node],)):
+            if isinstance(e, Var):
+                reg[e] = e.delay * n + node_idx[e.node]
+                level[e] = 0
+            elif isinstance(e, Const):
+                reg[e] = const_slot(e.value)
+                level[e] = 0
+            elif isinstance(e, Call):
+                level[e] = 1 + level[e.arg]
+                pending.append((level[e], _OPCODE[e.func], e, reg))
+            elif isinstance(e, BinOp):
+                level[e] = 1 + max(level[e.left], level[e.right])
+                pending.append((level[e], _OPCODE[e.op], e, reg))
+            else:
+                raise TypeError(f"not an expression: {e!r}")
+        memos.append(reg)
 
     # the constant pool claims slots first, temporaries follow in tape
     # order, so each group's destinations are consecutive; the sort is
@@ -115,16 +119,16 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
     groups: list[tuple[int, int]] = []
     for _, members in itertools.groupby(pending, key=lambda p: p[:2]):
         start = len(ops)
-        for _, code, e in members:
+        for _, code, e, reg in members:
             if isinstance(e, Call):
-                ops.append((code, next_reg, reg[id(e.arg)], -1))
+                ops.append((code, next_reg, reg[e.arg], -1))
             else:
-                ops.append((code, next_reg, reg[id(e.left)], reg[id(e.right)]))
-            reg[id(e)] = next_reg
+                ops.append((code, next_reg, reg[e.left], reg[e.right]))
+            reg[e] = next_reg
             next_reg += 1
         groups.append((start, len(ops)))
 
-    out_regs = [reg[id(net.updates[node])] for node in net.nodes]
+    out_regs = [reg[net.updates[node]] for node, reg in zip(net.nodes, memos)]
     ops_arr = (
         np.array(ops, dtype=np.int64)
         if ops
@@ -296,7 +300,3 @@ def undelayed_map(program: Program):
 
     return apply
 
-
-def apply_undelayed(program: Program, x: np.ndarray) -> np.ndarray:
-    """One application of the map with every window snapshot equal to x."""
-    return undelayed_map(program)(x)

@@ -9,17 +9,18 @@ operator with its point, interval and numpy kernels and its derivative
 rule.
 
 Expressions are DAGs: a node may be the child of several parents.  The
-parser shares identical subexpressions within one rule, restriction
-shares each inlined node among all its readers, and normalization
-returns one node per distinct structure.  Every walker (printing,
+node constructors hash-cons: each returns the live node of the structure
+it is asked for when there is one, so every structure has one node, in
+every rule and from every builder (parser, normalization, restriction,
+differentiation), and equality is identity.  Every walker (printing,
 normalization, differentiation, point and interval evaluation,
 substitution) visits each distinct node once, iteratively, with a memo
-local to the call, so its cost is O(distinct nodes) and deep input does
-not exhaust the interpreter stack; a shared input node maps to one shared
-output node.  Printed text still expands the sharing, so the text of a
-restricted rule grows with the number of paths, not of nodes; the parser
-reads each distinct parenthesised group of it once.  The report's
-derivative provenance names the nodes whose sharing nests instead.
+keyed by node and local to the call, so its cost is O(distinct nodes)
+and deep input does not exhaust the interpreter stack.  Printed text
+still expands the sharing, so the text of a restricted rule grows with
+the number of paths, not of nodes; the parser reads each distinct
+parenthesised group of it once.  The report's derivative provenance
+names the nodes whose sharing nests instead.
 
 The module provides parsing, printing, symbolic differentiation, exact
 point evaluation and interval evaluation.  Interval results are widened
@@ -33,8 +34,10 @@ from __future__ import annotations
 import math
 import operator
 import re
+import weakref
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,25 +63,22 @@ __all__ = [
 ]
 
 class Expr:
-    """Base class for expression nodes.  Instances are immutable.
+    """Base class for expression nodes.
 
-    Equality is structural and ``hash`` agrees with it.  Both walk each
-    distinct node once, iteratively, so two separate parses of a deep or
-    widely shared rule compare in time linear in their distinct nodes;
-    ``repr`` is iterative too, but spells out every path.
+    Nodes are hash-consed: a constructor returns the live node of the
+    structure it is asked for when there is one, so each structure has
+    one node, ``==`` and ``hash`` are identity, and walkers memoize on the
+    node itself.  Nodes are immutable.  ``repr`` is iterative, but spells
+    out every path.
     """
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
-    def __eq__(self, other):
-        if not isinstance(other, Expr):
-            return NotImplemented
-        table: dict[tuple, int] = {}
-        shape = _fold((self, other), lambda key: table.setdefault(key, len(table)))
-        return shape[id(self)] == shape[id(other)]
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
-    def __hash__(self):
-        return _fold((self,), hash)[id(self)]
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
     def __repr__(self):
         pieces: list[str] = []
@@ -89,81 +89,108 @@ class Expr:
                 pieces.append(cur)
                 continue
             parts: list[Expr | str] = [f"{type(cur).__name__}("]
-            for i, f in enumerate(fields(cur)):
-                value = getattr(cur, f.name)
-                parts += [", " if i else "", f"{f.name}="]
+            for i, name in enumerate(type(cur).__slots__):
+                value = getattr(cur, name)
+                parts += [", " if i else "", f"{name}="]
                 parts.append(value if isinstance(value, Expr) else repr(value))
             parts.append(")")
             stack += reversed(parts)
         return "".join(pieces)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+# A weak reference to the live node of each structure, by its key: the
+# node's class, then its fields in slot order, children by identity (they
+# are the live nodes of their own structures); a constant's key adds the
+# sign of its value.  An entry goes when its node does.  Construction
+# takes no lock: expressions are built from one thread.  (A plain dict of
+# weak references: WeakValueDictionary's get and set, written in Python,
+# cost differentiation-heavy analyses about 5 % of their wall time.)
+_LIVE: dict[tuple, weakref.ref] = {}
+
+
+def _forget(key: tuple, ref: weakref.ref) -> None:
+    if _LIVE.get(key) is ref:
+        del _LIVE[key]
+
+
+def _node(key: tuple) -> Expr:
+    """The live node with ``key``, made if there is none."""
+    ref = _LIVE.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    cls = key[0]
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, key[1:]):
+        object.__setattr__(node, name, value)
+    _LIVE[key] = weakref.ref(node, partial(_forget, key))
+    return node
+
+
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.value):
-            raise ValueError(f"constants must be finite, got {self.value!r}")
+    def __new__(cls, value: float):
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"constants must be finite, got {value!r}")
+        # 0.0 == -0.0, but they print differently
+        return _node((cls, value, math.copysign(1.0, value)))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
-    node: str
-    delay: int = 0
+    __slots__ = ("node", "delay")
 
-    def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError(f"negative delay {self.delay} on {self.node}")
+    def __new__(cls, node: str, delay: int = 0):
+        if delay < 0:
+            raise ValueError(f"negative delay {delay} on {node}")
+        return _node((cls, node, delay))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Call(Expr):
-    func: str
-    arg: Expr
+    __slots__ = ("func", "arg")
 
-    def __post_init__(self):
-        row = OPERATORS.get(self.func)
+    def __new__(cls, func: str, arg: Expr):
+        row = OPERATORS.get(func)
         if row is None or row.arity != 1:
-            raise ValueError(f"unknown function {self.func!r}")
+            raise ValueError(f"unknown function {func!r}")
+        return _node((cls, func, arg))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
 
-    def __post_init__(self):
-        row = OPERATORS.get(self.op)
+    def __new__(cls, op: str, left: Expr, right: Expr):
+        row = OPERATORS.get(op)
         if row is None or row.arity != 2:
-            raise ValueError(f"unknown operator {self.op!r}")
+            raise ValueError(f"unknown operator {op!r}")
+        return _node((cls, op, left, right))
 
 
-def _postorder(roots, sums_as_terms: bool = False, repeated: set[int] | None = None):
-    """Each distinct node (by identity) reachable from ``roots``, once,
-    children before parents and left before right: the order in which a
-    recursive walk first finishes each node.
+def _postorder(roots, sums_as_terms: bool = False, repeated: set[Expr] | None = None):
+    """Each distinct node reachable from ``roots``, once, children before
+    parents and left before right: the order in which a recursive walk
+    first finishes each node.
 
     With ``sums_as_terms`` the children of an additive chain are its terms
     (what :func:`normalize` reads) instead of its two operands.  When
-    ``repeated`` is given, the id of every node reached along more than
-    one edge is added to it.
+    ``repeated`` is given, every node reached along more than one edge is
+    added to it.
     """
     order: list[Expr] = []
-    seen: set[int] = set()
+    seen: set[Expr] = set()
     stack = list(reversed(roots))
     while stack:
         node = stack.pop()
         if node is None:  # the node below has all its children in order
             order.append(stack.pop())
             continue
-        if id(node) in seen:
+        if node in seen:
             if repeated is not None:
-                repeated.add(id(node))
+                repeated.add(node)
             continue
-        seen.add(id(node))
+        seen.add(node)
         kind = type(node)
         if kind is BinOp:
             if sums_as_terms and node.op in ("+", "-"):
@@ -176,43 +203,6 @@ def _postorder(roots, sums_as_terms: bool = False, repeated: set[int] | None = N
         else:
             order.append(node)
     return order
-
-
-def _fold(roots, combine) -> dict[int, object]:
-    """``combine`` of each distinct node's kind, own fields and the
-    results of its children, by node id, for every node reachable from
-    ``roots``.  Constants fold by value, so 0.0 and -0.0 fold alike, as
-    they compare."""
-    val: dict[int, object] = {}
-    for cur in _postorder(roots):
-        kind = type(cur)
-        if kind is Const:
-            key = (Const, cur.value)
-        elif kind is Var:
-            key = (Var, cur.node, cur.delay)
-        elif kind is Call:
-            key = (Call, cur.func, val[id(cur.arg)])
-        else:
-            key = (BinOp, cur.op, val[id(cur.left)], val[id(cur.right)])
-        val[id(cur)] = combine(key)
-    return val
-
-
-def _intern(table: dict[tuple, Expr], node: Expr) -> Expr:
-    """The node of ``table`` with ``node``'s structure, ``node`` itself if
-    there is none yet.  ``node``'s children must come from ``table``, so
-    their identity stands for their structure."""
-    kind = type(node)
-    if kind is Const:
-        # 0.0 == -0.0, but they print differently
-        key = (Const, node.value, math.copysign(1.0, node.value))
-    elif kind is Var:
-        key = (Var, node.node, node.delay)
-    elif kind is Call:
-        key = (Call, node.func, id(node.arg))
-    else:
-        key = (BinOp, node.op, id(node.left), id(node.right))
-    return table.setdefault(key, node)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +469,6 @@ class _Parser:
         self.depth = 0
         # deepest nesting reached inside the innermost open group
         self.peak = 0
-        # one node per distinct subexpression of this text; children are
-        # interned first, so their identity stands for their structure
-        self.table: dict[tuple, Expr] = {}
         # first _GROUP_KEY characters -> (inner text, node, nesting height)
         # of each group parsed so far
         self.groups: dict[str, list[tuple[str, Expr, int]]] = {}
@@ -564,7 +551,7 @@ class _Parser:
             kind, value, _ = self.tok
             if kind == "op" and value in ("+", "-"):
                 self.advance()
-                e = _intern(self.table, BinOp(value, e, self.term()))
+                e = BinOp(value, e, self.term())
             else:
                 return e
 
@@ -574,7 +561,7 @@ class _Parser:
             kind, value, _ = self.tok
             if kind == "op" and value in ("*", "/"):
                 self.advance()
-                e = _intern(self.table, BinOp(value, e, self.factor()))
+                e = BinOp(value, e, self.factor())
             else:
                 return e
 
@@ -586,15 +573,15 @@ class _Parser:
             # a minus sign directly on a numeral is the negative constant
             if nkind == "num":
                 self.advance()
-                return _intern(self.table, Const(-float(nvalue)))
-            return _intern(self.table, Call("neg", self.atom()))
+                return Const(-float(nvalue))
+            return Call("neg", self.atom())
         return self.atom()
 
     def atom(self) -> Expr:
         tok = self.advance()
         kind, value, pos = tok
         if kind == "num":
-            return _intern(self.table, Const(float(value)))
+            return Const(float(value))
         if kind == "op" and value == "(":
             return self.nested(pos, pos)
         if kind == "ident":
@@ -603,7 +590,7 @@ class _Parser:
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function {value!r}", pos)
                 self.advance()
-                return _intern(self.table, Call(value, self.nested(pos, nxt_pos)))
+                return Call(value, self.nested(pos, nxt_pos))
             if value not in self.declared:
                 raise ParseError(f"undeclared identifier {value!r}", pos)
             delay = 0
@@ -615,14 +602,14 @@ class _Parser:
                     raise self.error("delay must be a nonnegative integer", dtok)
                 delay = int(dtok[1])
                 self.expect_op("]")
-            return _intern(self.table, Var(value, delay))
+            return Var(value, delay)
         raise self.error(f"unexpected token {value!r}", tok)
 
 
 def parse_expression(text: str, declared: set[str] | frozenset[str]) -> Expr:
     """Parse ``text`` into the unique tree under standard precedence.
 
-    Identical subexpressions come back as one shared node.  ``declared``
+    Like every node, identical subexpressions are one node.  ``declared``
     is the set of node identifiers a variable reference may name; anything
     else is an error, and so is nesting deeper than ``MAX_NESTING``.
     Tokens are read as the parse reaches them, so of several errors the
@@ -657,25 +644,25 @@ def _text(e: Expr, name: Callable[[str], str] | None = None) -> str:
     full text of its node stood, parentheses included, so putting each
     name's text back in its place gives ``to_text(e)``.
     """
-    repeated: set[int] = set()
+    repeated: set[Expr] = set()
     order = _postorder((e,), repeated=repeated)
-    shared: dict[int, tuple[Expr, str]] = {}
-    nested: set[int] = set()  # nodes with a repeated node below them
+    shared: dict[Expr, str] = {}
+    nested: set[Expr] = set()  # nodes with a repeated node below them
     for cur in order if repeated else ():
         kind = type(cur)
         if kind is not Call and kind is not BinOp:
             continue
         if name is not None:
             below = (cur.arg,) if kind is Call else (cur.left, cur.right)
-            if any(id(c) in shared or id(c) in nested for c in below):
-                nested.add(id(cur))
-        if id(cur) in repeated:
+            if any(c in shared or c in nested for c in below):
+                nested.add(cur)
+        if cur in repeated:
             text = _render(cur, shared)
-            shared[id(cur)] = (cur, name(text) if id(cur) in nested else text)
+            shared[cur] = name(text) if cur in nested else text
     return _render(e, shared)
 
 
-def _render(e: Expr, shared: dict[int, tuple[Expr, str]]) -> str:
+def _render(e: Expr, shared: dict[Expr, str]) -> str:
     """The text of ``e``, taking the text of every node in ``shared`` from
     there: a node prints the same wherever it sits."""
     pieces: list[str] = []
@@ -684,8 +671,8 @@ def _render(e: Expr, shared: dict[int, tuple[Expr, str]]) -> str:
         cur = stack.pop()
         if isinstance(cur, str):
             pieces.append(cur)
-        elif id(cur) in shared:
-            pieces.append(shared[id(cur)][1])
+        elif cur in shared:
+            pieces.append(shared[cur])
         elif isinstance(cur, Const):
             pieces.append(repr(cur.value))
         elif isinstance(cur, Var):
@@ -731,20 +718,18 @@ def references(e: Expr) -> set[tuple[str, int]]:
 
 def substitute(e: Expr, mapping: dict[tuple[str, int], Expr]) -> Expr:
     """Replace every ``Var`` whose (node, delay) is in ``mapping``."""
-    out: dict[int, Expr] = {}
+    out: dict[Expr, Expr] = {}
     for cur in _postorder((e,)):
         if isinstance(cur, Var):
             new = mapping.get((cur.node, cur.delay), cur)
-        elif isinstance(cur, Call) and out[id(cur.arg)] is not cur.arg:
-            new = Call(cur.func, out[id(cur.arg)])
-        elif isinstance(cur, BinOp) and (
-            out[id(cur.left)] is not cur.left or out[id(cur.right)] is not cur.right
-        ):
-            new = BinOp(cur.op, out[id(cur.left)], out[id(cur.right)])
+        elif isinstance(cur, Call):
+            new = Call(cur.func, out[cur.arg])
+        elif isinstance(cur, BinOp):
+            new = BinOp(cur.op, out[cur.left], out[cur.right])
         else:
             new = cur
-        out[id(cur)] = new
-    return out[id(e)]
+        out[cur] = new
+    return out[e]
 
 
 # ---------------------------------------------------------------------------
@@ -829,14 +814,14 @@ def differentiate(e: Expr, wrt: tuple[str, int]) -> Expr:
     """
     node, delay = wrt
     zero, one = Const(0.0), Const(1.0)
-    d: dict[int, Expr] = {}
+    d: dict[Expr, Expr] = {}
     for cur in _postorder((e,)):
         if isinstance(cur, Const):
             out = zero
         elif isinstance(cur, Var):
             out = one if cur.node == node and cur.delay == delay else zero
         elif isinstance(cur, Call):
-            inner = d[id(cur.arg)]
+            inner = d[cur.arg]
             if isinstance(inner, Const) and inner.value == 0.0:
                 out = zero
             elif cur.func == "neg":
@@ -844,7 +829,7 @@ def differentiate(e: Expr, wrt: tuple[str, int]) -> Expr:
             else:
                 out = _mul(OPERATORS[cur.func].derivative(cur.arg), inner)
         elif isinstance(cur, BinOp):
-            dl, dr = d[id(cur.left)], d[id(cur.right)]
+            dl, dr = d[cur.left], d[cur.right]
             if cur.op == "+":
                 out = _add(dl, dr)
             elif cur.op == "-":
@@ -856,8 +841,8 @@ def differentiate(e: Expr, wrt: tuple[str, int]) -> Expr:
                 out = _div(num, _mul(cur.right, cur.right))
         else:
             raise TypeError(f"not an expression: {cur!r}")
-        d[id(cur)] = out
-    return d[id(e)]
+        d[cur] = out
+    return d[e]
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +850,7 @@ def differentiate(e: Expr, wrt: tuple[str, int]) -> Expr:
 
 def eval_point(e: Expr, assignment: dict[tuple[str, int], float]) -> float:
     """Evaluate ``e`` at a point; every referenced variable must be bound."""
-    val: dict[int, float] = {}
+    val: dict[Expr, float] = {}
     for cur in _postorder((e,)):
         if isinstance(cur, Const):
             v = cur.value
@@ -876,15 +861,15 @@ def eval_point(e: Expr, assignment: dict[tuple[str, int], float]) -> float:
             v = float(assignment[key])
         elif isinstance(cur, Call):
             try:
-                v = OPERATORS[cur.func].point(val[id(cur.arg)])
+                v = OPERATORS[cur.func].point(val[cur.arg])
             except OverflowError:
                 raise EvalError(f"overflow evaluating {cur.func}") from None
         elif isinstance(cur, BinOp):
-            v = OPERATORS[cur.op].point(val[id(cur.left)], val[id(cur.right)])
+            v = OPERATORS[cur.op].point(val[cur.left], val[cur.right])
         else:
             raise TypeError(f"not an expression: {cur!r}")
-        val[id(cur)] = v
-    return val[id(e)]
+        val[cur] = v
+    return val[e]
 
 
 def eval_interval(e: Expr, box: dict[tuple[str, int], Interval]) -> Interval:
@@ -895,7 +880,7 @@ def eval_interval(e: Expr, box: dict[tuple[str, int], Interval]) -> Interval:
     unbounded boxes; polynomial growth over an unbounded box yields
     infinite endpoints, left to the caller to reject.
     """
-    val: dict[int, Interval] = {}
+    val: dict[Expr, Interval] = {}
     for cur in _postorder((e,)):
         if isinstance(cur, Const):
             v = Interval.point(cur.value)
@@ -905,13 +890,13 @@ def eval_interval(e: Expr, box: dict[tuple[str, int], Interval]) -> Interval:
                 raise EvalError(f"no interval assigned to {to_text(cur)}")
             v = box[key]
         elif isinstance(cur, Call):
-            v = OPERATORS[cur.func].interval(val[id(cur.arg)])
+            v = OPERATORS[cur.func].interval(val[cur.arg])
         elif isinstance(cur, BinOp):
-            v = OPERATORS[cur.op].interval(val[id(cur.left)], val[id(cur.right)])
+            v = OPERATORS[cur.op].interval(val[cur.left], val[cur.right])
         else:
             raise TypeError(f"not an expression: {cur!r}")
-        val[id(cur)] = v
-    return val[id(e)]
+        val[cur] = v
+    return val[e]
 
 
 # ---------------------------------------------------------------------------
@@ -974,59 +959,56 @@ def _flatten_mul(e: Expr, factors: list[Expr]) -> float:
     return coeffs[0]
 
 
-def _key(e: Expr, keys: dict[int, tuple[Expr, str]]) -> str:
+def _key(e: Expr, keys: dict[Expr, str]) -> str:
     """``to_text(e)``, rendered once per :func:`normalize` call from the
-    texts of the nodes keyed before it.  ``keys`` holds each keyed node
-    with its text, so no id in it is reused while it lives."""
-    hit = keys.get(id(e))
-    if hit is None:
-        hit = keys[id(e)] = (e, _render(e, keys))
-    return hit[1]
+    texts of the nodes keyed before it."""
+    text = keys.get(e)
+    if text is None:
+        text = keys[e] = _render(e, keys)
+    return text
 
 
-def _rebuild_product(coeff: float, factors: list[Expr], keys: dict, table: dict) -> Expr:
-    """The product, its inner nodes interned in ``table``: the caller
-    interns the node returned."""
+def _rebuild_product(coeff: float, factors: list[Expr], keys: dict) -> Expr:
     if coeff == 0.0:
         return Const(0.0)
     if len(factors) > 1:
         factors = sorted(factors, key=lambda f: _key(f, keys))
     out: Expr | None = None
     for f in factors:
-        out = f if out is None else _intern(table, BinOp("*", out, f))
+        out = f if out is None else BinOp("*", out, f)
     if out is None:
         return Const(coeff)
     if coeff == 1.0:
         return out
     if coeff == -1.0:
         return Call("neg", out)
-    return BinOp("*", _intern(table, Const(coeff)), out)
+    return BinOp("*", Const(coeff), out)
 
 
-def _normalize_sum(e: Expr, normal: dict[int, Expr], keys: dict, table: dict) -> Expr:
+def _normalize_sum(e: Expr, normal: dict[Expr, Expr], keys: dict) -> Expr:
     const_part = 0.0
     grouped: dict[str, tuple[Expr, float]] = {}
     for sign, term in _flatten_add(e):
         factors: list[Expr] = []
-        coeff = sign * _flatten_mul(normal[id(term)], factors)
+        coeff = sign * _flatten_mul(normal[term], factors)
         if not factors:
             const_part += coeff
             continue
-        core = _intern(table, _rebuild_product(1.0, factors, keys, table))
+        core = _rebuild_product(1.0, factors, keys)
         key = _key(core, keys)
         prev = grouped.get(key)
         grouped[key] = (core, coeff + (prev[1] if prev else 0.0))
     out: Expr | None = None
     for key in sorted(grouped):
         core, coeff = grouped[key]
-        piece = _intern(table, _rebuild_product(coeff, [core], keys, table))
+        piece = _rebuild_product(coeff, [core], keys)
         if isinstance(piece, Const) and piece.value == 0.0:
             continue
-        out = piece if out is None else _intern(table, BinOp("+", out, piece))
+        out = piece if out is None else BinOp("+", out, piece)
     if out is None:
         return Const(const_part)
     if const_part != 0.0:
-        out = BinOp("+", out, _intern(table, Const(const_part)))
+        out = BinOp("+", out, Const(const_part))
     return out
 
 
@@ -1039,30 +1021,25 @@ def normalize(e: Expr) -> Expr:
     distinct node is normalized once; an additive chain is summed whole,
     never from the normal forms of its sub-chains, so its coefficients
     add up in one fixed order.  Terms and factors are ordered by their
-    printed text, each rendered once per call from its children's.  The
-    result has one node per distinct structure, however ``e`` shared its
-    nodes.
+    printed text, each rendered once per call from its children's.
     """
-    normal: dict[int, Expr] = {}
-    keys: dict[int, tuple[Expr, str]] = {}
-    # every node built is interned, so that how ``e`` happened to share
-    # its nodes leaves no trace in the result
-    table: dict[tuple, Expr] = {}
+    normal: dict[Expr, Expr] = {}
+    keys: dict[Expr, str] = {}
     for cur in _postorder((e,), sums_as_terms=True):
         if isinstance(cur, (Const, Var)):
             out = cur
         elif isinstance(cur, Call):
-            out = _call(cur.func, normal[id(cur.arg)])
+            out = _call(cur.func, normal[cur.arg])
         elif not isinstance(cur, BinOp):
             raise TypeError(f"not an expression: {cur!r}")
         elif cur.op == "/":
-            out = _div(normal[id(cur.left)], normal[id(cur.right)])
+            out = _div(normal[cur.left], normal[cur.right])
         elif cur.op == "*":
             factors: list[Expr] = []
-            coeff = _flatten_mul(normal[id(cur.left)], factors)
-            coeff *= _flatten_mul(normal[id(cur.right)], factors)
-            out = _rebuild_product(coeff, factors, keys, table)
+            coeff = _flatten_mul(normal[cur.left], factors)
+            coeff *= _flatten_mul(normal[cur.right], factors)
+            out = _rebuild_product(coeff, factors, keys)
         else:
-            out = _normalize_sum(cur, normal, keys, table)
-        normal[id(cur)] = _intern(table, out)
-    return normal[id(e)]
+            out = _normalize_sum(cur, normal, keys)
+        normal[cur] = out
+    return normal[e]

@@ -108,17 +108,15 @@ def network_from_exprs(
     updates: dict[str, Expr],
     name: str = "",
     cg: CohenGrossbergParams | None = None,
-    run_normalize: bool = True,
 ) -> TimeDelayedNetwork:
     """Assemble a network from already-built expression trees.
 
-    Updates are normalized by default so that terms multiplied by a
-    literal zero (and exactly cancelling terms) drop out and the
-    interaction graph reflects true dependence.
+    Updates are normalized so that terms multiplied by a literal zero
+    (and exactly cancelling terms) drop out and the interaction graph
+    reflects true dependence.
     """
     nodes = tuple(nodes)
-    if run_normalize:
-        updates = {n: ex.normalize(u) for n, u in updates.items()}
+    updates = {n: ex.normalize(u) for n, u in updates.items()}
     declared = set(nodes)
     max_delay = 0
     for node in nodes:

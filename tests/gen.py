@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from netstab.expr import BinOp, Call, Const, Expr, Interval, Var
+from netstab.expr import BinOp, Call, Const, Expr, Interval, Var, references
 from netstab.network import (
     InteractionGraph,
     TimeDelayedNetwork,
@@ -88,6 +88,12 @@ def random_network(
             name=name or f"random{n}",
         )
     return net
+
+
+def network_as_built(nodes, domains, updates) -> TimeDelayedNetwork:
+    """The network of ``updates`` exactly as given, not normalized."""
+    T = 1 + max((d for u in updates.values() for _, d in references(u)), default=0)
+    return TimeDelayedNetwork(tuple(nodes), dict(domains), dict(updates), T)
 
 
 def loop_free_graph(rng: np.random.Generator, n: int, reads: int = 2) -> InteractionGraph:

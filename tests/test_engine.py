@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gen import build_benchmark_network, random_network
+from gen import build_benchmark_network, network_as_built, random_network
 
 from netstab import engine
 from netstab import gallery
@@ -12,10 +12,11 @@ from netstab.expr import (
     Const,
     Interval,
     Var,
+    _postorder,
     eval_interval,
     eval_point,
 )
-from netstab.network import build_network, network_from_exprs
+from netstab.network import build_network
 
 R = Interval.whole()
 
@@ -37,27 +38,28 @@ def test_pure_variable_update_compiles_to_window_slot():
 
 
 def test_shared_node_is_computed_once_with_the_same_orbit():
-    def update(shared: bool):
-        a = Call("tanh", BinOp("*", Const(0.5), Var("x2")))
-        b = a if shared else Call("tanh", BinOp("*", Const(0.5), Var("x2")))
-        return BinOp("-", BinOp("*", a, b), BinOp("*", Const(0.1), Var("x1")))
+    # one tanh node read twice, or beside a copy whose product is written
+    # the other way round: the same value from nodes of its own
+    shared = Call("tanh", BinOp("*", Const(0.5), Var("x2")))
+    copy = Call("tanh", BinOp("*", Var("x2"), Const(0.5)))
 
-    dag, tree = (
-        engine.compile_network(
-            network_from_exprs(
-                ("x1", "x2"),
-                {"x1": R, "x2": R},
-                {"x1": update(shared), "x2": Call("sin", Var("x1"))},
-                run_normalize=False,
-            )
+    def compiled(second):
+        update = BinOp("-", BinOp("*", shared, second), BinOp("*", Const(0.1), Var("x1")))
+        net = network_as_built(
+            ("x1", "x2"), {"x1": R, "x2": R}, {"x1": update, "x2": Call("sin", Var("x1"))}
         )
-        for shared in (True, False)
+        return net, engine.compile_network(net)
+
+    (net, dag), (_, copies) = compiled(shared), compiled(copy)
+    # one tape op per distinct Call or BinOp node of each update
+    inner = sum(
+        isinstance(e, (Call, BinOp)) for u in net.updates.values() for e in _postorder((u,))
     )
-    assert dag.ops.shape[0] == tree.ops.shape[0] - 2
+    assert dag.ops.shape[0] == inner == copies.ops.shape[0] - 2
     history = np.array([[0.3, -0.7]])
     dag_states, _, _ = engine.run_orbit(dag, history, 50)
-    tree_states, _, _ = engine.run_orbit(tree, history, 50)
-    assert np.array_equal(dag_states, tree_states)
+    copies_states, _, _ = engine.run_orbit(copies, history, 50)
+    assert np.array_equal(dag_states, copies_states)
 
 
 def test_single_step_matches_eval_point():
@@ -96,9 +98,7 @@ def _row_cases():
 @pytest.mark.parametrize("name, update", list(_row_cases()))
 def test_every_operator_row_through_the_tape(name, update):
     box = Interval(0.25, 2.0)
-    net = network_from_exprs(
-        ("x1",), {"x1": box}, {"x1": update}, run_normalize=False
-    )
+    net = network_as_built(("x1",), {"x1": box}, {"x1": update})
     prog = engine.compile_network(net)
     assert list(OPERATORS).index(name) in prog.ops[:, 0]
     enclosure = eval_interval(update, {("x1", 0): box})
@@ -144,7 +144,7 @@ def test_apply_undelayed():
     net = gallery.delayed_pair(0.5, 0.1, 1.0, c1=0.3)
     prog = engine.compile_network(net)
     x = np.array([0.2, -0.4])
-    got = engine.apply_undelayed(prog, x)
+    got = engine.undelayed_map(prog)(x)
     want = [
         0.5 * 0.2 + 0.2 * np.tanh(-0.4) + 0.3,
         0.5 * -0.4 + 0.2 * np.tanh(0.2),
@@ -164,7 +164,7 @@ def test_apply_undelayed_is_bit_identical_to_one_orbit_step():
         assert prog.T >= 2
         x = rng.uniform(-2, 2, net.size)
         states, _, _ = engine.run_orbit(prog, np.tile(x, (prog.T, 1)), 1)
-        assert np.array_equal(engine.apply_undelayed(prog, x), states[prog.T])
+        assert np.array_equal(engine.undelayed_map(prog)(x), states[prog.T])
     assert {"sech", "sin", "cos"} <= calls
 
 
@@ -287,9 +287,7 @@ def _grouped_cases():
         # one term object in two updates: its nodes are shared across roots
         for node in {net.nodes[0], net.nodes[-1]}:
             updates[node] = BinOp("+", updates[node], term)
-        yield network_from_exprs(
-            net.nodes, net.domains, updates, run_normalize=False
-        )
+        yield network_as_built(net.nodes, net.domains, updates)
 
 
 def _assert_same_orbits(prog, histories, steps, stop_delta):
@@ -319,7 +317,7 @@ def test_grouped_tape_is_bit_identical_to_one_instruction_at_a_time():
             _assert_same_orbits(prog, histories, steps, stop_delta)
         xs = rng.uniform(-2, 2, (3, prog.n_nodes))
         assert np.array_equal(
-            engine.apply_undelayed(prog, xs[0]), reference_apply_undelayed(prog, xs[0])
+            engine.undelayed_map(prog)(xs[0]), reference_apply_undelayed(prog, xs[0])
         )
         # one binding applied repeatedly, as find_fixed_point does
         apply = engine.undelayed_map(prog)

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -7,13 +8,21 @@ from gen import diamond_network
 from netstab.errors import EvalError, ParseError
 from netstab.expr import (
     MAX_NESTING,
+    OPERATORS,
     BinOp,
     Call,
     Const,
     Interval,
     Var,
+    _LIVE,
     _Parser,
+    _add,
+    _div,
+    _mul,
+    _neg,
     _postorder,
+    _render,
+    _sub,
     differentiate,
     eval_interval,
     eval_point,
@@ -24,6 +33,7 @@ from netstab.expr import (
     to_text,
 )
 from netstab.network import dump_network, load_network
+from netstab.stability import analyze
 from netstab.transform import restrict
 
 NODES = {"x1", "x2", "x3"}
@@ -325,37 +335,76 @@ def test_parse_keeps_signed_zeros_apart():
     assert to_text(parse_expression(text, set())) == text
 
 
-def _unshared(e):
-    """A copy of ``e`` in which every node has one parent."""
-    if isinstance(e, Call):
-        return Call(e.func, _unshared(e.arg))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, _unshared(e.left), _unshared(e.right))
-    if isinstance(e, Const):
-        return Const(e.value)
-    return Var(e.node, e.delay)
-
-
 def _bits(v: Interval):
     return v.lo.hex(), v.hi.hex()
 
 
+def _per_path(e, leaf, combine):
+    """Fold ``e`` recursively and without a memo, so once per path: the
+    reference the memoized walkers must agree with."""
+    if isinstance(e, Call):
+        return combine(e, _per_path(e.arg, leaf, combine))
+    if isinstance(e, BinOp):
+        return combine(e, _per_path(e.left, leaf, combine), _per_path(e.right, leaf, combine))
+    return leaf(e)
+
+
+def _point_per_path(e, point):
+    return _per_path(
+        e,
+        lambda v: v.value if isinstance(v, Const) else point[(v.node, v.delay)],
+        lambda cur, *args: OPERATORS[cur.func if isinstance(cur, Call) else cur.op].point(*args),
+    )
+
+
+def _interval_per_path(e, box):
+    return _per_path(
+        e,
+        lambda v: Interval.point(v.value) if isinstance(v, Const) else box[(v.node, v.delay)],
+        lambda cur, *args: OPERATORS[cur.func if isinstance(cur, Call) else cur.op].interval(*args),
+    )
+
+
+def _derivative_per_path(e, wrt):
+    """differentiate's rules, applied once per path."""
+    def leaf(v):
+        return Const(1.0 if isinstance(v, Var) and (v.node, v.delay) == wrt else 0.0)
+
+    def combine(cur, *ds):
+        if isinstance(cur, Call):
+            (inner,) = ds
+            if isinstance(inner, Const) and inner.value == 0.0:
+                return Const(0.0)
+            if cur.func == "neg":
+                return _neg(inner)
+            return _mul(OPERATORS[cur.func].derivative(cur.arg), inner)
+        dl, dr = ds
+        if cur.op in ("+", "-"):
+            return (_add if cur.op == "+" else _sub)(dl, dr)
+        if cur.op == "*":
+            return _add(_mul(dl, cur.right), _mul(cur.left, dr))
+        num = _sub(_mul(dl, cur.right), _mul(cur.left, dr))
+        return _div(num, _mul(cur.right, cur.right))
+
+    return _per_path(e, leaf, combine)
+
+
 def test_shared_dag_walks_bit_identical_to_its_tree():
     dag = restrict(diamond_network(np.random.default_rng(6), 6), ["s"]).updates["s"]
-    tree = _unshared(dag)
-    assert len(_postorder([dag])) < 200 < len(_postorder([tree]))
-    assert to_text(dag) == to_text(tree)
-    assert to_text(normalize(dag)) == to_text(normalize(tree))
+    paths = _per_path(dag, lambda _: 1, lambda _, *counts: 1 + sum(counts))
+    assert len(_postorder([dag])) < 200 < paths
+    assert to_text(dag) == _render(dag, {})  # the renderer with nothing shared
+    assert normalize(dag) is dag
     for box in ({("s", 0): Interval(-2.0, 3.0)}, {("s", 0): Interval.whole()}):
-        assert _bits(eval_interval(dag, box)) == _bits(eval_interval(tree, box))
+        assert _bits(eval_interval(dag, box)) == _bits(_interval_per_path(dag, box))
     for x in (-1.3, 0.0, 0.7):
         point = {("s", 0): x}
-        assert eval_point(dag, point).hex() == eval_point(tree, point).hex()
+        assert eval_point(dag, point).hex() == _point_per_path(dag, point).hex()
     for ref in references(dag) | {("s", 1)}:
-        d_dag, d_tree = differentiate(dag, ref), differentiate(tree, ref)
-        assert to_text(d_dag) == to_text(d_tree)
+        d = differentiate(dag, ref)
+        assert d is _derivative_per_path(dag, ref)
         box = {("s", 0): Interval(-2.0, 3.0)}
-        assert _bits(eval_interval(d_dag, box)) == _bits(eval_interval(d_tree, box))
+        assert _bits(eval_interval(d, box)) == _bits(_interval_per_path(d, box))
 
 
 def test_walkers_map_a_shared_node_to_one_node():
@@ -387,9 +436,7 @@ def test_long_sum_compares_hashes_and_prints_without_recursion():
     n = 3000
     text = " + ".join(f"{0.5 / n!r}*tanh(x1 - {i / n!r})" for i in range(n))
     a, b = parse_expression(text, NODES), parse_expression(text, NODES)
-    assert a is not b
-    assert a == b and hash(a) == hash(b)
-    assert repr(a) == repr(b)
+    assert a is b
     assert repr(a).startswith("BinOp(op='+', left=BinOp(op='+', left=")
     last = "Var(node='x1', delay=0), right=Const(value=0.9996666666666667)))))"
     assert repr(a).endswith(last)
@@ -400,8 +447,7 @@ def test_long_sum_compares_hashes_and_prints_without_recursion():
 def test_separate_parses_of_a_restricted_diamond_compare_equal():
     text = to_text(restrict(diamond_network(np.random.default_rng(5), 12), ["s"]).updates["s"])
     a, b = parse_expression(text, {"s"}), parse_expression(text, {"s"})
-    assert a is not b and len(_postorder([a])) < 300
-    assert a == b and hash(a) == hash(b)
+    assert a is b and len(_postorder([a])) < 300
     # the innermost read of s, under every one of the 2^12 branches
     changed = parse_expression(text.replace("tanh(s)", "tanh(s[-1])"), {"s"})
     assert a != changed and not a == changed
@@ -420,6 +466,61 @@ def test_parse_nesting_limit():
     ):
         with pytest.raises(ParseError, match="nesting deeper than"):
             parse_expression(text, NODES)
+
+
+# ---------------------------------------------------------------------------
+# one node per structure
+
+
+def test_signed_zeros_are_two_nodes():
+    assert Const(0.0) is not Const(-0.0)
+    assert Const(0.0) != Const(-0.0) and not Const(0.0) == Const(-0.0)
+    assert Const(-0.0) is Const(-0.0) and Const(0) is Const(0.0)
+    assert to_text(Const(-0.0)) == "-0.0"
+
+
+def test_parse_constructors_normalize_and_restrict_build_the_same_node():
+    e = parse_expression("tanh(x1 + 0.5) * x2[-1]", NODES)
+    assert e is BinOp("*", Call("tanh", BinOp("+", Var("x1"), Const(0.5))), Var("x2", 1))
+    assert normalize(parse_expression("x2[-1] * tanh(0.5 + x1)", NODES)) is normalize(e)
+    net = restrict(diamond_network(np.random.default_rng(4), 4), ["s"])
+    update = net.updates["s"]
+    assert parse_expression(to_text(update), {"s"}) is update
+    assert load_network(dump_network(net)).updates["s"] is update
+    assert normalize(update) is update
+    rebuilt = _per_path(
+        update,
+        lambda v: Const(v.value) if isinstance(v, Const) else Var(v.node, v.delay),
+        lambda cur, *kids: Call(cur.func, *kids) if isinstance(cur, Call) else BinOp(cur.op, *kids),
+    )
+    assert rebuilt is update
+
+
+def test_nodes_are_immutable():
+    for node in (Const(1.5), Var("x1", 2), Call("tanh", Var("x1")), BinOp("+", Var("x1"), Const(1.5))):
+        field = type(node).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(node, field, getattr(node, field))
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    assert Const(1.5).value == 1.5
+
+
+def test_a_dropped_restrict_and_analyze_leaves_no_live_node():
+    def round_trip():
+        # a diamond that no other test holds, so its nodes are new
+        net = restrict(diamond_network(np.random.default_rng(8191), 10), ["s"])
+        report = analyze(net)
+        return len(_LIVE), report.rho
+
+    gc.collect()
+    baseline = len(_LIVE)
+    during, rho = round_trip()
+    gc.collect()
+    assert during > baseline + 50 and rho > 0.0
+    assert len(_LIVE) == baseline
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +545,7 @@ def test_repeated_group_is_the_node_a_fresh_parse_interns():
     assert parser.parsed == once.parsed == 3
     first = e.left.left
     assert e.left.right.arg is first and e.right is first
-    fresh = _Parser(group, NODES)
-    fresh.table = parser.table
-    assert fresh.parse() is first
+    assert parse_expression(group, NODES) is first
 
 
 @pytest.mark.parametrize("first, second", [

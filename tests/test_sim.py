@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gen import build_benchmark_network, random_network
+from gen import build_benchmark_network, network_as_built, random_network
 
 from netstab import engine, gallery
 from netstab.delays import dedelay, undelay
 from netstab.errors import ConvergenceError, NetstabError, NetworkError
 from netstab.expr import Interval, Var
-from netstab.network import build_network, network_from_exprs
+from netstab.network import build_network
 from netstab.sim import (
     conjugacy_check,
     find_fixed_point,
@@ -300,9 +300,7 @@ def test_conjugacy_negative_control():
     aug = dedelay(net)
     broken_updates = dict(aug.net.updates)
     broken_updates["x1_d2"] = Var("x2_d1", 0)
-    broken = network_from_exprs(
-        aug.net.nodes, aug.net.domains, broken_updates, run_normalize=False
-    )
+    broken = network_as_built(aug.net.nodes, aug.net.domains, broken_updates)
 
     rng = np.random.default_rng(5)
     history = rng.uniform(-2, 2, (4, 2))

@@ -294,8 +294,8 @@ def test_shared_names_avoid_node_names():
     restrict(diamond_network(np.random.default_rng(10), 10), ["s"]),
 ], ids=["ring6", "diamond4", "diamond10"])
 def test_shared_names_do_not_depend_on_how_the_network_was_built(net):
-    # the parser shares equal nodes that restrict builds apart; the names
-    # must follow the structure alone, so both write the same report
+    # the names must follow the structure alone, so both write the same
+    # report
     report = analyze(net)
     assert report.shared
     assert report.to_json() == analyze(load_network(dump_network(net))).to_json()
