@@ -28,19 +28,24 @@ The ``expand`` row times ``expand`` onto {s} of the k = 10 diamond, which
 inlines once per branch and adds a delay chain per branch, and records its
 coordinates (state dimension) and the distinct nodes of its update of s.
 
-The spectral layer assembles the stability matrix of five rings
+The spectral layer assembles the stability matrix of seven rings
 (``tests/gen.py``'s ``rescaled_ring``: the weights of the orbit layer's
 ring with neighbour delays 0..D and self delay 1, scaled so that
 rho = 1 - 1e-10)
 and brackets its spectral radius, as ``netstab analyze`` does: n = 50,
 D <= 32; n = 100, D <= 16; n = 200, D <= 8, each over a thousand lag
 coordinates; n = 400, D = 0, where half the coordinates are the self
-delay lines; and that ring undelayed, where no row holds a single entry,
-so nothing folds into lag blocks and the iteration starts from ones.
+delay lines; that ring undelayed, where no row holds a single entry, so
+nothing folds into lag blocks; and the two rings where the dense matrix
+used to cost the most, n = 200, D <= 64 (8793 coordinates) and n = 1000,
+D <= 8 (6451 coordinates, 1000 of them kept).  It also brackets three
+1000-vertex components of ``tests/gen.py``'s ``chained_component``
+(rng 1), whose kept block holds 25, 50 and 90 % of the vertices and whose
+other vertices are delay chains spliced into its edges.
 It records the best of ``--repeats`` wall times in ms, the dimension, the
 nonzero entries, the vertices the lag-block reduction keeps (those whose
-row does not hold exactly one entry), the certified bracket and whether
-it reads ``stable``.
+row does not hold exactly one entry), the certified bracket, whether
+it reads ``stable`` (rings) and the process's peak resident set so far.
 
 The structural layer searches four interaction graphs for their first
 16 complete structural sets, as ``netstab sets`` does: those of
@@ -88,7 +93,7 @@ from netstab.delays import undelay
 from netstab.expr import Expr, normalize, parse_expression
 from netstab.network import dump_network, interaction_graph, load_network
 from netstab.sim import find_fixed_point, verify_global_attraction
-from netstab.spectral import spectral_bracket
+from netstab.spectral import NonnegMatrix, spectral_bracket
 from netstab.stability import analyze, stability_matrix
 from netstab.structural import find_structural_sets
 from netstab.transform import expand, restrict
@@ -97,6 +102,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 from gen import (  # noqa: E402
     build_benchmark_network,
+    chained_component,
     loop_free_graph,
     random_network,
     rescaled_ring,
@@ -111,7 +117,10 @@ EXPAND_LAYERS = 10
 # that ring with nothing to fold
 SPECTRAL_RINGS = (
     (50, 32, False), (100, 16, False), (200, 8, False), (400, 0, False), (400, 0, True),
+    (200, 64, False), (1000, 8, False),
 )
+# the share of vertices in the kept block of each chained component
+CHAINED_KEPT = (0.25, 0.5, 0.9)
 
 
 def distinct_nodes(e) -> int:
@@ -214,6 +223,27 @@ def bench_expand(k: int, repeats: int) -> dict:
     }
 
 
+def entries_per_row(matrix) -> np.ndarray:
+    """Nonzero entries in each row, read from the report's entry list, so
+    that no dense array is built."""
+    position = {label: i for i, label in enumerate(matrix.index)}
+    rows = [position[key.split("<-", 1)[0]] for key in matrix.to_json_dict()["entries"]]
+    return np.bincount(rows, minlength=matrix.n)
+
+
+def spectral_row(matrix, repeats: int) -> dict:
+    bracket_ms, (lower, upper) = best_of(repeats, lambda: spectral_bracket(matrix))
+    per_row = entries_per_row(matrix)
+    return {
+        "dim": matrix.n,
+        "nnz": int(per_row.sum()),
+        "kept": int(np.sum(per_row != 1)),
+        "bracket_ms": round(bracket_ms, 2),
+        "rho_lower": lower,
+        "rho_upper": upper,
+    }
+
+
 def bench_spectral(repeats: int) -> list[dict]:
     rows = []
     for nodes, max_delay, undelayed in SPECTRAL_RINGS:
@@ -221,21 +251,22 @@ def bench_spectral(repeats: int) -> list[dict]:
         if undelayed:
             net = undelay(net)
         assemble_ms, matrix = best_of(repeats, lambda: stability_matrix(net))
-        bracket_ms, (lower, upper) = best_of(repeats, lambda: spectral_bracket(matrix))
+        row = spectral_row(matrix, repeats)
         rows.append({
             "nodes": nodes,
             "max_delay": max_delay,
             "undelayed": undelayed,
-            "dim": matrix.n,
-            "nnz": int(np.count_nonzero(matrix.data)),
-            "kept": int(np.sum(np.count_nonzero(matrix.data, axis=1) != 1)),
             "assemble_ms": round(assemble_ms, 2),
-            "bracket_ms": round(bracket_ms, 2),
-            "rho_lower": lower,
-            "rho_upper": upper,
-            "stable": upper < 1.0,
+            **row,
+            "stable": row["rho_upper"] < 1.0,
             "peak_rss_mb": round(peak_rss_mb(), 1),
         })
+    for share in CHAINED_KEPT:
+        dense = chained_component(np.random.default_rng(1), 1000, share)
+        matrix = NonnegMatrix(dense, [str(i) for i in range(len(dense))])
+        del dense
+        rows.append({"chained_kept": share, **spectral_row(matrix, repeats),
+                     "peak_rss_mb": round(peak_rss_mb(), 1)})
     return rows
 
 

@@ -1,25 +1,27 @@
 """Nonnegative-matrix spectral machinery.
 
-Spectral radii are bracketed per strongly connected component by one
-power iteration, which also gives the Perron vector: the component matrix
-is scaled by its largest entry and shifted by the identity so its Perron
-root becomes strictly dominant (delay cycles make these matrices
-periodic), and the Collatz-Wielandt bracket at the converged vector is
-rounded outward so it holds for the exact root.  Trivial components (single vertex, no loop) contribute 0.
+A matrix is held as its nonzero entries, (row, col, value) sorted by
+(row, col); the dense array is built only when ``.data`` is asked for.
 
-The iteration starts from the Perron vector of the component's lag-block
-reduction: the chains of vertices with a single in-edge (the delay lines
-of a de-delayed network) fold into blocks C_k over the other vertices,
-rho = r solves rho(sum_k C_k r^-k) = r on that small matrix, and the
-small Perron vector lifts back along the chains (where nothing folds,
-the iteration starts from ones).  The certificate does not rest on it:
-the Collatz-Wielandt bracket holds at any positive vector, and the power
-iteration runs only where the start's bracket is wider than its exit
-width.
+rho is bracketed on the lag reduction.  On an eigenvector A x = s x, a row
+with a single entry A[v, p] (a delay line, say) has x_v = A[v, p] x_p / s,
+so its chain folds into the kept vertex it starts from, and the kept
+vertices solve R(s) x = s x with R(s) = sum_k C_k s^-k.  Each strongly
+connected component of this folded graph has Perron root r where
+rho(R(r)) = r, and rho(R(s)) < s iff r < s; where nothing folds, R(s) is
+the component itself.  r comes from Noda-type inverse iteration (Noda,
+Numer. Math. 17, 1971): above r, sI - R(s) is a nonsingular M-matrix, so
+each linear solve keeps the vector positive, and the kept rows' equations
+(R(s') y)_i = s' y_i then have roots below s, whose largest is an upper
+bound on r and the next shift.  The certificate is the Collatz-Wielandt
+bracket of the component at the lifted vector, from the sparse entries
+and rounded outward; it holds at any positive vector, so it does not rest
+on the rounding of the chain weights or of the powers of s.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -52,60 +54,137 @@ def _iteration_cap(default: int = 100_000) -> int:
     return cap
 
 
-@dataclass(frozen=True)
 class NonnegMatrix:
-    """Square nonnegative matrix over an ordered index list."""
+    """Square nonnegative matrix over an ordered index list.
 
-    data: np.ndarray
-    index: tuple[str, ...]
+    It is held as its nonzero entries ``rows``, ``cols`` and ``values``,
+    sorted by (row, col).  ``NonnegMatrix(data, index)`` takes a dense
+    array; :meth:`from_entries` takes (row, col, value) triples.
+    """
 
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        object.__setattr__(self, "data", data)
+    __slots__ = ("index", "rows", "cols", "values")
+
+    def __init__(self, data, index):
+        data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ValueError(f"matrix must be square, got shape {data.shape}")
-        if data.shape[0] != len(self.index):
+        if data.shape[0] != len(index):
             raise ValueError("index list length must match the dimension")
-        if not np.isfinite(data).all():
-            raise ValueError("entries must be finite")
-        if (data < 0).any():
-            raise ValueError("entries must be nonnegative")
+        rows, cols = np.nonzero(data)
+        self._set(tuple(index), rows, cols, data[rows, cols])
+
+    @classmethod
+    def from_entries(cls, index, rows, cols, values) -> "NonnegMatrix":
+        """Entry ``values[k]`` at (``rows[k]``, ``cols[k]``), in any order;
+        zero values are dropped and every other position is 0."""
+        self = cls.__new__(cls)
+        n = len(index)
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+            raise ValueError("entry position out of range")
+        key = rows * n + cols
+        order = np.argsort(key, kind="stable")
+        if (np.diff(key[order]) == 0).any():
+            raise ValueError("duplicate entry position")
+        self._set(tuple(index), rows[order], cols[order],
+                  np.asarray(values, dtype=np.float64)[order])
+        return self
+
+    def _set(self, index, rows, cols, values):
+        if not (np.isfinite(values).all() and (values >= 0).all()):
+            raise ValueError("entries must be finite and nonnegative")
+        nonzero = values != 0
+        self.index = index
+        self.rows, self.cols, self.values = rows[nonzero], cols[nonzero], values[nonzero]
 
     @property
     def n(self) -> int:
-        return self.data.shape[0]
+        return len(self.index)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The dense array, built on each call."""
+        out = np.zeros((self.n, self.n))
+        out[self.rows, self.cols] = self.values
+        return out
+
+    def _at(self, row: int, col: int) -> float:
+        return float(self.values[(self.rows == row) & (self.cols == col)].sum())
 
     def entry(self, row_label: str, col_label: str) -> float:
-        return float(self.data[self.index.index(row_label), self.index.index(col_label)])
+        return self._at(self.index.index(row_label), self.index.index(col_label))
 
     def to_json_dict(self) -> dict:
         """``indices`` in order, and ``entries``: each nonzero entry keyed
         ``"row<-col"`` by its labels."""
-        rows, cols = np.nonzero(self.data)
-        values = self.data[rows, cols].tolist()
         labels = self.index
         return {
             "indices": list(labels),
             "entries": {
                 f"{labels[j]}<-{labels[i]}": value
-                for j, i, value in zip(rows.tolist(), cols.tolist(), values)
+                for j, i, value in zip(self.rows.tolist(), self.cols.tolist(),
+                                       self.values.tolist())
             },
         }
 
 
-def _as_array(M) -> np.ndarray:
+def _coo(M) -> NonnegMatrix:
     if isinstance(M, NonnegMatrix):
-        return M.data
-    arr = np.asarray(M, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {arr.shape}")
-    return arr
+        return M
+    A = np.asarray(M, dtype=np.float64)
+    return NonnegMatrix(A, tuple(map(str, range(A.shape[0]))) if A.ndim == 2 else ())
 
 
 @dataclass(frozen=True)
 class Component:
     indices: tuple[int, ...]
     trivial: bool
+
+
+def _tarjan(n: int, rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, ...]]:
+    """Strongly connected components of the digraph with edges rows[k] ->
+    cols[k] (sorted by row), each a sorted tuple, sinks of the condensation
+    first (iterative Tarjan)."""
+    indptr, targets = np.searchsorted(rows, np.arange(n + 1)).tolist(), cols.tolist()
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    components: list[tuple[int, ...]] = []
+    counter = 0
+    for root in range(n):
+        work = [(root, indptr[root])] if index[root] < 0 else []
+        while work:
+            v, e = work[-1]
+            if index[v] < 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            end = indptr[v + 1]
+            while e < end:
+                w = targets[e]
+                e += 1
+                if index[w] < 0:
+                    work[-1] = (v, e)
+                    work.append((w, indptr[w]))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    k = len(stack) - 1
+                    while stack[k] != v:
+                        k -= 1
+                    for w in stack[k:]:
+                        on_stack[w] = False
+                    components.append(tuple(sorted(stack[k:])))
+                    del stack[k:]
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return components
 
 
 def strongly_connected_components(M) -> list[Component]:
@@ -115,253 +194,179 @@ def strongly_connected_components(M) -> list[Component]:
     first); a component is trivial when it is a single vertex without a
     loop.
     """
-    A = _as_array(M)
-    n = A.shape[0]
-    rows, cols = np.nonzero(A > 0)
-    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    targets = cols.tolist()
-    adjacency = [targets[bounds[i]:bounds[i + 1]] for i in range(n)]
+    A = _coo(M)
+    loops = set(A.rows[A.rows == A.cols].tolist())
+    return [Component(indices=c, trivial=len(c) == 1 and c[0] not in loops)
+            for c in _tarjan(A.n, A.rows, A.cols)]
 
-    index_of = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = [0]
-    components: list[Component] = []
 
-    for start in range(n):
-        if index_of[start] != -1:
-            continue
-        # iterative Tarjan: (vertex, next-child position)
-        work = [(start, 0)]
-        while work:
-            v, child = work[-1]
-            if child == 0:
-                index_of[v] = lowlink[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            neighbors = adjacency[v]
-            while child < len(neighbors):
-                w = neighbors[child]
-                child += 1
-                if index_of[w] == -1:
-                    work[-1] = (v, child)
-                    work.append((w, 0))
-                    advanced = True
+def _normal(x: np.ndarray) -> np.ndarray:
+    info = np.finfo(np.float64)
+    return (x >= info.tiny) & (x <= info.max)
+
+
+def _fold(A: NonnegMatrix, indptr: np.ndarray):
+    """(keep, origin, depth, weight) of A's chains of single-entry rows.
+
+    Kept are the rows that do not hold one entry, and the least vertex of
+    each cycle of rows that do.  Every other vertex v reaches kept
+    ``origin[v]`` after ``depth[v]`` steps along its rows' entries, whose
+    product is ``weight[v]``, in log2(depth) pointer-doubling passes.  Where
+    a weight (or its product with a kept row's entry) is not a positive
+    normal float, chains are cut at every half of the longest depth."""
+    n = A.n
+    single = np.diff(indptr) == 1
+    at = indptr[:-1][single]
+    parent = np.arange(n)
+    parent[single] = A.cols[at]
+    entry = np.ones(n)
+    entry[single] = A.values[at]
+    keep = ~single
+    with np.errstate(over="ignore"):  # checked below
+        while True:
+            origin = np.where(keep, np.arange(n), parent)
+            weight = np.where(keep, 1.0, entry)
+            depth = (~keep).astype(np.intp)
+            for _ in range(n.bit_length() + 1):
+                if keep[origin].all():
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if advanced:
+                weight, depth, origin = (weight * weight[origin], depth + depth[origin],
+                                         origin[origin])
+            stuck = origin[~keep[origin]]
+            if stuck.size:  # ends on a cycle of single-entry rows: keep its least vertex
+                low, hop = np.arange(n), parent
+                for _ in range(n.bit_length() + 1):
+                    low, hop = np.minimum(low, low[hop]), hop[hop]
+                keep[low[stuck]] = True
                 continue
-            work.pop()
-            if lowlink[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp = tuple(sorted(comp))
-                trivial = bool(len(comp) == 1 and A[comp[0], comp[0]] == 0.0)
-                components.append(Component(indices=comp, trivial=trivial))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return components
+            reads = keep[A.rows] & ~keep[A.cols]
+            longest = int(depth.max(initial=0))
+            coef = A.values[reads] * weight[A.cols[reads]]
+            if longest and not (_normal(weight).all() and _normal(coef).all()):
+                keep |= depth % max(longest // 2, 1) == 0
+                continue
+            return keep, origin, depth, weight
 
 
-@dataclass(frozen=True)
-class _LagReduction:
-    """A nonnegative matrix A folded onto its ``size`` kept vertices.
-
-    Every other vertex v has in-degree 1: its row holds one nonzero entry,
-    A[v, parent] (v is computed from that one coordinate), so an eigenpair
-    A x = r x has x_v = A[v, parent] x_parent / r.  Following parents from
-    v reaches kept vertex number ``origin[v]`` after ``depth[v]`` steps,
-    with ``weight[v]`` the product of the entries on the way, so
-    x_v = weight[v] x_origin / r^depth.  On the kept vertices
-    the eigen-equation becomes r x = R(r) x, R(r) = sum_k C_k r^-k, the sum
-    over terms ``coef * r^-lag`` at (``row``, ``col``): rho(A) = r iff
-    rho(R(r)) = r.  For the stability matrix of a delayed network with the
-    base nodes kept, the chains are the delay lines and C_d is the lag
-    block A_d.
-    """
-
-    size: int
-    origin: np.ndarray
-    depth: np.ndarray
-    weight: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-    coef: np.ndarray
-    lag: np.ndarray
-
-    @classmethod
-    def of(cls, A: np.ndarray, keep) -> "_LagReduction":
-        """Fold A onto ``keep`` (increasing); every chain of other vertices
-        must start in it."""
-        n = A.shape[0]
-        rows, cols = np.nonzero(A)
-        keep = np.asarray(keep, dtype=np.intp)
-        kept = np.zeros(n, dtype=bool)
-        kept[keep] = True
-        parent = np.zeros(n, dtype=np.intp)
-        chained = ~kept[rows]
-        parent[rows[chained]] = cols[chained]
-        depth = np.where(kept, 0, -1)
-        origin = np.cumsum(kept) - 1
-        weight = np.ones(n)
-        todo = np.flatnonzero(~kept)
-        while todo.size:  # one chain step per pass
-            ready = depth[parent[todo]] >= 0
-            if not ready.any():
-                raise ValueError("a chain of single-entry rows misses the kept set")
-            v = todo[ready]
-            p = parent[v]
-            depth[v] = depth[p] + 1
-            origin[v] = origin[p]
-            weight[v] = A[v, p] * weight[p]
-            todo = todo[~ready]
-        fold = kept[rows]
-        src, dst = rows[fold], cols[fold]
-        return cls(keep.size, origin, depth, weight, row=origin[src], col=origin[dst],
-                   coef=A[src, dst] * weight[dst], lag=depth[dst])
-
-    def _sum(self, terms: np.ndarray) -> np.ndarray:
-        s = self.size
-        return np.bincount(self.row * s + self.col, weights=terms, minlength=s * s).reshape(s, s)
-
-    def matrix(self, r: float) -> np.ndarray:
-        """R(r) over the kept vertices."""
-        return self._sum(self.coef * r ** -self.lag)
-
-    def log_slope(self, r: float) -> np.ndarray:
-        """dR/d(log r) = -sum_k k C_k r^-k."""
-        return self._sum(-self.lag * (self.coef * r ** -self.lag))
-
-    def lift(self, x: np.ndarray, r: float) -> np.ndarray:
-        """The full vector whose kept entries are ``x``."""
-        return self.weight * x[self.origin] / r ** self.depth
-
-
-def _reduced_perron(red: _LagReduction) -> tuple[float, np.ndarray]:
-    """(r, x): r solves rho(R(r)) = r and x >= 0, largest entry 1, solves
-    R(r) x = r x.
-
-    log rho(R(e^t)) is convex in t (every entry of R is a sum of
-    exponentials in t), so Newton's method on log rho(R(e^t)) = t, with the
-    Perron derivative u^T R' v / u^T v, converges from r = 1.  x then comes
-    from one linear solve: with its largest entry fixed at 1 the others
-    solve a nonsingular M-matrix system, which keeps the tiny entries of
-    localized Perron vectors that eig's eigenvector loses.
-    """
-    t = 0.0
-    for _ in range(50):
-        r = np.exp(t)
-        R = red.matrix(r)
-        lam, V = np.linalg.eig(R)
-        k = np.argmax(lam.real)  # the Perron root has the largest real part
-        rho = lam[k].real
-        v = np.abs(V[:, k])
-        lam_left, U = np.linalg.eig(R.T)
-        u = np.abs(U[:, np.argmax(lam_left.real)])
-        slope = u @ red.log_slope(r) @ v / (rho * (u @ v))
-        step = (np.log(rho) - t) / (slope - 1.0)
-        t -= step
-        # eig's rho is noisy near 1e-15; a nan step also stops here
-        if not abs(step) > 1e-13 * max(1.0, abs(t)):
-            break
-    r = np.exp(t)
-    R = red.matrix(r)
-    top = np.argmax(v)
-    rest = np.arange(R.shape[0]) != top
-    x = np.ones(R.shape[0])
-    x[rest] = np.linalg.solve(r * np.eye(R.shape[0] - 1) - R[np.ix_(rest, rest)], R[rest, top])
-    return r, x
-
-
-def _perron_start(A: np.ndarray) -> np.ndarray:
-    """Start vector for irreducible A: the Perron vector of its lag-block
-    reduction lifted back, scaled to max 1, or ones where that is not
-    finite and strictly positive (say, where a chain weight underflows).
-
-    The kept vertices are those whose row does not hold exactly one
-    nonzero entry; a simple cycle keeps one.  Where every vertex is kept
-    nothing folds, R(r) is A itself, and the start is ones: A's Perron
-    vector is what the power iteration computes.
-    """
-    n = A.shape[0]
-    keep = np.flatnonzero(np.count_nonzero(A, axis=1) != 1)
-    if keep.size == n:
-        return np.ones(n)
-    with np.errstate(all="ignore"):  # chain weights may overflow or underflow
-        red = _LagReduction.of(A, keep if keep.size else [0])
-        try:
-            r, x = _reduced_perron(red)
-        except np.linalg.LinAlgError:  # a singular solve, or a non-finite R
-            return np.ones(n)
-        v = red.lift(x, r)
-        v = v / v.max()
-    if np.isfinite(v).all() and (v > 0).all():
-        return v
-    return np.ones(n)
-
-
-def _perron(A: np.ndarray, cap: int) -> tuple[float, float, np.ndarray]:
-    """(lower, upper, v): v > 0 with max entry 1 and lower <= rho(A) <= upper
-    for irreducible nonnegative A.
-
-    v starts at :func:`_perron_start`.  Unless A's bracket there is already
-    1e-12 relative wide, it iterates P = (A / max A + I)^4 (A's Perron
-    vector, four steps of the shifted matrix per step) until P's bracket
-    is; scaling before the shift keeps the shift from swamping or
-    vanishing beside A's entries at any scale.  The bracket of A at v is
-    rounded outward: barring underflow, fl(Av) is within gamma_n * Av, and
-    one more gamma term covers the division and the rounding of 1 - gamma.
-    """
-    n = A.shape[0]
-    if n == 1:
-        return float(A[0, 0]), float(A[0, 0]), np.ones(1)
-    v = _perron_start(A)
-    ratios = (A @ v) / v
-    if ratios.max() - ratios.min() > 1e-12 * ratios.max():
-        scale = A.max()
-        P = np.linalg.matrix_power(A / scale + np.eye(n), 4)
+def _root(m: int, row, col, coef, lag, cap: int) -> tuple[float, np.ndarray]:
+    """(s, x): the root r of rho(R(s)) = s, to rounding, and x > 0 its
+    Perron vector, R(s) summing coef * s^-lag at (row, col) over an
+    irreducible m-vertex folded component.  Each step solves T(s) y =
+    T'(s) x, T(s) = sI - R(s), Newton's step for the eigenpair."""
+    e, idx, eye, tol, y = lag + 1.0, row * m + col, np.eye(m), 2.0 ** -46, np.ones(m)
+    near = 1.0 - 0.5 / e.max()  # within half the log-scale of the steepest term
+    # each term of a row at most 1 / (the row's terms) of s at this s
+    s = float(np.max((np.bincount(row, minlength=m)[row] * coef) ** (1.0 / e)))
+    ts = coef * s ** -e  # the terms of R(s) / s
+    shift = math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(cap):
-            w = P @ v
-            ratios = w / v
-            lower, upper = ratios.min(), ratios.max()
-            v = w / w.max()
-            if upper - lower <= 1e-12 * upper:
+            # row i's equation in t = log(s' / s): log sum f e^(-e t) = 0
+            f = ts * y[col] / y[row]
+            F = np.bincount(row, f, m)
+            h0 = np.log(F)
+            newton = h0 * F / np.bincount(row, e * f, m)
+            ha = np.log(np.bincount(row, f * np.exp(-e * newton[row]), m))
+            # the chord through the Newton point, at a fraction of the way
+            chord = newton * np.fmin(np.fmax(h0 / (h0 - ha), 0.0), 1.0)
+            lo, hi = s * math.exp(newton.min()), s * math.exp(chord.max())
+            if hi < near * s:  # a chord from this far is loose: draw it again from hi
+                s, ts = hi, coef * hi ** -e
+                continue
+            x = y / y.max()
+            if not (hi - lo > tol * hi and shift - hi > tol * hi):
                 break
+            shift = hi
+            ts_next = coef * hi ** -e
+            T = hi * eye - np.bincount(idx, hi * ts_next, m * m).reshape(m, m)
+            try:
+                y_next = np.linalg.solve(T, x + np.bincount(row, lag * ts_next * x[col], m))
+            except np.linalg.LinAlgError:
+                break
+            if not y_next.min() > 0:  # hi is r to rounding
+                break
+            s, ts, y = hi, ts_next, y_next
         else:
-            lo, hi = scale * (np.array([lower, upper]) ** 0.25 - 1.0)
-            raise ConvergenceError(f"power iteration did not converge within {cap} "
-                                   f"iterations (rho in [{lo:.17g}, {hi:.17g}])")
-        ratios = (A @ v) / v
-    u = np.finfo(np.float64).eps / 2
-    shrink = 1.0 - (n + 2) * u / (1.0 - (n + 2) * u)
-    lower = float(np.nextafter(ratios.min() * shrink, 0.0))
-    upper = float(np.nextafter(ratios.max() / shrink, np.inf))
+            raise ConvergenceError(f"Perron root iteration did not converge within {cap} "
+                                   f"steps (rho in [{lo:.17g}, {hi:.17g}])")
+    # at the root of x's largest row (the chord's end of its bracket) that
+    # entry is fixed at 1 and the others solve a nonsingular M-matrix
+    # system, which keeps the tiny entries of localized Perron vectors
+    top = np.argmax(x)
+    s *= math.exp(chord[top])
+    R = np.bincount(idx, coef * s ** -lag, m * m).reshape(m, m)
+    rest = np.arange(m) != top
+    x = np.ones(m)
+    x[rest] = np.linalg.solve(s * np.eye(m - 1) - R[rest][:, rest], R[rest][:, top])
+    return s, x
+
+
+def _bracket(A: NonnegMatrix) -> tuple[float, float, np.ndarray]:
+    """(lower, upper, v): lower <= rho(A) <= upper, the max of the
+    nontrivial components' certified brackets, and v > 0 the lifted
+    vector they hold at, max 1 on each component."""
+    cap = _iteration_cap()
+    keep, origin, depth, weight = _fold(A, np.searchsorted(A.rows, np.arange(A.n + 1)))
+    kidx = np.cumsum(keep) - 1
+    reads = keep[A.rows]
+    t_row = kidx[A.rows[reads]]
+    w = A.cols[reads]
+    t_col = kidx[origin[w]]
+    t_coef = A.values[reads] * weight[w]
+    t_lag = depth[w]
+    m = int(keep.sum())
+    comps = _tarjan(m, t_row, t_col)
+
+    cid = np.empty(m, dtype=np.intp)
+    for k, comp in enumerate(comps):
+        cid[list(comp)] = k
+    t_comp = np.where(cid[t_row] == cid[t_col], cid[t_row], -1)
+    lower = upper = 0.0
+    x_kept, s_kept = np.ones(m), np.ones(m)
+    live = np.zeros(len(comps), dtype=bool)
+    for k, comp in enumerate(comps):
+        sl = np.flatnonzero(t_comp == k)
+        if not sl.size:
+            continue  # trivial
+        if len(comp) == 1 and not t_lag[sl].any():
+            c = float(t_coef[sl].sum())  # a lone loop: rho is its entry
+            lower, upper = max(lower, c), max(upper, c)
+            continue
+        ids = np.asarray(comp)  # sorted: a kept vertex's position in it is its local index
+        local = np.searchsorted(ids, t_row[sl]), np.searchsorted(ids, t_col[sl])
+        s_kept[ids], x_kept[ids] = _root(len(comp), *local, t_coef[sl], t_lag[sl], cap)
+        live[k] = True
+    if not live.any():
+        return lower, upper, np.ones(A.n)
+    o = kidx[origin]
+    vcomp = cid[o]
+    lv = live[vcomp]
+    with np.errstate(all="ignore"):
+        v = weight * x_kept[o] * s_kept[o] ** -depth
+        top = np.zeros(len(comps))
+        np.maximum.at(top, vcomp, v)
+        v /= top[vcomp]
+    if not _normal(v[lv]).all():
+        raise ConvergenceError("a component's Perron vector leaves the normal float range")
+    # Collatz-Wielandt at v over each live component's entries: barring
+    # underflow, fl(Av)_i is within gamma_k * (Av)_i for a component of k
+    # vertices, and one more gamma term covers the division and the
+    # rounding of 1 - gamma
+    same = lv[A.rows] & (vcomp[A.rows] == vcomp[A.cols])
+    ratios = (np.bincount(A.rows[same], A.values[same] * v[A.cols[same]], A.n) / v)[lv]
+    gamma = (np.bincount(vcomp, minlength=len(comps)) + 2) * (np.finfo(np.float64).eps / 2)
+    shrink = (1.0 - gamma / (1.0 - gamma))[vcomp[lv]]
+    least = np.full(len(comps), np.inf)
+    np.minimum.at(least, vcomp[lv], ratios * shrink)
+    lower = max(lower, float(np.nextafter(least[live].max(initial=-np.inf), 0.0)))
+    upper = max(upper, float(np.nextafter((ratios / shrink).max(initial=-np.inf), np.inf)))
     return lower, upper, v
 
 
 def spectral_bracket(M) -> tuple[float, float]:
     """(lower, upper) with lower <= rho(M) <= upper for nonnegative M,
     rounding included: the max of the nontrivial components' brackets."""
-    A = _as_array(M)
-    if not np.isfinite(A).all() or (A < 0).any():
-        raise ValueError("spectral_bracket requires a finite nonnegative matrix")
-    cap = _iteration_cap()
-    lower = upper = 0.0
-    for comp in strongly_connected_components(A):
-        if comp.trivial:
-            continue
-        lo, hi, _ = _perron(A[np.ix_(comp.indices, comp.indices)], cap)
-        lower, upper = max(lower, lo), max(upper, hi)
+    lower, upper, _ = _bracket(_coo(M))
     return lower, upper
 
 
@@ -378,15 +383,14 @@ def is_irreducible(M) -> bool:
 
 
 def perron_eigenvector(M) -> tuple[float, np.ndarray]:
-    """(rho, v) with v > 0 and max entry 1; rho equals spectral_radius(M)
-    and |Mv - rho v| <= v * (upper - lower) / 2.  Requires irreducible M.
+    """(rho, v) with v > 0 and max entry 1; rho equals spectral_radius(M),
+    and every ratio (Mv)_i / v_i lies in spectral_bracket(M).  Requires
+    irreducible M.
     """
-    A = _as_array(M)
+    A = _coo(M)
     if not is_irreducible(A):
         raise ValueError("perron_eigenvector requires an irreducible matrix")
-    lower, upper, v = _perron(A, _iteration_cap())
-    if (v <= 0).any():
-        raise ConvergenceError("Perron vector failed to stay positive")
+    lower, upper, v = _bracket(A)
     return 0.5 * (lower + upper), v
 
 
@@ -398,30 +402,25 @@ def theta_extension(M, row: int, col: int, alpha: float, lip: float, theta: floa
     to ``lip``; alpha + lip must equal the original entry.  The sign of
     rho(result) - theta matches the sign of rho(M) - theta.
     """
-    labeled = isinstance(M, NonnegMatrix)
-    A = _as_array(M)
-    n = A.shape[0]
+    A = _coo(M)
+    n = A.n
     if not (0 <= row < n and 0 <= col < n):
         raise ValueError("row/col out of range")
     if alpha < 0 or lip < 0:
         raise ValueError("alpha and lip must be nonnegative")
     if theta <= 0:
         raise ValueError("theta must be positive")
-    if abs(alpha + lip - A[row, col]) > 1e-12:
-        raise ValueError(
-            f"alpha + lip = {alpha + lip} does not match entry {A[row, col]}"
-        )
-    out = np.zeros((n + 1, n + 1))
-    out[1:, 1:] = A
-    out[1 + row, 1 + col] = lip
-    out[0, 1 + col] = alpha
-    out[1 + row, 0] = theta
-    if labeled:
-        taken = set(M.index)
-        aux = "aux"
-        k = 0
-        while aux in taken:
-            k += 1
-            aux = f"aux{k}"
-        return NonnegMatrix(out, (aux,) + M.index)
-    return NonnegMatrix(out, tuple(["aux"] + [str(i) for i in range(n)]))
+    entry = A._at(row, col)
+    if abs(alpha + lip - entry) > 1e-12:
+        raise ValueError(f"alpha + lip = {alpha + lip} does not match entry {entry}")
+    other = (A.rows != row) | (A.cols != col)
+    rows = np.concatenate([A.rows[other] + 1, [1 + row, 0, 1 + row]])
+    cols = np.concatenate([A.cols[other] + 1, [1 + col, 1 + col, 0]])
+    values = np.concatenate([A.values[other], [lip, alpha, theta]])
+    taken = set(A.index)
+    aux = "aux"
+    k = 0
+    while aux in taken:
+        k += 1
+        aux = f"aux{k}"
+    return NonnegMatrix.from_entries((aux,) + A.index, rows, cols, values)

@@ -7,7 +7,10 @@ over the lag coordinates (node, depth) of ``delays.state_indices``, the
 de-delayed coordinate order: each node's own update is differentiated with
 respect to every (source, delay) it reads, the partial lands at column
 (source, delay), and delay-line rows carry a single exact 1.  The
-de-delayed network itself is never built.
+de-delayed network itself is never built, and neither is a dense array:
+the matrix is assembled as its (row, col, value) entries, and
+``spectral.spectral_bracket`` folds the delay-line rows back into lag
+blocks over the base nodes.
 
 ``jacobian_matrix``/``local_spectral_radius`` evaluate the signed
 Jacobian at a single point instead of bounding over the box; that is the
@@ -105,13 +108,18 @@ def _assemble(net: TimeDelayedNetwork):
     """The stability matrix, the provenance of each entry and the shared
     subexpressions the provenance names.
 
-    Names are fresh identifiers ``t1``, ``t2``, ... (neither node names nor
-    functions), one per distinct text, shared by all partials.
+    The matrix is built from its (row, col, value) entries; delay-line
+    rows are written as their exact 1s.  Names are fresh identifiers
+    ``t1``, ``t2``, ... (neither node names nor functions), one per
+    distinct text, shared by all partials.
     """
     indices = state_indices(net)
     labels = tuple(idx.label() for idx in indices)
+    pos = {(idx.node, idx.depth): k for k, idx in enumerate(indices)}
     box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
-    data = np.zeros((len(indices), len(indices)))
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[float] = []
     provenance: dict[str, str] = {}
     names: dict[str, str] = {}  # text -> name, in definition order
     taken = set(net.nodes) | set(ex.FUNCTIONS)
@@ -122,10 +130,14 @@ def _assemble(net: TimeDelayedNetwork):
         return names[text]
 
     for j, i, partial in _partials(net, indices):
+        if j >= net.size:
+            break  # the delay lines' exact 1s are written below
         key = f"{labels[j]}<-{labels[i]}"
+        rows.append(j)
+        cols.append(i)
         if type(partial) is ex.Const:
             # what eval_interval and to_text give a constant, without the walks
-            data[j, i] = abs(partial.value)
+            values.append(abs(partial.value))
             provenance[key] = repr(partial.value)
             continue
         sup = ex.eval_interval(partial, box).sup_abs()
@@ -135,10 +147,16 @@ def _assemble(net: TimeDelayedNetwork):
                 f"|d({net.nodes[j]})/d({ref})| is unbounded over the domain box "
                 f"(term: {ex.to_text(partial)})"
             )
-        data[j, i] = sup
+        values.append(sup)
         provenance[key] = ex._text(partial, name)
+    lines = [pos[(idx.node, idx.depth - 1)] for idx in indices[net.size:]]
+    for j, i in enumerate(lines, start=net.size):
+        provenance[f"{labels[j]}<-{labels[i]}"] = "1.0"
+    rows.extend(range(net.size, len(indices)))
+    cols.extend(lines)
+    values.extend([1.0] * len(lines))
     shared = {name: text for text, name in names.items()}
-    return NonnegMatrix(data, labels), provenance, shared
+    return NonnegMatrix.from_entries(labels, rows, cols, values), provenance, shared
 
 
 def analyze(net: TimeDelayedNetwork) -> StabilityReport:

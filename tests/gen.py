@@ -195,3 +195,30 @@ def rescaled_ring(n: int, max_delay: int, excess: float, seed: int = 12345) -> T
         for j, row in terms.items()
     ]
     return build_network([(f"x{j}", Interval.whole()) for j in range(n)], rules)
+
+
+def chained_component(rng: np.random.Generator, n: int, kept_share: float,
+                      reads: int = 3) -> np.ndarray:
+    """An irreducible n x n nonnegative matrix whose chains of single-entry
+    rows hold about 1 - ``kept_share`` of its vertices.
+
+    round(kept_share * n) vertices each read the next one on a random cycle
+    and ``reads`` random others, with weights U(0.1, 1); the other vertices
+    are spliced into those edges as chains (delay lines with weights
+    U(0.5, 1.5)), each edge taking a multinomial share of them.
+    """
+    m = round(kept_share * n)
+    perm = rng.permutation(m)
+    edges = {(int(perm[k]), int(perm[(k + 1) % m])) for k in range(m)}
+    for i in range(m):
+        edges |= {(i, int(j)) for j in rng.choice(m, size=reads, replace=False) if j != i}
+    edges = sorted(edges)
+    M = np.zeros((n, n))
+    nxt = m
+    for (i, j), length in zip(edges, rng.multinomial(n - m, np.full(len(edges), 1 / len(edges)))):
+        at, weight = i, rng.uniform(0.1, 1.0)
+        for _ in range(length):
+            M[at, nxt] = weight
+            at, nxt, weight = nxt, nxt + 1, rng.uniform(0.5, 1.5)
+        M[at, j] = weight
+    return M

@@ -1,12 +1,19 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gen import random_network, rescaled_ring
+from gen import (
+    build_benchmark_network,
+    chained_component,
+    diamond_network,
+    random_network,
+    rescaled_ring,
+)
 
-from netstab import spectral
+from netstab import gallery
 from netstab.errors import ConvergenceError, NetstabError
 from netstab.spectral import (
     NonnegMatrix,
@@ -17,6 +24,7 @@ from netstab.spectral import (
     strongly_connected_components,
     theta_extension,
 )
+from netstab.transform import restrict
 
 
 def eig_radius(M) -> float:
@@ -68,10 +76,11 @@ def reaches_radius(M, lam) -> bool:
     return True
 
 
-def forbid_power_steps(monkeypatch):
-    """Fail the test if a power iteration forms its matrix P."""
-    def fail(*args):
-        raise AssertionError("the power iteration ran")
+def forbid_dense_eigensolvers(monkeypatch):
+    """Fail the test if a dense eigensolver or a matrix power runs."""
+    def fail(*args, **kwargs):
+        raise AssertionError("np.linalg.eig or matrix_power ran")
+    monkeypatch.setattr(np.linalg, "eig", fail)
     monkeypatch.setattr(np.linalg, "matrix_power", fail)
 
 
@@ -230,7 +239,7 @@ def test_radius_rejects_negative_entries():
 def test_radius_respects_iteration_cap(monkeypatch):
     monkeypatch.setenv("NETSTAB_MAX_ITERS", "2")
     M = np.array([[0.3, 1.7], [0.2, 0.1]])
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match=r"rho in \[[0-9.e-]+, [0-9.e-]+\]"):
         spectral_radius(M)
 
 
@@ -280,14 +289,15 @@ def test_bracket_contains_eigenvalue_radius_of_delayed_networks():
 
 
 # ---------------------------------------------------------------------------
-# the lag-block start vector
+# the lag reduction
 
 
 def test_bracket_of_simple_cycle_is_exact(monkeypatch):
-    # every vertex has in-degree 1, so one vertex is kept, R(r) is the
-    # scalar prod(a) r^-(L-1), and the lifted vector certifies the root
-    # prod(a)^(1/L) to the rounding of the certificate, with no power step
-    forbid_power_steps(monkeypatch)
+    # every row holds one entry, so the least vertex of the cycle is kept,
+    # R(r) is the scalar prod(a) r^-(L-1), and the lifted vector certifies
+    # the root prod(a)^(1/L) to the rounding of the certificate, with no
+    # dense eigensolver
+    forbid_dense_eigensolvers(monkeypatch)
     rng = np.random.default_rng(79)
     for L in (2, 3, 7, 40):
         M = np.zeros((L, L))
@@ -301,14 +311,19 @@ def test_bracket_of_simple_cycle_is_exact(monkeypatch):
 
 
 def test_bracket_when_lifted_chain_underflows():
-    # chain weights of 1e-200 multiply to 0 two steps from the kept vertex,
-    # so the lifted vector weight * x_s / r^k is 0/0 and the iteration
-    # starts from ones
+    # chain weights of 1e-200 multiply to 0 two steps from the kept vertex
+    # (vertex 0 of either matrix), so each chain is cut where its weight
+    # leaves the normal range, and the bracket is as tight as at any scale
     M = np.zeros((3, 3))
     M[0, 1], M[1, 2], M[2, 0] = 1e-200, 2e-200, 3e-200
-    assert spectral._perron_start(M).tolist() == [1.0, 1.0, 1.0]
-    lower, upper = spectral_bracket(M)
-    assert lower <= eig_radius(M) <= upper
+    chained = np.zeros((4, 4))
+    chained[0, 0], chained[0, 1] = 1e-200, 1e-200
+    chained[1, 2], chained[2, 3], chained[3, 0] = 2e-200, 3e-200, 4e-200
+    for M in (M, chained):
+        lower, upper = spectral_bracket(M)
+        assert lower <= eig_radius(M) <= upper
+        assert not exceeds_radius(M, lower) and exceeds_radius(M, upper)
+        assert upper - lower <= 1e-12 * upper
 
 
 @pytest.mark.parametrize("rows, scale", [
@@ -327,15 +342,15 @@ def test_bracket_is_tight_at_extreme_scales(rows, scale):
     assert upper - lower <= 1e-12 * upper
 
 
-def test_bracket_of_scc_without_in_degree_one_vertex():
-    # nothing folds away, so the power iteration starts from ones; eigvals
-    # gets the 64 ulps of test_bracket_contains_eigenvalue_radius, and the
-    # exact radius none
+def test_bracket_of_scc_without_in_degree_one_vertex(monkeypatch):
+    # nothing folds away, so R(s) is the component itself; eigvals gets the
+    # 64 ulps of test_bracket_contains_eigenvalue_radius, and the exact
+    # radius none
+    forbid_dense_eigensolvers(monkeypatch)
     rng = np.random.default_rng(83)
     for _ in range(100):
         n = int(rng.integers(2, 9))
         M = random_irreducible(rng, n) + np.diag(rng.uniform(0.1, 1.0, n))
-        assert spectral._perron_start(M).tolist() == [1.0] * n
         lower, upper = spectral_bracket(M)
         rho = eig_radius(M)
         assert lower - 64 * np.spacing(rho) <= rho <= upper + 64 * np.spacing(rho)
@@ -345,10 +360,10 @@ def test_bracket_of_scc_without_in_degree_one_vertex():
 
 def test_bracket_of_seeded_delayed_rings(monkeypatch):
     # the base nodes are kept and the delay lines fold into lag blocks; the
-    # lifted vector certifies rho = 1 -+ 1e-10 with no power step
+    # lifted vector certifies rho = 1 -+ 1e-10 with no dense eigensolver
     from netstab.stability import stability_matrix
 
-    forbid_power_steps(monkeypatch)
+    forbid_dense_eigensolvers(monkeypatch)
     for seed in range(4):
         for n, max_delay in ((8, 6), (12, 8), (20, 4)):
             excess = 1e-10 if seed % 2 else -1e-10
@@ -372,6 +387,131 @@ def test_bracket_is_sound_in_exact_arithmetic():
         for row, vi in zip(M, vq):
             ratio = sum(Fraction(a) * x for a, x in zip(row, vq)) / vi
             assert Fraction(lower) <= ratio <= Fraction(upper)
+
+
+def test_lag_reduction_never_builds_the_dense_matrix(monkeypatch):
+    # dim 2230 with 2430 nonzeros: the dense matrix alone would be 40 MB,
+    # and the dense analysis peaked at 85 MB
+    from netstab.stability import analyze, stability_matrix
+
+    net = rescaled_ring(100, 32, -1e-10)
+    tracemalloc.start()
+    try:
+        report = analyze(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.matrix.n == 2230 and report.matrix.values.size == 2430
+    assert report.verdict == "stable"
+    assert peak < 10e6
+    M = stability_matrix(net)
+    forbid_dense_eigensolvers(monkeypatch)
+    assert spectral_bracket(M) == (report.rho_lower, report.rho_upper)
+
+
+@pytest.mark.parametrize("kept", [0.25, 0.5, 0.9])
+def test_bracket_of_large_partly_chained_components(kept):
+    # a 1000-vertex component whose kept block holds 25-90 % of it: the
+    # reduction is a dense solve per step, not a dense eigensolve
+    M = chained_component(np.random.default_rng(int(100 * kept)), 1000, kept)
+    lower, upper = spectral_bracket(M)
+    rho = eig_radius(M)
+    slack = 64 * np.spacing(rho)
+    assert lower - slack <= rho <= upper + slack
+    assert upper - lower <= 1e-12 * upper
+
+
+def sweep_networks():
+    """(id, network): every gallery network and the tests/gen.py families."""
+    ring = gallery.tanh_ring(6, 1.5)
+    nets = [
+        ("cg_ring", gallery.cg_ring(5, 0.3, 1.5, 0.2)),
+        ("delayed_pair", gallery.delayed_pair(0.5, 0.1, 1.0)),
+        ("undelayed_pair", gallery.undelayed_pair(0.5, 0.1, 1.0)),
+        ("distributed_pair", gallery.distributed_pair()),
+        ("tanh_ring", gallery.tanh_ring(6, 3.0)),
+        ("tanh_ring_restricted", restrict(ring, gallery.even_vertices(ring))),
+        ("six_node", gallery.six_node()),
+        ("bench_ring12", build_benchmark_network(12)),
+        ("bench_ring48", build_benchmark_network(48)),
+    ]
+    for max_delay, n in ((8, 12), (16, 12), (64, 8)):
+        for excess in (-1e-10, 1e-10):
+            nets.append((f"rescaled_ring{n}_D{max_delay}_{excess:+.0e}",
+                         rescaled_ring(n, max_delay, excess, seed=max_delay)))
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        nets.append((f"random{seed}", random_network(rng, 3 + seed % 5, max_delay=seed % 4)))
+    for k in range(1, 11):
+        net = diamond_network(np.random.default_rng(k), k)
+        nets += [(f"diamond{k}", net), (f"diamond{k}_restricted", restrict(net, ["s"]))]
+    return nets
+
+
+# (lower, upper) of each sweep network's stability matrix as the dense
+# power iteration bracketed it before the lag reduction certified rho
+DENSE_BRACKETS = {
+    "cg_ring": (1.6999999999999988, 1.7000000000000022),
+    "delayed_pair": (0.8731251561477185, 0.8731251561477211),
+    "undelayed_pair": (0.6999999999999996, 0.7000000000000005),
+    "distributed_pair": (1.9999999999999984, 2.0000000000000027),
+    "tanh_ring": (1.9999999999999984, 2.0000000000000027),
+    "tanh_ring_restricted": (4.0, 4.000000000000007),
+    "six_node": (0.49200511886105724, 0.4920051188610584),
+    "bench_ring12": (0.9305240927788097, 0.9305240927788206),
+    "bench_ring48": (0.9281937637949438, 0.9281937637949874),
+    "rescaled_ring12_D8_-1e-10": (0.9999999998999916, 0.999999999900009),
+    "rescaled_ring12_D8_+1e-10": (1.0000000000999905, 1.0000000001000107),
+    "rescaled_ring12_D16_-1e-10": (0.9999999998999606, 0.999999999900016),
+    "rescaled_ring12_D16_+1e-10": (1.0000000000999836, 1.000000000100016),
+    "rescaled_ring8_D64_-1e-10": (0.9999999998999572, 0.9999999999000424),
+    "rescaled_ring8_D64_+1e-10": (1.0000000000999574, 1.0000000001000426),
+    "random0": (0.2762559434833557, 0.2762559434833557),
+    "random1": (0.6139261148414878, 0.6139261148414885),
+    "random2": (0.8161437698868657, 0.8161437698868695),
+    "random3": (0.7804917203504407, 0.7804917203504441),
+    "random4": (0.6035839264777814, 0.6035839264777834),
+    "random5": (0.5199677112480008, 0.5199677112480018),
+    "random6": (0.7468728949638547, 0.7468728949638591),
+    "random7": (0.9172980738782713, 0.9172980738782736),
+    "diamond1": (0.6413189910518511, 0.6413189910518521),
+    "diamond1_restricted": (0.411290048283765, 0.411290048283765),
+    "diamond2": (0.6904638585726985, 0.6904638585726999),
+    "diamond2_restricted": (0.32917197469027776, 0.32917197469027776),
+    "diamond3": (0.7204244079002312, 0.7204244079002337),
+    "diamond3_restricted": (0.269372758071652, 0.269372758071652),
+    "diamond4": (0.8121020576591822, 0.812102057659186),
+    "diamond4_restricted": (0.35322631809698984, 0.35322631809698984),
+    "diamond5": (0.7837601415581287, 0.7837601415581333),
+    "diamond5_restricted": (0.23179231922254712, 0.23179231922254712),
+    "diamond6": (0.7992733870148524, 0.7992733870148563),
+    "diamond6_restricted": (0.20838548694950318, 0.20838548694950318),
+    "diamond7": (0.8253212985132776, 0.8253212985132986),
+    "diamond7_restricted": (0.2152704518536733, 0.2152704518536733),
+    "diamond8": (0.8092593024403595, 0.8092593024403644),
+    "diamond8_restricted": (0.14886386923652253, 0.14886386923652253),
+    "diamond9": (0.8613056148782303, 0.8613056148782517),
+    "diamond9_restricted": (0.22468432961924298, 0.22468432961924298),
+    "diamond10": (0.8705924400623651, 0.8705924400623771),
+    "diamond10_restricted": (0.21775282963361836, 0.21775282963361836),
+}
+
+
+@pytest.mark.parametrize("name, net",
+                         [pytest.param(*case, id=case[0]) for case in sweep_networks()])
+def test_certificate_regression_sweep(name, net):
+    from netstab.stability import stability_matrix
+
+    M = stability_matrix(net)
+    lower, upper = spectral_bracket(M)
+    if M.n <= 40:
+        assert not exceeds_radius(M.data, lower) and reaches_radius(M.data, upper)
+    else:
+        rho = eig_radius(M)
+        assert lower - 64 * np.spacing(rho) <= rho <= upper + 64 * np.spacing(rho)
+    assert upper - lower <= 1e-12 * upper
+    dense_lower, dense_upper = DENSE_BRACKETS[name]
+    assert max(lower, dense_lower) <= min(upper, dense_upper)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from netstab.delays import dedelay, state_indices, undelay
 from netstab.errors import UnboundedDerivativeError
 from netstab.expr import Interval
 from netstab.network import build_network, dump_network, load_network, make_cohen_grossberg
-from netstab.spectral import _LagReduction, spectral_radius
+from netstab.spectral import spectral_radius
 from netstab.stability import (
     _partials,
     analyze,
@@ -331,10 +331,16 @@ def test_delay_invariance_for_non_distributed():
 
 
 def lag_sum(net):
-    """sum_d A_d: the lag-block reduction of the stability matrix onto the
-    base nodes, at r = 1."""
-    A = stability_matrix(net).data
-    return _LagReduction.of(A, np.arange(net.size)).matrix(1.0)
+    """sum_d A_d: each base row of the stability matrix with its entries
+    summed by the node whose delayed value their column holds (the delay
+    lines carry exact 1s)."""
+    M = stability_matrix(net)
+    indices = state_indices(net)
+    out = np.zeros((net.size, net.size))
+    for j, i, value in zip(M.rows.tolist(), M.cols.tolist(), M.values.tolist()):
+        if j < net.size:
+            out[j, net.nodes.index(indices[i].node)] += value
+    return out
 
 
 def test_lag_blocks_sum_to_the_undelayed_matrix():
