@@ -24,7 +24,7 @@ from .errors import NetstabError
 from .network import REPORT_SCHEMA, InteractionGraph, dump_network, interaction_graph, load_network
 from .sim import iterate_orbit, sampling_box, verify_global_attraction
 from .stability import analyze
-from .structural import find_structural_sets
+from .structural import _check_subset, find_structural_sets
 from .transform import expand, restrict
 
 __all__ = ["main", "run", "emit_dot"]
@@ -32,8 +32,9 @@ __all__ = ["main", "run", "emit_dot"]
 
 def emit_dot(graph: InteractionGraph, S=None) -> str:
     """Render the interaction graph in DOT; S vertices get double rings
-    and edges carry their delay sets when delayed."""
-    marked = set(S or ())
+    and edges carry their delay sets when delayed.  Every name in S must
+    be a vertex."""
+    marked = set(_check_subset(graph, S or ()))
     lines = ["digraph interactions {"]
     for v in graph.vertices:
         attrs = ' [peripheries=2, style=bold]' if v in marked else ""

@@ -93,7 +93,7 @@ def _with_lines(
     at depth 1 reads its source node, a deeper one the coordinate listed
     just before it.  Every coordinate takes its source's domain.  Updates
     are taken as given, without renormalizing, and must read only present
-    values: the result has T = 1.
+    values, so the result has T = 1.
     """
     projection = {n: (n, 0) for n in nodes}
     updates = dict(updates)
@@ -106,7 +106,6 @@ def _with_lines(
         nodes=tuple(projection),
         domains={c: domains[node] for c, (node, _) in projection.items()},
         updates=updates,
-        T=1,
         name=name,
     )
     return AugmentedNetwork(net=aug_net, projection=projection)
@@ -143,12 +142,8 @@ def undelay(net: TimeDelayedNetwork) -> TimeDelayedNetwork:
     if net.T == 1:
         return net
     updates: dict[str, Expr] = {}
-    for node in net.nodes:
-        mapping = {
-            (src, d): Var(src, 0)
-            for src, d in ex.references(net.updates[node])
-            if d > 0
-        }
+    for node, refs in net.reads.items():
+        mapping = {(src, d): Var(src, 0) for src, d in refs if d > 0}
         updates[node] = ex.substitute(net.updates[node], mapping)
     return network_from_exprs(
         net.nodes, net.domains, updates, name=net.name, cg=net.cg
@@ -169,8 +164,7 @@ def shift_delay(
         raise TransformError("tau must be a positive delay")
     if target not in net.updates:
         raise TransformError(f"unknown node {target!r}")
-    refs = ex.references(net.updates[target])
-    if (source, tau) not in refs:
+    if (source, tau) not in net.reads[target]:
         raise TransformError(
             f"update of {target!r} does not reference {source!r} at delay {tau}"
         )

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the iteration cap."""
+
+import os
 
 
 class NetstabError(Exception):
@@ -33,3 +35,17 @@ class UnboundedDerivativeError(NetstabError):
 
 class ConvergenceError(NetstabError):
     """An iterative solver hit its iteration cap without converging."""
+
+
+def _iteration_cap(default: int = 100_000) -> int:
+    """``NETSTAB_MAX_ITERS`` when set, else ``default``."""
+    raw = os.environ.get("NETSTAB_MAX_ITERS", "")
+    if not raw:
+        return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise NetstabError(f"NETSTAB_MAX_ITERS must be a positive integer, got {raw!r}")
+    return cap

@@ -880,8 +880,14 @@ def eval_interval(e: Expr, box: dict[tuple[str, int], Interval]) -> Interval:
     unbounded boxes; polynomial growth over an unbounded box yields
     infinite endpoints, left to the caller to reject.
     """
+    return _eval_intervals((e,), box)[0]
+
+
+def _eval_intervals(roots, box: dict[tuple[str, int], Interval]) -> list[Interval]:
+    """``eval_interval`` of each root in one walk: a node's enclosure
+    depends only on the node and the box, so shared nodes are bounded once."""
     val: dict[Expr, Interval] = {}
-    for cur in _postorder((e,)):
+    for cur in _postorder(roots):
         if isinstance(cur, Const):
             v = Interval.point(cur.value)
         elif isinstance(cur, Var):
@@ -896,7 +902,7 @@ def eval_interval(e: Expr, box: dict[tuple[str, int], Interval]) -> Interval:
         else:
             raise TypeError(f"not an expression: {cur!r}")
         val[cur] = v
-    return val[e]
+    return [val[root] for root in roots]
 
 
 # ---------------------------------------------------------------------------

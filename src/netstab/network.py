@@ -1,9 +1,12 @@
 """Network model: nodes with domains, delayed update rules, and the
 derived interaction graph.
 
-A network holds one update expression per node.  ``T`` is always
-``1 + max referenced delay``; a network with ``T == 1`` is undelayed.
-Networks are immutable after construction and all queries are pure.
+A network holds one update expression per node.  What each rule reads,
+its (source, delay) pairs, is decided once, in ``TimeDelayedNetwork.reads``;
+``T`` (``1 + max read delay``), the lag coordinates, the interaction graph,
+the restriction's branches and the stability partials all follow from it.
+A network with ``T == 1`` is undelayed.  Networks are immutable after
+construction and all queries are pure.
 """
 
 from __future__ import annotations
@@ -59,13 +62,22 @@ class TimeDelayedNetwork:
     nodes: tuple[str, ...]
     domains: dict[str, Interval]
     updates: dict[str, Expr]
-    T: int
     name: str = ""
     cg: CohenGrossbergParams | None = field(default=None, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def reads(self) -> dict[str, frozenset[tuple[str, int]]]:
+        """Node -> the (source, delay) pairs its update reads."""
+        return {node: frozenset(ex.references(self.updates[node])) for node in self.nodes}
+
+    @cached_property
+    def T(self) -> int:
+        """1 + the largest delay any update reads."""
+        return 1 + max((d for refs in self.reads.values() for _, d in refs), default=0)
 
 
 @dataclass(frozen=True)
@@ -116,15 +128,24 @@ def network_from_exprs(
     reflects true dependence.
     """
     nodes = tuple(nodes)
-    updates = {n: ex.normalize(u) for n, u in updates.items()}
     declared = set(nodes)
-    max_delay = 0
     for node in nodes:
         if node not in updates:
             raise NetworkError(f"no update for node {node!r}")
         if node not in domains:
             raise NetworkError(f"no domain for node {node!r}")
-        for ref_node, delay in ex.references(updates[node]):
+    extra = set(updates) - declared
+    if extra:
+        raise NetworkError(f"updates for undeclared nodes {sorted(extra)}")
+    net = TimeDelayedNetwork(
+        nodes=nodes,
+        domains=dict(domains),
+        updates={n: ex.normalize(u) for n, u in updates.items()},
+        name=name,
+        cg=cg,
+    )
+    for node, refs in net.reads.items():
+        for ref_node, delay in refs:
             if ref_node not in declared:
                 raise NetworkError(
                     f"update of {node!r} references undeclared node {ref_node!r}"
@@ -134,15 +155,7 @@ def network_from_exprs(
                     f"update of {node!r} references {ref_node!r} at delay "
                     f"{delay}, above the cap {MAX_DELAY}"
                 )
-            max_delay = max(max_delay, delay)
-    return TimeDelayedNetwork(
-        nodes=nodes,
-        domains=dict(domains),
-        updates=dict(updates),
-        T=max_delay + 1,
-        name=name,
-        cg=cg,
-    )
+    return net
 
 
 def build_network(
@@ -255,8 +268,8 @@ def make_cohen_grossberg(
 def interaction_graph(net: TimeDelayedNetwork) -> InteractionGraph:
     """Edge (i, j) with its exact delay set, for every read of i by j."""
     edges: dict[tuple[str, str], set[int]] = {}
-    for target in net.nodes:
-        for source, delay in ex.references(net.updates[target]):
+    for target, refs in net.reads.items():
+        for source, delay in refs:
             edges.setdefault((source, target), set()).add(delay)
     return InteractionGraph(
         vertices=net.nodes,
@@ -266,20 +279,16 @@ def interaction_graph(net: TimeDelayedNetwork) -> InteractionGraph:
 
 def is_non_distributed(net: TimeDelayedNetwork) -> bool:
     """True iff every update reads each source node at a single delay."""
-    for target in net.nodes:
-        delays_by_source: dict[str, set[int]] = {}
-        for source, delay in ex.references(net.updates[target]):
-            delays_by_source.setdefault(source, set()).add(delay)
-        if any(len(ds) > 1 for ds in delays_by_source.values()):
-            return False
-    return True
+    return all(
+        len({source for source, _ in refs}) == len(refs) for refs in net.reads.values()
+    )
 
 
 def max_delay_profile(net: TimeDelayedNetwork) -> dict[str, int]:
     """Per source node, the maximum delay at which anything reads it."""
     profile = {node: 0 for node in net.nodes}
-    for target in net.nodes:
-        for source, delay in ex.references(net.updates[target]):
+    for refs in net.reads.values():
+        for source, delay in refs:
             profile[source] = max(profile[source], delay)
     return profile
 

@@ -10,9 +10,8 @@ import numpy as np
 
 from . import engine
 from .delays import dedelay
-from .errors import ConvergenceError, NetworkError
+from .errors import ConvergenceError, NetworkError, _iteration_cap
 from .network import REPORT_SCHEMA, TimeDelayedNetwork
-from .spectral import _iteration_cap
 
 __all__ = [
     "Trajectory",

@@ -22,12 +22,11 @@ on the rounding of the chain weights or of the powers of s.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NetstabError
+from .errors import ConvergenceError, _iteration_cap
 
 __all__ = [
     "NonnegMatrix",
@@ -39,19 +38,6 @@ __all__ = [
     "perron_eigenvector",
     "theta_extension",
 ]
-
-
-def _iteration_cap(default: int = 100_000) -> int:
-    raw = os.environ.get("NETSTAB_MAX_ITERS", "")
-    if not raw:
-        return default
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise NetstabError(f"NETSTAB_MAX_ITERS must be a positive integer, got {raw!r}")
-    return cap
 
 
 class NonnegMatrix:

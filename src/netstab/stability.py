@@ -98,7 +98,7 @@ def _partials(net: TimeDelayedNetwork, indices):
     pos = {(idx.node, idx.depth): k for k, idx in enumerate(indices)}
     for j, target in enumerate(net.nodes):
         update = net.updates[target]
-        for ref in sorted(ex.references(update)):
+        for ref in sorted(net.reads[target]):
             yield j, pos[ref], ex.differentiate(update, ref)
     for j in range(net.size, len(indices)):
         yield j, pos[(indices[j].node, indices[j].depth - 1)], ex.Const(1.0)
@@ -108,19 +108,19 @@ def _assemble(net: TimeDelayedNetwork):
     """The stability matrix, the provenance of each entry and the shared
     subexpressions the provenance names.
 
-    The matrix is built from its (row, col, value) entries; delay-line
-    rows are written as their exact 1s.  Names are fresh identifiers
-    ``t1``, ``t2``, ... (neither node names nor functions), one per
-    distinct text, shared by all partials.
+    Every partial is bounded in one walk over the distinct nodes of all
+    of them, and each distinct partial is rendered once.  Names are fresh
+    identifiers ``t1``, ``t2``, ... (neither node names nor functions),
+    one per distinct text, shared by all partials.
     """
     indices = state_indices(net)
     labels = tuple(idx.label() for idx in indices)
-    pos = {(idx.node, idx.depth): k for k, idx in enumerate(indices)}
     box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
-    rows: list[int] = []
-    cols: list[int] = []
+    entries = list(_partials(net, indices))
+    bounds = ex._eval_intervals([partial for _, _, partial in entries], box)
     values: list[float] = []
     provenance: dict[str, str] = {}
+    texts: dict[ex.Expr, str] = {}  # partial -> its provenance text
     names: dict[str, str] = {}  # text -> name, in definition order
     taken = set(net.nodes) | set(ex.FUNCTIONS)
 
@@ -129,18 +129,8 @@ def _assemble(net: TimeDelayedNetwork):
             names[text] = _fresh(f"t{len(names) + 1}", taken)
         return names[text]
 
-    for j, i, partial in _partials(net, indices):
-        if j >= net.size:
-            break  # the delay lines' exact 1s are written below
-        key = f"{labels[j]}<-{labels[i]}"
-        rows.append(j)
-        cols.append(i)
-        if type(partial) is ex.Const:
-            # what eval_interval and to_text give a constant, without the walks
-            values.append(abs(partial.value))
-            provenance[key] = repr(partial.value)
-            continue
-        sup = ex.eval_interval(partial, box).sup_abs()
+    for (j, i, partial), bound in zip(entries, bounds):
+        sup = bound.sup_abs()
         if not math.isfinite(sup):
             ref = ex.to_text(ex.Var(indices[i].node, indices[i].depth))
             raise UnboundedDerivativeError(
@@ -148,14 +138,12 @@ def _assemble(net: TimeDelayedNetwork):
                 f"(term: {ex.to_text(partial)})"
             )
         values.append(sup)
-        provenance[key] = ex._text(partial, name)
-    lines = [pos[(idx.node, idx.depth - 1)] for idx in indices[net.size:]]
-    for j, i in enumerate(lines, start=net.size):
-        provenance[f"{labels[j]}<-{labels[i]}"] = "1.0"
-    rows.extend(range(net.size, len(indices)))
-    cols.extend(lines)
-    values.extend([1.0] * len(lines))
+        if partial not in texts:
+            texts[partial] = ex._text(partial, name)
+        provenance[f"{labels[j]}<-{labels[i]}"] = texts[partial]
     shared = {name: text for text, name in names.items()}
+    rows = [j for j, _, _ in entries]
+    cols = [i for _, i, _ in entries]
     return NonnegMatrix.from_entries(labels, rows, cols, values), provenance, shared
 
 

@@ -18,9 +18,8 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ConvergenceError, NetworkError
+from .errors import ConvergenceError, NetworkError, _iteration_cap
 from .network import REPORT_SCHEMA, InteractionGraph
-from .spectral import _iteration_cap
 
 __all__ = [
     "Branch",

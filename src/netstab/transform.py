@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .delays import AugmentedNetwork, StateIndex, _fresh, _with_lines
 from .errors import TransformError
-from .expr import Expr, Var, normalize, references, substitute
+from .expr import Expr, Var, normalize, substitute
 from .network import InteractionGraph, TimeDelayedNetwork, interaction_graph, network_from_exprs
 from .structural import admissible_sequences, is_complete_structural
 
@@ -64,7 +64,6 @@ def _inline(net: TimeDelayedNetwork, in_s: set[str], target: str, leaf, key) -> 
     determine every leaf below the node.
     """
     inlined: dict[tuple, Expr] = {}
-    reads: dict[str, set[str]] = {}
     stack = [(target,)]
     while stack:
         chain = stack[-1]
@@ -72,13 +71,12 @@ def _inline(net: TimeDelayedNetwork, in_s: set[str], target: str, leaf, key) -> 
         if (node, key(chain)) in inlined:
             stack.pop()
             continue
-        sources = reads.get(node)
-        if sources is None:
-            sources = reads[node] = {src for src, _ in references(net.updates[node])}
+        # the network is undelayed, so every read is (source, 0)
+        reads = net.reads[node]
         pending = [
             (src,) + chain
-            for src in sorted(sources - in_s)
-            if (src, key((src,) + chain)) not in inlined
+            for src, _ in sorted(reads)
+            if src not in in_s and (src, key((src,) + chain)) not in inlined
         ]
         if pending:
             if len(chain) >= len(net.nodes):
@@ -94,7 +92,7 @@ def _inline(net: TimeDelayedNetwork, in_s: set[str], target: str, leaf, key) -> 
                 (src, 0): leaf((src,) + chain)
                 if src in in_s
                 else inlined[(src, key((src,) + chain))]
-                for src in sources
+                for src, _ in reads
             },
         )
     return inlined[(target, key((target,)))]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from netstab.expr import BinOp, Call, Const, Expr, Interval, Var, references
+from netstab.expr import BinOp, Call, Const, Expr, Interval, Var
 from netstab.network import (
     InteractionGraph,
     TimeDelayedNetwork,
@@ -92,8 +92,7 @@ def random_network(
 
 def network_as_built(nodes, domains, updates) -> TimeDelayedNetwork:
     """The network of ``updates`` exactly as given, not normalized."""
-    T = 1 + max((d for u in updates.values() for _, d in references(u)), default=0)
-    return TimeDelayedNetwork(tuple(nodes), dict(domains), dict(updates), T)
+    return TimeDelayedNetwork(tuple(nodes), dict(domains), dict(updates))
 
 
 def loop_free_graph(rng: np.random.Generator, n: int, reads: int = 2) -> InteractionGraph:

@@ -82,6 +82,13 @@ def test_graph_writes_dot(in_tmp):
     assert '"x1" -> "x2" [label="3"]' in dot
 
 
+def test_graph_rejects_a_set_naming_no_node(in_tmp, capsys):
+    path = _write(in_tmp, "pair.net", gallery.delayed_pair(0.5, 0.1, 1.0))
+    assert run(["graph", str(path), "--set", "x1,bogus"]) == 1
+    assert "not vertices of the graph: ['bogus']" in capsys.readouterr().err
+    assert not (in_tmp / "pair.dot").exists()
+
+
 def test_emit_dot_marks_set_and_labels():
     net = gallery.delayed_pair(0.5, 0.1, 1.0)
     dot = emit_dot(interaction_graph(net), S=("x1",))

@@ -1,10 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gen import diamond_network, rescaled_ring
+
+from netstab import expr as ex
 from netstab import gallery
 from netstab.errors import NetworkError
-from netstab.expr import Interval, Var
+from netstab.expr import BinOp, Interval, Var
 from netstab.network import (
+    TimeDelayedNetwork,
     build_network,
     dump_network,
     interaction_graph,
@@ -14,6 +20,8 @@ from netstab.network import (
     max_delay_profile,
     network_from_exprs,
 )
+from netstab.stability import analyze
+from netstab.transform import restrict
 
 R = Interval.whole()
 
@@ -58,6 +66,53 @@ def test_from_exprs_names_node_without_domain_or_update():
         network_from_exprs(("a",), {}, {"a": Var("a", 1)})
     with pytest.raises(NetworkError, match="no update for node 'b'"):
         network_from_exprs(("a", "b"), {"a": R, "b": R}, {"a": Var("b", 0)})
+
+
+def test_from_exprs_rejects_updates_for_undeclared_nodes():
+    # the extra rule reads at delay 70, above the cap, and must not slip in
+    with pytest.raises(NetworkError, match=r"undeclared nodes \['y'\]"):
+        network_from_exprs(("x",), {"x": R}, {"x": Var("x", 1), "y": Var("y", 70)})
+
+
+def test_T_is_derived_from_what_the_rules_read():
+    assert "T" not in {f.name for f in dataclasses.fields(TimeDelayedNetwork)}
+    updates = {"a": BinOp("+", Var("a", 2), Var("b", 5)), "b": Var("a", 0)}
+    net = TimeDelayedNetwork(("a", "b"), {"a": R, "b": R}, updates)
+    assert net.reads == {"a": frozenset({("a", 2), ("b", 5)}), "b": frozenset({("a", 0)})}
+    assert net.T == 6
+    assert TimeDelayedNetwork(("a",), {"a": R}, {"a": ex.Const(0.5)}).T == 1
+
+
+def _count_references(monkeypatch) -> list[int]:
+    calls = [0]
+    original = ex.references
+
+    def counted(e):
+        calls[0] += 1
+        return original(e)
+
+    monkeypatch.setattr(ex, "references", counted)
+    return calls
+
+
+def test_each_rule_is_walked_for_its_reads_once(monkeypatch):
+    text = dump_network(rescaled_ring(12, 4, -1e-3))
+    calls = _count_references(monkeypatch)
+    net = load_network(text)
+    analyze(net)
+    interaction_graph(net)
+    is_non_distributed(net)
+    max_delay_profile(net)
+    assert net.T == 5
+    assert calls[0] == 12
+
+
+def test_restrict_walks_only_the_restricted_rule(monkeypatch):
+    net = diamond_network(np.random.default_rng(10), 10)
+    calls = _count_references(monkeypatch)
+    restricted = restrict(net, ["s"])
+    assert restricted.reads == {"s": frozenset({("s", 0)})}
+    assert calls[0] == 1
 
 
 def test_cohen_grossberg_matches_delayed_pair():

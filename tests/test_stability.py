@@ -183,7 +183,9 @@ def test_provenance_names_partials():
     random_network(np.random.default_rng(3), 8, max_delay=3),
 ], ids=lambda net: net.name or "ring")
 def test_constant_partials_match_the_generic_path(net):
-    # every partial through eval_interval and to_text, constants included
+    # the per-partial reference for the one-walk assembly: each partial
+    # bounded by its own eval_interval and printed by its own to_text,
+    # constants and delay-line rows included
     indices = state_indices(net)
     labels = [idx.label() for idx in indices]
     box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
@@ -196,6 +198,22 @@ def test_constant_partials_match_the_generic_path(net):
     assert report.matrix.data.tobytes() == data.tobytes()
     assert report.provenance == provenance
     assert list(report.provenance) == list(provenance)
+
+
+def test_assembly_bounds_all_partials_in_one_walk(monkeypatch):
+    walks = []
+    original = ex._eval_intervals
+
+    def counted(roots, box):
+        walks.append(len(roots))
+        return original(roots, box)
+
+    monkeypatch.setattr(ex, "_eval_intervals", counted)
+    monkeypatch.setattr(ex, "eval_interval", None)  # no per-partial walk
+    net = gallery.delayed_pair(0.5, 0.1, 1.0)
+    report = analyze(net)
+    assert walks == [len(list(_partials(net, state_indices(net))))]
+    assert len(report.provenance) == walks[0]
 
 
 _IDENT = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*")
