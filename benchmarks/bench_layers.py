@@ -58,14 +58,18 @@ set's size.
 
 The orbit layer runs the 48-node delayed ring of ``tests/gen.py``'s
 ``build_benchmark_network`` (the contracting ring of the
-``attraction_sim`` workload) four ways, as ``netstab simulate`` and
+``attraction_sim`` workload) five ways, as ``netstab simulate`` and
 ``find_fixed_point`` do: ``verify_global_attraction`` with 200 trials of
 up to 600 steps at the default tolerance; the same batch through
-``run_orbit_batch`` keeping every state; one 600-step trajectory; and the
-fixed-point iteration from the origin.  Each records the best of
-``--repeats`` wall times in ms, the trial steps it ran (for the
-attraction check also the steps of its slowest trial) and ``peak_mb``, the
-peak of the memory ``tracemalloc`` traces during one more call.
+``run_orbit_batch`` keeping every state; one 600-step trajectory; the
+fixed-point iteration from the origin; and ``netstab simulate`` itself,
+end to end on that ring written to a temporary directory (200 trials,
+600 steps, seed 0: load, the attraction check, its verdict and the
+trajectory CSV).  Each records the best of ``--repeats`` wall times in
+ms, the trial steps it ran (for the attraction check also the steps of
+its slowest trial; for ``simulate`` the characters of its CSV) and
+``peak_mb``, the peak of the memory ``tracemalloc`` traces during one
+more call.
 
 Prints one JSON document and writes it to ``-o`` when given.
 ``BENCH_layers.json`` keeps these documents as a history: one entry of
@@ -77,18 +81,21 @@ with the same ``bench_layers.py``.  A new measurement appends a pair.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import json
 import platform
 import resource
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from netstab import engine
+from netstab import cli, engine
 from netstab.delays import undelay
 from netstab.expr import Expr, normalize, parse_expression
 from netstab.network import dump_network, interaction_graph, load_network
@@ -313,6 +320,20 @@ def bench_orbit(repeats: int) -> list[dict]:
     single_ms, (_, single_done, _) = best_of(repeats, single)
     fixed_ms, _ = best_of(repeats, fixed)
     ring = {"nodes": net.size, "T": net.T, "tape_ops": int(program.ops.shape[0])}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bench_ring.net"
+        path.write_text(dump_network(net))
+        argv = ["simulate", str(path), "--trials", str(trials), "--steps", str(steps),
+                "-o", str(Path(tmp) / "sim")]
+
+        def simulate():
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.run(argv)
+
+        simulate_ms, _ = best_of(repeats, simulate)
+        simulate_peak = traced_peak_mb(simulate)
+        csv_chars = len((Path(tmp) / "sim.trajectory.csv").read_text())
     return [
         {"case": "attraction", **ring, "trials": trials, "steps": steps,
          "iterations_used": verdict.iterations_used, "trial_steps": verdict.trial_steps,
@@ -326,6 +347,8 @@ def bench_orbit(repeats: int) -> list[dict]:
          "peak_mb": traced_peak_mb(single)},
         {"case": "fixed_point", **ring, "ms": round(fixed_ms, 2),
          "peak_mb": traced_peak_mb(fixed)},
+        {"case": "simulate", **ring, "trials": trials, "steps": steps,
+         "csv_chars": csv_chars, "ms": round(simulate_ms, 2), "peak_mb": simulate_peak},
     ]
 
 

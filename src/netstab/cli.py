@@ -16,13 +16,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import regressions
 from .delays import dedelay, undelay
 from .errors import NetstabError
 from .network import REPORT_SCHEMA, InteractionGraph, dump_network, interaction_graph, load_network
-from .sim import iterate_orbit, sampling_box, verify_global_attraction
+from .sim import _attraction
 from .stability import analyze
 from .structural import _check_subset, find_structural_sets
 from .transform import expand, restrict
@@ -142,23 +140,14 @@ def _cmd_transform(args, verb: str) -> int:
 def _cmd_simulate(args) -> int:
     net = _read_network(args.network)
     box = {node: args.box for node in net.nodes} if args.box else None
-    verdict = verify_global_attraction(
-        net,
-        trials=args.trials,
-        steps=args.steps,
-        sample_box=box,
-        tol=args.tol,
-        seed=args.seed,
+    # the trajectory is trial 0 of the attraction batch, run to --steps
+    verdict, traj = _attraction(
+        net, args.trials, args.steps, box, args.tol, args.seed, record=True
     )
     stem = Path(args.network).stem
     prefix = Path(args.output) if args.output else Path(stem)
     verdict_path = Path(f"{prefix}.verdict.json")
     verdict_path.write_text(verdict.to_json() + "\n")
-
-    rng = np.random.default_rng(args.seed)
-    lo, hi = sampling_box(net, box)
-    history = rng.uniform(lo, hi, size=(net.T, net.size))
-    traj = iterate_orbit(net, history, args.steps)
     csv_path = Path(f"{prefix}.trajectory.csv")
     csv_path.write_text(traj.to_csv())
 

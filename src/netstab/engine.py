@@ -19,6 +19,13 @@ one gather of its operand rows and one kernel call into its destination
 range of a (registers, trials) array: every trial and every instruction
 of the group advance at once, and a step costs a few numpy calls per
 group, not per instruction.
+
+A register file is bound to the tape once, and again whenever the batch
+drops trials and so replaces it: an operand whose rows are consecutive,
+and the destination of every group, become views of the file, so a step
+gathers only the operands whose rows are not, into scratch blocks that
+the groups share.  The nodes' outputs are a view too when their rows are
+consecutive and none is a window slot, which each step shifts.
 """
 
 from __future__ import annotations
@@ -162,35 +169,79 @@ def _rows(index: np.ndarray):
 
 
 def _bind(program: Program, regs: np.ndarray):
-    """Each group as (kernel, operand rows, destination rows of ``regs``)."""
+    """Each group of the tape as (kernel, operands, gathers, destination).
+
+    Operands whose rows of ``regs`` are consecutive are views of it; the
+    others are scratch blocks, which ``gathers`` lists as (rows, block)
+    pairs for :func:`_run` to fill before the kernel call.  A group's
+    kernel reads its blocks before the next group fills them, so the j-th
+    operand of every group can use the same j-th block.
+    """
+    width = max((stop - start for start, stop in program.groups), default=0)
+    scratch = np.empty((max(row.arity for row in _ROWS), width, regs.shape[1]))
     bound = []
     for start, stop in program.groups:
         code, dst = program.ops[start, :2].tolist()
         row = _ROWS[code]
-        operands = tuple(_rows(program.ops[start:stop, 2 + j]) for j in range(row.arity))
-        bound.append((row.array, operands, regs[dst : dst + stop - start]))
+        operands = []
+        gathers = []
+        for j in range(row.arity):
+            rows = _rows(program.ops[start:stop, 2 + j])
+            if isinstance(rows, slice):
+                operands.append(regs[rows])
+            else:
+                block = scratch[j, : stop - start]
+                gathers.append((rows, block))
+                operands.append(block)
+        bound.append((row.array, tuple(operands), tuple(gathers), regs[dst : dst + stop - start]))
     return bound
 
 
 def _run(bound, regs: np.ndarray) -> None:
-    for kernel, operands, out in bound:
-        kernel(*[regs[rows] for rows in operands], out=out)
+    for kernel, operands, gathers, out in bound:
+        for rows, block in gathers:
+            # the rows are in range; mode "clip" skips the copy that
+            # the default "raise" makes before writing ``out``
+            regs.take(rows, axis=0, out=block, mode="clip")
+        kernel(*operands, out=out)
 
 
-def _orbit_batch(program: Program, ring, histories, steps, stop_delta):
-    """Run the batch, writing state r of trial t to ``ring[r % keep, :, t]``.
+def _output_rows(program: Program):
+    """Rows of the nodes' outputs in a register file.
 
-    The window is shifted in place each step, not gathered from the ring.
-    Stopped and diverged trials are dropped: the register file keeps only
-    the live trials' columns, ``ids`` maps them back to trial numbers.
+    A slice, so that ``regs[rows]`` is a view, when they are consecutive
+    and none is a window slot: the step shifts the window before it has
+    read all of its outputs.
+    """
+    rows = _rows(program.out_regs)
+    if isinstance(rows, slice) and rows.start >= program.const_offset:
+        return rows
+    return program.out_regs
+
+
+def _orbit_batch(program: Program, histories, steps, stop_delta, keep, path=None):
+    """Run the batch; returns (ring, steps_done, diverged).
+
+    State r of trial t lands in ``ring[r % keep, :, t]``.  The window is
+    shifted in place each step, not gathered from the ring.  Stopped and
+    diverged trials are dropped: the register file keeps only the live
+    trials' columns, ``ids`` maps them back to trial numbers.  Dropping
+    keeps the columns in order, so trial 0, while live, is column 0; a
+    ``path`` of shape (T + steps, n) receives its state r in row r for as
+    long as it runs (rows past its last step are not written).
     """
     n, T = program.n_nodes, program.T
-    keep = ring.shape[0]
     trials = histories.shape[0]
+    ring = np.zeros((keep, n, trials), dtype=np.float64)
+    first = max(0, T - keep)
+    ring[np.arange(first, T) % keep] = histories[:, first:].transpose(1, 2, 0)
+    if path is not None:
+        path[:T] = histories[0]
     regs = _registers(program, trials)
     window = regs[: T * n].reshape(T, n, trials)  # window[d, i]: node i at delay d
     window[...] = histories[:, ::-1].transpose(1, 2, 0)
     bound = _bind(program, regs)
+    out_rows = _output_rows(program)
     ids = np.arange(trials)
     cols = slice(None)  # the live trials' columns of the ring
     steps_done = np.full(trials, steps, dtype=np.int64)
@@ -201,7 +252,9 @@ def _orbit_batch(program: Program, ring, histories, steps, stop_delta):
             if ids.size == 0:
                 break
             _run(bound, regs)
-            out = regs[program.out_regs, :]  # (n, live trials)
+            out = regs[out_rows]  # (n, live trials)
+            if path is not None:
+                path[T + k] = out[:, 0]
             finite = np.isfinite(out).all(axis=0)
             live = finite
             if stop_delta > 0.0:
@@ -222,6 +275,8 @@ def _orbit_batch(program: Program, ring, histories, steps, stop_delta):
             diverged[ids[~finite]] = True
             steps_done[ids[~finite]] = k
             steps_done[ids[finite & ~live]] = k + 1
+            if not live[0]:
+                path = None  # trial 0 is done: column 0 is another trial now
             ids = cols = ids[live]
             streak = streak[live]
             # compress copies in C order; regs[:, live] would be F-ordered,
@@ -229,7 +284,7 @@ def _orbit_batch(program: Program, ring, histories, steps, stop_delta):
             regs = regs.compress(live, axis=1)
             window = regs[: T * n].reshape(T, n, ids.size)
             bound = _bind(program, regs)
-    return steps_done, diverged
+    return ring, steps_done, diverged
 
 
 def run_orbit_batch(
@@ -252,7 +307,7 @@ def run_orbit_batch(
     consecutive steps.
     """
     histories = np.asarray(histories, dtype=np.float64)
-    trials, T, n = histories.shape
+    _, T, n = histories.shape
     if T != program.T or n != program.n_nodes:
         raise ValueError(
             f"history shape {histories.shape} does not match program (T={program.T}, n={program.n_nodes})"
@@ -260,10 +315,7 @@ def run_orbit_batch(
     keep = T + steps if keep is None else int(keep)
     if keep < 1:
         raise ValueError("keep must be positive")
-    ring = np.zeros((keep, n, trials), dtype=np.float64)
-    first = max(0, T - keep)
-    ring[np.arange(first, T) % keep] = histories[:, first:].transpose(1, 2, 0)
-    steps_done, diverged = _orbit_batch(program, ring, histories, steps, float(stop_delta))
+    ring, steps_done, diverged = _orbit_batch(program, histories, steps, float(stop_delta), keep)
     return ring.transpose(2, 0, 1), steps_done, diverged
 
 

@@ -71,8 +71,15 @@ class TimeDelayedNetwork:
 
     @cached_property
     def reads(self) -> dict[str, frozenset[tuple[str, int]]]:
-        """Node -> the (source, delay) pairs its update reads."""
-        return {node: frozenset(ex.references(self.updates[node])) for node in self.nodes}
+        """Node -> the (source, delay) pairs its update reads.
+
+        A rule that is one read, as every delay line's is, is not walked.
+        """
+        reads = {}
+        for node in self.nodes:
+            e = self.updates[node]
+            reads[node] = frozenset({(e.node, e.delay)} if type(e) is ex.Var else ex.references(e))
+        return reads
 
     @cached_property
     def T(self) -> int:

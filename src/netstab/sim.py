@@ -1,4 +1,13 @@
-"""Orbit simulation, fixed points, and empirical attraction checks."""
+"""Orbit simulation, fixed points, and empirical attraction checks.
+
+The attraction check runs all its trials as one streamed batch of the
+orbit engine, which keeps only each trial's tail.  ``netstab simulate``
+takes its trajectory from that same batch: trial 0, whose start window
+is the one the CLI's seed gives, is recorded while the batch runs it and
+run on alone if it stops early, so each orbit is run once.  Every
+``Trajectory`` is built by one helper, which sets its domain-exit flag
+and the step at which it diverged.
+"""
 
 from __future__ import annotations
 
@@ -94,20 +103,15 @@ def _as_history(net: TimeDelayedNetwork, history) -> np.ndarray:
     return arr
 
 
-def iterate_orbit(net: TimeDelayedNetwork, history, steps: int) -> Trajectory:
-    """Forward orbit of ``net`` from T chronological snapshots.
+def _trajectory(
+    net: TimeDelayedNetwork, states: np.ndarray, steps_done: int, diverged: bool
+) -> Trajectory:
+    """The trajectory of the first T + ``steps_done`` rows of ``states``.
 
-    Snapshots that leave a node's declared domain set ``left_domain`` but
-    iteration continues on the real line; a non-finite value stops the
-    orbit and records the offending step in ``diverged_at``.
+    ``left_domain`` is set when a snapshot leaves a node's declared
+    domain; a diverged orbit records the step that went non-finite.
     """
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    hist = _as_history(net, history)
-    program = engine.compile_network(net)
-    states, steps_done, diverged = engine.run_orbit(program, hist, steps)
     states = states[: net.T + steps_done]
-
     left = False
     for i, node in enumerate(net.nodes):
         dom = net.domains[node]
@@ -122,6 +126,21 @@ def iterate_orbit(net: TimeDelayedNetwork, history, steps: int) -> Trajectory:
         left_domain=left,
         diverged_at=steps_done + 1 if diverged else None,
     )
+
+
+def iterate_orbit(net: TimeDelayedNetwork, history, steps: int) -> Trajectory:
+    """Forward orbit of ``net`` from T chronological snapshots.
+
+    Snapshots that leave a node's declared domain set ``left_domain`` but
+    iteration continues on the real line; a non-finite value stops the
+    orbit and records the offending step in ``diverged_at``.
+    """
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    hist = _as_history(net, history)
+    program = engine.compile_network(net)
+    states, steps_done, diverged = engine.run_orbit(program, hist, steps)
+    return _trajectory(net, states, steps_done, diverged)
 
 
 def find_fixed_point(net: TimeDelayedNetwork, guess, tol: float = 1e-12) -> np.ndarray:
@@ -211,6 +230,28 @@ def verify_global_attraction(
     others and each trial's tail diameter is non-increasing.  A pass is
     evidence of a globally attracting fixed point, not a proof.
     """
+    verdict, _ = _attraction(net, trials, steps, sample_box, tol, seed, record=False)
+    return verdict
+
+
+def _attraction(
+    net: TimeDelayedNetwork,
+    trials: int,
+    steps: int,
+    sample_box: dict[str, tuple[float, float]] | None,
+    tol: float,
+    seed: int,
+    record: bool,
+) -> tuple[AttractionVerdict, Trajectory | None]:
+    """The verdict of :func:`verify_global_attraction`, and with ``record``
+    the trajectory of trial 0 over ``steps`` (else None).
+
+    Trial 0 starts from ``default_rng(seed).uniform(lo, hi, (T, n))``, and
+    the batch computes it exactly as :func:`iterate_orbit` would from that
+    window.  Its states are recorded while the batch runs it; if it stops
+    early, it runs on alone from its last T states.  Without ``record``
+    nothing holds more than the batch's tail of each trial.
+    """
     if trials < 2:
         raise ValueError("need at least 2 trials")
     lo, hi = sampling_box(net, sample_box)
@@ -220,9 +261,11 @@ def verify_global_attraction(
     program = engine.compile_network(net)
     # every tail read below is at most max(8, (T + steps) // 4) states long
     keep = max(8, (net.T + steps) // 4)
-    states, steps_done, diverged = engine.run_orbit_batch(
-        program, histories, steps, stop_delta=tol * 1e-3, keep=keep
+    path = np.empty((net.T + steps, net.size)) if record else None
+    ring, steps_done, diverged = engine._orbit_batch(
+        program, histories, steps, tol * 1e-3, keep, path
     )
+    states = ring.transpose(2, 0, 1)
 
     notes: list[str] = []
     n_div = int(diverged.sum())
@@ -245,7 +288,7 @@ def verify_global_attraction(
     if not shrinking:
         notes.append("tail diameter increased in at least one trial")
     witness = endpoints.mean(axis=0) if converged else None
-    return AttractionVerdict(
+    verdict = AttractionVerdict(
         converged=converged,
         witness=witness,
         final_diameter=float(spread),
@@ -256,6 +299,17 @@ def verify_global_attraction(
         trial_steps=int(steps_done.sum()),
         notes=tuple(notes),
     )
+    if path is None:
+        return verdict, None
+    done, gone = int(steps_done[0]), bool(diverged[0])
+    if done < steps and not gone:
+        # trial 0 stopped early: it runs on alone from its last T states,
+        # recording into the rest of the path
+        _, more, alone_diverged = engine._orbit_batch(
+            program, path[None, done : net.T + done], steps - done, 0.0, 1, path[done:]
+        )
+        done, gone = done + int(more[0]), bool(alone_diverged[0])
+    return verdict, _trajectory(net, path, done, gone)
 
 
 def conjugacy_check(

@@ -4,11 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from netstab import gallery
+from gen import build_benchmark_network
+
+from netstab import engine, gallery
 from netstab.cli import emit_dot, run
-from netstab.network import dump_network, interaction_graph, load_network
+from netstab.expr import Interval
+from netstab.network import build_network, dump_network, interaction_graph, load_network
+from netstab.sim import iterate_orbit, sampling_box, verify_global_attraction
 
 REPO = Path(__file__).resolve().parent.parent
 NETWORKS = REPO / "networks"
@@ -302,6 +307,73 @@ def test_simulate_csv_start_window_lies_in_box(in_tmp):
     window = [[float(v) for v in row.split(",")[1:]] for row in rows[: net.T]]
     assert [row.split(",")[0] for row in rows[: net.T]] == ["-3", "-2", "-1", "0"]
     assert all(0.25 <= v <= 0.5 for snapshot in window for v in snapshot)
+
+
+_SQUARE = build_network([("x1", Interval(-2, 2))], [("x1", "x1*x1")])
+_TURN = build_network(
+    [("x1", Interval.whole()), ("x2", Interval.whole())],
+    [("x1", "0.99*x2[-1]"), ("x2", "-0.99*x1")],
+)
+
+# (network, trials, steps, seed, box): the CSV is trial 0 of the batch
+SIMULATE_CASES = {
+    # trial 0 stops early (every trial does) and runs on alone
+    "contracting": (build_benchmark_network(12), 6, 600, 4, None),
+    # no trial stops: trial 0 runs all steps in the batch
+    "not_contracting": (_TURN, 4, 300, 1, None),
+    # |x| > 1 at the start of trial 0 (x = -1.66)
+    "trial_0_diverges": (_SQUARE, 6, 200, 3, None),
+    # trial 0 (x = -0.95) outlives trials that diverge or stop before it
+    "others_go_first": (_SQUARE, 6, 200, 2, None),
+    "undelayed": (gallery.undelayed_pair(0.5, 0.1, 1.0), 5, 300, 7, None),
+    "box": (gallery.delayed_pair(0.5, 0.1, 1.0), 5, 300, 9, (-0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_simulate_csv_is_the_orbit_of_trial_zero(in_tmp, monkeypatch, case):
+    net, trials, steps, seed, box = SIMULATE_CASES[case]
+    path = _write(in_tmp, "net.net", net)
+    net = load_network(path.read_text())
+    argv = ["simulate", str(path), "--trials", str(trials), "--steps", str(steps),
+            "--seed", str(seed)]
+    if box:
+        argv.append(f"--box={box[0]},{box[1]}")
+    batches = []
+    orbit_batch = engine._orbit_batch
+
+    def counted(*args):
+        batches.append(args)
+        return orbit_batch(*args)
+
+    monkeypatch.setattr(engine, "_orbit_batch", counted)
+    assert run(argv) == 0
+    monkeypatch.undo()
+
+    sample_box = {node: box for node in net.nodes} if box else None
+    lo, hi = sampling_box(net, sample_box)
+    histories = np.random.default_rng(seed).uniform(lo, hi, (trials, net.T, net.size))
+    want = iterate_orbit(net, histories[0], steps)
+    assert (in_tmp / "net.trajectory.csv").read_text() == want.to_csv()
+    verdict = verify_global_attraction(net, trials, steps, sample_box, 1e-8, seed)
+    assert (in_tmp / "net.verdict.json").read_text() == verdict.to_json() + "\n"
+
+    # each case runs the path it is named for
+    _, done, diverged = engine.run_orbit_batch(
+        engine.compile_network(net), histories, steps, stop_delta=1e-11, keep=8
+    )
+    stopped_early = done[0] < steps and not diverged[0]
+    # trial 0 runs on alone exactly when it stops early
+    assert len(batches) == 1 + stopped_early
+    assert (want.diverged_at is not None) == (case == "trial_0_diverges")
+    if case == "contracting":
+        assert stopped_early
+    if case == "not_contracting":
+        assert (done == steps).all()
+    if case == "others_go_first":
+        assert diverged[1:].any() and (done[1:][~diverged[1:]] < done[0]).any()
+    if case == "undelayed":
+        assert net.T == 1
 
 
 def _one_rule_file(tmp_path: Path, rule: str) -> Path:

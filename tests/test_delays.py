@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gen import random_network
+from gen import random_network, rescaled_ring
 
-from netstab import gallery
+from netstab import expr, gallery
 from netstab.delays import StateIndex, dedelay, shift_delay, undelay
 from netstab.errors import TransformError
 from netstab.expr import BinOp, Const, Interval, Var, eval_point, normalize
@@ -22,6 +22,27 @@ def test_dedelay_delayed_pair_has_eight_coordinates():
         ("x1", 0), ("x1", 1), ("x1", 2), ("x1", 3),
         ("x2", 0), ("x2", 1), ("x2", 2), ("x2", 3),
     ]
+
+
+def test_dedelay_walks_only_the_base_rules(monkeypatch):
+    # a delay line's rule is one read, which ``reads`` takes without a walk
+    net = rescaled_ring(12, 4, -1e-10)
+    net.reads  # what the input reads is not the augmentation's cost
+    walked = []
+    references = expr.references
+
+    def counted(e):
+        walked.append(e)
+        return references(e)
+
+    monkeypatch.setattr(expr, "references", counted)
+    aug = dedelay(net)
+    assert aug.net.T == 1
+    assert len(walked) == net.size < len(aug.coords)
+    monkeypatch.undo()
+    assert aug.net.reads == {
+        node: frozenset(expr.references(e)) for node, e in aug.net.updates.items()
+    }
 
 
 def test_dedelay_line_wiring():

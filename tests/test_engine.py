@@ -377,7 +377,36 @@ def test_ring_holds_the_last_states_of_the_full_history():
     assert stops >= 30 and divergences == 2
 
 
+def test_batch_records_trial_zero_while_it_runs():
+    # trial 0 outlives some trials and is outlived by others; the path holds
+    # exactly its states, and nothing past its last step
+    for prog, histories, steps, stop_delta in _ring_cases():
+        full, done, diverged = engine.run_orbit_batch(prog, histories, steps, stop_delta)
+        path = np.full((prog.T + steps, prog.n_nodes), np.nan)
+        _, path_done, _ = engine._orbit_batch(prog, histories, steps, stop_delta, 8, path)
+        assert np.array_equal(path_done, done)
+        length = prog.T + done[0] + diverged[0]  # a diverged step is written too
+        assert np.array_equal(path[: prog.T + done[0]], full[0, : prog.T + done[0]])
+        assert np.isnan(path[length:]).all()
+
+
 def test_bench_ring_runs_in_six_groups():
     prog = engine.compile_network(build_benchmark_network(48))
     assert prog.ops.shape[0] == 384
     assert len(prog.groups) <= 6
+    # the outputs are consecutive temporaries, read as a view each step
+    assert isinstance(engine._output_rows(prog), slice)
+
+
+def test_outputs_in_the_window_are_read_before_it_shifts():
+    # each output is a window slot, and the slots are consecutive: a view of
+    # them would see the shifted window, not this step's outputs
+    net = build_network(
+        [("x1", R), ("x2", R)], [("x1", "x1[-1]"), ("x2", "x2[-1]")]
+    )
+    prog = engine.compile_network(net)
+    assert prog.out_regs.tolist() == [2, 3]
+    assert not isinstance(engine._output_rows(prog), slice)
+    histories = np.array([[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]])
+    states, _, _ = _assert_same_orbits(prog, histories, 5, 0.0)
+    assert states[0, :, 0].tolist() == [1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0]

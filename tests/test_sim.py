@@ -5,7 +5,7 @@ import pytest
 
 from gen import build_benchmark_network, network_as_built, random_network
 
-from netstab import engine, gallery
+from netstab import engine, gallery, sim
 from netstab.delays import dedelay, undelay
 from netstab.errors import ConvergenceError, NetstabError, NetworkError
 from netstab.expr import Interval, Var
@@ -255,6 +255,56 @@ def test_attraction_memory_is_bounded_by_the_tail():
         tracemalloc.stop()
     assert verdict.converged
     assert peak < full / 2
+
+
+def test_attraction_holds_no_path_of_trial_zero():
+    # the library check keeps the batch's tail of each trial; only the CLI's
+    # recording allocates the (T + steps, n) path of trial 0
+    net = build_benchmark_network(48)
+    steps = 5000
+    path = (net.T + steps) * net.size * 8
+    peaks = []
+    for record in (False, True):
+        tracemalloc.start()
+        try:
+            sim._attraction(net, 2, steps, None, 1e-8, 0, record=record)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < path <= peaks[1]
+
+
+def test_recorded_trial_zero_is_the_orbit_iterate_orbit_runs():
+    rng = np.random.default_rng(171)
+    nets = [
+        random_network(rng, int(rng.integers(2, 6)), max_delay=3, amplitude=amplitude)
+        for amplitude in (0.2, 0.6, 1.5)
+        for _ in range(3)
+    ]
+    nets += [
+        build_network([("x1", Interval(1, 10))], [("x1", "exp(x1)")]),
+        build_network([("x1", Interval(-1, 1))], [("x1", "0.5*x1[-1] + 0.9")]),
+    ]
+    seen: set[str] = set()
+    for seed, net in enumerate(nets):
+        for steps in (3, 40, 700):
+            verdict, traj = sim._attraction(net, 5, steps, None, 1e-8, seed, record=True)
+            want = verify_global_attraction(net, 5, steps, None, 1e-8, seed)
+            assert verdict.to_json() == want.to_json()
+            lo, hi = sampling_box(net)
+            history = np.random.default_rng(seed).uniform(lo, hi, (net.T, net.size))
+            orbit = iterate_orbit(net, history, steps)
+            assert np.array_equal(traj.states, orbit.states)
+            assert (traj.nodes, traj.T, traj.left_domain, traj.diverged_at) == (
+                orbit.nodes, orbit.T, orbit.left_domain, orbit.diverged_at
+            )
+            if orbit.diverged_at is not None:
+                seen.add("diverged")
+            elif orbit.left_domain:
+                seen.add("left its domain")
+            if verdict.iterations_used < steps:
+                seen.add("ran on after the batch stopped")
+    assert seen == {"diverged", "left its domain", "ran on after the batch stopped"}
 
 
 def test_attraction_rejects_non_finite_sample_box():
