@@ -27,6 +27,11 @@ and the released count must return to the first.
 The ``expand`` row times ``expand`` onto {s} of the k = 10 diamond, which
 inlines once per branch and adds a delay chain per branch, and records its
 coordinates (state dimension) and the distinct nodes of its update of s.
+The ``expand_analyze`` row analyzes ``expand`` onto {s} of the k = 8
+diamond, whose rule of s reads 256 coordinates: ``partials_ms`` times the
+symbolic partials of every entry (``stability._partials``, one derivative
+walk per rule), ``analyze_ms`` the whole ``analyze``, and ``entries``
+counts the matrix entries.
 
 The spectral layer assembles the stability matrix of seven rings
 (``tests/gen.py``'s ``rescaled_ring``: the weights of the orbit layer's
@@ -96,12 +101,12 @@ from pathlib import Path
 import numpy as np
 
 from netstab import cli, engine
-from netstab.delays import undelay
+from netstab.delays import state_indices, undelay
 from netstab.expr import Expr, normalize, parse_expression
 from netstab.network import dump_network, interaction_graph, load_network
 from netstab.sim import find_fixed_point, verify_global_attraction
 from netstab.spectral import NonnegMatrix, spectral_bracket
-from netstab.stability import analyze, stability_matrix
+from netstab.stability import _partials, analyze, stability_matrix
 from netstab.structural import find_structural_sets
 from netstab.transform import expand, restrict
 
@@ -118,6 +123,8 @@ from workloads import diamond_spec, diamond_text  # noqa: E402
 
 # the diamond expand is timed on: 2^10 branches, each with its own chain
 EXPAND_LAYERS = 10
+# the expanded diamond analyze is timed on: s reads 2^8 coordinates
+EXPAND_ANALYZE_LAYERS = 8
 
 # (nodes, largest neighbour delay, undelayed): the rings where the spectral
 # layer's cost used to jump, a ring whose reduction keeps half of it, and
@@ -230,6 +237,23 @@ def bench_expand(k: int, repeats: int) -> dict:
     }
 
 
+def bench_expand_analyze(k: int, repeats: int) -> dict:
+    net = load_network(diamond_text(diamond_spec(np.random.default_rng(k), k), "diamond"))
+    aug = expand(net, ["s"]).net
+    indices = state_indices(aug)
+    partials_ms, _ = best_of(repeats, lambda: list(_partials(aug, indices)))
+    analyze_ms, report = best_of(repeats, lambda: analyze(aug))
+    return {
+        "layers": k,
+        "coords": aug.size,
+        "reads_of_s": len(aug.reads["s"]),
+        "entries": len(report.provenance),
+        "partials_ms": round(partials_ms, 2),
+        "analyze_ms": round(analyze_ms, 2),
+        "rho": report.rho,
+    }
+
+
 def entries_per_row(matrix) -> np.ndarray:
     """Nonzero entries in each row, read from the report's entry list, so
     that no dense array is built."""
@@ -310,7 +334,7 @@ def bench_orbit(repeats: int) -> list[dict]:
         return engine.run_orbit_batch(program, histories, steps, stop_delta=1e-11)
 
     def single():
-        return engine.run_orbit(program, histories[0], steps)
+        return engine.run_orbit_batch(program, histories[:1], steps)
 
     def fixed():
         return find_fixed_point(net, np.zeros(net.size))
@@ -343,7 +367,7 @@ def bench_orbit(repeats: int) -> list[dict]:
          "trial_steps": int(done.sum()), "ms": round(batch_ms, 2),
          "peak_mb": traced_peak_mb(batch)},
         {"case": "single", **ring, "trials": 1, "steps": steps,
-         "trial_steps": single_done, "ms": round(single_ms, 2),
+         "trial_steps": int(single_done[0]), "ms": round(single_ms, 2),
          "peak_mb": traced_peak_mb(single)},
         {"case": "fixed_point", **ring, "ms": round(fixed_ms, 2),
          "peak_mb": traced_peak_mb(fixed)},
@@ -370,6 +394,7 @@ def main():
         ],
         "live_nodes": [bench_live_nodes(max(int(k) for k in args.layers.split(",")))],
         "expand": [bench_expand(EXPAND_LAYERS, args.repeats)],
+        "expand_analyze": [bench_expand_analyze(EXPAND_ANALYZE_LAYERS, args.repeats)],
         "spectral": bench_spectral(args.repeats),
         "structural": bench_structural(args.repeats),
         "orbit": bench_orbit(args.repeats),

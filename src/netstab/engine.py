@@ -41,7 +41,6 @@ from .network import TimeDelayedNetwork
 __all__ = [
     "Program",
     "compile_network",
-    "run_orbit",
     "run_orbit_batch",
     "undelayed_map",
 ]
@@ -317,20 +316,6 @@ def run_orbit_batch(
         raise ValueError("keep must be positive")
     ring, steps_done, diverged = _orbit_batch(program, histories, steps, float(stop_delta), keep)
     return ring.transpose(2, 0, 1), steps_done, diverged
-
-
-def run_orbit(
-    program: Program,
-    history: np.ndarray,
-    steps: int,
-    stop_delta: float = 0.0,
-):
-    """Single-trial convenience wrapper around :func:`run_orbit_batch`."""
-    history = np.asarray(history, dtype=np.float64)
-    states, steps_done, diverged = run_orbit_batch(
-        program, history[None, :, :], steps, stop_delta
-    )
-    return states[0], int(steps_done[0]), bool(diverged[0])
 
 
 def undelayed_map(program: Program):

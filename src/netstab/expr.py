@@ -16,11 +16,13 @@ differentiation), and equality is identity.  Every walker (printing,
 normalization, differentiation, point and interval evaluation,
 substitution) visits each distinct node once, iteratively, with a memo
 keyed by node and local to the call, so its cost is O(distinct nodes)
-and deep input does not exhaust the interpreter stack.  Printed text
-still expands the sharing, so the text of a restricted rule grows with
-the number of paths, not of nodes; the parser reads each distinct
-parenthesised group of it once.  The report's derivative provenance
-names the nodes whose sharing nests instead.
+and deep input does not exhaust the interpreter stack; :func:`gradient`
+takes all partials of a rule in one such walk, though a node's work
+grows with the reads below it.  Printed text still expands the sharing,
+so the text of a restricted rule grows with the number of paths, not of
+nodes; the parser reads each distinct parenthesised group of it once.
+The report's derivative provenance names the nodes whose sharing nests
+instead.
 
 The module provides parsing, printing, symbolic differentiation, exact
 point evaluation and interval evaluation.  Interval results are widened
@@ -54,7 +56,7 @@ __all__ = [
     "OPERATORS",
     "parse_expression",
     "to_text",
-    "differentiate",
+    "gradient",
     "eval_point",
     "eval_interval",
     "normalize",
@@ -377,7 +379,7 @@ class Operator:
     ``point`` is the float kernel, ``interval`` the outward-rounded
     :class:`Interval` kernel and ``array`` the numpy kernel the orbit tape
     calls with ``out=``.  ``derivative`` maps a function's argument u to
-    its outer derivative f'(u); :func:`differentiate` handles the binary
+    its outer derivative f'(u); :func:`gradient` handles the binary
     operators and ``neg`` itself.
     """
 
@@ -781,14 +783,14 @@ def _mul(a: Expr, b: Expr) -> Expr:
 
 
 def _div(a: Expr, b: Expr) -> Expr:
-    if isinstance(b, Const) and b.value != 0.0:
+    if isinstance(b, Const):
+        if b.value == 0.0:
+            raise EvalError(f"division by zero in {to_text(BinOp('/', a, b))}")
         if isinstance(a, Const):
             return Const(a.value / b.value)
         if b.value == 1.0:
             return a
-    if isinstance(a, Const) and a.value == 0.0 and not (
-        isinstance(b, Const) and b.value == 0.0
-    ):
+    if isinstance(a, Const) and a.value == 0.0:
         return Const(0.0)
     return BinOp("/", a, b)
 
@@ -805,44 +807,57 @@ def _call(func: str, arg: Expr) -> Expr:
 # differentiation
 
 
-def differentiate(e: Expr, wrt: tuple[str, int]) -> Expr:
-    """Exact symbolic partial derivative of ``e`` w.r.t. a delayed variable.
+def _merge(kept: dict, changed) -> dict:
+    """``kept`` updated with the (read, partial) pairs ``changed``, less zeros."""
+    out = dict(kept)
+    for ref, d in changed:
+        if type(d) is Const and d.value == 0.0:
+            out.pop(ref, None)
+        else:
+            out[ref] = d
+    return out
 
-    ``wrt`` is a (node, delay) pair.  d|u|/du is taken as sign(u); the
-    kink at 0 is covered on the interval side, where sign over an
-    interval containing 0 evaluates to [-1, 1].
+
+def gradient(e: Expr) -> dict[tuple[str, int], Expr]:
+    """Every exact partial derivative of ``e``, {(node, delay): partial},
+    in one walk: each node carries the partials of the reads below it.
+
+    A read whose partial folds to a zero constant is absent: its partial
+    is ``Const(0.0)``.  d|u|/du is taken as sign(u); the kink at 0 is
+    covered on the interval side, where sign over an interval containing
+    0 evaluates to [-1, 1].
     """
-    node, delay = wrt
-    zero, one = Const(0.0), Const(1.0)
-    d: dict[Expr, Expr] = {}
+    zero = Const(0.0)
+    tangents: dict[Expr, dict[tuple[str, int], Expr]] = {}
     for cur in _postorder((e,)):
-        if isinstance(cur, Const):
-            out = zero
-        elif isinstance(cur, Var):
-            out = one if cur.node == node and cur.delay == delay else zero
-        elif isinstance(cur, Call):
-            inner = d[cur.arg]
-            if isinstance(inner, Const) and inner.value == 0.0:
-                out = zero
-            elif cur.func == "neg":
-                out = _neg(inner)
-            else:
-                out = _mul(OPERATORS[cur.func].derivative(cur.arg), inner)
-        elif isinstance(cur, BinOp):
-            dl, dr = d[cur.left], d[cur.right]
-            if cur.op == "+":
-                out = _add(dl, dr)
-            elif cur.op == "-":
-                out = _sub(dl, dr)
-            elif cur.op == "*":
-                out = _add(_mul(dl, cur.right), _mul(cur.left, dr))
-            else:  # quotient rule
-                num = _sub(_mul(dl, cur.right), _mul(cur.left, dr))
-                out = _div(num, _mul(cur.right, cur.right))
+        kind = type(cur)
+        if kind is Const:
+            out = {}
+        elif kind is Var:
+            out = {(cur.node, cur.delay): Const(1.0)}
+        elif kind is Call and cur.func == "neg":
+            out = {ref: _neg(d) for ref, d in tangents[cur.arg].items()}
+        elif kind is Call:
+            inner = tangents[cur.arg]
+            outer = OPERATORS[cur.func].derivative(cur.arg) if inner else zero
+            out = _merge({}, ((ref, _mul(outer, d)) for ref, d in inner.items()))
+        elif kind is BinOp:
+            dl, dr, left, right = tangents[cur.left], tangents[cur.right], cur.left, cur.right
+            if cur.op in ("+", "-"):  # a read of the left side only keeps its partial
+                combine = _add if cur.op == "+" else _sub
+                out = _merge(dl, ((ref, combine(dl.get(ref, zero), d)) for ref, d in dr.items()))
+            else:  # the product rule's terms, or the quotient rule's numerator's
+                terms = ((ref, _mul(dl.get(ref, zero), right), _mul(left, dr.get(ref, zero)))
+                         for ref in dl | dr)
+                if cur.op == "*":
+                    out = _merge({}, ((ref, _add(a, b)) for ref, a, b in terms))
+                else:
+                    square = _mul(right, right)
+                    out = _merge({}, ((ref, _div(_sub(a, b), square)) for ref, a, b in terms))
         else:
             raise TypeError(f"not an expression: {cur!r}")
-        d[cur] = out
-    return d[e]
+        tangents[cur] = out
+    return tangents[e]
 
 
 # ---------------------------------------------------------------------------
@@ -1021,7 +1036,8 @@ def _normalize_sum(e: Expr, normal: dict[Expr, Expr], keys: dict) -> Expr:
 def normalize(e: Expr) -> Expr:
     """Canonical form: constants folded, commutative chains flattened and
     sorted, identical additive terms combined (``u - u`` cancels, ``u + u``
-    becomes ``2*u``) and multiplications by literal zero dropped.
+    becomes ``2*u``) and multiplications by literal zero dropped.  A
+    division whose divisor folds to zero raises :class:`EvalError`.
 
     Point values are preserved; only the tree shape changes.  Each
     distinct node is normalized once; an additive chain is summed whole,

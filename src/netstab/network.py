@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
 from . import expr as ex
-from .errors import NetworkError, ParseError
+from .errors import EvalError, NetworkError, ParseError
 from .expr import Const, Expr, Interval, Var
 
 __all__ = [
@@ -132,7 +132,7 @@ def network_from_exprs(
 
     Updates are normalized so that terms multiplied by a literal zero
     (and exactly cancelling terms) drop out and the interaction graph
-    reflects true dependence.
+    reflects true dependence; a division by a literal zero is an error.
     """
     nodes = tuple(nodes)
     declared = set(nodes)
@@ -144,13 +144,13 @@ def network_from_exprs(
     extra = set(updates) - declared
     if extra:
         raise NetworkError(f"updates for undeclared nodes {sorted(extra)}")
-    net = TimeDelayedNetwork(
-        nodes=nodes,
-        domains=dict(domains),
-        updates={n: ex.normalize(u) for n, u in updates.items()},
-        name=name,
-        cg=cg,
-    )
+    normal = {}
+    for node, update in updates.items():
+        try:
+            normal[node] = ex.normalize(update)
+        except EvalError as err:
+            raise NetworkError(f"update of {node!r}: {err}") from err
+    net = TimeDelayedNetwork(nodes=nodes, domains=dict(domains), updates=normal, name=name, cg=cg)
     for node, refs in net.reads.items():
         for ref_node, delay in refs:
             if ref_node not in declared:
@@ -255,13 +255,8 @@ def make_cohen_grossberg(
             )
         if c[j] != 0.0:
             terms.append(Const(c[j]))
-        if not terms:
-            updates[nodes[j]] = Const(0.0)
-        else:
-            update = terms[0]
-            for t in terms[1:]:
-                update = ex.BinOp("+", update, t)
-            updates[nodes[j]] = update
+        # summed left to right
+        updates[nodes[j]] = reduce(partial(ex.BinOp, "+"), terms) if terms else Const(0.0)
 
     domains = {node: Interval.whole() for node in nodes}
     cg = CohenGrossbergParams(

@@ -138,9 +138,10 @@ def iterate_orbit(net: TimeDelayedNetwork, history, steps: int) -> Trajectory:
     if steps < 1:
         raise ValueError("steps must be positive")
     hist = _as_history(net, history)
+    path = np.empty((net.T + steps, net.size))
     program = engine.compile_network(net)
-    states, steps_done, diverged = engine.run_orbit(program, hist, steps)
-    return _trajectory(net, states, steps_done, diverged)
+    _, done, diverged = engine._orbit_batch(program, hist[None], steps, 0.0, 1, path)
+    return _trajectory(net, path, int(done[0]), bool(diverged[0]))
 
 
 def find_fixed_point(net: TimeDelayedNetwork, guess, tol: float = 1e-12) -> np.ndarray:

@@ -4,13 +4,13 @@ The stability matrix of a network bounds |dF_j / dx_i| over the domain
 box, entry (row j, column i); its spectral radius below 1 certifies a
 globally attracting fixed point.  For a delayed network the matrix lives
 over the lag coordinates (node, depth) of ``delays.state_indices``, the
-de-delayed coordinate order: each node's own update is differentiated with
-respect to every (source, delay) it reads, the partial lands at column
-(source, delay), and delay-line rows carry a single exact 1.  The
-de-delayed network itself is never built, and neither is a dense array:
-the matrix is assembled as its (row, col, value) entries, and
-``spectral.spectral_bracket`` folds the delay-line rows back into lag
-blocks over the base nodes.
+de-delayed coordinate order: each node's own update is differentiated in
+one walk (``expr.gradient``), its partial for each (source, delay) it
+reads lands at column (source, delay), and delay-line rows carry a
+single exact 1.  The de-delayed network itself is never built, and
+neither is a dense array: the matrix is assembled as its (row, col,
+value) entries, and ``spectral.spectral_bracket`` folds the delay-line
+rows back into lag blocks over the base nodes.
 
 ``jacobian_matrix``/``local_spectral_radius`` evaluate the signed
 Jacobian at a single point instead of bounding over the box; that is the
@@ -91,15 +91,16 @@ def stability_matrix(net: TimeDelayedNetwork) -> NonnegMatrix:
 def _partials(net: TimeDelayedNetwork, indices):
     """(row, column, partial) for each entry that can be nonzero.
 
-    Row j < n differentiates node j's own update with respect to each
-    (source, delay) it reads, at that read's lag coordinate; a delay-line
-    row holds the exact 1.0 from the coordinate one step shallower.
+    Row j < n holds, at each (source, delay) node j's update reads, that
+    read's partial from one gradient walk of the update; a delay-line row
+    holds the exact 1.0 from the coordinate one step shallower.
     """
     pos = {(idx.node, idx.depth): k for k, idx in enumerate(indices)}
+    zero = ex.Const(0.0)
     for j, target in enumerate(net.nodes):
-        update = net.updates[target]
+        grad = ex.gradient(net.updates[target])
         for ref in sorted(net.reads[target]):
-            yield j, pos[ref], ex.differentiate(update, ref)
+            yield j, pos[ref], grad.get(ref, zero)
     for j in range(net.size, len(indices)):
         yield j, pos[(indices[j].node, indices[j].depth - 1)], ex.Const(1.0)
 

@@ -399,6 +399,20 @@ def test_deep_nesting_is_a_parse_error(in_tmp, capsys):
         assert err.startswith("error: ") and "nesting deeper than" in err
 
 
+@pytest.mark.parametrize("divisor", ["0.0", "(1.0 - 1.0)", "(x2 - x2)"])
+def test_division_by_a_literal_zero_is_rejected(in_tmp, capsys, divisor):
+    # the map is undefined everywhere: neither verb may certify or iterate it
+    path = in_tmp / "zero.net"
+    path.write_text(
+        "node x1 domain [-1,1]\nnode x2 domain [-1,1]\n"
+        f"update x1 = 0.5*tanh(x2) + 1.0 / {divisor}\nupdate x2 = 0.5*x1\n"
+    )
+    for verb in ("analyze", "simulate"):
+        assert run([verb, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'x1'" in err and "division by zero" in err
+
+
 def test_regression_verb_passes(in_tmp, capsys):
     assert run(["verify-paper"]) == 0
     out = capsys.readouterr().out

@@ -57,8 +57,8 @@ def test_shared_node_is_computed_once_with_the_same_orbit():
     )
     assert dag.ops.shape[0] == inner == copies.ops.shape[0] - 2
     history = np.array([[0.3, -0.7]])
-    dag_states, _, _ = engine.run_orbit(dag, history, 50)
-    copies_states, _, _ = engine.run_orbit(copies, history, 50)
+    dag_states, _, _ = engine.run_orbit_batch(dag, history[None], 50)
+    copies_states, _, _ = engine.run_orbit_batch(copies, history[None], 50)
     assert np.array_equal(dag_states, copies_states)
 
 
@@ -68,7 +68,7 @@ def test_single_step_matches_eval_point():
         net = random_network(rng, int(rng.integers(1, 5)), max_delay=3)
         prog = engine.compile_network(net)
         history = rng.uniform(-2, 2, (net.T, net.size))
-        states, done, diverged = engine.run_orbit(prog, history, 1)
+        (states,), (done,), (diverged,) = engine.run_orbit_batch(prog, history[None], 1)
         assert done == 1 and not diverged
         assignment = {}
         for i, node in enumerate(net.nodes):
@@ -103,7 +103,7 @@ def test_every_operator_row_through_the_tape(name, update):
     assert list(OPERATORS).index(name) in prog.ops[:, 0]
     enclosure = eval_interval(update, {("x1", 0): box})
     for x in np.linspace(box.lo, box.hi, 15):
-        states, done, diverged = engine.run_orbit(prog, [[x]], 1)
+        (states,), (done,), (diverged,) = engine.run_orbit_batch(prog, [[[x]]], 1)
         assert done == 1 and not diverged
         want = eval_point(update, {("x1", 0): x})
         if name in LIBM_ROWS:
@@ -116,8 +116,8 @@ def test_every_operator_row_through_the_tape(name, update):
 def test_early_stop():
     net = build_network([("x1", R)], [("x1", "0.5*x1")])
     prog = engine.compile_network(net)
-    states, done, diverged = engine.run_orbit(
-        prog, [[1.0]], 5000, stop_delta=1e-12
+    (states,), (done,), (diverged,) = engine.run_orbit_batch(
+        prog, [[[1.0]]], 5000, stop_delta=1e-12
     )
     assert not diverged
     assert done < 200
@@ -126,7 +126,7 @@ def test_early_stop():
 def test_divergence_detection():
     net = build_network([("x1", R)], [("x1", "x1*x1 + 1")])
     prog = engine.compile_network(net)
-    states, done, diverged = engine.run_orbit(prog, [[2.0]], 100)
+    (states,), (done,), (diverged,) = engine.run_orbit_batch(prog, [[[2.0]]], 100)
     assert diverged
     assert done < 100
     assert np.isfinite(states[: 1 + done]).all()
@@ -136,7 +136,7 @@ def test_division_produces_divergence_not_crash():
     net = build_network([("x1", R)], [("x1", "1 / (x1 - 1)")])
     prog = engine.compile_network(net)
     # hits x1 == 1 exactly on the second step: 1/(2-1) = 1, then 1/0
-    states, done, diverged = engine.run_orbit(prog, [[2.0]], 10)
+    (states,), (done,), (diverged,) = engine.run_orbit_batch(prog, [[[2.0]]], 10)
     assert diverged
 
 
@@ -163,7 +163,7 @@ def test_apply_undelayed_is_bit_identical_to_one_orbit_step():
         prog = engine.compile_network(net)
         assert prog.T >= 2
         x = rng.uniform(-2, 2, net.size)
-        states, _, _ = engine.run_orbit(prog, np.tile(x, (prog.T, 1)), 1)
+        (states,), _, _ = engine.run_orbit_batch(prog, np.tile(x, (1, prog.T, 1)), 1)
         assert np.array_equal(engine.undelayed_map(prog)(x), states[prog.T])
     assert {"sech", "sin", "cos"} <= calls
 

@@ -23,9 +23,9 @@ from netstab.expr import (
     _postorder,
     _render,
     _sub,
-    differentiate,
     eval_interval,
     eval_point,
+    gradient,
     normalize,
     parse_expression,
     references,
@@ -105,23 +105,22 @@ def test_eval_point_missing_assignment():
 def test_derivative_examples():
     # d/d(x2,3) of tanh(b*x2[-3]) = b*sech^2(b*x2[-3])
     e = parse_expression("tanh(0.4*x2[-3])", NODES)
-    d = differentiate(e, ("x2", 3))
+    d = gradient(e)[("x2", 3)]
     for x in (-1.3, 0.0, 0.7):
         got = eval_point(d, {("x2", 3): x})
         want = 0.4 / math.cosh(0.4 * x) ** 2
         assert got == pytest.approx(want, rel=1e-14)
 
-    assert differentiate(Const(3.0), ("x1", 0)) == Const(0.0)
+    assert gradient(Const(3.0)) == {}
 
     lin = parse_expression("0.5*x1[-1] + 0.2*tanh(x2[-3])", NODES)
-    assert differentiate(lin, ("x1", 1)) == Const(0.5)
+    assert gradient(lin)[("x1", 1)] is Const(0.5)
 
 
 def test_derivative_distinguishes_delays():
     e = parse_expression("x1 + x1[-2]", NODES)
-    assert differentiate(e, ("x1", 0)) == Const(1.0)
-    assert differentiate(e, ("x1", 2)) == Const(1.0)
-    assert differentiate(e, ("x1", 1)) == Const(0.0)
+    # ("x1", 1) is not read: its partial is zero, so it is absent
+    assert gradient(e) == {("x1", 0): Const(1.0), ("x1", 2): Const(1.0)}
 
 
 def _random_expr(rng, depth: int, allow_abs: bool = True):
@@ -198,7 +197,7 @@ def test_derivative_matches_finite_differences():
         wrt = refs[rng.integers(0, len(refs))]
         point = {ref: float(rng.uniform(-1.5, 1.5)) for ref in refs}
         try:
-            d_sym = eval_point(differentiate(e, wrt), point)
+            d_sym = eval_point(gradient(e).get(wrt, Const(0.0)), point)
             up = dict(point)
             up[wrt] += step
             dn = dict(point)
@@ -229,7 +228,7 @@ def test_interval_bounded_primitives():
 def test_lipschitz_bound_of_scaled_tanh():
     # sup |d tanh(b x)/dx| over the reals equals |b|
     b = 0.3
-    d = differentiate(parse_expression("tanh(0.3*x1)", NODES), ("x1", 0))
+    d = gradient(parse_expression("tanh(0.3*x1)", NODES))[("x1", 0)]
     iv = eval_interval(d, {("x1", 0): Interval.whole()})
     assert iv.sup_abs() == pytest.approx(b, abs=1e-12)
 
@@ -256,7 +255,7 @@ def test_interval_division_sound():
 
 
 def test_abs_derivative_interval_covers_kink():
-    d = differentiate(parse_expression("abs(x1)", NODES), ("x1", 0))
+    d = gradient(parse_expression("abs(x1)", NODES))[("x1", 0)]
     iv = eval_interval(d, {("x1", 0): Interval(-1, 1)})
     assert (iv.lo, iv.hi) == (-1.0, 1.0)
     iv = eval_interval(d, {("x1", 0): Interval(0.5, 2.0)})
@@ -366,7 +365,8 @@ def _interval_per_path(e, box):
 
 
 def _derivative_per_path(e, wrt):
-    """differentiate's rules, applied once per path."""
+    """The partial w.r.t. ``wrt`` by gradient's rules, applied once per
+    path and with every tangent kept, zeros too."""
     def leaf(v):
         return Const(1.0 if isinstance(v, Var) and (v.node, v.delay) == wrt else 0.0)
 
@@ -400,16 +400,61 @@ def test_shared_dag_walks_bit_identical_to_its_tree():
     for x in (-1.3, 0.0, 0.7):
         point = {("s", 0): x}
         assert eval_point(dag, point).hex() == _point_per_path(dag, point).hex()
-    for ref in references(dag) | {("s", 1)}:
-        d = differentiate(dag, ref)
+    grad = gradient(dag)
+    assert ("s", 1) not in grad and _derivative_per_path(dag, ("s", 1)) is Const(0.0)
+    assert grad.keys() == references(dag)
+    for ref in references(dag):
+        d = grad[ref]
         assert d is _derivative_per_path(dag, ref)
         box = {("s", 0): Interval(-2.0, 3.0)}
         assert _bits(eval_interval(d, box)) == _bits(_interval_per_path(d, box))
 
 
+def _random_quotient_expr(rng, depth: int):
+    """Like ``_random_expr``, with abs, sign and division by a nonzero
+    constant or by a variable."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.6:
+        e = _random_expr(rng, min(depth, 2))
+    elif roll < 0.7:
+        e = Call(("abs", "sign", "neg")[rng.integers(0, 3)], _random_quotient_expr(rng, depth - 1))
+    else:
+        op = "+-*"[rng.integers(0, 3)]
+        e = BinOp(op, _random_quotient_expr(rng, depth - 1), _random_quotient_expr(rng, depth - 1))
+    if rng.random() < 0.3:
+        names = sorted(NODES)
+        divisor = (
+            Const(float(rng.choice([-1, 1]) * rng.uniform(0.25, 2)))
+            if rng.random() < 0.5
+            else Var(names[rng.integers(0, len(names))], int(rng.integers(0, 3)))
+        )
+        e = BinOp("/", e, divisor)
+    return e
+
+
+def test_gradient_is_the_per_path_derivative_of_each_read():
+    rng = np.random.default_rng(19)
+    zero = Const(0.0)
+    folded_to_zero = 0
+    for _ in range(1000):
+        raw = _random_quotient_expr(rng, 4)
+        for e in (raw, normalize(raw)):
+            grad = gradient(e)
+            assert grad.keys() <= references(e)
+            for ref in references(e):
+                want = _derivative_per_path(e, ref)
+                if isinstance(want, Const) and want.value == 0.0:
+                    # folded to zero (of either sign): absent, so Const(0.0)
+                    assert ref not in grad
+                    folded_to_zero += 1
+                else:
+                    assert grad[ref] is want, (to_text(e), ref)
+    assert folded_to_zero > 0
+
+
 def test_walkers_map_a_shared_node_to_one_node():
     u = parse_expression("sin(x1 * x2) * sin(x1 * x2)", NODES)
-    d = differentiate(u, ("x1", 0))  # d * sin + sin * d, d = cos(x1 * x2) * x2
+    d = gradient(u)[("x1", 0)]  # d * sin + sin * d, d = cos(x1 * x2) * x2
     assert d.left.left is d.right.right
     e = parse_expression("tanh(x1) * x2 + tanh(x1)", NODES)
     out = substitute(e, {("x1", 0): parse_expression("x2 - x3", NODES)})
@@ -425,7 +470,7 @@ def test_long_sum_walks_without_recursion():
     assert to_text(parse_expression(printed, NODES)) == printed
     ne = normalize(e)
     assert references(ne) == {("x1", 0)}
-    d = differentiate(ne, ("x1", 0))
+    d = gradient(ne)[("x1", 0)]
     assert eval_interval(d, {("x1", 0): Interval.whole()}).sup_abs() <= 0.5 + 1e-9
     assert eval_point(ne, {("x1", 0): 0.2}) == pytest.approx(
         eval_point(e, {("x1", 0): 0.2}), rel=1e-12

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from gen import diamond_network, random_network, rescaled_ring
+from gen import build_benchmark_network, diamond_network, random_network, rescaled_ring
 
 from netstab import expr as ex
 from netstab import gallery
@@ -214,6 +214,21 @@ def test_assembly_bounds_all_partials_in_one_walk(monkeypatch):
     report = analyze(net)
     assert walks == [len(list(_partials(net, state_indices(net))))]
     assert len(report.provenance) == walks[0]
+
+
+def test_partials_walk_each_base_rule_once(monkeypatch):
+    calls = []
+    original = ex.gradient
+
+    def counted(e):
+        calls.append(e)
+        return original(e)
+
+    monkeypatch.setattr(ex, "gradient", counted)
+    net = build_benchmark_network(8)  # a delayed tanh ring
+    report = analyze(net)
+    assert calls == [net.updates[n] for n in net.nodes]
+    assert report.matrix.n > net.size  # the delay lines take no walk
 
 
 _IDENT = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*")
