@@ -51,6 +51,9 @@ It records the best of ``--repeats`` wall times in ms, the dimension, the
 nonzero entries, the vertices the lag-block reduction keeps (those whose
 row does not hold exactly one entry), the certified bracket, whether
 it reads ``stable`` (rings) and the process's peak resident set so far.
+For a ring the times are ``assemble_ms`` (``stability_matrix``: the
+partials and their bounds, no provenance text), ``analyze_ms`` (the
+whole ``analyze``: assembly, provenance and bracket) and ``bracket_ms``.
 
 The structural layer searches four interaction graphs for their first
 16 complete structural sets, as ``netstab sets`` does: those of
@@ -282,12 +285,14 @@ def bench_spectral(repeats: int) -> list[dict]:
         if undelayed:
             net = undelay(net)
         assemble_ms, matrix = best_of(repeats, lambda: stability_matrix(net))
+        analyze_ms, _ = best_of(repeats, lambda: analyze(net))
         row = spectral_row(matrix, repeats)
         rows.append({
             "nodes": nodes,
             "max_delay": max_delay,
             "undelayed": undelayed,
             "assemble_ms": round(assemble_ms, 2),
+            "analyze_ms": round(analyze_ms, 2),
             **row,
             "stable": row["rho_upper"] < 1.0,
             "peak_rss_mb": round(peak_rss_mb(), 1),

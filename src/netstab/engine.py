@@ -218,19 +218,40 @@ def _output_rows(program: Program):
     return program.out_regs
 
 
-def _orbit_batch(program: Program, histories, steps, stop_delta, keep, path=None):
-    """Run the batch; returns (ring, steps_done, diverged).
+def run_orbit_batch(
+    program: Program,
+    histories: np.ndarray,
+    steps: int,
+    stop_delta: float = 0.0,
+    keep: int | None = None,
+    path: np.ndarray | None = None,
+):
+    """Iterate ``trials`` orbits for up to ``steps`` steps each.
 
-    State r of trial t lands in ``ring[r % keep, :, t]``.  The window is
-    shifted in place each step, not gathered from the ring.  Stopped and
-    diverged trials are dropped: the register file keeps only the live
-    trials' columns, ``ids`` maps them back to trial numbers.  Dropping
-    keeps the columns in order, so trial 0, while live, is column 0; a
-    ``path`` of shape (T + steps, n) receives its state r in row r for as
-    long as it runs (rows past its last step are not written).
+    ``histories`` has shape (trials, T, n) in chronological order, oldest
+    snapshot first.  Returns (states, steps_done, diverged) where states
+    has shape (trials, keep, n) and holds state r of a trial (the
+    histories are states 0 .. T-1) in row ``r % keep``; only the last
+    ``keep`` states of each trial are kept.  ``keep=None`` keeps all
+    T + steps, in order.  States of a trial beyond ``T + steps_done[t]``
+    are not written.  A positive ``stop_delta`` stops a trial once the
+    max-norm step change stays at or below it for ``STOP_STREAK``
+    consecutive steps.  A ``path`` of shape (T + steps, n) receives trial
+    0's states as ``keep=None`` holds them, state r in row r.
+
+    Stopped and diverged trials are dropped from the register file, which
+    keeps the live trials' columns in order, so trial 0, while live, is
+    column 0.
     """
-    n, T = program.n_nodes, program.T
-    trials = histories.shape[0]
+    histories = np.asarray(histories, dtype=np.float64)
+    trials, T, n = histories.shape
+    if T != program.T or n != program.n_nodes:
+        raise ValueError(
+            f"history shape {histories.shape} does not match program (T={program.T}, n={program.n_nodes})"
+        )
+    keep = T + steps if keep is None else int(keep)
+    if keep < 1:
+        raise ValueError("keep must be positive")
     ring = np.zeros((keep, n, trials), dtype=np.float64)
     first = max(0, T - keep)
     ring[np.arange(first, T) % keep] = histories[:, first:].transpose(1, 2, 0)
@@ -283,38 +304,6 @@ def _orbit_batch(program: Program, histories, steps, stop_delta, keep, path=None
             regs = regs.compress(live, axis=1)
             window = regs[: T * n].reshape(T, n, ids.size)
             bound = _bind(program, regs)
-    return ring, steps_done, diverged
-
-
-def run_orbit_batch(
-    program: Program,
-    histories: np.ndarray,
-    steps: int,
-    stop_delta: float = 0.0,
-    keep: int | None = None,
-):
-    """Iterate ``trials`` orbits for up to ``steps`` steps each.
-
-    ``histories`` has shape (trials, T, n) in chronological order, oldest
-    snapshot first.  Returns (states, steps_done, diverged) where states
-    has shape (trials, keep, n) and holds state r of a trial (the
-    histories are states 0 .. T-1) in row ``r % keep``; only the last
-    ``keep`` states of each trial are kept.  ``keep=None`` keeps all
-    T + steps, in order.  States of a trial beyond ``T + steps_done[t]``
-    are not written.  A positive ``stop_delta`` stops a trial once the
-    max-norm step change stays at or below it for ``STOP_STREAK``
-    consecutive steps.
-    """
-    histories = np.asarray(histories, dtype=np.float64)
-    _, T, n = histories.shape
-    if T != program.T or n != program.n_nodes:
-        raise ValueError(
-            f"history shape {histories.shape} does not match program (T={program.T}, n={program.n_nodes})"
-        )
-    keep = T + steps if keep is None else int(keep)
-    if keep < 1:
-        raise ValueError("keep must be positive")
-    ring, steps_done, diverged = _orbit_batch(program, histories, steps, float(stop_delta), keep)
     return ring.transpose(2, 0, 1), steps_done, diverged
 
 

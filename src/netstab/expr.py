@@ -13,20 +13,20 @@ node constructors hash-cons: each returns the live node of the structure
 it is asked for when there is one, so every structure has one node, in
 every rule and from every builder (parser, normalization, restriction,
 differentiation), and equality is identity.  Every walker (printing,
-normalization, differentiation, point and interval evaluation,
-substitution) visits each distinct node once, iteratively, with a memo
-keyed by node and local to the call, so its cost is O(distinct nodes)
-and deep input does not exhaust the interpreter stack; :func:`gradient`
-takes all partials of a rule in one such walk, though a node's work
-grows with the reads below it.  Printed text still expands the sharing,
-so the text of a restricted rule grows with the number of paths, not of
-nodes; the parser reads each distinct parenthesised group of it once.
-The report's derivative provenance names the nodes whose sharing nests
-instead.
+normalization, differentiation, evaluation, substitution) visits each
+distinct node once, iteratively, with a memo keyed by node and local to
+the call, so its cost is O(distinct nodes) and deep input does not
+exhaust the interpreter stack; :func:`gradient` takes all partials of a
+rule in one such walk, though a node's work grows with the reads below
+it.  Printed text still expands the sharing, so the text of a restricted
+rule grows with the number of paths, not of nodes; the parser reads each
+distinct parenthesised group of it once.  The report's derivative
+provenance names the nodes whose sharing nests instead.
 
-The module provides parsing, printing, symbolic differentiation, exact
-point evaluation and interval evaluation.  Interval results are widened
-outward by one ulp per operation so they remain sound upper estimates
+The module provides parsing, printing, symbolic differentiation and
+evaluation: one walker takes any number of roots at once, under either
+the point or the interval kernels of the rows.  Interval results are
+widened outward by one ulp per operation so they remain sound enclosures
 without directed hardware rounding; bounded primitives are clamped to
 their mathematical ranges afterwards (tanh never exceeds [-1, 1]).
 """
@@ -571,19 +571,20 @@ class _Parser:
         kind, value, _ = self.tok
         if kind == "op" and value == "-":
             self.advance()
-            nkind, nvalue, _ = self.tok
             # a minus sign directly on a numeral is the negative constant
-            if nkind == "num":
-                self.advance()
-                return Const(-float(nvalue))
+            if self.tok[0] == "num":
+                return self.atom(-1.0)
             return Call("neg", self.atom())
         return self.atom()
 
-    def atom(self) -> Expr:
+    def atom(self, sign: float = 1.0) -> Expr:
         tok = self.advance()
         kind, value, pos = tok
         if kind == "num":
-            return Const(float(value))
+            number = float(value)
+            if math.isinf(number):
+                raise ParseError(f"numeral {value} is out of the float range", pos)
+            return Const(sign * number)
         if kind == "op" and value == "(":
             return self.nested(pos, pos)
         if kind == "ident":
@@ -738,6 +739,13 @@ def substitute(e: Expr, mapping: dict[tuple[str, int], Expr]) -> Expr:
 # smart constructors (light constant folding)
 
 
+def _finite(value: float) -> float:
+    """A folded constant; :class:`EvalError` when it left the float range."""
+    if math.isinf(value):
+        raise EvalError(f"a constant folds to {value}, out of the float range")
+    return value
+
+
 def _neg(a: Expr) -> Expr:
     if isinstance(a, Const):
         return Const(-a.value)
@@ -748,7 +756,7 @@ def _neg(a: Expr) -> Expr:
 
 def _add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+        return Const(_finite(a.value + b.value))
     if isinstance(a, Const) and a.value == 0.0:
         return b
     if isinstance(b, Const) and b.value == 0.0:
@@ -758,7 +766,7 @@ def _add(a: Expr, b: Expr) -> Expr:
 
 def _sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+        return Const(_finite(a.value - b.value))
     if isinstance(b, Const) and b.value == 0.0:
         return a
     if isinstance(a, Const) and a.value == 0.0:
@@ -768,7 +776,7 @@ def _sub(a: Expr, b: Expr) -> Expr:
 
 def _mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+        return Const(_finite(a.value * b.value))
     if isinstance(a, Const):
         if a.value == 0.0:
             return Const(0.0)
@@ -787,7 +795,7 @@ def _div(a: Expr, b: Expr) -> Expr:
         if b.value == 0.0:
             raise EvalError(f"division by zero in {to_text(BinOp('/', a, b))}")
         if isinstance(a, Const):
-            return Const(a.value / b.value)
+            return Const(_finite(a.value / b.value))
         if b.value == 1.0:
             return a
     if isinstance(a, Const) and a.value == 0.0:
@@ -863,28 +871,49 @@ def gradient(e: Expr) -> dict[tuple[str, int], Expr]:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def eval_point(e: Expr, assignment: dict[tuple[str, int], float]) -> float:
-    """Evaluate ``e`` at a point; every referenced variable must be bound."""
-    val: dict[Expr, float] = {}
-    for cur in _postorder((e,)):
-        if isinstance(cur, Const):
-            v = cur.value
-        elif isinstance(cur, Var):
+# kind -> (a constant's value, a read's value from its binding, the noun
+# of the error for an unbound read, the kernel of each operator)
+_KINDS = {
+    kind: (leaf, bound, noun, {name: getattr(row, kind) for name, row in OPERATORS.items()})
+    for kind, leaf, bound, noun in (
+        ("point", float, float, "value"),
+        ("interval", Interval.point, lambda iv: iv, "interval"),
+    )
+}
+
+
+def _evaluate(roots, values: dict, kind: str) -> list:
+    """The value of each root in one walk under ``kind``'s kernels: at the
+    point ``values`` binds (``"point"``), or enclosing the range over the
+    box it binds (``"interval"``).  A node several roots share is
+    evaluated once."""
+    leaf, bound, noun, kernels = _KINDS[kind]
+    val: dict[Expr, object] = {}
+    for cur in _postorder(roots):
+        node_type = type(cur)
+        if node_type is Const:
+            v = leaf(cur.value)
+        elif node_type is Var:
             key = (cur.node, cur.delay)
-            if key not in assignment:
-                raise EvalError(f"no value assigned to {to_text(cur)}")
-            v = float(assignment[key])
-        elif isinstance(cur, Call):
+            if key not in values:
+                raise EvalError(f"no {noun} assigned to {to_text(cur)}")
+            v = bound(values[key])
+        elif node_type is Call:
             try:
-                v = OPERATORS[cur.func].point(val[cur.arg])
+                v = kernels[cur.func](val[cur.arg])
             except OverflowError:
                 raise EvalError(f"overflow evaluating {cur.func}") from None
-        elif isinstance(cur, BinOp):
-            v = OPERATORS[cur.op].point(val[cur.left], val[cur.right])
+        elif node_type is BinOp:
+            v = kernels[cur.op](val[cur.left], val[cur.right])
         else:
             raise TypeError(f"not an expression: {cur!r}")
         val[cur] = v
-    return val[e]
+    return [val[root] for root in roots]
+
+
+def eval_point(e: Expr, assignment: dict[tuple[str, int], float]) -> float:
+    """Evaluate ``e`` at a point; every referenced variable must be bound."""
+    return _evaluate((e,), assignment, "point")[0]
 
 
 def eval_interval(e: Expr, box: dict[tuple[str, int], Interval]) -> Interval:
@@ -895,29 +924,7 @@ def eval_interval(e: Expr, box: dict[tuple[str, int], Interval]) -> Interval:
     unbounded boxes; polynomial growth over an unbounded box yields
     infinite endpoints, left to the caller to reject.
     """
-    return _eval_intervals((e,), box)[0]
-
-
-def _eval_intervals(roots, box: dict[tuple[str, int], Interval]) -> list[Interval]:
-    """``eval_interval`` of each root in one walk: a node's enclosure
-    depends only on the node and the box, so shared nodes are bounded once."""
-    val: dict[Expr, Interval] = {}
-    for cur in _postorder(roots):
-        if isinstance(cur, Const):
-            v = Interval.point(cur.value)
-        elif isinstance(cur, Var):
-            key = (cur.node, cur.delay)
-            if key not in box:
-                raise EvalError(f"no interval assigned to {to_text(cur)}")
-            v = box[key]
-        elif isinstance(cur, Call):
-            v = OPERATORS[cur.func].interval(val[cur.arg])
-        elif isinstance(cur, BinOp):
-            v = OPERATORS[cur.op].interval(val[cur.left], val[cur.right])
-        else:
-            raise TypeError(f"not an expression: {cur!r}")
-        val[cur] = v
-    return [val[root] for root in roots]
+    return _evaluate((e,), box, "interval")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -969,7 +976,7 @@ def _flatten_mul(e: Expr, factors: list[Expr]) -> float:
     for cur in reversed(order):
         if isinstance(cur, BinOp) and cur.op == "*":
             right = coeffs.pop()
-            coeffs.append(coeffs.pop() * right)
+            coeffs.append(_finite(coeffs.pop() * right))
         elif isinstance(cur, Call) and cur.func == "neg":
             coeffs.append(-coeffs.pop())
         elif isinstance(cur, Const):
@@ -1013,12 +1020,12 @@ def _normalize_sum(e: Expr, normal: dict[Expr, Expr], keys: dict) -> Expr:
         factors: list[Expr] = []
         coeff = sign * _flatten_mul(normal[term], factors)
         if not factors:
-            const_part += coeff
+            const_part = _finite(const_part + coeff)
             continue
         core = _rebuild_product(1.0, factors, keys)
         key = _key(core, keys)
         prev = grouped.get(key)
-        grouped[key] = (core, coeff + (prev[1] if prev else 0.0))
+        grouped[key] = (core, _finite(coeff + (prev[1] if prev else 0.0)))
     out: Expr | None = None
     for key in sorted(grouped):
         core, coeff = grouped[key]
@@ -1037,7 +1044,8 @@ def normalize(e: Expr) -> Expr:
     """Canonical form: constants folded, commutative chains flattened and
     sorted, identical additive terms combined (``u - u`` cancels, ``u + u``
     becomes ``2*u``) and multiplications by literal zero dropped.  A
-    division whose divisor folds to zero raises :class:`EvalError`.
+    division whose divisor folds to zero raises :class:`EvalError`, and
+    so does a constant that folds out of the float range.
 
     Point values are preserved; only the tree shape changes.  Each
     distinct node is normalized once; an additive chain is summed whole,
@@ -1059,7 +1067,7 @@ def normalize(e: Expr) -> Expr:
         elif cur.op == "*":
             factors: list[Expr] = []
             coeff = _flatten_mul(normal[cur.left], factors)
-            coeff *= _flatten_mul(normal[cur.right], factors)
+            coeff = _finite(coeff * _flatten_mul(normal[cur.right], factors))
             out = _rebuild_product(coeff, factors, keys)
         else:
             out = _normalize_sum(cur, normal, keys)

@@ -140,7 +140,7 @@ def iterate_orbit(net: TimeDelayedNetwork, history, steps: int) -> Trajectory:
     hist = _as_history(net, history)
     path = np.empty((net.T + steps, net.size))
     program = engine.compile_network(net)
-    _, done, diverged = engine._orbit_batch(program, hist[None], steps, 0.0, 1, path)
+    _, done, diverged = engine.run_orbit_batch(program, hist[None], steps, keep=1, path=path)
     return _trajectory(net, path, int(done[0]), bool(diverged[0]))
 
 
@@ -263,10 +263,9 @@ def _attraction(
     # every tail read below is at most max(8, (T + steps) // 4) states long
     keep = max(8, (net.T + steps) // 4)
     path = np.empty((net.T + steps, net.size)) if record else None
-    ring, steps_done, diverged = engine._orbit_batch(
+    states, steps_done, diverged = engine.run_orbit_batch(
         program, histories, steps, tol * 1e-3, keep, path
     )
-    states = ring.transpose(2, 0, 1)
 
     notes: list[str] = []
     n_div = int(diverged.sum())
@@ -306,7 +305,7 @@ def _attraction(
     if done < steps and not gone:
         # trial 0 stopped early: it runs on alone from its last T states,
         # recording into the rest of the path
-        _, more, alone_diverged = engine._orbit_batch(
+        _, more, alone_diverged = engine.run_orbit_batch(
             program, path[None, done : net.T + done], steps - done, 0.0, 1, path[done:]
         )
         done, gone = done + int(more[0]), bool(alone_diverged[0])

@@ -12,10 +12,11 @@ neither is a dense array: the matrix is assembled as its (row, col,
 value) entries, and ``spectral.spectral_bracket`` folds the delay-line
 rows back into lag blocks over the base nodes.
 
-``jacobian_matrix``/``local_spectral_radius`` evaluate the signed
-Jacobian at a single point instead of bounding over the box; that is the
-local linearization used to certify that a fixed point repels (a spectral
-radius below 1 here proves nothing global).
+``jacobian_matrix``/``local_spectral_radius`` evaluate the same entries
+at a single point (one point walk) instead of bounding them over the box
+(one interval walk); that is the local linearization used to certify that
+a fixed point repels (a spectral radius below 1 here proves nothing
+global).  Only ``analyze`` renders the partials, as provenance text.
 """
 
 from __future__ import annotations
@@ -84,8 +85,7 @@ def stability_matrix(net: TimeDelayedNetwork) -> NonnegMatrix:
     Every variable ranges over its node's declared domain at every delay.
     Raises when a required sup is not finite, naming the offending term.
     """
-    matrix, _, _ = _assemble(net)
-    return matrix
+    return _bounded(net)[0]
 
 
 def _partials(net: TimeDelayedNetwork, indices):
@@ -105,21 +105,34 @@ def _partials(net: TimeDelayedNetwork, indices):
         yield j, pos[(indices[j].node, indices[j].depth - 1)], ex.Const(1.0)
 
 
-def _assemble(net: TimeDelayedNetwork):
-    """The stability matrix, the provenance of each entry and the shared
-    subexpressions the provenance names.
-
-    Every partial is bounded in one walk over the distinct nodes of all
-    of them, and each distinct partial is rendered once.  Names are fresh
-    identifiers ``t1``, ``t2``, ... (neither node names nor functions),
-    one per distinct text, shared by all partials.
-    """
+def _bounded(net: TimeDelayedNetwork):
+    """The stability matrix and its (row, column, partial) entries, all
+    partials bounded in one interval walk."""
     indices = state_indices(net)
-    labels = tuple(idx.label() for idx in indices)
     box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
     entries = list(_partials(net, indices))
-    bounds = ex._eval_intervals([partial for _, _, partial in entries], box)
-    values: list[float] = []
+    bounds = ex._evaluate([partial for _, _, partial in entries], box, "interval")
+    values = [bound.sup_abs() for bound in bounds]
+    for (j, i, partial), sup in zip(entries, values):
+        if not math.isfinite(sup):
+            ref = ex.to_text(ex.Var(indices[i].node, indices[i].depth))
+            raise UnboundedDerivativeError(
+                f"|d({net.nodes[j]})/d({ref})| is unbounded over the domain box "
+                f"(term: {ex.to_text(partial)})"
+            )
+    labels = tuple(idx.label() for idx in indices)
+    rows, cols = [j for j, _, _ in entries], [i for _, i, _ in entries]
+    return NonnegMatrix.from_entries(labels, rows, cols, values), entries
+
+
+def _provenance(net: TimeDelayedNetwork, labels, entries):
+    """The text of each entry's partial, keyed ``row<-col``, and the
+    shared subexpressions those texts name.
+
+    Each distinct partial is rendered once.  Names are fresh identifiers
+    ``t1``, ``t2``, ... (neither node names nor functions), one per
+    distinct text, shared by all partials.
+    """
     provenance: dict[str, str] = {}
     texts: dict[ex.Expr, str] = {}  # partial -> its provenance text
     names: dict[str, str] = {}  # text -> name, in definition order
@@ -130,22 +143,11 @@ def _assemble(net: TimeDelayedNetwork):
             names[text] = _fresh(f"t{len(names) + 1}", taken)
         return names[text]
 
-    for (j, i, partial), bound in zip(entries, bounds):
-        sup = bound.sup_abs()
-        if not math.isfinite(sup):
-            ref = ex.to_text(ex.Var(indices[i].node, indices[i].depth))
-            raise UnboundedDerivativeError(
-                f"|d({net.nodes[j]})/d({ref})| is unbounded over the domain box "
-                f"(term: {ex.to_text(partial)})"
-            )
-        values.append(sup)
+    for j, i, partial in entries:
         if partial not in texts:
             texts[partial] = ex._text(partial, name)
         provenance[f"{labels[j]}<-{labels[i]}"] = texts[partial]
-    shared = {name: text for text, name in names.items()}
-    rows = [j for j, _, _ in entries]
-    cols = [i for _, i, _ in entries]
-    return NonnegMatrix.from_entries(labels, rows, cols, values), provenance, shared
+    return provenance, {name: text for text, name in names.items()}
 
 
 def analyze(net: TimeDelayedNetwork) -> StabilityReport:
@@ -157,7 +159,8 @@ def analyze(net: TimeDelayedNetwork) -> StabilityReport:
     Cohen-Grossberg constructor also report the closed-form criterion
     |1 - eps| + L * rho(|W|).
     """
-    matrix, provenance, shared = _assemble(net)
+    matrix, entries = _bounded(net)
+    provenance, shared = _provenance(net, matrix.index, entries)
     rho_lower, rho_upper = spectral_bracket(matrix)
     cg_criterion = None
     if net.cg is not None:
@@ -191,9 +194,10 @@ def jacobian_matrix(net: TimeDelayedNetwork, point) -> tuple[np.ndarray, tuple[s
     indices = state_indices(net)
     value = dict(zip(net.nodes, base))
     assignment = {(idx.node, idx.depth): value[idx.node] for idx in indices}
+    entries = list(_partials(net, indices))
     J = np.zeros((len(indices), len(indices)))
-    for j, i, partial in _partials(net, indices):
-        J[j, i] = ex.eval_point(partial, assignment)
+    J[[j for j, _, _ in entries], [i for _, i, _ in entries]] = ex._evaluate(
+        [partial for _, _, partial in entries], assignment, "point")
     return J, tuple(idx.label() for idx in indices)
 
 

@@ -340,13 +340,13 @@ def test_simulate_csv_is_the_orbit_of_trial_zero(in_tmp, monkeypatch, case):
     if box:
         argv.append(f"--box={box[0]},{box[1]}")
     batches = []
-    orbit_batch = engine._orbit_batch
+    orbit_batch = engine.run_orbit_batch
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         batches.append(args)
-        return orbit_batch(*args)
+        return orbit_batch(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "_orbit_batch", counted)
+    monkeypatch.setattr(engine, "run_orbit_batch", counted)
     assert run(argv) == 0
     monkeypatch.undo()
 
@@ -411,6 +411,22 @@ def test_division_by_a_literal_zero_is_rejected(in_tmp, capsys, divisor):
         assert run([verb, str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'x1'" in err and "division by zero" in err
+
+
+@pytest.mark.parametrize("rule", [
+    "x1 + 1e200*1e200",
+    "0.5*x1 + (1e308 + 1e308)",
+    "0.5*x1 + 1e308/1e-10",
+    "tanh(1e400)",
+    "1e200*(1e200*x1 + 1.0)",  # loads; its partial folds out of range
+    "1e-300*exp(x1 + 800.0)",  # loads; its partial's enclosure overflows
+])
+def test_constants_out_of_the_float_range_are_errors(in_tmp, capsys, rule):
+    path = _one_rule_file(in_tmp, rule)
+    assert run(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "float range" in err or "overflow" in err
 
 
 def test_regression_verb_passes(in_tmp, capsys):

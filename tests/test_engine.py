@@ -383,7 +383,7 @@ def test_batch_records_trial_zero_while_it_runs():
     for prog, histories, steps, stop_delta in _ring_cases():
         full, done, diverged = engine.run_orbit_batch(prog, histories, steps, stop_delta)
         path = np.full((prog.T + steps, prog.n_nodes), np.nan)
-        _, path_done, _ = engine._orbit_batch(prog, histories, steps, stop_delta, 8, path)
+        _, path_done, _ = engine.run_orbit_batch(prog, histories, steps, stop_delta, 8, path)
         assert np.array_equal(path_done, done)
         length = prog.T + done[0] + diverged[0]  # a diverged step is written too
         assert np.array_equal(path[: prog.T + done[0]], full[0, : prog.T + done[0]])

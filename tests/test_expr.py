@@ -18,6 +18,7 @@ from netstab.expr import (
     _Parser,
     _add,
     _div,
+    _evaluate,
     _mul,
     _neg,
     _postorder,
@@ -318,6 +319,34 @@ def test_const_must_be_finite():
         Const(math.inf)
 
 
+@pytest.mark.parametrize("text, position", [("x1 + 1e400", 5), ("tanh(-1e400)", 6)])
+def test_a_numeral_out_of_range_is_a_parse_error_at_its_position(text, position):
+    with pytest.raises(ParseError, match="float range") as info:
+        parse_expression(text, NODES)
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize("text", [
+    "x1 + 1e200*1e200",
+    "0.5*x1 + (1e308 + 1e308)",
+    "0.5*x1 + 1e308/1e-10",
+    "0.5*x1 - (-1e308 - 1e308)",
+    "2.0*(1e308*x1)",  # the product's coefficient
+    "1e308*x1 + 1e308*x1",  # the combined terms' coefficient
+    "0.5*x1 + (1e308 + x1 - x1 + 1e308)",  # the sum's constant part
+    "exp(1000.0)",
+])
+def test_folding_out_of_the_float_range_is_an_eval_error(text):
+    with pytest.raises(EvalError, match="float range|overflow"):
+        normalize(parse_expression(text, NODES))
+
+
+def test_a_partial_folding_out_of_the_float_range_is_an_eval_error():
+    e = normalize(parse_expression("1e200*(1e200*x1 + 1.0)", NODES))
+    with pytest.raises(EvalError, match="float range"):
+        gradient(e)
+
+
 # ---------------------------------------------------------------------------
 # shared DAGs and deep input
 
@@ -450,6 +479,47 @@ def test_gradient_is_the_per_path_derivative_of_each_read():
                 else:
                     assert grad[ref] is want, (to_text(e), ref)
     assert folded_to_zero > 0
+
+
+def _per_path_or_none(per_path, e, values):
+    try:
+        return per_path(e, values)
+    except (EvalError, OverflowError):
+        return None
+
+
+def test_one_walk_over_many_roots_gives_each_roots_per_path_value():
+    # 1,000 random expressions in pools of four; the roots of one walk are
+    # a pool's members, combinations of two of them and their partials, so
+    # they share nodes.  One multi-root walk must give every root the value
+    # of its own once-per-path fold, bit for bit, under both kernels
+    rng = np.random.default_rng(29)
+    refs = [(name, delay) for name in sorted(NODES) for delay in range(3)]
+    roots_checked = shared_nodes = 0
+    for _ in range(250):
+        pool = [_random_quotient_expr(rng, 3) for _ in range(4)]
+        roots = list(pool)
+        for _ in range(3):
+            a, b = rng.integers(0, len(pool), 2)
+            roots.append(BinOp("+-*"[rng.integers(0, 3)], pool[a], Call("tanh", pool[b])))
+        roots += [d for e in pool for d in gradient(e).values()]
+        box, point = {}, {}
+        for ref in refs:
+            lo = float(rng.uniform(-3, 1))
+            hi = lo + float(rng.uniform(0, 3))
+            box[ref] = Interval.whole() if rng.random() < 0.1 else Interval(lo, hi)
+            point[ref] = float(rng.uniform(lo, hi))
+        for kind, per_path, values, bits in (
+            ("point", _point_per_path, point, float.hex),
+            ("interval", _interval_per_path, box, _bits),
+        ):
+            want = {e: _per_path_or_none(per_path, e, values) for e in roots}
+            kept = [e for e in roots if want[e] is not None]
+            got = _evaluate(kept, values, kind)
+            assert [bits(v) for v in got] == [bits(want[e]) for e in kept]
+            roots_checked += len(kept)
+        shared_nodes += sum(len(_postorder([e])) for e in roots) - len(_postorder(roots))
+    assert roots_checked >= 3000 and shared_nodes > 1000
 
 
 def test_walkers_map_a_shared_node_to_one_node():

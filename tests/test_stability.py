@@ -200,20 +200,71 @@ def test_constant_partials_match_the_generic_path(net):
     assert list(report.provenance) == list(provenance)
 
 
-def test_assembly_bounds_all_partials_in_one_walk(monkeypatch):
+def _count_walks(monkeypatch) -> list[tuple[str, int]]:
+    """Record (kind, roots) of every ``expr._evaluate`` call from now on;
+    the one-root evaluators are disabled, so no partial is walked alone."""
     walks = []
-    original = ex._eval_intervals
+    original = ex._evaluate
 
-    def counted(roots, box):
-        walks.append(len(roots))
-        return original(roots, box)
+    def counted(roots, values, kind):
+        walks.append((kind, len(roots)))
+        return original(roots, values, kind)
 
-    monkeypatch.setattr(ex, "_eval_intervals", counted)
-    monkeypatch.setattr(ex, "eval_interval", None)  # no per-partial walk
+    monkeypatch.setattr(ex, "_evaluate", counted)
+    monkeypatch.setattr(ex, "eval_interval", None)
+    monkeypatch.setattr(ex, "eval_point", None)
+    return walks
+
+
+def test_assembly_bounds_all_partials_in_one_walk(monkeypatch):
+    walks = _count_walks(monkeypatch)
     net = gallery.delayed_pair(0.5, 0.1, 1.0)
     report = analyze(net)
-    assert walks == [len(list(_partials(net, state_indices(net))))]
-    assert len(report.provenance) == walks[0]
+    assert walks == [("interval", len(list(_partials(net, state_indices(net)))))]
+    assert len(report.provenance) == walks[0][1]
+
+
+_WALKED = [
+    gallery.delayed_pair(0.5, 0.1, 1.0),
+    gallery.distributed_pair(),
+    restrict(diamond_network(np.random.default_rng(6), 6), ["s"]),
+    random_network(np.random.default_rng(3), 8, max_delay=3),
+]
+
+
+def test_stability_matrix_renders_nothing(monkeypatch):
+    reports = [analyze(net) for net in _WALKED]
+    assert any(report.shared for report in reports)  # some provenance names nodes
+
+    def refuse(*args):
+        raise AssertionError("stability_matrix rendered a partial")
+
+    monkeypatch.setattr(ex, "_text", refuse)
+    monkeypatch.setattr(ex, "_render", refuse)
+    walks = _count_walks(monkeypatch)
+    for net, report in zip(_WALKED, reports):
+        got = stability_matrix(net)
+        assert got.index == report.matrix.index
+        for field in ("rows", "cols", "values"):
+            assert getattr(got, field).tobytes() == getattr(report.matrix, field).tobytes()
+    assert [kind for kind, _ in walks] == ["interval"] * len(_WALKED)
+
+
+@pytest.mark.parametrize("net", _WALKED, ids=lambda net: net.name or "restricted")
+def test_jacobian_evaluates_all_partials_in_one_walk(monkeypatch, net):
+    point = np.linspace(-0.4, 0.3, net.size)
+    indices = state_indices(net)
+    value = dict(zip(net.nodes, point))
+    assignment = {(idx.node, idx.depth): value[idx.node] for idx in indices}
+    entries = list(_partials(net, indices))
+    want = np.zeros((len(indices), len(indices)))
+    for j, i, partial in entries:  # each partial by its own walk
+        want[j, i] = ex.eval_point(partial, assignment)
+    walks = _count_walks(monkeypatch)
+    J, labels = jacobian_matrix(net, point)
+    assert walks == [("point", len(entries))]
+    assert J.tobytes() == want.tobytes()
+    assert labels == tuple(idx.label() for idx in indices)
 
 
 def test_partials_walk_each_base_rule_once(monkeypatch):
