@@ -21,11 +21,24 @@ of the group advance at once, and a step costs a few numpy calls per
 group, not per instruction.
 
 A register file is bound to the tape once, and again whenever the batch
-drops trials and so replaces it: an operand whose rows are consecutive,
-and the destination of every group, become views of the file, so a step
-gathers only the operands whose rows are not, into scratch blocks that
-the groups share.  The nodes' outputs are a view too when their rows are
-consecutive and none is a window slot, which each step shifts.
+drops trials: the destination of every group, and an operand whose rows
+are consecutive, become views of the file.  So does, for the correctly
+rounded rows (``+ - * / neg abs sign``), an operand whose rows are a
+constant step apart or one row repeated, which the kernel broadcasts.  A
+step gathers only the other operands, into scratch blocks that the groups
+share.
+
+A batch runs its live trials in blocks of ``STOP_STREAK`` steps.  Each
+step runs the tape, copies the nodes' outputs into a block buffer that
+holds the block's states after the last T before it, and refills the
+window from that buffer.  After the block, one vectorized pass finds each
+trial's first non-finite step and the step that completes its run of
+small steps, writes the block into the ring of kept states, each trial up
+to its end, and trial 0's path, and drops the trials that ended.  A drop
+moves the live columns of the register file and of the block buffer to
+the front of their own memory, so neither is allocated again.  The ring
+is trial-major, (keep, trials, n), so a block write over scattered trials
+copies n-vectors.
 """
 
 from __future__ import annotations
@@ -48,8 +61,13 @@ __all__ = [
 _ROWS = tuple(OPERATORS.values())
 _OPCODE = {row.name: code for code, row in enumerate(_ROWS)}
 
-# consecutive small steps after which a trial with a positive stop_delta stops
+# consecutive small steps after which a trial with a positive stop_delta
+# stops; also the number of steps a batch runs between its bookkeeping passes
 STOP_STREAK = 8
+
+# rows whose numpy kernels round correctly, so that they give the same
+# bytes whatever the layout of their operands
+_EXACT = frozenset({"+", "-", "*", "/", "neg", "abs", "sign"})
 
 
 @dataclass(frozen=True)
@@ -160,19 +178,33 @@ def _registers(program: Program, trials: int) -> np.ndarray:
     return regs
 
 
-def _rows(index: np.ndarray):
-    """Register rows as a slice when they are consecutive, else the index array."""
-    if (np.diff(index) == 1).all():
-        return slice(int(index[0]), int(index[-1]) + 1)
+def _rows(index: np.ndarray, exact: bool = False):
+    """Register rows as a basic index when they are regular, else the index array.
+
+    Consecutive rows are a slice.  With ``exact``, for kernels that round
+    correctly and so give the same bytes from any operand layout, so are
+    rows a constant step apart, and one row repeated is a (1, trials) row
+    that the kernel broadcasts; numpy's transcendental kernels may round
+    differently on strided or broadcast operands.
+    """
+    step = np.diff(index)
+    first = int(index[0])
+    if (step == 1).all():
+        return slice(first, int(index[-1]) + 1)
+    if exact and (step == 0).all():
+        return slice(first, first + 1)
+    if exact and step[0] > 0 and (step == step[0]).all():
+        return slice(first, int(index[-1]) + 1, int(step[0]))
     return index
 
 
 def _bind(program: Program, regs: np.ndarray):
     """Each group of the tape as (kernel, operands, gathers, destination).
 
-    Operands whose rows of ``regs`` are consecutive are views of it; the
-    others are scratch blocks, which ``gathers`` lists as (rows, block)
-    pairs for :func:`_run` to fill before the kernel call.  A group's
+    Operands whose rows of ``regs`` are regular (see :func:`_rows`) are
+    views of it; the others are scratch blocks, which ``gathers`` lists
+    as (rows, block) pairs for :func:`_run` to fill before the kernel
+    call.  A group's
     kernel reads its blocks before the next group fills them, so the j-th
     operand of every group can use the same j-th block.
     """
@@ -185,7 +217,7 @@ def _bind(program: Program, regs: np.ndarray):
         operands = []
         gathers = []
         for j in range(row.arity):
-            rows = _rows(program.ops[start:stop, 2 + j])
+            rows = _rows(program.ops[start:stop, 2 + j], row.name in _EXACT)
             if isinstance(rows, slice):
                 operands.append(regs[rows])
             else:
@@ -205,12 +237,41 @@ def _run(bound, regs: np.ndarray) -> None:
         kernel(*operands, out=out)
 
 
+def _compress(a: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The ``live`` columns of the C-ordered 2-d ``a``, moved to the front
+    of its memory.
+
+    Row r moves to offset ``r * kept``, never past where it was, so a
+    chunk of rows copied out before it is written overwrites only rows
+    already moved, and no second array is allocated.  The result is
+    C-ordered: ``a[:, live]`` would be F-ordered, and numpy's tanh and
+    cosh round differently on strided operands.
+    """
+    rows, kept = a.shape[0], int(live.sum())
+    out = a.reshape(-1)[: rows * kept].reshape(rows, kept)
+    chunk = -(-rows // 8)
+    for r in range(0, rows, chunk):
+        out[r : r + chunk] = a[r : r + chunk].compress(live, axis=1)
+    return out
+
+
+def _change(after: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """The max-norm change from each state of ``before`` to ``after``,
+    both (steps, n, trials), per step and trial.
+
+    Not finite at a trial's first non-finite state, as the state before
+    it is finite.
+    """
+    delta = np.subtract(after, before)
+    return np.abs(delta, out=delta).max(axis=1)
+
+
 def _output_rows(program: Program):
     """Rows of the nodes' outputs in a register file.
 
     A slice, so that ``regs[rows]`` is a view, when they are consecutive
-    and none is a window slot: the step shifts the window before it has
-    read all of its outputs.
+    and none is a window slot, which the step rewrites after it has read
+    its outputs.
     """
     rows = _rows(program.out_regs)
     if isinstance(rows, slice) and rows.start >= program.const_offset:
@@ -237,11 +298,15 @@ def run_orbit_batch(
     are not written.  A positive ``stop_delta`` stops a trial once the
     max-norm step change stays at or below it for ``STOP_STREAK``
     consecutive steps.  A ``path`` of shape (T + steps, n) receives trial
-    0's states as ``keep=None`` holds them, state r in row r.
+    0's states as ``keep=None`` holds them, state r in row r, and also the
+    non-finite state of a step at which trial 0 diverged.
 
-    Stopped and diverged trials are dropped from the register file, which
-    keeps the live trials' columns in order, so trial 0, while live, is
-    column 0.
+    The live trials run in blocks of ``STOP_STREAK`` steps, each step's
+    outputs collected in a block buffer; after each block one pass finds
+    where each trial diverged or stopped, writes the block into the ring
+    and the path, each trial up to its end, and drops the trials that
+    ended from the register file, which keeps the live trials' columns
+    in order, so trial 0, while live, is column 0.
     """
     histories = np.asarray(histories, dtype=np.float64)
     trials, T, n = histories.shape
@@ -252,59 +317,88 @@ def run_orbit_batch(
     keep = T + steps if keep is None else int(keep)
     if keep < 1:
         raise ValueError("keep must be positive")
-    ring = np.zeros((keep, n, trials), dtype=np.float64)
+    ring = np.zeros((keep, trials, n), dtype=np.float64)  # trial-major rows
     first = max(0, T - keep)
-    ring[np.arange(first, T) % keep] = histories[:, first:].transpose(1, 2, 0)
+    ring[np.arange(first, T) % keep] = histories[:, first:].transpose(1, 0, 2)
     if path is not None:
         path[:T] = histories[0]
     regs = _registers(program, trials)
     window = regs[: T * n].reshape(T, n, trials)  # window[d, i]: node i at delay d
     window[...] = histories[:, ::-1].transpose(1, 2, 0)
+    del histories  # loaded: freed here when the caller kept no reference
     bound = _bind(program, regs)
     out_rows = _output_rows(program)
-    ids = np.arange(trials)
-    cols = slice(None)  # the live trials' columns of the ring
+    # block[:T] holds the last T states before a block, oldest first, and
+    # block[T - 1 + j] the state after its j-th step, so the window is
+    # always T consecutive rows of it reversed; after a drop the block is
+    # a contiguous prefix of the one allocation
+    width = STOP_STREAK
+    store = np.empty((T + width) * n * trials)
+    block = store.reshape(T + width, n, trials)
+    ids = np.arange(trials)  # the live trials
     steps_done = np.full(trials, steps, dtype=np.int64)
     diverged = np.zeros(trials, dtype=bool)
-    streak = np.zeros(trials, dtype=np.int64)
+    streak = np.zeros(trials, dtype=np.int64)  # small steps before the block
     with np.errstate(all="ignore"):
-        for k in range(steps):
+        for k in range(0, steps, width):
             if ids.size == 0:
                 break
-            _run(bound, regs)
-            out = regs[out_rows]  # (n, live trials)
-            if path is not None:
-                path[T + k] = out[:, 0]
-            finite = np.isfinite(out).all(axis=0)
-            live = finite
+            b = min(width, steps - k)
+            block[:T] = window[::-1]
+            for j in range(1, b + 1):
+                _run(bound, regs)
+                block[T - 1 + j] = regs[out_rows]
+                window[...] = block[j : j + T][::-1]
+
+            states = block[T : T + b]
+            change = _change(states, block[T - 1 : T - 1 + b])
+            # the first non-finite step and the step that completes a small
+            # streak, each b where there is none; a non-finite step is never small
+            bad = stop = np.full(ids.size, b)
+            if not np.isfinite(change).all():
+                finite = np.isfinite(states).all(axis=1)
+                bad = np.where(finite.all(axis=0), b, finite.argmin(axis=0))
             if stop_delta > 0.0:
-                delta = np.max(np.abs(out - window[0]), axis=0)
-                streak = np.where(delta <= stop_delta, streak + 1, 0)
-                live = finite & (streak < STOP_STREAK)
+                # small steps in a row after each step: since the last large
+                # one, or since the streak the trial brought into the block
+                at = np.arange(1, b + 1)[:, None]
+                last = np.where(change <= stop_delta, -streak, at)
+                run = at - np.maximum.accumulate(last, axis=0)
+                complete = run >= STOP_STREAK
+                stop = np.where(complete.any(axis=0), complete.argmax(axis=0), b)
+                streak = run[-1]
+            if path is not None:
+                length = min(int(bad[0]), int(stop[0]), b - 1) + 1
+                path[T + k : T + k + length] = states[:length, :, 0]
 
-            row = ring[(T + k) % keep]
-            if finite.all():
-                row[:, cols] = out
-            else:
-                row[:, ids[finite]] = out[:, finite]
-            window[1:] = window[:-1]
-            window[0] = out
-            if live.all():
-                continue
-
-            diverged[ids[~finite]] = True
-            steps_done[ids[~finite]] = k
-            steps_done[ids[finite & ~live]] = k + 1
-            if not live[0]:
-                path = None  # trial 0 is done: column 0 is another trial now
-            ids = cols = ids[live]
-            streak = streak[live]
-            # compress copies in C order; regs[:, live] would be F-ordered,
-            # and numpy's tanh and cosh round differently on strided operands
-            regs = regs.compress(live, axis=1)
-            window = regs[: T * n].reshape(T, n, ids.size)
-            bound = _bind(program, regs)
-    return ring.transpose(2, 0, 1), steps_done, diverged
+            live = (bad == b) & (stop == b)
+            if not live.all():
+                # the trials that ended write their states up to their end,
+                # each its last min(written, keep) of them
+                gone = bad < stop
+                written = np.where(gone, bad, stop + 1)
+                at = np.arange(b)[:, None]
+                js, ts = np.nonzero((at < written) & (at >= written - keep) & ~live)
+                ring[(T + k + js) % keep, ids[ts]] = states[js, :, ts]
+                diverged[ids[gone]] = True
+                steps_done[ids[gone]] = k + bad[gone]
+                stopped = ~gone & ~live
+                steps_done[ids[stopped]] = k + stop[stopped] + 1
+                if not live[0]:
+                    path = None  # trial 0 is done: column 0 is another trial now
+                ids = ids[live]
+                streak = streak[live]
+                bound = None  # frees the old scratch before _bind makes the new
+                regs = _compress(regs, live)
+                window = regs[: T * n].reshape(T, n, ids.size)
+                bound = _bind(program, regs)
+                block = _compress(block.reshape(-1, live.size), live)
+                block = block.reshape(T + width, n, ids.size)
+                states = block[T : T + b]
+            # the live trials write the whole block, its last min(b, keep) states
+            rows = (T + k + np.arange(max(0, b - keep), b)) % keep
+            ring[rows[:, None], ids] = states[b - rows.size :].transpose(0, 2, 1)
+    return ring.transpose(1, 0, 2), steps_done, diverged
 
 
 def undelayed_map(program: Program):

@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+# how many ring values the attraction check's tail check gathers at a time
+_TAIL_VALUES = 2**17
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Snapshots x^{-T+1}, ..., x^0, x^1, ..., x^K in chronological order."""
@@ -181,6 +185,20 @@ def _box_diameter(segment: np.ndarray) -> float:
     return float(np.max(segment.max(axis=0) - segment.min(axis=0)))
 
 
+def _tail_diameters(states: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`_box_diameter` of states ``lo[t] .. hi[t] - 1`` of each trial
+    t of a ring ``states`` (state r in row ``r % keep``), 0 where empty.
+
+    Each trial's rows are clipped to its own range, and a repeated row
+    leaves the maxima and minima as they are.
+    """
+    width = max(1, int((hi - lo).max()))
+    rows = np.minimum(lo[:, None] + np.arange(width), hi[:, None] - 1) % states.shape[1]
+    segment = states[np.arange(states.shape[0])[:, None], rows]
+    diameter = (segment.max(axis=1) - segment.min(axis=1)).max(axis=1)
+    return np.where(hi > lo, diameter, 0.0)
+
+
 def sampling_box(
     net: TimeDelayedNetwork, sample_box: dict[str, tuple[float, float]] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -257,29 +275,33 @@ def _attraction(
         raise ValueError("need at least 2 trials")
     lo, hi = sampling_box(net, sample_box)
     rng = np.random.default_rng(seed)
-    histories = rng.uniform(lo, hi, size=(trials, net.T, net.size))
-
     program = engine.compile_network(net)
     # every tail read below is at most max(8, (T + steps) // 4) states long
     keep = max(8, (net.T + steps) // 4)
     path = np.empty((net.T + steps, net.size)) if record else None
+    # the batch holds the only reference to the start windows, and frees
+    # them once it has loaded them
     states, steps_done, diverged = engine.run_orbit_batch(
-        program, histories, steps, tol * 1e-3, keep, path
+        program, rng.uniform(lo, hi, size=(trials, net.T, net.size)),
+        steps, tol * 1e-3, keep, path,
     )
 
     notes: list[str] = []
     n_div = int(diverged.sum())
-    endpoints = np.empty((trials, net.size))
+    lengths = net.T + steps_done
+    endpoints = states[np.arange(trials), (lengths - 1) % keep]
+    # each trial's tail, its last max(8, length // 4) states, in two halves
+    # (the first the shorter); a chunk of trials at a time, so that no
+    # temporary is the size of ``states``
+    tail = np.minimum(lengths, np.maximum(8, lengths // 4))
+    middle = lengths - tail + tail // 2
+    chunk = max(1, _TAIL_VALUES // (keep * net.size))
     shrinking = True
-    for t in range(trials):
-        length = net.T + int(steps_done[t])
-        endpoints[t] = states[t, (length - 1) % keep]
-        tail = states[t, np.arange(max(0, length - max(8, length // 4)), length) % keep]
-        half = tail.shape[0] // 2
-        d1 = _box_diameter(tail[:half])
-        d2 = _box_diameter(tail[half:])
-        if d2 > d1 * (1.0 + 1e-9) + 1e-15:
-            shrinking = False
+    for c in range(0, trials, chunk):
+        t = slice(c, c + chunk)
+        d1 = _tail_diameters(states[t], lengths[t] - tail[t], middle[t])
+        d2 = _tail_diameters(states[t], middle[t], lengths[t])
+        shrinking &= not (d2 > d1 * (1.0 + 1e-9) + 1e-15).any()
 
     spread = _box_diameter(endpoints) if n_div == 0 else np.inf
     converged = n_div == 0 and shrinking and spread <= tol

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import expr as ex
 from .delays import _fresh, state_indices
-from .errors import UnboundedDerivativeError
+from .errors import EvalError, UnboundedDerivativeError
 from .network import REPORT_SCHEMA, TimeDelayedNetwork
 from .spectral import NonnegMatrix, spectral_bracket, spectral_radius
 
@@ -93,16 +93,44 @@ def _partials(net: TimeDelayedNetwork, indices):
 
     Row j < n holds, at each (source, delay) node j's update reads, that
     read's partial from one gradient walk of the update; a delay-line row
-    holds the exact 1.0 from the coordinate one step shallower.
+    holds the exact 1.0 from the coordinate one step shallower.  A
+    gradient walk that fails names the update it walked.
     """
     pos = {(idx.node, idx.depth): k for k, idx in enumerate(indices)}
     zero = ex.Const(0.0)
     for j, target in enumerate(net.nodes):
-        grad = ex.gradient(net.updates[target])
+        try:
+            grad = ex.gradient(net.updates[target])
+        except EvalError as err:
+            raise EvalError(f"differentiating the update of {target}: {err}") from err
         for ref in sorted(net.reads[target]):
             yield j, pos[ref], grad.get(ref, zero)
     for j in range(net.size, len(indices)):
         yield j, pos[(indices[j].node, indices[j].depth - 1)], ex.Const(1.0)
+
+
+def _entry(net: TimeDelayedNetwork, indices, j: int, i: int) -> str:
+    """The derivative an entry holds, as ``d(x1)/d(x2[-1])``."""
+    return f"d({net.nodes[j]})/d({ex.to_text(ex.Var(indices[i].node, indices[i].depth))})"
+
+
+def _evaluated(net: TimeDelayedNetwork, indices, entries, values: dict, kind: str) -> list:
+    """Every entry's partial under ``kind``'s kernels in one walk.
+
+    An :class:`EvalError` is raised again naming the first entry whose
+    partial raises it alone, and that partial.
+    """
+    try:
+        return ex._evaluate([partial for _, _, partial in entries], values, kind)
+    except EvalError as err:
+        for j, i, partial in entries:
+            try:
+                ex._evaluate([partial], values, kind)
+            except EvalError:
+                raise EvalError(
+                    f"{_entry(net, indices, j, i)}: {err} (term: {ex.to_text(partial)})"
+                ) from err
+        raise
 
 
 def _bounded(net: TimeDelayedNetwork):
@@ -111,13 +139,11 @@ def _bounded(net: TimeDelayedNetwork):
     indices = state_indices(net)
     box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
     entries = list(_partials(net, indices))
-    bounds = ex._evaluate([partial for _, _, partial in entries], box, "interval")
-    values = [bound.sup_abs() for bound in bounds]
+    values = [bound.sup_abs() for bound in _evaluated(net, indices, entries, box, "interval")]
     for (j, i, partial), sup in zip(entries, values):
         if not math.isfinite(sup):
-            ref = ex.to_text(ex.Var(indices[i].node, indices[i].depth))
             raise UnboundedDerivativeError(
-                f"|d({net.nodes[j]})/d({ref})| is unbounded over the domain box "
+                f"|{_entry(net, indices, j, i)}| is unbounded over the domain box "
                 f"(term: {ex.to_text(partial)})"
             )
     labels = tuple(idx.label() for idx in indices)
@@ -196,8 +222,8 @@ def jacobian_matrix(net: TimeDelayedNetwork, point) -> tuple[np.ndarray, tuple[s
     assignment = {(idx.node, idx.depth): value[idx.node] for idx in indices}
     entries = list(_partials(net, indices))
     J = np.zeros((len(indices), len(indices)))
-    J[[j for j, _, _ in entries], [i for _, i, _ in entries]] = ex._evaluate(
-        [partial for _, _, partial in entries], assignment, "point")
+    J[[j for j, _, _ in entries], [i for _, i, _ in entries]] = _evaluated(
+        net, indices, entries, assignment, "point")
     return J, tuple(idx.label() for idx in indices)
 
 

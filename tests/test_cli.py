@@ -429,6 +429,20 @@ def test_constants_out_of_the_float_range_are_errors(in_tmp, capsys, rule):
     assert "float range" in err or "overflow" in err
 
 
+@pytest.mark.parametrize("rule, message", [
+    # the gradient walk folds 1e200*1e200
+    ("1e200*(1e200*x1 + 1.0)",
+     "differentiating the update of x1: a constant folds to inf, out of the float range"),
+    # exp(799) overflows at the low end of the partial's enclosure
+    ("1e-300*exp(x1 + 800.0)",
+     "d(x1)/d(x1): overflow evaluating exp (term: 1e-300 * exp(x1 + 800.0))"),
+])
+def test_overflow_errors_name_the_rule_they_arose_in(in_tmp, capsys, rule, message):
+    path = _one_rule_file(in_tmp, rule)
+    assert run(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_regression_verb_passes(in_tmp, capsys):
     assert run(["verify-paper"]) == 0
     out = capsys.readouterr().out

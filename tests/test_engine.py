@@ -390,6 +390,123 @@ def test_batch_records_trial_zero_while_it_runs():
         assert np.isnan(path[length:]).all()
 
 
+# ---------------------------------------------------------------------------
+# block stepping: a batch tests, records and drops trials once per
+# STOP_STREAK steps, so trials end at every phase of a block
+
+
+def _halving_ring():
+    # x -> x/2 from 2^m stops one step later per doubling: every phase
+    net = build_network([("x1", R)], [("x1", "0.5*x1")])
+    return engine.compile_network(net), np.array([[[2.0**m]] for m in range(16)]), 1e-9
+
+
+def _squaring():
+    # 0.5 stops after 14 steps; 3.0 and 1.1 diverge at steps 9 and 12
+    net = build_network([("x1", R)], [("x1", "x1*x1")])
+    return engine.compile_network(net), np.array([[[0.5]], [[3.0]], [[1.1]], [[0.9]]]), 1e-12
+
+
+def _delayed_pair():
+    net = build_network(
+        [("x1", R), ("x2", R)],
+        [("x1", "x1*x1 + 0.1*tanh(x2[-2])"), ("x2", "0.5*x2 - 0.2*x1[-1]")],
+    )
+    prog = engine.compile_network(net)
+    histories = np.random.default_rng(10).uniform(-1.5, 1.5, (24, prog.T, prog.n_nodes))
+    return prog, histories, 1e-12
+
+
+def _assert_ring_matches_the_reference(prog, histories, steps, stop_delta, keep):
+    full, done, diverged = reference_orbit_batch(prog, histories, steps, stop_delta)
+    ring, ring_done, ring_diverged = engine.run_orbit_batch(
+        prog, histories, steps, stop_delta, keep
+    )
+    assert ring.shape == (histories.shape[0], keep, prog.n_nodes)
+    assert np.array_equal(ring_done, done)
+    assert np.array_equal(ring_diverged, diverged)
+    for t, length in enumerate(prog.T + done):
+        rows = np.arange(max(0, length - keep), length)
+        assert np.array_equal(ring[t, rows % keep], full[t, rows])
+    return done, diverged
+
+
+@pytest.mark.parametrize("steps", [1, 7, 8, 9, 17, 60])
+def test_block_boundaries_match_the_reference(steps):
+    for prog, histories, stop_delta in (_halving_ring(), _squaring(), _delayed_pair()):
+        for keep in (1, prog.T + 1, 7, 64):
+            _assert_ring_matches_the_reference(prog, histories, steps, stop_delta, keep)
+            _assert_ring_matches_the_reference(prog, histories, steps, 0.0, keep)
+
+
+def test_trials_stop_at_every_phase_of_a_block():
+    prog, histories, stop_delta = _halving_ring()
+    for keep in (1, 5, 64):
+        done, diverged = _assert_ring_matches_the_reference(
+            prog, histories, 60, stop_delta, keep
+        )
+        assert not diverged.any()
+        assert set((done % engine.STOP_STREAK).tolist()) == set(range(engine.STOP_STREAK))
+
+
+def test_a_trial_diverges_and_others_stop_in_one_block():
+    prog, histories, stop_delta = _squaring()
+    done, diverged = _assert_ring_matches_the_reference(prog, histories, 40, stop_delta, 5)
+    assert diverged.tolist() == [False, True, True, False]
+    # 0.5 stops, 3.0 and 1.1 diverge, all within the second block
+    assert {int(d) // engine.STOP_STREAK for d in done[:3]} == {1}
+    assert done[3] // engine.STOP_STREAK == 2
+
+
+@pytest.mark.parametrize("first", [0.5, 3.0])
+def test_path_ends_where_trial_zero_ends_mid_block(first):
+    prog, histories, stop_delta = _squaring()
+    histories = np.concatenate([[[[first]]], histories[3:]])  # 0.9 outlives trial 0
+    full, done, diverged = reference_orbit_batch(prog, histories, 40, stop_delta)
+    assert 0 < done[0] % engine.STOP_STREAK and done[1] > done[0]
+    path = np.full((prog.T + 40, 1), np.nan)
+    _, path_done, path_diverged = engine.run_orbit_batch(
+        prog, histories, 40, stop_delta, 3, path
+    )
+    assert np.array_equal(path_done, done) and np.array_equal(path_diverged, diverged)
+    end = prog.T + done[0]
+    assert np.array_equal(path[:end], full[0, :end])
+    if diverged[0]:
+        # the step that diverged is written too
+        assert np.isinf(path[end]).all()
+        end += 1
+    assert np.isnan(path[end:]).all()
+
+
+def test_rows_are_views_only_where_the_kernel_rounds_the_same():
+    # a constant step, or one row repeated, is a view only for an exactly
+    # rounded row; a transcendental row gathers it into a contiguous block
+    assert engine._rows(np.array([4, 5, 6])) == slice(4, 7)
+    assert engine._rows(np.array([4])) == slice(4, 5)
+    strided, repeated = np.array([3, 5, 7]), np.array([9, 9, 9])
+    assert engine._rows(strided, exact=True) == slice(3, 8, 2)
+    assert engine._rows(repeated, exact=True) == slice(9, 10)
+    assert engine._rows(strided) is strided and engine._rows(repeated) is repeated
+    assert engine._rows(np.array([7, 5, 3]), exact=True).tolist() == [7, 5, 3]
+    # tanh of x1 and of x3 reads window slots 0 and 2, a constant step, and
+    # gathers them; the product of 0.5 and x1 to x3 reads one constant
+    # three times, as a view
+    net = build_network(
+        [("x1", R), ("x2", R), ("x3", R)],
+        [("x1", "tanh(x1)"), ("x2", "0.5*x1 + 0.5*x2 + 0.5*x3"), ("x3", "tanh(x3)")],
+    )
+    prog = engine.compile_network(net)
+    bound = {kernel: gathers for kernel, _, gathers, _ in engine._bind(prog, engine._registers(prog, 2))}
+    assert [rows.tolist() for rows, _ in bound[np.tanh]] == [[0, 2]]
+    assert bound[np.multiply] == ()
+
+
+def test_bench_ring_gathers_at_most_two_operands_per_step():
+    prog = engine.compile_network(build_benchmark_network(48))
+    bound = engine._bind(prog, engine._registers(prog, 3))
+    assert sum(len(gathers) for _, _, gathers, _ in bound) <= 2
+
+
 def test_bench_ring_runs_in_six_groups():
     prog = engine.compile_network(build_benchmark_network(48))
     assert prog.ops.shape[0] == 384

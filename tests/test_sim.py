@@ -232,6 +232,27 @@ def test_attraction_verdict_equals_the_full_history_reference():
     assert {(True, True, False), (False, False, False), (False, False, True)} <= seen
 
 
+@pytest.mark.parametrize("values", [1, 500])
+def test_attraction_tail_check_in_chunks_of_trials(monkeypatch, values):
+    # one trial per chunk, or a few: the verdict is the full-history one
+    monkeypatch.setattr(sim, "_TAIL_VALUES", values)
+    rng = np.random.default_rng(167)
+    nets = [random_network(rng, 3, max_delay=2, amplitude=a) for a in (0.2, 0.6, 1.5)]
+    nets.append(build_network([("x1", Interval(-2, 2))], [("x1", "x1*x1")]))
+    seen = set()
+    for i, net in enumerate(nets):
+        for steps in (3, 40, 300):
+            want = _full_history_verdict(net, 9, steps, 1e-8, i)
+            data = verify_global_attraction(net, trials=9, steps=steps, tol=1e-8, seed=i).to_json_dict()
+            assert {k: data[k] for k in want if k in data} == {
+                k: v for k, v in want.items() if k != "shrinking"
+            }
+            tail_note = "tail diameter increased in at least one trial" in data["notes"]
+            assert tail_note == (not want["shrinking"])
+            seen.add((want["converged"], want["shrinking"], want["diverged_trials"] > 0))
+    assert {(True, True, False), (False, False, False), (False, False, True)} <= seen
+
+
 def test_attraction_counts_the_steps_each_trial_ran():
     # trials that settle at different times stop at different steps, so the
     # steps run fall short of every trial running as long as the slowest

@@ -10,7 +10,7 @@ from gen import build_benchmark_network, diamond_network, random_network, rescal
 from netstab import expr as ex
 from netstab import gallery
 from netstab.delays import dedelay, state_indices, undelay
-from netstab.errors import UnboundedDerivativeError
+from netstab.errors import EvalError, UnboundedDerivativeError
 from netstab.expr import Interval
 from netstab.network import build_network, dump_network, load_network, make_cohen_grossberg
 from netstab.spectral import spectral_radius
@@ -501,3 +501,16 @@ def test_local_radius_at_most_bound_radius():
         rho_bound = analyze(net).rho
         point = rng.uniform(-1, 1, 3)
         assert local_spectral_radius(net, point) <= rho_bound + 1e-9
+
+
+def test_point_overflow_names_the_entry():
+    # the second rule's partial overflows at x2 = 800; the first is fine
+    net = build_network(
+        [("x1", Interval(-1.0, 1.0)), ("x2", Interval(-1.0, 1.0))],
+        [("x1", "0.5*x2"), ("x2", "1e-300*exp(x2 + 100.0) + 0.1*x1[-1]")],
+    )
+    with pytest.raises(EvalError) as err:
+        jacobian_matrix(net, [0.0, 800.0])
+    assert str(err.value) == (
+        "d(x2)/d(x2): overflow evaluating exp (term: 1e-300 * exp(x2 + 100.0))"
+    )
