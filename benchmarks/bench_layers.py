@@ -27,11 +27,14 @@ and the released count must return to the first.
 The ``expand`` row times ``expand`` onto {s} of the k = 10 diamond, which
 inlines once per branch and adds a delay chain per branch, and records its
 coordinates (state dimension) and the distinct nodes of its update of s.
-The ``expand_analyze`` row analyzes ``expand`` onto {s} of the k = 8
-diamond, whose rule of s reads 256 coordinates: ``partials_ms`` times the
-symbolic partials of every entry (``stability._partials``, one derivative
-walk per rule), ``analyze_ms`` the whole ``analyze``, and ``entries``
-counts the matrix entries.
+The ``expand_analyze`` rows analyze ``expand`` onto {s} of the k = 8 and
+k = 10 diamonds, whose rules of s read 256 and 1,024 coordinates:
+``partials_ms`` times the symbolic partials of every entry
+(``stability._partials``, one derivative walk per rule),
+``provenance_ms`` their texts and shared names (``stability._provenance``
+alone), ``analyze_ms`` the whole ``analyze``; ``entries`` counts the
+matrix entries and ``report_chars`` what ``StabilityReport.to_json``
+writes.
 
 The spectral layer assembles the stability matrix of seven rings
 (``tests/gen.py``'s ``rescaled_ring``: the weights of the orbit layer's
@@ -109,7 +112,7 @@ from netstab.expr import Expr, normalize, parse_expression
 from netstab.network import dump_network, interaction_graph, load_network
 from netstab.sim import find_fixed_point, verify_global_attraction
 from netstab.spectral import NonnegMatrix, spectral_bracket
-from netstab.stability import _partials, analyze, stability_matrix
+from netstab.stability import _bounded, _partials, _provenance, analyze, stability_matrix
 from netstab.structural import find_structural_sets
 from netstab.transform import expand, restrict
 
@@ -126,8 +129,8 @@ from workloads import diamond_spec, diamond_text  # noqa: E402
 
 # the diamond expand is timed on: 2^10 branches, each with its own chain
 EXPAND_LAYERS = 10
-# the expanded diamond analyze is timed on: s reads 2^8 coordinates
-EXPAND_ANALYZE_LAYERS = 8
+# the expanded diamonds analyze is timed on: s reads 2^k coordinates
+EXPAND_ANALYZE_LAYERS = (8, 10)
 
 # (nodes, largest neighbour delay, undelayed): the rings where the spectral
 # layer's cost used to jump, a ring whose reduction keeps half of it, and
@@ -245,6 +248,8 @@ def bench_expand_analyze(k: int, repeats: int) -> dict:
     aug = expand(net, ["s"]).net
     indices = state_indices(aug)
     partials_ms, _ = best_of(repeats, lambda: list(_partials(aug, indices)))
+    matrix, entries = _bounded(aug)
+    provenance_ms, _ = best_of(repeats, lambda: _provenance(aug, matrix.index, entries))
     analyze_ms, report = best_of(repeats, lambda: analyze(aug))
     return {
         "layers": k,
@@ -252,7 +257,9 @@ def bench_expand_analyze(k: int, repeats: int) -> dict:
         "reads_of_s": len(aug.reads["s"]),
         "entries": len(report.provenance),
         "partials_ms": round(partials_ms, 2),
+        "provenance_ms": round(provenance_ms, 2),
         "analyze_ms": round(analyze_ms, 2),
+        "report_chars": len(report.to_json()),
         "rho": report.rho,
     }
 
@@ -399,7 +406,7 @@ def main():
         ],
         "live_nodes": [bench_live_nodes(max(int(k) for k in args.layers.split(",")))],
         "expand": [bench_expand(EXPAND_LAYERS, args.repeats)],
-        "expand_analyze": [bench_expand_analyze(EXPAND_ANALYZE_LAYERS, args.repeats)],
+        "expand_analyze": [bench_expand_analyze(k, args.repeats) for k in EXPAND_ANALYZE_LAYERS],
         "spectral": bench_spectral(args.repeats),
         "structural": bench_structural(args.repeats),
         "orbit": bench_orbit(args.repeats),

@@ -633,22 +633,23 @@ def to_text(e: Expr) -> str:
     A node reached along several edges is rendered once and its text
     reused; every other node is written straight into one list of pieces.
     """
-    return _text(e)
+    return _text((e,))[0]
 
 
-def _text(e: Expr, name: Callable[[str], str] | None = None) -> str:
-    """``to_text(e)``, or with ``name`` that text with some of its shared
-    nodes named.
+def _text(roots, name: Callable[[str], str] | None = None) -> list[str]:
+    """``to_text`` of each of ``roots`` in one walk, or with ``name`` those
+    texts with some of the nodes they share named.
 
-    A node reached along several edges that has another such node below
-    it prints as ``name(text)``, ``text`` being its own rendering with
-    the names of the nodes below it: nested sharing is what makes the
-    full text grow with the number of paths.  A name stands where the
-    full text of its node stood, parentheses included, so putting each
-    name's text back in its place gives ``to_text(e)``.
+    A node reached along two or more edges of all the roots (being a root
+    is one) that has another such node below it prints as ``name(text)``,
+    called once, children first, ``text`` being its own rendering with the
+    names of the nodes below it: nested sharing is what makes the full
+    text grow with the number of paths.  A name stands where the full text
+    of its node stood, parentheses included, so putting each name's text
+    back in its place gives ``to_text`` of each root.
     """
     repeated: set[Expr] = set()
-    order = _postorder((e,), repeated=repeated)
+    order = _postorder(roots, repeated=repeated)
     shared: dict[Expr, str] = {}
     nested: set[Expr] = set()  # nodes with a repeated node below them
     for cur in order if repeated else ():
@@ -662,7 +663,7 @@ def _text(e: Expr, name: Callable[[str], str] | None = None) -> str:
         if cur in repeated:
             text = _render(cur, shared)
             shared[cur] = name(text) if cur in nested else text
-    return _render(e, shared)
+    return [_render(e, shared) for e in roots]
 
 
 def _render(e: Expr, shared: dict[Expr, str]) -> str:

@@ -51,8 +51,8 @@ class StabilityReport:
     verdict: str  # "stable" | "inconclusive"
     boundary: bool
     provenance: dict[str, str]
-    # name -> text of each shared subexpression the provenance names, in
-    # definition order: a text uses only names defined before it
+    # name -> text of each node the whole provenance shares and names, one
+    # name per node, in definition order: a text uses only names before it
     shared: dict[str, str]
     cg_criterion: float | None = None
     network_name: str = ""
@@ -155,25 +155,22 @@ def _provenance(net: TimeDelayedNetwork, labels, entries):
     """The text of each entry's partial, keyed ``row<-col``, and the
     shared subexpressions those texts name.
 
-    Each distinct partial is rendered once.  Names are fresh identifiers
-    ``t1``, ``t2``, ... (neither node names nor functions), one per
-    distinct text, shared by all partials.
+    All distinct partials are rendered in one walk, which names what the
+    whole report shares.  Names are fresh identifiers ``t1``, ``t2``, ...
+    (neither node names nor functions), one per named node.
     """
-    provenance: dict[str, str] = {}
-    texts: dict[ex.Expr, str] = {}  # partial -> its provenance text
-    names: dict[str, str] = {}  # text -> name, in definition order
+    shared: dict[str, str] = {}  # name -> text, in definition order
     taken = set(net.nodes) | set(ex.FUNCTIONS)
 
     def name(text: str) -> str:
-        if text not in names:
-            names[text] = _fresh(f"t{len(names) + 1}", taken)
-        return names[text]
+        fresh = _fresh(f"t{len(shared) + 1}", taken)
+        shared[fresh] = text
+        return fresh
 
-    for j, i, partial in entries:
-        if partial not in texts:
-            texts[partial] = ex._text(partial, name)
-        provenance[f"{labels[j]}<-{labels[i]}"] = texts[partial]
-    return provenance, {name: text for text, name in names.items()}
+    partials = list(dict.fromkeys(partial for _, _, partial in entries))
+    texts = dict(zip(partials, ex._text(partials, name)))
+    provenance = {f"{labels[j]}<-{labels[i]}": texts[partial] for j, i, partial in entries}
+    return provenance, shared
 
 
 def analyze(net: TimeDelayedNetwork) -> StabilityReport:

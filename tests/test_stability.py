@@ -21,7 +21,7 @@ from netstab.stability import (
     local_spectral_radius,
     stability_matrix,
 )
-from netstab.transform import restrict
+from netstab.transform import expand, restrict
 
 R = Interval.whole()
 
@@ -185,7 +185,8 @@ def test_provenance_names_partials():
 def test_constant_partials_match_the_generic_path(net):
     # the per-partial reference for the one-walk assembly: each partial
     # bounded by its own eval_interval and printed by its own to_text,
-    # constants and delay-line rows included
+    # constants and delay-line rows included, once the report's shared
+    # names are spelled out
     indices = state_indices(net)
     labels = [idx.label() for idx in indices]
     box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
@@ -196,7 +197,7 @@ def test_constant_partials_match_the_generic_path(net):
         provenance[f"{labels[j]}<-{labels[i]}"] = ex.to_text(partial)
     report = analyze(net)
     assert report.matrix.data.tobytes() == data.tobytes()
-    assert report.provenance == provenance
+    assert _spelled_out(report) == provenance
     assert list(report.provenance) == list(provenance)
 
 
@@ -330,6 +331,10 @@ def _diamonds():
         yield pytest.param(_restricted_diamond(k), id=f"diamond{k}-loaded")
 
 
+def _expanded_diamond(k: int):
+    return expand(diamond_network(np.random.default_rng(k), k), ["s"]).net
+
+
 @pytest.mark.parametrize("net", [
     gallery.cg_ring(5, 0.3, 1.5, 0.2),
     gallery.delayed_pair(0.5, 0.1, 1.0),
@@ -338,13 +343,43 @@ def _diamonds():
     gallery.tanh_ring(6, 3.0),
     gallery.six_node(),
     *_diamonds(),
+    *(pytest.param(_expanded_diamond(k), id=f"expanded{k}") for k in (4, 6)),
 ], ids=lambda net: net.name)
 def test_shared_names_spell_out_to_the_plain_provenance(net):
     report = analyze(net)
     _check_names(report, net)
     assert _spelled_out(report) == _plain_provenance(net)
-    # sharing one level deep, as in cg_ring's sech(u) * sech(u), stays inline
-    assert bool(report.shared) == net.name.endswith("|restricted")
+    if net.name.endswith(("|restricted", "|expanded")):
+        assert report.shared
+    elif net.name == "six_node":
+        # each sech(x) * sech(x) that two partials read is named once for
+        # the report
+        assert report.shared == {
+            "t1": "sech(x6) * sech(x6)", "t2": "sech(x2) * sech(x2)",
+            "t3": "sech(x5) * sech(x5)", "t4": "sech(x3) * sech(x3)"}
+    else:
+        # sharing one level deep, as in cg_ring's sech(u) * sech(u), stays
+        # inline
+        assert not report.shared
+
+
+def test_one_text_walk_names_what_the_expanded_report_shares(monkeypatch):
+    net = _expanded_diamond(8)
+    calls = []
+    original = ex._text
+
+    def counted(roots, name=None):
+        calls.append(len(roots))
+        return original(roots, name)
+
+    monkeypatch.setattr(ex, "_text", counted)
+    report = analyze(net)
+    assert calls == [len({partial for _, _, partial in _partials(net, state_indices(net))})]
+    texts = [*report.provenance.values(), *report.shared.values()]
+    # the 256 partials of s share most of their nodes, which one walk
+    # names once: naming what each partial shares within itself alone
+    # writes 2.0 M characters
+    assert sum(map(len, texts)) < 200_000
 
 
 def test_report_grows_linearly_with_the_diamond_depth():
