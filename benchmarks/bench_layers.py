@@ -58,14 +58,15 @@ For a ring the times are ``assemble_ms`` (``stability_matrix``: the
 partials and their bounds, no provenance text), ``analyze_ms`` (the
 whole ``analyze``: assembly, provenance and bracket) and ``bracket_ms``.
 
-The structural layer searches four interaction graphs for their first
+The structural layer searches five interaction graphs for their first
 16 complete structural sets, as ``netstab sets`` does: those of
 ``tests/gen.py``'s random networks at 16, 24 and 40 nodes (rng seeded
 with the node count), where most vertices read themselves and are forced
-into every set, and a loop-free 20-vertex graph where every vertex reads
-two others (``loop_free_graph``, rng 0), where none is.  It records the
-best of ``--repeats`` wall times in ms, the sets found and the smallest
-set's size.
+into every set, a loop-free 20-vertex graph where every vertex reads
+two others (``loop_free_graph``, rng 0), where none is, and the k = 10
+diamond (rng 10), whose sets each have up to 2^10 branches.  It records
+the best of ``--repeats`` wall times in ms, the sets found, the smallest
+set's size and ``report_chars``, what ``netstab sets -o`` writes for them.
 
 The orbit layer runs the 48-node delayed ring of ``tests/gen.py``'s
 ``build_benchmark_network`` (the contracting ring of the
@@ -109,7 +110,7 @@ import numpy as np
 from netstab import cli, engine
 from netstab.delays import state_indices, undelay
 from netstab.expr import Expr, normalize, parse_expression
-from netstab.network import dump_network, interaction_graph, load_network
+from netstab.network import REPORT_SCHEMA, dump_network, interaction_graph, load_network
 from netstab.sim import find_fixed_point, verify_global_attraction
 from netstab.spectral import NonnegMatrix, spectral_bracket
 from netstab.stability import _bounded, _partials, _provenance, analyze, stability_matrix
@@ -317,9 +318,12 @@ def bench_structural(repeats: int) -> list[dict]:
     graphs = [(f"random{n}", interaction_graph(random_network(np.random.default_rng(n), n)))
               for n in (16, 24, 40)]
     graphs.append(("loop_free20", loop_free_graph(np.random.default_rng(0), 20)))
+    diamond = diamond_text(diamond_spec(np.random.default_rng(10), 10), "diamond")
+    graphs.append(("diamond10", interaction_graph(load_network(diamond))))
     rows = []
     for label, graph in graphs:
         ms, reports = best_of(repeats, lambda: find_structural_sets(graph))
+        report = {"schema": REPORT_SCHEMA, "sets": [rep.to_json_dict() for rep in reports]}
         rows.append({
             "graph": label,
             "vertices": len(graph.vertices),
@@ -327,6 +331,7 @@ def bench_structural(repeats: int) -> list[dict]:
             "ms": round(ms, 2),
             "sets_found": len(reports),
             "min_set": min(len(rep.S) for rep in reports) if reports else None,
+            "report_chars": len(json.dumps(report, sort_keys=True, indent=2)),
             "peak_rss_mb": round(peak_rss_mb(), 1),
         })
     return rows

@@ -38,7 +38,6 @@ import operator
 import re
 import weakref
 from collections.abc import Callable
-from functools import partial
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,19 +99,23 @@ class Expr:
         return "".join(pieces)
 
 
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # the node's key, for ``_forget``
+
+
 # A weak reference to the live node of each structure, by its key: the
 # node's class, then its fields in slot order, children by identity (they
 # are the live nodes of their own structures); a constant's key adds the
-# sign of its value.  An entry goes when its node does.  Construction
-# takes no lock: expressions are built from one thread.  (A plain dict of
-# weak references: WeakValueDictionary's get and set, written in Python,
-# cost differentiation-heavy analyses about 5 % of their wall time.)
-_LIVE: dict[tuple, weakref.ref] = {}
+# sign of its value.  An entry goes, by ``_forget``, when its node does.
+# Construction takes no lock: expressions are built from one thread.  (A
+# plain dict of weak references: WeakValueDictionary's get and set, written
+# in Python, cost differentiation-heavy analyses about 5 % of their time.)
+_LIVE: dict[tuple, _Ref] = {}
 
 
-def _forget(key: tuple, ref: weakref.ref) -> None:
-    if _LIVE.get(key) is ref:
-        del _LIVE[key]
+def _forget(ref: _Ref) -> None:
+    if _LIVE.get(ref.key) is ref:
+        del _LIVE[ref.key]
 
 
 def _node(key: tuple) -> Expr:
@@ -126,7 +129,8 @@ def _node(key: tuple) -> Expr:
     node = object.__new__(cls)
     for name, value in zip(cls.__slots__, key[1:]):
         object.__setattr__(node, name, value)
-    _LIVE[key] = weakref.ref(node, partial(_forget, key))
+    ref = _LIVE[key] = _Ref(node, _forget)
+    ref.key = key
     return node
 
 
@@ -316,11 +320,12 @@ def _isech(a: Interval) -> Interval:
 
 
 def _iexp(a: Interval) -> Interval:
-    lo = 0.0 if math.isinf(a.lo) else math.exp(a.lo)
+    lo, hi = math.nextafter(math.inf, 0.0), math.inf  # exp above the float range
     try:
+        lo = 0.0 if math.isinf(a.lo) else math.exp(a.lo)
         hi = math.exp(a.hi)
-    except OverflowError:
-        hi = math.inf
+    except OverflowError:  # hi >= lo, so from the end that overflows on, the defaults hold
+        pass
     return _clamped(lo, hi, 0.0, math.inf)
 
 

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 # the "schema" tag of every JSON report: analyze, sets and simulate
-REPORT_SCHEMA = "netstab-report/3"
+REPORT_SCHEMA = "netstab-report/4"
 
 # Largest delay a rule may read: de-delaying adds one coordinate per
 # delay step of a node, so the cap bounds the state a rule can ask for.

@@ -7,15 +7,17 @@ additionally, no endpoint pair has two distinct branches.  Complete sets
 are where restriction and expansion are defined; basic sets are where
 the restricted verdict transfers back to the original network.
 
-Completeness is decided in linear time without enumerating a branch
-(there can be exponentially many); branches are enumerated only where
-they are output: in reports, admissible sequences and the basic test.
+One topological order of G - S decides a set: it shows G - S acyclic,
+and path counts along it give the branches per endpoint pair.  Only
+``branch_set`` and ``admissible_sequences`` list branches, of which
+there can be exponentially many.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import ConvergenceError, NetworkError, _iteration_cap
@@ -58,23 +60,14 @@ class Branch:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def __str__(self) -> str:
-        return "->".join(self.vertices)
-
 
 @dataclass(frozen=True)
 class StructuralSetReport:
+    """``counts``: branches per (source, target) pair, sorted; empty unless complete."""
     S: tuple[str, ...]
     complete: bool
     basic: bool
-    branches: tuple[Branch, ...]
-    admissible: tuple[Branch, ...]
-
-    def branches_by_endpoints(self) -> dict[tuple[str, str], tuple[Branch, ...]]:
-        grouped: dict[tuple[str, str], list[Branch]] = {}
-        for br in self.branches:
-            grouped.setdefault((br.source, br.target), []).append(br)
-        return {k: tuple(v) for k, v in grouped.items()}
+    counts: dict[tuple[str, str], int] = field(hash=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,8 +75,7 @@ class StructuralSetReport:
             "S": list(self.S),
             "complete": self.complete,
             "basic": self.basic,
-            "branches": [list(b.vertices) for b in self.branches],
-            "admissible": [list(b.vertices) for b in self.admissible],
+            "branch_counts": [[s, t, n] for (s, t), n in self.counts.items()],
         }
 
     def to_json(self) -> str:
@@ -130,9 +122,10 @@ def _forced(graph: InteractionGraph) -> set[str]:
     }
 
 
-def _acyclic(succ: dict[str, tuple[str, ...]], removed) -> bool:
-    """Is the digraph ``succ`` (vertex -> successors) acyclic once the
-    vertices in ``removed`` are deleted?  Kahn's topological sort."""
+def _order(succ: dict[str, tuple[str, ...]], removed) -> list[str] | None:
+    """A topological order of the digraph ``succ`` (vertex -> successors)
+    once the vertices in ``removed`` are deleted, or None when a cycle is
+    left.  Kahn's algorithm."""
     indegree = {v: 0 for v in succ if v not in removed}
     for v in indegree:
         for w in succ[v]:
@@ -145,11 +138,11 @@ def _acyclic(succ: dict[str, tuple[str, ...]], removed) -> bool:
                 indegree[w] -= 1
                 if not indegree[w]:
                     ready.append(w)
-    return len(ready) == len(indegree)
+    return ready if len(ready) == len(indegree) else None
 
 
-def _complete(graph: InteractionGraph, S) -> bool:
-    """Is S complete?  Linear time; no branch is enumerated.
+def _complete(graph: InteractionGraph, S) -> list[str] | None:
+    """A topological order of G - S if S is complete, else None; linear time.
 
     S is complete iff it holds every forced vertex and G - S is acyclic.
     Then every vertex outside S has a predecessor and a successor, so from
@@ -159,8 +152,31 @@ def _complete(graph: InteractionGraph, S) -> bool:
     join into a branch through v.
     """
     in_s = set(S)
-    return _forced(graph) <= in_s and _acyclic(
-        {v: graph.successors(v) for v in graph.vertices}, in_s
+    if not _forced(graph) <= in_s:
+        return None
+    return _order({v: graph.successors(v) for v in graph.vertices}, in_s)
+
+
+def _report(graph: InteractionGraph, S: tuple[str, ...], order) -> StructuralSetReport:
+    """The report on S, given a topological order of G - S when S is
+    complete, else None: along it, each vertex outside S sums per source
+    the paths into its predecessors, and each S vertex counts branches."""
+    counts = Counter()
+    if order is not None:
+        in_s = set(S)
+        paths = {v: Counter() for v in order}  # vertex -> {source: paths into it}
+        paths.update((s, Counter({s: 1})) for s in S)
+        for v in (*S, *order):
+            for w in graph.successors(v):
+                if w in in_s:
+                    counts.update({(s, w): n for s, n in paths[v].items()})
+                else:
+                    paths[w].update(paths[v])
+    return StructuralSetReport(
+        S=S,
+        complete=order is not None,
+        basic=order is not None and all(n <= 1 for n in counts.values()),
+        counts=dict(sorted(counts.items())),
     )
 
 
@@ -170,7 +186,7 @@ def is_complete_structural(graph: InteractionGraph, S) -> bool:
     Vertices of S count as their own trivial S-to-S paths; every other
     vertex must appear in some branch interior.
     """
-    return _complete(graph, _check_subset(graph, S))
+    return _complete(graph, _check_subset(graph, S)) is not None
 
 
 def is_basic_structural(graph: InteractionGraph, S) -> bool:
@@ -186,16 +202,7 @@ def admissible_sequences(graph: InteractionGraph, S) -> list[Branch]:
 
 def report_for(graph: InteractionGraph, S) -> StructuralSetReport:
     S = _check_subset(graph, S)
-    complete = _complete(graph, S)
-    branches = tuple(branch_set(graph, S))
-    ends = {(br.source, br.target) for br in branches}
-    return StructuralSetReport(
-        S=S,
-        complete=complete,
-        basic=complete and len(ends) == len(branches),
-        branches=branches,
-        admissible=tuple(b for b in branches if len(b) > 2),
-    )
+    return _report(graph, S, _complete(graph, S))
 
 
 def find_structural_sets(
@@ -208,8 +215,8 @@ def find_structural_sets(
     the forced vertices F (a loop, no predecessor or no successor), and
     F plus a set C of the other vertices is complete iff deleting it leaves
     the graph acyclic, so the candidates are F + C over C by size and then
-    lexicographically, which is the (|S|, lex) order of the sets.  Only
-    complete candidates are reported, and only their branches enumerated.
+    lexicographically, which is the (|S|, lex) order of the sets.  The
+    order of G - S that shows a candidate acyclic also counts its branches.
     At most ``NETSTAB_MAX_ITERS`` candidates are tried (default 2^20, every
     C of 20 free vertices); the next one raises ConvergenceError.
     """
@@ -229,9 +236,10 @@ def find_structural_sets(
                     f"|S| = {len(forced) + size}, with {len(results)} sets found"
                 )
             tried += 1
-            if not _acyclic(succ, combo):
+            order = _order(succ, combo)
+            if order is None:
                 continue
-            rep = report_for(graph, forced.union(combo))
+            rep = _report(graph, tuple(sorted(forced.union(combo))), order)
             if want_basic and not rep.basic:
                 continue
             results.append(rep)

@@ -15,9 +15,9 @@ per key of the chain that reaches it, and the key is what the leaves
 below the node depend on: the chain's length for the first two, so the
 result is a DAG whose size is linear in the network although its printed
 text counts every branch; the whole chain for ``expand``, whose
-coordinates are per branch, so it inlines once per branch.  Every
-transform first checks that S is complete, in time linear in the network;
-only ``expand`` lists the admissible branches, to name its coordinates.
+coordinates are per branch, so it inlines once per branch and names a
+delay chain for each branch a leaf meets.  Every transform first checks
+that S is complete, in time linear in the network.
 """
 
 from __future__ import annotations
@@ -25,16 +25,14 @@ from __future__ import annotations
 from .delays import AugmentedNetwork, StateIndex, _fresh, _with_lines
 from .errors import TransformError
 from .expr import Expr, Var, normalize, substitute
-from .network import InteractionGraph, TimeDelayedNetwork, interaction_graph, network_from_exprs
-from .structural import admissible_sequences, is_complete_structural
+from .network import TimeDelayedNetwork, interaction_graph, network_from_exprs
+from .structural import is_complete_structural
 
 __all__ = ["restrict", "expand", "delayed_expansion"]
 
 
-def _check_preconditions(
-    net: TimeDelayedNetwork, S
-) -> tuple[tuple[str, ...], InteractionGraph]:
-    """S in network order, checked complete, and the interaction graph."""
+def _check_preconditions(net: TimeDelayedNetwork, S) -> tuple[str, ...]:
+    """S in network order, checked complete."""
     if net.T != 1:
         raise TransformError(
             f"network has T = {net.T}; restriction and expansion are defined "
@@ -45,13 +43,12 @@ def _check_preconditions(
     if unknown:
         raise TransformError(f"not nodes of the network: {sorted(unknown)}")
     S = tuple(n for n in net.nodes if n in requested)
-    graph = interaction_graph(net)
-    if not is_complete_structural(graph, S):
+    if not is_complete_structural(interaction_graph(net), S):
         raise TransformError(
             f"{{{', '.join(S)}}} is not a complete structural set; inlining "
             "would not terminate"
         )
-    return S, graph
+    return S
 
 
 def _inline(net: TimeDelayedNetwork, in_s: set[str], target: str, leaf, key) -> Expr:
@@ -99,7 +96,7 @@ def _inline(net: TimeDelayedNetwork, in_s: set[str], target: str, leaf, key) -> 
 
 
 def _inline_over(net: TimeDelayedNetwork, S, leaf, suffix: str):
-    S, _ = _check_preconditions(net, S)
+    S = _check_preconditions(net, S)
     in_s = set(S)
     updates = {target: _inline(net, in_s, target, leaf, len) for target in S}
     domains = {n: net.domains[n] for n in S}
@@ -128,34 +125,28 @@ def expand(net: TimeDelayedNetwork, S) -> AugmentedNetwork:
 
     Distinct branches with the same source get distinct chains, so the
     state dimension is |S| + sum over admissible branches of (length - 2).
+    Chains are named as the inliner meets their branches and laid out in
+    sorted branch order, as ``admissible_sequences`` lists them.
     """
-    S, graph = _check_preconditions(net, S)
+    S = _check_preconditions(net, S)
     in_s = set(S)
-
     taken = set(net.nodes)
-    lines: list[tuple[str, StateIndex]] = []
-    coord_name: dict[tuple[str, ...], str] = {}
-    for br in admissible_sequences(graph, S):
-        gamma = br.vertices
-        for i in range(2, len(gamma)):
-            # leaves inlined through gamma read the deepest coordinate
-            coord_name[gamma] = _fresh("_".join(gamma) + f"_s{i}", taken)
-            lines.append((coord_name[gamma], StateIndex(gamma[0], i - 1)))
+    chains: dict[tuple[str, ...], list[str]] = {}
 
     def leaf(branch: tuple[str, ...]) -> Expr:
         if len(branch) == 2:
             return Var(branch[0], 0)
-        if branch not in coord_name:
-            raise TransformError(
-                f"inlining produced branch {'->'.join(branch)} outside the "
-                "admissible set"
-            )
-        return Var(coord_name[branch], 0)
+        # _inline meets each branch once; its leaf reads the deepest coordinate
+        chain = [_fresh("_".join(branch) + f"_s{i}", taken) for i in range(2, len(branch))]
+        chains[branch] = chain
+        return Var(chain[-1], 0)
 
     updates = {
         target: normalize(_inline(net, in_s, target, leaf, lambda chain: chain))
         for target in S
     }
+    lines = [(name, StateIndex(branch[0], depth)) for branch in sorted(chains)
+             for depth, name in enumerate(chains[branch], 1)]
     return _with_lines(
         S, net.domains, updates, lines, f"{net.name}|expanded" if net.name else ""
     )

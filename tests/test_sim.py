@@ -174,7 +174,7 @@ def test_attraction_verdict_json():
         gallery.undelayed_pair(0.5, 0.1, 1.0), trials=4, steps=1000, seed=0
     )
     data = verdict.to_json_dict()
-    assert data["schema"] == "netstab-report/3"
+    assert data["schema"] == "netstab-report/4"
     assert data["converged"] is True
     assert data["trials"] == 4
 

@@ -126,7 +126,7 @@ def test_analyze_tanh_ring_inconclusive():
 def test_analyze_report_json():
     report = analyze(gallery.undelayed_pair(0.5, 0.1, 1.0))
     data = json.loads(report.to_json())
-    assert data["schema"] == "netstab-report/3"
+    assert data["schema"] == "netstab-report/4"
     assert data["verdict"] == "stable"
     assert data["rho_lower"] <= data["rho"] <= data["rho_upper"] < 1.0
     assert data["rho"] == 0.5 * (data["rho_lower"] + data["rho_upper"])

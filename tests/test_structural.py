@@ -1,11 +1,12 @@
+from collections import Counter
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from gen import loop_free_graph, random_network
+from gen import diamond_network, loop_free_graph, random_network
 
-from netstab import gallery
+from netstab import gallery, structural
 from netstab.errors import ConvergenceError
 from netstab.expr import Interval
 from netstab.network import InteractionGraph, build_network, interaction_graph
@@ -302,6 +303,11 @@ def complete_by_branches(graph, S) -> bool:
     return covered == set(graph.vertices)
 
 
+def counts_by_branches(graph, S):
+    """Oracle: branch_set's branches per (source, target) pair, sorted."""
+    return sorted(Counter((b.source, b.target) for b in branch_set(graph, S)).items())
+
+
 def exhaustive_sets(graph, want_basic, max_results):
     """Oracle: every vertex subset by size and then lexicographically,
     kept when complete (and basic) by the branch definition."""
@@ -311,11 +317,11 @@ def exhaustive_sets(graph, want_basic, max_results):
         for S in combinations(vertices, size):
             if not complete_by_branches(graph, S):
                 continue
-            branches = tuple(branch_set(graph, S))
-            ends = {(b.source, b.target) for b in branches}
-            if want_basic and len(ends) < len(branches):
+            counts = counts_by_branches(graph, S)
+            basic = all(n == 1 for _, n in counts)
+            if want_basic and not basic:
                 continue
-            found.append((S, len(ends) == len(branches), branches))
+            found.append((S, basic, counts))
             if len(found) == max_results:
                 return found
     return found
@@ -347,7 +353,7 @@ def test_find_sets_matches_exhaustive_search():
             expected = exhaustive_sets(g, want_basic, 16)
             for max_results in (1, 4, 16):
                 got = [
-                    (rep.S, rep.basic, rep.branches)
+                    (rep.S, rep.basic, list(rep.counts.items()))
                     for rep in find_structural_sets(g, want_basic, max_results)
                 ]
                 assert got == expected[:max_results]
@@ -389,6 +395,37 @@ def test_report_json():
     rep = report_for(g, ("x1", "x3", "x5"))
     data = rep.to_json_dict()
     assert data["complete"] is True and data["basic"] is False
-    assert ["x5", "x6", "x3"] in data["branches"]
-    grouped = rep.branches_by_endpoints()
-    assert len(grouped[("x5", "x3")]) == 2
+    # x5 -> x3 directly and through x6
+    assert ["x5", "x3", 2] in data["branch_counts"]
+    assert data["branch_counts"] == [[s, t, n] for (s, t), n in counts_by_branches(g, rep.S)]
+    assert rep.counts[("x5", "x3")] == 2
+
+
+def test_branch_counts_match_the_branch_set():
+    checked = 0
+    for g in seeded_graphs(103, 40, 10):
+        for want_basic in (False, True):
+            for rep in find_structural_sets(g, want_basic, 16):
+                assert list(rep.counts.items()) == counts_by_branches(g, rep.S)
+                assert rep.basic == all(n == 1 for n in rep.counts.values())
+                checked += 1
+    assert checked >= 800
+
+
+def test_reports_enumerate_no_branch(monkeypatch):
+    # a 12-layer diamond has 4096 branches from s back to s; its reports
+    # count them without listing one
+    def refuse(graph, S):
+        raise AssertionError("branch_set called")
+
+    monkeypatch.setattr(structural, "branch_set", refuse)
+    g = interaction_graph(diamond_network(np.random.default_rng(12), 12))
+    rep = report_for(g, ["s"])
+    assert rep.complete and not rep.basic
+    assert rep.counts == {("s", "s"): 2**12}
+    assert not is_basic_structural(g, ["s"])
+    assert not report_for(g, ["a1"]).complete
+    reports = find_structural_sets(g, max_results=16)
+    assert len(reports) == 16 and reports[0].S == ("s",)
+    for rep in find_structural_sets(interaction_graph(gallery.six_node()), True, 64):
+        assert rep.basic

@@ -19,7 +19,7 @@ from netstab.expr import (
 )
 from netstab.network import build_network, interaction_graph
 from netstab.stability import analyze
-from netstab.structural import branch_set, is_complete_structural
+from netstab.structural import admissible_sequences, branch_set, is_complete_structural
 from netstab.transform import delayed_expansion, expand, restrict
 
 R = Interval.whole()
@@ -152,8 +152,18 @@ def test_expanded_updates_read_one_coordinate_per_branch():
         if S is not None:
             cases.append((net, S))
     for net, S in cases:
-        branches = branch_set(interaction_graph(net), S)
+        graph = interaction_graph(net)
+        branches = branch_set(graph, S)
         aug = expand(net, S)
+        # the chains follow S one branch at a time, in admissible order,
+        # whatever order the inliner meets the branches in
+        chains = [
+            ("_".join(b.vertices) + f"_s{i}", (b.source, i - 1))
+            for b in admissible_sequences(graph, S)
+            for i in range(2, len(b))
+        ]
+        S = tuple(n for n in net.nodes if n in set(S))
+        assert [(c, aug.projection[c]) for c in aug.coords] == [(n, (n, 0)) for n in S] + chains
         for j in S:
             expected = set()
             for b in branches:
