@@ -83,6 +83,16 @@ its slowest trial; for ``simulate`` the characters of its CSV) and
 ``peak_mb``, the peak of the memory ``tracemalloc`` traces during one
 more call.
 
+The write layer times the writers of the output files, as ``netstab
+sets -o``, ``analyze`` and ``simulate`` run them, and records the best of
+``--repeats`` wall times in ms, the characters written and ``peak_mb``
+of one more call: the ``sets -o`` text of the first 16 sets of the k = 10
+diamond and of the 40-node random network (``sets_diamond10``,
+``sets_random40``), ``StabilityReport.to_json`` of the expanded k = 10
+diamond (``report_expand10``) and ``Trajectory.to_csv`` of the 48-node
+ring's 600-step orbit from the orbit layer's first start window
+(``csv_orbit48``), a contracting orbit whose later rows repeat values.
+
 Prints one JSON document and writes it to ``-o`` when given.
 ``BENCH_layers.json`` keeps these documents as a history: one entry of
 ``pairs`` per change measured, oldest first, each keyed by its parent and
@@ -110,8 +120,9 @@ import numpy as np
 from netstab import cli, engine
 from netstab.delays import state_indices, undelay
 from netstab.expr import Expr, normalize, parse_expression
-from netstab.network import REPORT_SCHEMA, dump_network, interaction_graph, load_network
-from netstab.sim import find_fixed_point, verify_global_attraction
+from netstab.network import (REPORT_SCHEMA, dump_network, interaction_graph, load_network,
+                             report_json)
+from netstab.sim import find_fixed_point, iterate_orbit, verify_global_attraction
 from netstab.spectral import NonnegMatrix, spectral_bracket
 from netstab.stability import _bounded, _partials, _provenance, analyze, stability_matrix
 from netstab.structural import find_structural_sets
@@ -314,6 +325,11 @@ def bench_spectral(repeats: int) -> list[dict]:
     return rows
 
 
+def sets_text(reports) -> str:
+    """What ``netstab sets -o`` writes for ``reports``, less its newline."""
+    return report_json({"schema": REPORT_SCHEMA, "sets": [rep.to_json_dict() for rep in reports]})
+
+
 def bench_structural(repeats: int) -> list[dict]:
     graphs = [(f"random{n}", interaction_graph(random_network(np.random.default_rng(n), n)))
               for n in (16, 24, 40)]
@@ -323,7 +339,6 @@ def bench_structural(repeats: int) -> list[dict]:
     rows = []
     for label, graph in graphs:
         ms, reports = best_of(repeats, lambda: find_structural_sets(graph))
-        report = {"schema": REPORT_SCHEMA, "sets": [rep.to_json_dict() for rep in reports]}
         rows.append({
             "graph": label,
             "vertices": len(graph.vertices),
@@ -331,7 +346,7 @@ def bench_structural(repeats: int) -> list[dict]:
             "ms": round(ms, 2),
             "sets_found": len(reports),
             "min_set": min(len(rep.S) for rep in reports) if reports else None,
-            "report_chars": len(json.dumps(report, sort_keys=True, indent=2)),
+            "report_chars": len(sets_text(reports)),
             "peak_rss_mb": round(peak_rss_mb(), 1),
         })
     return rows
@@ -393,6 +408,26 @@ def bench_orbit(repeats: int) -> list[dict]:
     ]
 
 
+def bench_write(repeats: int) -> list[dict]:
+    diamond = load_network(diamond_text(diamond_spec(np.random.default_rng(10), 10), "diamond"))
+    writers = []
+    for label, net in (("diamond10", diamond),
+                       ("random40", random_network(np.random.default_rng(40), 40))):
+        reports = find_structural_sets(interaction_graph(net))
+        writers.append((f"sets_{label}", lambda reports=reports: sets_text(reports)))
+    report = analyze(expand(diamond, ["s"]).net)
+    writers.append((f"report_expand{EXPAND_LAYERS}", report.to_json))
+    ring = build_benchmark_network(48)
+    window = np.random.default_rng(0).uniform(-1, 1, (ring.T, ring.size))
+    writers.append(("csv_orbit48", iterate_orbit(ring, window, 600).to_csv))
+    rows = []
+    for case, write in writers:
+        ms, text = best_of(repeats, write)
+        rows.append({"case": case, "ms": round(ms, 2), "chars": len(text),
+                     "peak_mb": traced_peak_mb(write)})
+    return rows
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-o", "--output", type=Path)
@@ -415,6 +450,7 @@ def main():
         "spectral": bench_spectral(args.repeats),
         "structural": bench_structural(args.repeats),
         "orbit": bench_orbit(args.repeats),
+        "write": bench_write(args.repeats),
     }
     text = json.dumps(results, indent=2)
     print(text)

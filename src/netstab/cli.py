@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -19,7 +18,8 @@ from pathlib import Path
 from . import regressions
 from .delays import dedelay, undelay
 from .errors import NetstabError
-from .network import REPORT_SCHEMA, InteractionGraph, dump_network, interaction_graph, load_network
+from .network import (REPORT_SCHEMA, InteractionGraph, dump_network, interaction_graph,
+                      load_network, report_json)
 from .sim import _attraction
 from .stability import analyze
 from .structural import _check_subset, find_structural_sets
@@ -106,10 +106,7 @@ def _cmd_sets(args) -> int:
     if not reports:
         print("no complete structural sets found")
     if args.output:
-        Path(args.output).write_text(
-            json.dumps({"schema": REPORT_SCHEMA, "sets": rows}, sort_keys=True, indent=2)
-            + "\n"
-        )
+        Path(args.output).write_text(report_json({"schema": REPORT_SCHEMA, "sets": rows}) + "\n")
     return 0
 
 

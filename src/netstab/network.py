@@ -11,6 +11,7 @@ construction and all queries are pure.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
@@ -34,10 +35,18 @@ __all__ = [
     "load_network",
     "dump_network",
     "REPORT_SCHEMA",
+    "report_json",
 ]
 
 # the "schema" tag of every JSON report: analyze, sets and simulate
 REPORT_SCHEMA = "netstab-report/4"
+
+
+def report_json(obj) -> str:
+    """The text of every JSON report: one line with sorted keys.  Without
+    ``indent``, ``json`` encodes in C; ``python -m json.tool`` pretty-prints."""
+    return json.dumps(obj, sort_keys=True)
+
 
 # Largest delay a rule may read: de-delaying adds one coordinate per
 # delay step of a node, so the cap bounds the state a rule can ask for.

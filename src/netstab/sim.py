@@ -12,7 +12,7 @@ and the step at which it diverged.
 from __future__ import annotations
 
 import io
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import engine
 from .delays import dedelay
 from .errors import ConvergenceError, NetworkError, _iteration_cap
-from .network import REPORT_SCHEMA, TimeDelayedNetwork
+from .network import REPORT_SCHEMA, TimeDelayedNetwork, report_json
 
 __all__ = [
     "Trajectory",
@@ -35,6 +35,9 @@ __all__ = [
 
 # how many ring values the attraction check's tail check gathers at a time
 _TAIL_VALUES = 2**17
+# how many values the CSV writer formats at a time: small blocks keep
+# np.unique's sort and inverse small next to the orbit
+_CSV_BLOCK_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -56,10 +59,24 @@ class Trajectory:
         return self.states[k + self.T - 1]
 
     def to_csv(self) -> str:
+        """One line per snapshot: the step, then the ``repr`` of each value.
+
+        Rows go in blocks of about ``_CSV_BLOCK_VALUES`` values, and each
+        distinct value of a block is formatted once: a converging orbit
+        repeats most of its values.  Values are told apart by their bit
+        patterns, so 0.0 and -0.0 keep their own text.
+        """
         buf = io.StringIO()
         buf.write("step," + ",".join(self.nodes) + "\n")
-        for step, row in enumerate(self.states.tolist(), start=1 - self.T):
-            buf.write(f"{step}," + ",".join(map(repr, row)) + "\n")
+        bits = self.states.view(np.uint64)
+        rows = max(1, _CSV_BLOCK_VALUES // max(1, bits.shape[1]))
+        for start in range(0, bits.shape[0], rows):
+            block = bits[start : start + rows]
+            keys, inverse = np.unique(block.ravel(), return_inverse=True)
+            texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+            cells = texts[inverse.reshape(block.shape)].tolist()
+            for step, row in enumerate(cells, start=start + 1 - self.T):
+                buf.write(f"{step}," + ",".join(row) + "\n")
         return buf.getvalue()
 
 
@@ -81,7 +98,8 @@ class AttractionVerdict:
             "schema": REPORT_SCHEMA,
             "converged": self.converged,
             "witness": None if self.witness is None else [float(v) for v in self.witness],
-            "final_diameter": self.final_diameter,
+            # JSON has no infinity: a run whose trials diverge writes null
+            "final_diameter": self.final_diameter if math.isfinite(self.final_diameter) else None,
             "iterations_used": self.iterations_used,
             "trials": self.trials,
             "seed": self.seed,
@@ -91,7 +109,7 @@ class AttractionVerdict:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return report_json(self.to_json_dict())
 
 
 def _as_history(net: TimeDelayedNetwork, history) -> np.ndarray:

@@ -21,7 +21,6 @@ global).  Only ``analyze`` renders the partials, as provenance text.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,7 @@ import numpy as np
 from . import expr as ex
 from .delays import _fresh, state_indices
 from .errors import EvalError, UnboundedDerivativeError
-from .network import REPORT_SCHEMA, TimeDelayedNetwork
+from .network import REPORT_SCHEMA, TimeDelayedNetwork, report_json
 from .spectral import NonnegMatrix, spectral_bracket, spectral_radius
 
 __all__ = [
@@ -76,7 +75,7 @@ class StabilityReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return report_json(self.to_json_dict())
 
 
 def stability_matrix(net: TimeDelayedNetwork) -> NonnegMatrix:

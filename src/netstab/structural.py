@@ -15,13 +15,12 @@ there can be exponentially many.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import ConvergenceError, NetworkError, _iteration_cap
-from .network import REPORT_SCHEMA, InteractionGraph
+from .network import REPORT_SCHEMA, InteractionGraph, report_json
 
 __all__ = [
     "Branch",
@@ -79,7 +78,7 @@ class StructuralSetReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return report_json(self.to_json_dict())
 
 
 def _check_subset(graph: InteractionGraph, S) -> tuple[str, ...]:

@@ -14,6 +14,8 @@ from netstab.cli import emit_dot, run
 from netstab.expr import Interval
 from netstab.network import build_network, dump_network, interaction_graph, load_network
 from netstab.sim import iterate_orbit, sampling_box, verify_global_attraction
+from netstab.stability import analyze
+from netstab.structural import find_structural_sets
 
 REPO = Path(__file__).resolve().parent.parent
 NETWORKS = REPO / "networks"
@@ -123,14 +125,61 @@ def test_sets_lists_and_flags(in_tmp, capsys):
 
 def test_sets_report_counts_the_branches_of_a_diamond(in_tmp, capsys):
     # the k = 10 diamond has 2^10 branches from s back to s; listing them
-    # in each of its 16 sets took 9.5 M characters
+    # in each of its 16 sets took 9.5 M characters, indenting the counts 6.4 k
     path = _write(in_tmp, "diamond.net", diamond_network(np.random.default_rng(10), 10))
     assert run(["sets", str(path), "-o", "sets.json"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "{s} complete"
     text = (in_tmp / "sets.json").read_text()
-    assert len(text) < 10_000
+    assert len(text) < 3_000
     first = json.loads(text)["sets"][0]
     assert first["S"] == ["s"] and first["branch_counts"] == [["s", "s", 1024]]
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# every trial diverges, so the verdict has no finite diameter
+_DIVERGING = build_network([("x1", Interval(-2, 2))], [("x1", "2*x1*x1 + 1")])
+
+
+@pytest.mark.parametrize("net", [
+    gallery.cg_ring(5, 0.3, 1.5, 0.2),
+    gallery.delayed_pair(0.5, 0.1, 1.0),
+    gallery.undelayed_pair(0.5, 0.1, 1.0),
+    gallery.distributed_pair(),
+    gallery.tanh_ring(6, 3.0),
+    gallery.six_node(),
+    _DIVERGING,
+], ids=lambda net: net.name or "diverging")
+def test_every_report_is_one_line_of_sorted_strict_json(in_tmp, capsys, net):
+    diverging = net is _DIVERGING
+    path = _write(in_tmp, "net.net", net)
+    net = load_network(path.read_text())
+    assert run(["analyze", str(path)]) == 0
+    assert run(["sets", str(path), "-o", "net.sets.json"]) == 0
+    assert run(["simulate", str(path), "--trials", "3", "--steps", "50"]) == 0
+    report = analyze(net)
+    sets = find_structural_sets(interaction_graph(net), want_basic=False)
+    verdict = verify_global_attraction(net, 3, 50, None, 1e-8, 0)
+    for obj in (report, verdict, *sets):
+        assert obj.to_json() == json.dumps(obj.to_json_dict(), sort_keys=True)
+        _strict_json(obj.to_json())
+    written = {
+        "net.report.json": report.to_json_dict(),
+        "net.sets.json": {"schema": "netstab-report/4",
+                          "sets": [rep.to_json_dict() for rep in sets]},
+        "net.verdict.json": verdict.to_json_dict(),
+    }
+    for name, data in written.items():
+        text = (in_tmp / name).read_text()
+        assert text == json.dumps(data, sort_keys=True) + "\n"
+        _strict_json(text)
+    assert (verdict.diverged_trials == 3) == diverging
+    assert (written["net.verdict.json"]["final_diameter"] is None) == diverging
 
 
 def test_consecutive_runs_do_not_share_options(in_tmp, capsys):

@@ -86,6 +86,39 @@ def test_orbit_csv():
     assert lines[-1] == "2,0.5"
 
 
+def _plain_csv(traj: sim.Trajectory) -> str:
+    rows = enumerate(traj.states.tolist(), start=1 - traj.T)
+    return "".join(["step," + ",".join(traj.nodes) + "\n"]
+                   + [f"{step}," + ",".join(map(repr, row)) + "\n" for step, row in rows])
+
+
+# snapshots of three nodes; the CSV writer takes two rows per block here
+_CSV_CASES = {
+    "signed_zeros": [[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]],
+    "non_finite": [[np.nan, np.inf, -np.inf], [-np.nan, 1.0, np.nan]],
+    "subnormal": [[5e-324, -2.5e-310, 2.2250738585072014e-308], [0.0, 5e-324, 1.0]],
+    "repeated_across_blocks": [[0.1, -0.2, 0.3]] * 3 + [[0.3, 0.1, -0.2]] * 2,
+    "single_row": [[1.5, -1e300, 1e-05]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CSV_CASES))
+def test_csv_writes_the_repr_of_every_value(monkeypatch, case):
+    monkeypatch.setattr(sim, "_CSV_BLOCK_VALUES", 6)
+    states = np.array(_CSV_CASES[case])
+    traj = sim.Trajectory(nodes=("a", "b", "c"), T=1, states=states)
+    assert traj.to_csv() == _plain_csv(traj)
+
+
+def test_csv_of_an_orbit_several_blocks_long():
+    net = build_benchmark_network(12)
+    lo, hi = sampling_box(net)
+    window = np.random.default_rng(5).uniform(lo, hi, (net.T, net.size))
+    traj = iterate_orbit(net, window, 1000)
+    assert traj.states.size > 2 * sim._CSV_BLOCK_VALUES
+    assert traj.to_csv() == _plain_csv(traj)
+
+
 def test_fixed_point_linear():
     net = build_network([("x1", R)], [("x1", "0.5*x1 + 1")])
     fp = find_fixed_point(net, [0.0], tol=1e-12)
@@ -201,7 +234,8 @@ def _full_history_verdict(net, trials, steps, tol, seed):
     return {
         "converged": converged,
         "witness": np.mean(endpoints, axis=0).tolist() if converged else None,
-        "final_diameter": spread,
+        # the verdict JSON writes a diameter that is not finite as null
+        "final_diameter": spread if np.isfinite(spread) else None,
         "iterations_used": int(done.max()),
         "trial_steps": int(done.sum()),
         "diverged_trials": n_div,
