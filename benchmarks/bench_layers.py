@@ -207,7 +207,7 @@ def bench_diamond(k: int, repeats: int) -> dict:
     normalize_ms, _ = best_of(repeats, lambda: [normalize(e) for e in parsed])
     analyze_ms, report = best_of(repeats, lambda: analyze(loaded))
     report_json_ms, report_text = best_of(repeats, report.to_json)
-    provenance = [*report.provenance.values(), *report.shared.values()]
+    provenance = [*report.provenance, *report.shared.values()]
     return {
         "layers": k,
         "restrict_ms": round(restrict_ms, 2),
@@ -260,8 +260,8 @@ def bench_expand_analyze(k: int, repeats: int) -> dict:
     aug = expand(net, ["s"]).net
     indices = state_indices(aug)
     partials_ms, _ = best_of(repeats, lambda: list(_partials(aug, indices)))
-    matrix, entries = _bounded(aug)
-    provenance_ms, _ = best_of(repeats, lambda: _provenance(aug, matrix.index, entries))
+    _, partials = _bounded(aug)
+    provenance_ms, _ = best_of(repeats, lambda: _provenance(aug, partials))
     analyze_ms, report = best_of(repeats, lambda: analyze(aug))
     return {
         "layers": k,
@@ -276,17 +276,9 @@ def bench_expand_analyze(k: int, repeats: int) -> dict:
     }
 
 
-def entries_per_row(matrix) -> np.ndarray:
-    """Nonzero entries in each row, read from the report's entry list, so
-    that no dense array is built."""
-    position = {label: i for i, label in enumerate(matrix.index)}
-    rows = [position[key.split("<-", 1)[0]] for key in matrix.to_json_dict()["entries"]]
-    return np.bincount(rows, minlength=matrix.n)
-
-
 def spectral_row(matrix, repeats: int) -> dict:
     bracket_ms, (lower, upper) = best_of(repeats, lambda: spectral_bracket(matrix))
-    per_row = entries_per_row(matrix)
+    per_row = np.bincount(matrix.rows, minlength=matrix.n)
     return {
         "dim": matrix.n,
         "nnz": int(per_row.sum()),
@@ -318,7 +310,8 @@ def bench_spectral(repeats: int) -> list[dict]:
         })
     for share in CHAINED_KEPT:
         dense = chained_component(np.random.default_rng(1), 1000, share)
-        matrix = NonnegMatrix(dense, [str(i) for i in range(len(dense))])
+        at = np.nonzero(dense)
+        matrix = NonnegMatrix(map(str, range(len(dense))), *at, dense[at])
         del dense
         rows.append({"chained_kept": share, **spectral_row(matrix, repeats),
                      "peak_rss_mb": round(peak_rss_mb(), 1)})

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 # the "schema" tag of every JSON report: analyze, sets and simulate
-REPORT_SCHEMA = "netstab-report/4"
+REPORT_SCHEMA = "netstab-report/5"
 
 
 def report_json(obj) -> str:

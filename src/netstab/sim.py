@@ -224,7 +224,8 @@ def sampling_box(
 
     A node takes its bounds from ``sample_box`` when listed there, else from
     its domain with infinite ends replaced by -10 and 10.  Keys that are
-    not nodes, and bounds that are not two finite numbers lo <= hi, raise
+    not nodes, bounds that are not two finite numbers lo <= hi, and a
+    domain whose default box is empty (one-sided beyond -10 or 10) raise
     NetworkError.
     """
     box = sample_box or {}
@@ -250,6 +251,10 @@ def sampling_box(
             dom = net.domains[node]
             lo[i] = dom.lo if np.isfinite(dom.lo) else -10.0
             hi[i] = dom.hi if np.isfinite(dom.hi) else 10.0
+            if lo[i] > hi[i]:
+                raise NetworkError(f"the default sampling box of {node}, [{lo[i]:g}, {hi[i]:g}], "
+                                   f"is empty for its domain [{dom.lo:g}, {dom.hi:g}]; give a box "
+                                   "with --box or sample_box")
     return lo, hi
 
 

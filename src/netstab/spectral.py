@@ -1,7 +1,9 @@
 """Nonnegative-matrix spectral machinery.
 
-A matrix is held as its nonzero entries, (row, col, value) sorted by
-(row, col); the dense array is built only when ``.data`` is asked for.
+A matrix is built from its entries, ``NonnegMatrix(index, rows, cols,
+values)`` in any order, and held as the nonzero ones sorted by (row, col);
+the dense array is built only when ``.data`` is asked for.  Every public
+function also takes a dense array, which ``_coo`` turns into a matrix.
 
 rho is bracketed on the lag reduction.  On an eigenvector A x = s x, a row
 with a single entry A[v, p] (a delay line, say) has x_v = A[v, p] x_p / s,
@@ -43,46 +45,32 @@ __all__ = [
 class NonnegMatrix:
     """Square nonnegative matrix over an ordered index list.
 
-    It is held as its nonzero entries ``rows``, ``cols`` and ``values``,
-    sorted by (row, col).  ``NonnegMatrix(data, index)`` takes a dense
-    array; :meth:`from_entries` takes (row, col, value) triples.
+    ``NonnegMatrix(index, rows, cols, values)`` holds ``values[k]`` at
+    (``rows[k]``, ``cols[k]``), in any order, and 0 elsewhere, kept sorted by
+    (row, col) without zeros; a repeated position, or a value that is not
+    finite and nonnegative, raises ValueError.
     """
 
     __slots__ = ("index", "rows", "cols", "values")
 
-    def __init__(self, data, index):
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {data.shape}")
-        if data.shape[0] != len(index):
-            raise ValueError("index list length must match the dimension")
-        rows, cols = np.nonzero(data)
-        self._set(tuple(index), rows, cols, data[rows, cols])
-
-    @classmethod
-    def from_entries(cls, index, rows, cols, values) -> "NonnegMatrix":
-        """Entry ``values[k]`` at (``rows[k]``, ``cols[k]``), in any order;
-        zero values are dropped and every other position is 0."""
-        self = cls.__new__(cls)
-        n = len(index)
+    def __init__(self, index, rows, cols, values):
+        self.index = tuple(index)
+        n = len(self.index)
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
+        values = np.asarray(values, dtype=np.float64)
+        if rows.ndim != 1 or not rows.shape == cols.shape == values.shape:
+            raise ValueError("rows, cols and values must be lists of one length")
         if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
             raise ValueError("entry position out of range")
+        if not (np.isfinite(values).all() and (values >= 0).all()):
+            raise ValueError("entries must be finite and nonnegative")
         key = rows * n + cols
         order = np.argsort(key, kind="stable")
         if (np.diff(key[order]) == 0).any():
             raise ValueError("duplicate entry position")
-        self._set(tuple(index), rows[order], cols[order],
-                  np.asarray(values, dtype=np.float64)[order])
-        return self
-
-    def _set(self, index, rows, cols, values):
-        if not (np.isfinite(values).all() and (values >= 0).all()):
-            raise ValueError("entries must be finite and nonnegative")
-        nonzero = values != 0
-        self.index = index
-        self.rows, self.cols, self.values = rows[nonzero], cols[nonzero], values[nonzero]
+        order = order[values[order] != 0]
+        self.rows, self.cols, self.values = rows[order], cols[order], values[order]
 
     @property
     def n(self) -> int:
@@ -95,31 +83,21 @@ class NonnegMatrix:
         out[self.rows, self.cols] = self.values
         return out
 
-    def _at(self, row: int, col: int) -> float:
-        return float(self.values[(self.rows == row) & (self.cols == col)].sum())
-
     def entry(self, row_label: str, col_label: str) -> float:
-        return self._at(self.index.index(row_label), self.index.index(col_label))
-
-    def to_json_dict(self) -> dict:
-        """``indices`` in order, and ``entries``: each nonzero entry keyed
-        ``"row<-col"`` by its labels."""
-        labels = self.index
-        return {
-            "indices": list(labels),
-            "entries": {
-                f"{labels[j]}<-{labels[i]}": value
-                for j, i, value in zip(self.rows.tolist(), self.cols.tolist(),
-                                       self.values.tolist())
-            },
-        }
+        row, col = self.index.index(row_label), self.index.index(col_label)
+        return float(self.values[(self.rows == row) & (self.cols == col)].sum())
 
 
 def _coo(M) -> NonnegMatrix:
+    """``M`` itself, or the matrix of the dense square array ``M`` over
+    the labels "0", "1", ..."""
     if isinstance(M, NonnegMatrix):
         return M
     A = np.asarray(M, dtype=np.float64)
-    return NonnegMatrix(A, tuple(map(str, range(A.shape[0]))) if A.ndim == 2 else ())
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {A.shape}")
+    rows, cols = np.nonzero(A)
+    return NonnegMatrix(map(str, range(A.shape[0])), rows, cols, A[rows, cols])
 
 
 @dataclass(frozen=True)
@@ -335,13 +313,13 @@ def _bracket(A: NonnegMatrix) -> tuple[float, float, np.ndarray]:
     if not _normal(v[lv]).all():
         raise ConvergenceError("a component's Perron vector leaves the normal float range")
     # Collatz-Wielandt at v over each live component's entries: barring
-    # underflow, fl(Av)_i is within gamma_k * (Av)_i for a component of k
-    # vertices, and one more gamma term covers the division and the
+    # underflow, fl(Av)_i is within gamma_k * (Av)_i for a row of k entries
+    # in its component, and gamma_(k+2) also covers the division and the
     # rounding of 1 - gamma
     same = lv[A.rows] & (vcomp[A.rows] == vcomp[A.cols])
     ratios = (np.bincount(A.rows[same], A.values[same] * v[A.cols[same]], A.n) / v)[lv]
-    gamma = (np.bincount(vcomp, minlength=len(comps)) + 2) * (np.finfo(np.float64).eps / 2)
-    shrink = (1.0 - gamma / (1.0 - gamma))[vcomp[lv]]
+    gamma = (np.bincount(A.rows[same], minlength=A.n)[lv] + 2) * (np.finfo(np.float64).eps / 2)
+    shrink = 1.0 - gamma / (1.0 - gamma)
     least = np.full(len(comps), np.inf)
     np.minimum.at(least, vcomp[lv], ratios * shrink)
     lower = max(lower, float(np.nextafter(least[live].max(initial=-np.inf), 0.0)))
@@ -396,10 +374,10 @@ def theta_extension(M, row: int, col: int, alpha: float, lip: float, theta: floa
         raise ValueError("alpha and lip must be nonnegative")
     if theta <= 0:
         raise ValueError("theta must be positive")
-    entry = A._at(row, col)
+    other = (A.rows != row) | (A.cols != col)
+    entry = float(A.values[~other].sum())
     if abs(alpha + lip - entry) > 1e-12:
         raise ValueError(f"alpha + lip = {alpha + lip} does not match entry {entry}")
-    other = (A.rows != row) | (A.cols != col)
     rows = np.concatenate([A.rows[other] + 1, [1 + row, 0, 1 + row]])
     cols = np.concatenate([A.cols[other] + 1, [1 + col, 1 + col, 0]])
     values = np.concatenate([A.values[other], [lip, alpha, theta]])
@@ -409,4 +387,4 @@ def theta_extension(M, row: int, col: int, alpha: float, lip: float, theta: floa
     while aux in taken:
         k += 1
         aux = f"aux{k}"
-    return NonnegMatrix.from_entries((aux,) + A.index, rows, cols, values)
+    return NonnegMatrix((aux,) + A.index, rows, cols, values)

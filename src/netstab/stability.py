@@ -17,6 +17,11 @@ at a single point (one point walk) instead of bounding them over the box
 (one interval walk); that is the local linearization used to certify that
 a fixed point repels (a spectral radius below 1 here proves nothing
 global).  Only ``analyze`` renders the partials, as provenance text.
+
+The entries' order is decided once: ``_partials`` yields them by (row,
+column), the order ``NonnegMatrix`` keeps, and ``_bounded`` drops the zero
+bounds, so a report's provenance is a tuple aligned with the entries, which
+the JSON writes as ``[row, col, bound, provenance]`` (positions in ``indices``).
 """
 
 from __future__ import annotations
@@ -44,19 +49,30 @@ __all__ = [
 @dataclass(frozen=True)
 class StabilityReport:
     matrix: NonnegMatrix
-    rho: float  # midpoint of the certified bracket [rho_lower, rho_upper]
-    rho_lower: float
+    rho_lower: float  # the certified bracket [rho_lower, rho_upper]
     rho_upper: float
-    verdict: str  # "stable" | "inconclusive"
-    boundary: bool
-    provenance: dict[str, str]
+    # the text of each entry's partial, aligned with matrix.rows/cols/values
+    provenance: tuple[str, ...]
     # name -> text of each node the whole provenance shares and names, one
     # name per node, in definition order: a text uses only names before it
     shared: dict[str, str]
     cg_criterion: float | None = None
     network_name: str = ""
 
+    @property
+    def rho(self) -> float:  # the bracket's midpoint
+        return 0.5 * (self.rho_lower + self.rho_upper)
+
+    @property
+    def verdict(self) -> str:
+        return "stable" if self.rho_upper < 1.0 else "inconclusive"
+
+    @property
+    def boundary(self) -> bool:  # the bracket contains 1
+        return self.rho_lower <= 1.0 <= self.rho_upper
+
     def to_json_dict(self) -> dict:
+        m = self.matrix
         out = {
             "schema": REPORT_SCHEMA,
             "name": self.network_name,
@@ -65,11 +81,12 @@ class StabilityReport:
             "rho_upper": self.rho_upper,
             "verdict": self.verdict,
             "boundary": self.boundary,
-            "provenance": self.provenance,
+            "indices": list(m.index),
+            "entries": list(map(list, zip(m.rows.tolist(), m.cols.tolist(),
+                                          m.values.tolist(), self.provenance))),
             # pairs, since the sorted keys of an object would lose the order
             "shared": [[name, text] for name, text in self.shared.items()],
         }
-        out.update(self.matrix.to_json_dict())
         if self.cg_criterion is not None:
             out["cg_criterion"] = self.cg_criterion
         return out
@@ -88,7 +105,7 @@ def stability_matrix(net: TimeDelayedNetwork) -> NonnegMatrix:
 
 
 def _partials(net: TimeDelayedNetwork, indices):
-    """(row, column, partial) for each entry that can be nonzero.
+    """(row, column, partial) for each entry that can be nonzero, in that order.
 
     Row j < n holds, at each (source, delay) node j's update reads, that
     read's partial from one gradient walk of the update; a delay-line row
@@ -102,7 +119,7 @@ def _partials(net: TimeDelayedNetwork, indices):
             grad = ex.gradient(net.updates[target])
         except EvalError as err:
             raise EvalError(f"differentiating the update of {target}: {err}") from err
-        for ref in sorted(net.reads[target]):
+        for ref in sorted(net.reads[target], key=pos.__getitem__):
             yield j, pos[ref], grad.get(ref, zero)
     for j in range(net.size, len(indices)):
         yield j, pos[(indices[j].node, indices[j].depth - 1)], ex.Const(1.0)
@@ -133,8 +150,9 @@ def _evaluated(net: TimeDelayedNetwork, indices, entries, values: dict, kind: st
 
 
 def _bounded(net: TimeDelayedNetwork):
-    """The stability matrix and its (row, column, partial) entries, all
-    partials bounded in one interval walk."""
+    """The stability matrix and the partial of each of its entries, aligned
+    with its ``rows``, ``cols`` and ``values``: all partials are bounded in
+    one interval walk, and those bounded by 0 are dropped."""
     indices = state_indices(net)
     box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
     entries = list(_partials(net, indices))
@@ -145,14 +163,14 @@ def _bounded(net: TimeDelayedNetwork):
                 f"|{_entry(net, indices, j, i)}| is unbounded over the domain box "
                 f"(term: {ex.to_text(partial)})"
             )
-    labels = tuple(idx.label() for idx in indices)
-    rows, cols = [j for j, _, _ in entries], [i for _, i, _ in entries]
-    return NonnegMatrix.from_entries(labels, rows, cols, values), entries
+    kept = [(j, i, partial, sup) for (j, i, partial), sup in zip(entries, values) if sup]
+    rows, cols, partials, sups = zip(*kept) if kept else ((),) * 4
+    return NonnegMatrix((idx.label() for idx in indices), rows, cols, sups), partials
 
 
-def _provenance(net: TimeDelayedNetwork, labels, entries):
-    """The text of each entry's partial, keyed ``row<-col``, and the
-    shared subexpressions those texts name.
+def _provenance(net: TimeDelayedNetwork, partials):
+    """The text of each of ``partials``, and the shared subexpressions
+    those texts name.
 
     All distinct partials are rendered in one walk, which names what the
     whole report shares.  Names are fresh identifiers ``t1``, ``t2``, ...
@@ -166,10 +184,9 @@ def _provenance(net: TimeDelayedNetwork, labels, entries):
         shared[fresh] = text
         return fresh
 
-    partials = list(dict.fromkeys(partial for _, _, partial in entries))
-    texts = dict(zip(partials, ex._text(partials, name)))
-    provenance = {f"{labels[j]}<-{labels[i]}": texts[partial] for j, i, partial in entries}
-    return provenance, shared
+    distinct = list(dict.fromkeys(partials))
+    texts = dict(zip(distinct, ex._text(distinct, name)))
+    return tuple(texts[partial] for partial in partials), shared
 
 
 def analyze(net: TimeDelayedNetwork) -> StabilityReport:
@@ -181,8 +198,8 @@ def analyze(net: TimeDelayedNetwork) -> StabilityReport:
     Cohen-Grossberg constructor also report the closed-form criterion
     |1 - eps| + L * rho(|W|).
     """
-    matrix, entries = _bounded(net)
-    provenance, shared = _provenance(net, matrix.index, entries)
+    matrix, partials = _bounded(net)
+    provenance, shared = _provenance(net, partials)
     rho_lower, rho_upper = spectral_bracket(matrix)
     cg_criterion = None
     if net.cg is not None:
@@ -190,11 +207,8 @@ def analyze(net: TimeDelayedNetwork) -> StabilityReport:
         cg_criterion = abs(1.0 - net.cg.epsilon) + net.cg.lipschitz * spectral_radius(absW)
     return StabilityReport(
         matrix=matrix,
-        rho=0.5 * (rho_lower + rho_upper),
         rho_lower=rho_lower,
         rho_upper=rho_upper,
-        verdict="stable" if rho_upper < 1.0 else "inconclusive",
-        boundary=rho_lower <= 1.0 <= rho_upper,
         provenance=provenance,
         shared=shared,
         cg_criterion=cg_criterion,

@@ -65,8 +65,11 @@ class StructuralSetReport:
     """``counts``: branches per (source, target) pair, sorted; empty unless complete."""
     S: tuple[str, ...]
     complete: bool
-    basic: bool
     counts: dict[tuple[str, str], int] = field(hash=False)
+
+    @property
+    def basic(self) -> bool:  # complete, with at most one branch per endpoint pair
+        return self.complete and all(n <= 1 for n in self.counts.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -174,7 +177,6 @@ def _report(graph: InteractionGraph, S: tuple[str, ...], order) -> StructuralSet
     return StructuralSetReport(
         S=S,
         complete=order is not None,
-        basic=order is not None and all(n <= 1 for n in counts.values()),
         counts=dict(sorted(counts.items())),
     )
 

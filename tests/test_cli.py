@@ -40,7 +40,7 @@ def test_analyze_prints_rho_and_writes_report(in_tmp, capsys):
     assert "rho = 0.7" in out
     assert "verdict = stable" in out
     report = json.loads((in_tmp / "pair.report.json").read_text())
-    assert report["schema"] == "netstab-report/4"
+    assert report["schema"] == "netstab-report/5"
     assert report["verdict"] == "stable"
     bracket = f"certified bracket: {report['rho_lower']!r} <= rho <= {report['rho_upper']!r}"
     assert bracket in out
@@ -170,7 +170,7 @@ def test_every_report_is_one_line_of_sorted_strict_json(in_tmp, capsys, net):
         _strict_json(obj.to_json())
     written = {
         "net.report.json": report.to_json_dict(),
-        "net.sets.json": {"schema": "netstab-report/4",
+        "net.sets.json": {"schema": "netstab-report/5",
                           "sets": [rep.to_json_dict() for rep in sets]},
         "net.verdict.json": verdict.to_json_dict(),
     }
@@ -356,6 +356,45 @@ def test_simulate_reversed_box_is_domain_error(in_tmp, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "lo <= hi" in err
     assert not (in_tmp / "pair.verdict.json").exists()
+
+
+@pytest.mark.parametrize("domain", ["[-inf,-20]", "[1e300,inf]"])
+def test_simulate_one_sided_domain_needs_a_box(in_tmp, capsys, domain):
+    path = in_tmp / "one.net"
+    path.write_text(f"network one\nnode x1 domain {domain}\nupdate x1 = 0.5*x1\n")
+    assert run(["simulate", str(path), "--trials", "2", "--steps", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the default sampling box of x1") and "--box" in err
+    assert not (in_tmp / "one.verdict.json").exists()
+    box = "--box=-30,-20" if domain.startswith("[-inf") else "--box=1e300,2e300"
+    assert run(["simulate", str(path), "--trials", "2", "--steps", "10", box]) == 0
+
+
+# inputs at the edges of what a network file can say: every verb must end
+# in a result or one error line, never a traceback
+HOSTILE = {
+    "below_box": "node x1 domain [-inf,-20]\nupdate x1 = 0.5*x1\n",
+    "above_box": "node x1 domain [1e300,inf]\nupdate x1 = 0.5*x1\n",
+    "exp_on_the_line": "node x1 domain [-inf,inf]\nupdate x1 = exp(x1)\n",
+    "huge_sum": "node x1 domain [-1,1]\nupdate x1 = 1e308*x1 + 1e308*x1\n",
+    "extreme_delayed_weights": "node x1 domain [-1,1]\nnode x2 domain [-1,1]\n"
+                               "update x1 = 5e-324*x1[-3] + 0.5*x2\n"
+                               "update x2 = 1e300*x2[-64]\n",
+    "duplicate_node": "node x1 domain [-1,1]\nnode x1 domain [-1,1]\nupdate x1 = 0.5*x1\n",
+}
+
+
+@pytest.mark.parametrize("verb", ["analyze", "simulate", "sets", "dedelay"])
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_inputs_end_in_a_result_or_an_error_line(in_tmp, capsys, case, verb):
+    path = in_tmp / f"{case}.net"
+    path.write_text(f"network {case}\n{HOSTILE[case]}")
+    flags = ["--trials", "3", "--steps", "20"] if verb == "simulate" else []
+    code = run([verb, str(path), *flags])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_simulate_csv_start_window_lies_in_box(in_tmp):

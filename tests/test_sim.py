@@ -207,7 +207,7 @@ def test_attraction_verdict_json():
         gallery.undelayed_pair(0.5, 0.1, 1.0), trials=4, steps=1000, seed=0
     )
     data = verdict.to_json_dict()
-    assert data["schema"] == "netstab-report/4"
+    assert data["schema"] == "netstab-report/5"
     assert data["converged"] is True
     assert data["trials"] == 4
 
@@ -386,6 +386,26 @@ def test_sampling_box_mixes_box_and_domain_bounds():
     assert lo.tolist() == [0.5, -1.0] and hi.tolist() == [0.75, 2.0]
     lo, hi = sampling_box(net)
     assert lo.tolist() == [-10.0, -1.0] and hi.tolist() == [10.0, 2.0]
+
+
+def test_sampling_box_of_one_sided_domains():
+    # an infinite end still defaults to -10 or 10 wherever the box that
+    # leaves is not empty
+    inf = float("inf")
+    for (dom_lo, dom_hi), want in (((-inf, -5.0), [-10.0, -5.0]), ((5.0, inf), [5.0, 10.0]),
+                                   ((-inf, -10.0), [-10.0, -10.0]), ((10.0, inf), [10.0, 10.0])):
+        net = build_network([("x1", Interval(dom_lo, dom_hi))], [("x1", "0.5*x1")])
+        assert [b.item() for b in sampling_box(net)] == want
+    # beyond it, the node must be given a box
+    for dom_lo, dom_hi in ((-inf, -20.0), (1e300, inf)):
+        net = build_network([("x1", Interval(dom_lo, dom_hi))], [("x1", "0.5*x1")])
+        with pytest.raises(NetworkError, match=r"sampling box of x1, .* --box or sample_box"):
+            sampling_box(net)
+        with pytest.raises(NetworkError, match="sample_box"):
+            verify_global_attraction(net, trials=2, steps=10)
+        lo, hi = sampling_box(net, {"x1": (dom_lo if dom_lo > -inf else -30.0,
+                                            dom_hi if dom_hi < inf else 2e300)})
+        assert lo[0] < hi[0]
 
 
 def test_conjugacy_trivial_on_undelayed():

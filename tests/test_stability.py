@@ -15,6 +15,7 @@ from netstab.expr import Interval
 from netstab.network import build_network, dump_network, load_network, make_cohen_grossberg
 from netstab.spectral import spectral_radius
 from netstab.stability import (
+    _bounded,
     _partials,
     analyze,
     jacobian_matrix,
@@ -126,15 +127,30 @@ def test_analyze_tanh_ring_inconclusive():
 def test_analyze_report_json():
     report = analyze(gallery.undelayed_pair(0.5, 0.1, 1.0))
     data = json.loads(report.to_json())
-    assert data["schema"] == "netstab-report/4"
+    assert data["schema"] == "netstab-report/5"
     assert data["verdict"] == "stable"
     assert data["rho_lower"] <= data["rho"] <= data["rho_upper"] < 1.0
     assert data["rho"] == 0.5 * (data["rho_lower"] + data["rho_upper"])
     assert data["indices"] == ["x1", "x2"]
     off = 0.2000000000000001  # the interval bound of 2|ab| = 0.2
-    assert data["entries"] == {"x1<-x1": 0.5, "x1<-x2": off, "x2<-x1": off, "x2<-x2": 0.5}
-    assert data["provenance"]["x1<-x2"]
+    # [row, col, bound, provenance], positions in indices
+    assert [entry[:3] for entry in data["entries"]] == [
+        [0, 0, 0.5], [0, 1, off], [1, 0, off], [1, 1, 0.5]]
+    assert list(report.provenance) == [entry[3] for entry in data["entries"]]
+    assert all(report.provenance) and "provenance" not in data
     assert data["shared"] == []
+
+
+def test_entries_carry_bound_and_provenance_together():
+    # d(x1)/d(x1) = x2 is bounded by 0 on x2's domain [0, 0], so that entry
+    # has neither a bound nor a provenance
+    net = load_network("network drift\nnode x1 domain [-1,1]\nnode x2 domain [0,0]\n"
+                       "update x1 = x1*x2\nupdate x2 = 0.5*x2\n")
+    report = analyze(net)
+    assert report.provenance == ("x1", "0.5")
+    data = json.loads(report.to_json())
+    assert data["indices"] == ["x1", "x2"]
+    assert data["entries"] == [[0, 1, 1.0, "x1"], [1, 1, 0.5, "0.5"]]
 
 
 def test_analyze_boundary_flag():
@@ -164,12 +180,20 @@ def test_radius_just_below_one_is_stable():
     assert not report.boundary
 
 
+def _by_label(report) -> dict[tuple[str, str], str]:
+    """(row label, column label) -> the provenance of each entry."""
+    m, labels = report.matrix, report.matrix.index
+    return {(labels[j], labels[i]): text
+            for j, i, text in zip(m.rows.tolist(), m.cols.tolist(), report.provenance)}
+
+
 def test_provenance_names_partials():
     report = analyze(gallery.delayed_pair(0.5, 0.1, 1.0))
-    assert any("sech" in v for v in report.provenance.values())
+    assert any("sech" in v for v in report.provenance)
     # delayed reads print in the rules' own notation
-    assert report.provenance["x1<-x2@3"] == "0.2 * (sech(x2[-3]) * sech(x2[-3]))"
-    assert report.provenance["x1@2<-x1@1"] == "1.0"
+    texts = _by_label(report)
+    assert texts[("x1", "x2@3")] == "0.2 * (sech(x2[-3]) * sech(x2[-3]))"
+    assert texts[("x1@2", "x1@1")] == "1.0"
 
 
 @pytest.mark.parametrize("net", [
@@ -186,19 +210,18 @@ def test_constant_partials_match_the_generic_path(net):
     # the per-partial reference for the one-walk assembly: each partial
     # bounded by its own eval_interval and printed by its own to_text,
     # constants and delay-line rows included, once the report's shared
-    # names are spelled out
+    # names are spelled out, in the order of the partials, which is the
+    # matrix's (row, col) order
     indices = state_indices(net)
-    labels = [idx.label() for idx in indices]
     box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
     data = np.zeros((len(indices), len(indices)))
-    provenance = {}
     for j, i, partial in _partials(net, indices):
         data[j, i] = ex.eval_interval(partial, box).sup_abs()
-        provenance[f"{labels[j]}<-{labels[i]}"] = ex.to_text(partial)
     report = analyze(net)
     assert report.matrix.data.tobytes() == data.tobytes()
-    assert _spelled_out(report) == provenance
-    assert list(report.provenance) == list(provenance)
+    plain = _plain_provenance(net)
+    assert list(plain) == sorted(plain)
+    assert list(_spelled_out(report).items()) == list(plain.items())
 
 
 def _count_walks(monkeypatch) -> list[tuple[str, int]]:
@@ -286,8 +309,9 @@ def test_partials_walk_each_base_rule_once(monkeypatch):
 _IDENT = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _spelled_out(report) -> dict[str, str]:
-    """The provenance with every shared name replaced by its full text.
+def _spelled_out(report) -> dict[tuple[int, int], str]:
+    """(row, col) -> each entry's provenance with every shared name
+    replaced by its full text.
 
     Names are put back in definition order, so a name used before its
     definition would stay in the text."""
@@ -298,14 +322,18 @@ def _spelled_out(report) -> dict[str, str]:
 
     for name, text in report.shared.items():
         full[name] = put_back(text)
-    return {key: put_back(text) for key, text in report.provenance.items()}
+    m = report.matrix
+    return {(j, i): put_back(text)
+            for j, i, text in zip(m.rows.tolist(), m.cols.tolist(), report.provenance)}
 
 
-def _plain_provenance(net) -> dict[str, str]:
+def _plain_provenance(net) -> dict[tuple[int, int], str]:
+    """(row, col) -> the text of each partial not bounded by 0, each by its
+    own walks."""
     indices = state_indices(net)
-    labels = [idx.label() for idx in indices]
-    return {f"{labels[j]}<-{labels[i]}": ex.to_text(partial)
-            for j, i, partial in _partials(net, indices)}
+    box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
+    return {(j, i): ex.to_text(partial) for j, i, partial in _partials(net, indices)
+            if ex.eval_interval(partial, box).sup_abs()}
 
 
 def _restricted_diamond(k: int, rename: str = "s"):
@@ -374,8 +402,8 @@ def test_one_text_walk_names_what_the_expanded_report_shares(monkeypatch):
 
     monkeypatch.setattr(ex, "_text", counted)
     report = analyze(net)
-    assert calls == [len({partial for _, _, partial in _partials(net, state_indices(net))})]
-    texts = [*report.provenance.values(), *report.shared.values()]
+    assert calls == [len(set(_bounded(net)[1]))]
+    texts = [*report.provenance, *report.shared.values()]
     # the 256 partials of s share most of their nodes, which one walk
     # names once: naming what each partial shares within itself alone
     # writes 2.0 M characters
