@@ -58,15 +58,17 @@ For a ring the times are ``assemble_ms`` (``stability_matrix``: the
 partials and their bounds, no provenance text), ``analyze_ms`` (the
 whole ``analyze``: assembly, provenance and bracket) and ``bracket_ms``.
 
-The structural layer searches five interaction graphs for their first
+The structural layer searches seven interaction graphs for their first
 16 complete structural sets, as ``netstab sets`` does: those of
 ``tests/gen.py``'s random networks at 16, 24 and 40 nodes (rng seeded
 with the node count), where most vertices read themselves and are forced
-into every set, a loop-free 20-vertex graph where every vertex reads
-two others (``loop_free_graph``, rng 0), where none is, and the k = 10
-diamond (rng 10), whose sets each have up to 2^10 branches.  It records
-the best of ``--repeats`` wall times in ms, the sets found, the smallest
-set's size and ``report_chars``, what ``netstab sets -o`` writes for them.
+into every set, loop-free graphs of 20, 32 and 36 vertices where every
+vertex reads two others (``loop_free_graph``, rng 0), where almost none
+is, so the search runs through hundreds of thousands of candidates, and
+the k = 10 diamond (rng 10), whose sets each have up to 2^10 branches.
+It records the best of ``--repeats`` wall times in ms, the sets found,
+the smallest set's size and ``report_chars``, what ``netstab sets -o``
+writes for them.
 
 The orbit layer runs the 48-node delayed ring of ``tests/gen.py``'s
 ``build_benchmark_network`` (the contracting ring of the
@@ -326,7 +328,8 @@ def sets_text(reports) -> str:
 def bench_structural(repeats: int) -> list[dict]:
     graphs = [(f"random{n}", interaction_graph(random_network(np.random.default_rng(n), n)))
               for n in (16, 24, 40)]
-    graphs.append(("loop_free20", loop_free_graph(np.random.default_rng(0), 20)))
+    graphs += [(f"loop_free{n}", loop_free_graph(np.random.default_rng(0), n))
+               for n in (20, 32, 36)]
     diamond = diamond_text(diamond_spec(np.random.default_rng(10), 10), "diamond")
     graphs.append(("diamond10", interaction_graph(load_network(diamond))))
     rows = []

@@ -45,10 +45,7 @@ from .stability import (
     stability_matrix,
 )
 from .structural import (
-    Branch,
     StructuralSetReport,
-    admissible_sequences,
-    branch_set,
     find_structural_sets,
     is_basic_structural,
     is_complete_structural,
@@ -68,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttractionVerdict",
     "AugmentedNetwork",
-    "Branch",
     "ConvergenceError",
     "EvalError",
     "InteractionGraph",
@@ -84,9 +80,7 @@ __all__ = [
     "Trajectory",
     "TransformError",
     "UnboundedDerivativeError",
-    "admissible_sequences",
     "analyze",
-    "branch_set",
     "build_network",
     "conjugacy_check",
     "dedelay",

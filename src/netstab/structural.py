@@ -8,56 +8,26 @@ are where restriction and expansion are defined; basic sets are where
 the restricted verdict transfers back to the original network.
 
 One topological order of G - S decides a set: it shows G - S acyclic,
-and path counts along it give the branches per endpoint pair.  Only
-``branch_set`` and ``admissible_sequences`` list branches, of which
-there can be exponentially many.
+and path counts along it give the branches per endpoint pair, of which
+there can be exponentially many; no branch is listed.  The search for
+sets chooses the non-forced part of S vertex by vertex in lexicographic
+order, and skips every choice whose passed-over vertices hold a cycle.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from math import comb
 
 from .errors import ConvergenceError, NetworkError, _iteration_cap
 from .network import REPORT_SCHEMA, InteractionGraph, report_json
 
 __all__ = [
-    "Branch",
     "StructuralSetReport",
-    "branch_set",
     "is_complete_structural",
     "is_basic_structural",
-    "admissible_sequences",
     "find_structural_sets",
 ]
-
-
-@dataclass(frozen=True)
-class Branch:
-    """Vertex sequence l1, ..., lN (N >= 2): endpoints in S, interior
-    outside S, vertices distinct except possibly l1 == lN (a cycle)."""
-
-    vertices: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) < 2:
-            raise ValueError("a branch has at least two vertices")
-
-    @property
-    def source(self) -> str:
-        return self.vertices[0]
-
-    @property
-    def target(self) -> str:
-        return self.vertices[-1]
-
-    @property
-    def interior(self) -> tuple[str, ...]:
-        return self.vertices[1:-1]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -90,29 +60,6 @@ def _check_subset(graph: InteractionGraph, S) -> tuple[str, ...]:
     if unknown:
         raise NetworkError(f"not vertices of the graph: {unknown}")
     return S
-
-
-def branch_set(graph: InteractionGraph, S) -> list[Branch]:
-    """All paths/cycles with endpoints in S and no interior vertex in S.
-
-    Depth-first enumeration, with an explicit stack, from each S vertex
-    through non-S interiors; output in lexicographic order of the vertex
-    sequences.
-    """
-    S = _check_subset(graph, S)
-    in_s = set(S)
-    found: list[Branch] = []
-    for start in S:
-        stack = [(start,)]
-        while stack:
-            path = stack.pop()
-            for nxt in graph.successors(path[-1]):
-                if nxt in in_s:
-                    found.append(Branch(path + (nxt,)))
-                elif nxt not in path:
-                    stack.append(path + (nxt,))
-    found.sort(key=lambda b: b.vertices)
-    return found
 
 
 def _forced(graph: InteractionGraph) -> set[str]:
@@ -160,25 +107,41 @@ def _complete(graph: InteractionGraph, S) -> list[str] | None:
 
 
 def _report(graph: InteractionGraph, S: tuple[str, ...], order) -> StructuralSetReport:
-    """The report on S, given a topological order of G - S when S is
-    complete, else None: along it, each vertex outside S sums per source
-    the paths into its predecessors, and each S vertex counts branches."""
-    counts = Counter()
+    """The report on S (sorted), given a topological order of G - S when S
+    is complete, else None.  Each S vertex adds its edges: one into S is a
+    branch, and one out of S starts a path at its head.  Along the order,
+    each vertex outside S holds its paths per source and passes them on to
+    its successors, counting those that end in S as branches."""
+    counts: dict[tuple[str, str], int] = {}
     if order is not None:
         in_s = set(S)
-        paths = {v: Counter() for v in order}  # vertex -> {source: paths into it}
-        paths.update((s, Counter({s: 1})) for s in S)
-        for v in (*S, *order):
-            for w in graph.successors(v):
+        successors = graph.successors
+        branches: dict[str, dict[str, int]] = {s: {} for s in S}  # source -> {target: branches}
+        paths: dict[str, dict[str, int]] = {}  # vertex outside S -> {source: paths into it}
+        for s in S:
+            for w in successors(s):
                 if w in in_s:
-                    counts.update({(s, w): n for s, n in paths[v].items()})
+                    branches[s][w] = 1
                 else:
-                    paths[w].update(paths[v])
-    return StructuralSetReport(
-        S=S,
-        complete=order is not None,
-        counts=dict(sorted(counts.items())),
-    )
+                    paths.setdefault(w, {})[s] = 1
+        for v in order:
+            into = paths.pop(v, None)
+            if into is None:  # no path reaches v
+                continue
+            for w in successors(v):
+                if w in in_s:
+                    for s, n in into.items():
+                        row = branches[s]
+                        row[w] = row.get(w, 0) + n
+                    continue
+                out = paths.get(w)
+                if out is None:
+                    paths[w] = dict(into)
+                else:
+                    for s, n in into.items():
+                        out[s] = out.get(s, 0) + n
+        counts = {(s, w): row[w] for s, row in branches.items() for w in sorted(row)}
+    return StructuralSetReport(S=S, complete=order is not None, counts=counts)
 
 
 def is_complete_structural(graph: InteractionGraph, S) -> bool:
@@ -195,12 +158,6 @@ def is_basic_structural(graph: InteractionGraph, S) -> bool:
     return report_for(graph, S).basic
 
 
-def admissible_sequences(graph: InteractionGraph, S) -> list[Branch]:
-    """Branches with more than two vertices; each spawns a delay chain in
-    the expansion."""
-    return [b for b in branch_set(graph, S) if len(b) > 2]
-
-
 def report_for(graph: InteractionGraph, S) -> StructuralSetReport:
     S = _check_subset(graph, S)
     return _report(graph, S, _complete(graph, S))
@@ -214,36 +171,68 @@ def find_structural_sets(
 
     The search is exact at every graph size.  Every complete set contains
     the forced vertices F (a loop, no predecessor or no successor), and
-    F plus a set C of the other vertices is complete iff deleting it leaves
-    the graph acyclic, so the candidates are F + C over C by size and then
-    lexicographically, which is the (|S|, lex) order of the sets.  The
-    order of G - S that shows a candidate acyclic also counts its branches.
-    At most ``NETSTAB_MAX_ITERS`` candidates are tried (default 2^20, every
-    C of 20 free vertices); the next one raises ConvergenceError.
+    F plus a set C of the other vertices, the free ones, is complete iff
+    deleting it leaves the graph acyclic, so the candidates are F + C over
+    C by size and then lexicographically, which is the (|S|, lex) order of
+    the sets.  Each size's C are chosen by a depth-first search over
+    increasing indices into the sorted free vertices, in the order of
+    ``itertools.combinations``.  A free vertex passed over is left out of
+    every C below that point, so when the vertices passed over induce a
+    cycle no C that passes them is acyclic, and the search skips them all.
+    The order of G - S that shows a candidate acyclic also counts its
+    branches.  At most ``NETSTAB_MAX_ITERS`` candidates are tried (default
+    2^20, every C of 20 free vertices), skipped ones included; the next one
+    raises ConvergenceError.
     """
     if max_results < 1:
         raise ValueError("max_results must be positive")
     forced = _forced(graph)
     free = sorted(set(graph.vertices) - forced)
+    m = len(free)
     succ = {v: tuple(w for w in graph.successors(v) if w not in forced) for v in free}
     cap = _iteration_cap(1 << 20)
     tried = 0
     results: list[StructuralSetReport] = []
-    for size in range(len(free) + 1):
-        for combo in combinations(free, size):
-            if tried == cap:
-                raise ConvergenceError(
-                    f"structural-set search stopped after {cap} candidate sets at "
-                    f"|S| = {len(forced) + size}, with {len(results)} sets found"
-                )
-            tried += 1
-            order = _order(succ, combo)
-            if order is None:
-                continue
-            rep = _report(graph, tuple(sorted(forced.union(combo))), order)
-            if want_basic and not rep.basic:
-                continue
-            results.append(rep)
-            if len(results) >= max_results:
-                return results
+
+    def stop(size: int) -> ConvergenceError:
+        return ConvergenceError(
+            f"structural-set search stopped after {cap} candidate sets at "
+            f"|S| = {len(forced) + size}, with {len(results)} sets found"
+        )
+
+    for size in range(m + 1):
+        chosen: list[int] = []  # indices into free of C's vertices so far
+        i = 0  # the index the search chooses next
+        while True:
+            left = size - len(chosen)  # choices still to make, this one included
+            if left and i <= m - left:
+                # the vertices passed over (before i, not chosen) stay out of
+                # every C this node reaches from i on.  At the node's first
+                # index they are the parent's, tested there, and a cycle
+                # among them needs two, as no free vertex has a loop
+                first = chosen[-1] + 1 if chosen else 0
+                passed = [] if i == first else [free[j] for j in range(i) if j not in chosen]
+                if len(passed) < 2 or _order({v: succ[v] for v in passed}, ()) is not None:
+                    chosen.append(i)
+                    i += 1
+                    continue
+                # every C left at this node passes over a cycle
+                tried += comb(m - i, left)
+                if tried > cap:
+                    raise stop(size)
+            elif not left:
+                if tried == cap:
+                    raise stop(size)
+                tried += 1
+                combo = [free[j] for j in chosen]
+                order = _order(succ, combo)
+                if order is not None:
+                    rep = _report(graph, tuple(sorted(forced.union(combo))), order)
+                    if not want_basic or rep.basic:
+                        results.append(rep)
+                        if len(results) >= max_results:
+                            return results
+            if not chosen:
+                break
+            i = chosen.pop() + 1
     return results

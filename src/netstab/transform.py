@@ -126,7 +126,7 @@ def expand(net: TimeDelayedNetwork, S) -> AugmentedNetwork:
     Distinct branches with the same source get distinct chains, so the
     state dimension is |S| + sum over admissible branches of (length - 2).
     Chains are named as the inliner meets their branches and laid out in
-    sorted branch order, as ``admissible_sequences`` lists them.
+    the lexicographic order of the branches' vertex sequences.
     """
     S = _check_preconditions(net, S)
     in_s = set(S)

@@ -7,6 +7,8 @@ orbits stay bounded: |leak| < 1 and every nonlinearity is bounded.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from netstab.expr import BinOp, Call, Const, Expr, Interval, Var
@@ -19,7 +21,7 @@ from netstab.network import (
     make_cohen_grossberg,
     network_from_exprs,
 )
-from netstab.structural import find_structural_sets
+from netstab.structural import _check_subset, find_structural_sets
 
 BOUNDED_FUNCS = ("tanh", "sin", "cos", "sech")
 
@@ -105,6 +107,63 @@ def loop_free_graph(rng: np.random.Generator, n: int, reads: int = 2) -> Interac
         for i in rng.choice([i for i in range(n) if i != j], size=reads, replace=False):
             edges[(vertices[int(i)], vertices[j])] = frozenset({0})
     return InteractionGraph(vertices=vertices, edges=edges)
+
+
+@dataclass(frozen=True)
+class Branch:
+    """Vertex sequence l1, ..., lN (N >= 2): endpoints in S, interior
+    outside S, vertices distinct except possibly l1 == lN (a cycle)."""
+
+    vertices: tuple[str, ...]
+
+    def __post_init__(self):
+        if len(self.vertices) < 2:
+            raise ValueError("a branch has at least two vertices")
+
+    @property
+    def source(self) -> str:
+        return self.vertices[0]
+
+    @property
+    def target(self) -> str:
+        return self.vertices[-1]
+
+    @property
+    def interior(self) -> tuple[str, ...]:
+        return self.vertices[1:-1]
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+
+def branch_set(graph: InteractionGraph, S) -> list[Branch]:
+    """Oracle: all paths/cycles with endpoints in S and no interior vertex
+    in S, which ``structural`` counts without listing.
+
+    Depth-first enumeration, with an explicit stack, from each S vertex
+    through non-S interiors; output in lexicographic order of the vertex
+    sequences.
+    """
+    S = _check_subset(graph, S)
+    in_s = set(S)
+    found: list[Branch] = []
+    for start in S:
+        stack = [(start,)]
+        while stack:
+            path = stack.pop()
+            for nxt in graph.successors(path[-1]):
+                if nxt in in_s:
+                    found.append(Branch(path + (nxt,)))
+                elif nxt not in path:
+                    stack.append(path + (nxt,))
+    found.sort(key=lambda b: b.vertices)
+    return found
+
+
+def admissible_sequences(graph: InteractionGraph, S) -> list[Branch]:
+    """Oracle: branches with more than two vertices; each spawns a delay
+    chain in the expansion."""
+    return [b for b in branch_set(graph, S) if len(b) > 2]
 
 
 def random_complete_set(rng: np.random.Generator, net: TimeDelayedNetwork):

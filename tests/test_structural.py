@@ -4,15 +4,13 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from gen import diamond_network, loop_free_graph, random_network
+from gen import admissible_sequences, branch_set, diamond_network, loop_free_graph, random_network
 
 from netstab import gallery, structural
-from netstab.errors import ConvergenceError
+from netstab.errors import ConvergenceError, _iteration_cap
 from netstab.expr import Interval
 from netstab.network import InteractionGraph, build_network, interaction_graph
 from netstab.structural import (
-    admissible_sequences,
-    branch_set,
     find_structural_sets,
     is_basic_structural,
     is_complete_structural,
@@ -412,13 +410,10 @@ def test_branch_counts_match_the_branch_set():
     assert checked >= 800
 
 
-def test_reports_enumerate_no_branch(monkeypatch):
+def test_reports_enumerate_no_branch():
     # a 12-layer diamond has 4096 branches from s back to s; its reports
-    # count them without listing one
-    def refuse(graph, S):
-        raise AssertionError("branch_set called")
-
-    monkeypatch.setattr(structural, "branch_set", refuse)
+    # count them without listing one: the library has no branch lister
+    assert not hasattr(structural, "branch_set")
     g = interaction_graph(diamond_network(np.random.default_rng(12), 12))
     rep = report_for(g, ["s"])
     assert rep.complete and not rep.basic
@@ -429,3 +424,81 @@ def test_reports_enumerate_no_branch(monkeypatch):
     assert len(reports) == 16 and reports[0].S == ("s",)
     for rep in find_structural_sets(interaction_graph(gallery.six_node()), True, 64):
         assert rep.basic
+
+
+def plain_search(graph, want_basic, max_results):
+    """Oracle: the search without skips, F plus each C of
+    ``itertools.combinations`` order, one candidate at a time, raising at
+    candidate ``NETSTAB_MAX_ITERS`` + 1."""
+    forced = structural._forced(graph)
+    free = sorted(set(graph.vertices) - forced)
+    succ = {v: tuple(w for w in graph.successors(v) if w not in forced) for v in free}
+    cap = _iteration_cap(1 << 20)
+    tried = 0
+    results = []
+    for size in range(len(free) + 1):
+        for combo in combinations(free, size):
+            if tried == cap:
+                raise ConvergenceError(
+                    f"structural-set search stopped after {cap} candidate sets at "
+                    f"|S| = {len(forced) + size}, with {len(results)} sets found"
+                )
+            tried += 1
+            order = structural._order(succ, combo)
+            if order is None:
+                continue
+            rep = structural._report(graph, tuple(sorted(forced.union(combo))), order)
+            if want_basic and not rep.basic:
+                continue
+            results.append(rep)
+            if len(results) >= max_results:
+                return results
+    return results
+
+
+def outcome(search, graph, want_basic, max_results):
+    """The sets and their counts that ``search`` returns, or its error."""
+    try:
+        return [(rep.S, rep.counts) for rep in search(graph, want_basic, max_results)]
+    except ConvergenceError as err:
+        return str(err)
+
+
+def test_skipped_candidates_count_toward_the_cap(monkeypatch):
+    # the search skips candidates whose passed-over vertices hold a cycle,
+    # yet returns the same sets, or stops at the same candidate with the
+    # same message, as trying each candidate in turn
+    verts = tuple(f"v{i}" for i in range(8))
+    graphs = [InteractionGraph(vertices=verts, edges={
+        (a, b): frozenset({0}) for a in verts for b in verts if a != b})]
+    rng = np.random.default_rng(109)
+    graphs += [loop_free_graph(rng, n) for n in (10, 10, 14, 14)]
+    graphs += [interaction_graph(random_network(rng, 13)) for _ in range(3)]
+    stopped = 0
+    for cap in (*range(1, 81), 200, 1000, 5000):
+        monkeypatch.setenv("NETSTAB_MAX_ITERS", str(cap))
+        for g in graphs:
+            for want_basic in (False, True):
+                for max_results in (1, 16):
+                    expected = outcome(plain_search, g, want_basic, max_results)
+                    assert outcome(find_structural_sets, g, want_basic, max_results) == expected
+                    stopped += isinstance(expected, str)
+    assert stopped >= 1000
+
+
+def test_skips_save_most_of_the_search(monkeypatch):
+    # trying every C of the 29 free vertices in turn, up to the 16th set
+    # (|C| = 5), takes 150,986 topological sorts; skipping the candidates
+    # that pass over a cycle leaves under a quarter of them, tests included
+    calls = 0
+    order = structural._order
+
+    def counted(succ, removed):
+        nonlocal calls
+        calls += 1
+        return order(succ, removed)
+
+    monkeypatch.setattr(structural, "_order", counted)
+    reports = find_structural_sets(loop_free_graph(np.random.default_rng(0), 32))
+    assert len(reports) == 16 and min(len(rep.S) for rep in reports) == 8
+    assert calls <= 150_986 // 4
