@@ -49,7 +49,9 @@ used to cost the most, n = 200, D <= 64 (8793 coordinates) and n = 1000,
 D <= 8 (6451 coordinates, 1000 of them kept).  It also brackets three
 1000-vertex components of ``tests/gen.py``'s ``chained_component``
 (rng 1), whose kept block holds 25, 50 and 90 % of the vertices and whose
-other vertices are delay chains spliced into its edges.
+other vertices are delay chains spliced into its edges, and a
+32,000-vertex chain where each vertex reads itself and its predecessor
+(``chain_components``), so every vertex is a component of its own.
 It records the best of ``--repeats`` wall times in ms, the dimension, the
 nonzero entries, the vertices the lag-block reduction keeps (those whose
 row does not hold exactly one entry), the certified bracket, whether
@@ -155,6 +157,8 @@ SPECTRAL_RINGS = (
 )
 # the share of vertices in the kept block of each chained component
 CHAINED_KEPT = (0.25, 0.5, 0.9)
+# vertices of the chain whose every vertex is a one-vertex component
+CHAIN_COMPONENTS = 32_000
 
 
 def distinct_nodes(e) -> int:
@@ -317,6 +321,11 @@ def bench_spectral(repeats: int) -> list[dict]:
         del dense
         rows.append({"chained_kept": share, **spectral_row(matrix, repeats),
                      "peak_rss_mb": round(peak_rss_mb(), 1)})
+    n = CHAIN_COMPONENTS
+    matrix = NonnegMatrix(map(str, range(n)), np.r_[:n, 1:n], np.r_[:n, :n - 1],
+                          np.r_[np.full(n, 0.5), np.full(n - 1, 0.25)])
+    rows.append({"chain_components": n, **spectral_row(matrix, repeats),
+                 "peak_rss_mb": round(peak_rss_mb(), 1)})
     return rows
 
 

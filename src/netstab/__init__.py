@@ -27,11 +27,9 @@ from .network import (
     make_cohen_grossberg,
     max_delay_profile,
 )
-from .delays import AugmentedNetwork, StateIndex, dedelay, shift_delay, undelay
+from .delays import AugmentedNetwork, dedelay, shift_delay, undelay
 from .spectral import (
     NonnegMatrix,
-    is_irreducible,
-    perron_eigenvector,
     spectral_bracket,
     spectral_radius,
     strongly_connected_components,
@@ -74,7 +72,6 @@ __all__ = [
     "NonnegMatrix",
     "ParseError",
     "StabilityReport",
-    "StateIndex",
     "StructuralSetReport",
     "TimeDelayedNetwork",
     "Trajectory",
@@ -92,7 +89,6 @@ __all__ = [
     "interaction_graph",
     "is_basic_structural",
     "is_complete_structural",
-    "is_irreducible",
     "is_non_distributed",
     "iterate_orbit",
     "jacobian_matrix",
@@ -101,7 +97,6 @@ __all__ = [
     "make_cohen_grossberg",
     "max_delay_profile",
     "parse_expression",
-    "perron_eigenvector",
     "restrict",
     "shift_delay",
     "spectral_bracket",

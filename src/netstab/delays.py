@@ -7,11 +7,14 @@ i.e. merged across all readers: coordinates that would always carry the
 same value are represented once.  ``undelay`` sets every delay to zero,
 and ``shift_delay`` moves a single reference one step toward the present.
 
-This module alone fixes the augmented coordinates: ``state_indices``
-gives their order (the stability matrix of a delayed network is indexed
-by it without building the de-delayed network), and ``_with_lines``
-appends the identity delay chains that ``dedelay`` and ``transform.expand``
-add.
+This module alone fixes the augmented coordinates.  A coordinate is the
+(node, depth) pair of the read whose value it carries, the key that
+``TimeDelayedNetwork.reads`` uses (depth 0 is the node's current value);
+``state_indices`` gives their order (the stability matrix of a delayed
+network is indexed by it without building the de-delayed network),
+``label`` writes the ``x`` and ``x@d`` labels of matrices and reports, and
+``_with_lines`` appends the identity delay chains that ``dedelay`` and
+``transform.expand`` add.
 """
 
 from __future__ import annotations
@@ -24,21 +27,8 @@ from .expr import Expr, Interval, Var
 from .network import TimeDelayedNetwork, max_delay_profile, network_from_exprs
 
 __all__ = [
-    "StateIndex", "AugmentedNetwork", "state_indices", "dedelay", "undelay",
-    "shift_delay",
+    "AugmentedNetwork", "state_indices", "label", "dedelay", "undelay", "shift_delay",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class StateIndex:
-    """Coordinate of the augmented state: a node's value ``depth`` steps
-    back.  ``depth == 0`` is the node's current value."""
-
-    node: str
-    depth: int = 0
-
-    def label(self) -> str:
-        return self.node if self.depth == 0 else f"{self.node}@{self.depth}"
 
 
 @dataclass(frozen=True)
@@ -56,18 +46,20 @@ class AugmentedNetwork:
     def coords(self) -> tuple[str, ...]:
         return self.net.nodes
 
-    @property
-    def indices(self) -> tuple[StateIndex, ...]:
-        return tuple(StateIndex(*self.projection[c]) for c in self.net.nodes)
 
-
-def state_indices(net: TimeDelayedNetwork) -> tuple[StateIndex, ...]:
-    """The de-delayed coordinates of ``net`` in order: every node at
-    depth 0, then each node's depths 1 .. the largest delay it is read at."""
+def state_indices(net: TimeDelayedNetwork) -> tuple[tuple[str, int], ...]:
+    """The de-delayed coordinates of ``net`` in order, as (node, depth)
+    pairs: every node at depth 0, then each node's depths 1 .. the largest
+    delay it is read at."""
     profile = max_delay_profile(net)
-    return tuple(StateIndex(n, 0) for n in net.nodes) + tuple(
-        StateIndex(n, d) for n in net.nodes for d in range(1, profile[n] + 1)
+    return tuple((n, 0) for n in net.nodes) + tuple(
+        (n, d) for n in net.nodes for d in range(1, profile[n] + 1)
     )
+
+
+def label(node: str, depth: int) -> str:
+    """A coordinate's label: ``x`` at depth 0, else ``x@depth``."""
+    return node if depth == 0 else f"{node}@{depth}"
 
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -84,23 +76,23 @@ def _with_lines(
     nodes: tuple[str, ...],
     domains: dict[str, Interval],
     updates: dict[str, Expr],
-    lines: list[tuple[str, StateIndex]],
+    lines: list[tuple[str, tuple[str, int]]],
     name: str,
 ) -> AugmentedNetwork:
     """``nodes`` with their ``updates``, plus identity delay lines.
 
-    ``lines`` lists (coordinate name, index) in chain order: a coordinate
-    at depth 1 reads its source node, a deeper one the coordinate listed
-    just before it.  Every coordinate takes its source's domain.  Updates
-    are taken as given, without renormalizing, and must read only present
-    values, so the result has T = 1.
+    ``lines`` lists (coordinate name, (node, depth)) in chain order: a
+    coordinate at depth 1 reads its source node, a deeper one the
+    coordinate listed just before it.  Every coordinate takes its source's
+    domain.  Updates are taken as given, without renormalizing, and must
+    read only present values, so the result has T = 1.
     """
     projection = {n: (n, 0) for n in nodes}
     updates = dict(updates)
     previous = ""
-    for cname, idx in lines:
-        projection[cname] = (idx.node, idx.depth)
-        updates[cname] = Var(idx.node if idx.depth == 1 else previous, 0)
+    for cname, (node, depth) in lines:
+        projection[cname] = (node, depth)
+        updates[cname] = Var(node if depth == 1 else previous, 0)
         previous = cname
     aug_net = TimeDelayedNetwork(
         nodes=tuple(projection),
@@ -123,10 +115,10 @@ def dedelay(net: TimeDelayedNetwork) -> AugmentedNetwork:
     """
     taken = set(net.nodes)
     lines = [
-        (_fresh(f"{idx.node}_d{idx.depth}", taken), idx)
-        for idx in state_indices(net)[net.size:]
+        (_fresh(f"{node}_d{depth}", taken), (node, depth))
+        for node, depth in state_indices(net)[net.size:]
     ]
-    rewiring = {(idx.node, idx.depth): Var(cname, 0) for cname, idx in lines}
+    rewiring = {read: Var(cname, 0) for cname, read in lines}
     # leaf renaming preserves the input's normal form, so _with_lines
     # does not renormalize: orbits of net and of the augmentation then
     # agree bit for bit under projection

@@ -89,7 +89,6 @@ class Program:
     n_regs: int
     n_nodes: int
     T: int
-    nodes: tuple[str, ...]
 
     @property
     def const_offset(self) -> int:
@@ -166,7 +165,6 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
         n_regs=next_reg,
         n_nodes=n,
         T=T,
-        nodes=net.nodes,
     )
 
 

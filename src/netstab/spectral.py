@@ -36,8 +36,6 @@ __all__ = [
     "strongly_connected_components",
     "spectral_bracket",
     "spectral_radius",
-    "is_irreducible",
-    "perron_eigenvector",
     "theta_extension",
 ]
 
@@ -82,10 +80,6 @@ class NonnegMatrix:
         out = np.zeros((self.n, self.n))
         out[self.rows, self.cols] = self.values
         return out
-
-    def entry(self, row_label: str, col_label: str) -> float:
-        row, col = self.index.index(row_label), self.index.index(col_label)
-        return float(self.values[(self.rows == row) & (self.cols == col)].sum())
 
 
 def _coo(M) -> NonnegMatrix:
@@ -285,11 +279,14 @@ def _bracket(A: NonnegMatrix) -> tuple[float, float, np.ndarray]:
     for k, comp in enumerate(comps):
         cid[list(comp)] = k
     t_comp = np.where(cid[t_row] == cid[t_col], cid[t_row], -1)
+    # each component's entries, in order, are one slice of this grouping
+    by_comp = np.argsort(t_comp, kind="stable")
+    bounds = np.searchsorted(t_comp[by_comp], np.arange(len(comps) + 1)).tolist()
     lower = upper = 0.0
     x_kept, s_kept = np.ones(m), np.ones(m)
     live = np.zeros(len(comps), dtype=bool)
     for k, comp in enumerate(comps):
-        sl = np.flatnonzero(t_comp == k)
+        sl = by_comp[bounds[k]:bounds[k + 1]]
         if not sl.size:
             continue  # trivial
         if len(comp) == 1 and not t_lag[sl].any():
@@ -338,24 +335,6 @@ def spectral_radius(M) -> float:
     """rho(M) for nonnegative M: the midpoint of :func:`spectral_bracket`."""
     lower, upper = spectral_bracket(M)
     return 0.5 * (lower + upper)
-
-
-def is_irreducible(M) -> bool:
-    """True iff the dependency digraph is strongly connected (a single
-    vertex counts as strongly connected, loop or not)."""
-    return len(strongly_connected_components(M)) == 1
-
-
-def perron_eigenvector(M) -> tuple[float, np.ndarray]:
-    """(rho, v) with v > 0 and max entry 1; rho equals spectral_radius(M),
-    and every ratio (Mv)_i / v_i lies in spectral_bracket(M).  Requires
-    irreducible M.
-    """
-    A = _coo(M)
-    if not is_irreducible(A):
-        raise ValueError("perron_eigenvector requires an irreducible matrix")
-    lower, upper, v = _bracket(A)
-    return 0.5 * (lower + upper), v
 
 
 def theta_extension(M, row: int, col: int, alpha: float, lip: float, theta: float):

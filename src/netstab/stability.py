@@ -3,14 +3,17 @@
 The stability matrix of a network bounds |dF_j / dx_i| over the domain
 box, entry (row j, column i); its spectral radius below 1 certifies a
 globally attracting fixed point.  For a delayed network the matrix lives
-over the lag coordinates (node, depth) of ``delays.state_indices``, the
-de-delayed coordinate order: each node's own update is differentiated in
-one walk (``expr.gradient``), its partial for each (source, delay) it
-reads lands at column (source, delay), and delay-line rows carry a
-single exact 1.  The de-delayed network itself is never built, and
-neither is a dense array: the matrix is assembled as its (row, col,
-value) entries, and ``spectral.spectral_bracket`` folds the delay-line
-rows back into lag blocks over the base nodes.
+over the lag coordinates of ``delays.state_indices``, the (node, depth)
+pairs that ``net.reads`` keys reads by, in the de-delayed coordinate
+order: each node's own update is differentiated in one walk
+(``expr.gradient``), its partial for each (source, delay) it reads lands
+at column (source, delay), and delay-line rows carry a single exact 1.
+Positions, the domain box and a point's assignment are all keyed by
+those pairs, and ``delays.label`` writes the matrix's index from them.
+The de-delayed network itself is never built, and neither is a dense
+array: the matrix is assembled as its (row, col, value) entries, and
+``spectral.spectral_bracket`` folds the delay-line rows back into lag
+blocks over the base nodes.
 
 ``jacobian_matrix``/``local_spectral_radius`` evaluate the same entries
 at a single point (one point walk) instead of bounding them over the box
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .delays import _fresh, state_indices
+from .delays import _fresh, label, state_indices
 from .errors import EvalError, UnboundedDerivativeError
 from .network import REPORT_SCHEMA, TimeDelayedNetwork, report_json
 from .spectral import NonnegMatrix, spectral_bracket, spectral_radius
@@ -112,7 +115,7 @@ def _partials(net: TimeDelayedNetwork, indices):
     holds the exact 1.0 from the coordinate one step shallower.  A
     gradient walk that fails names the update it walked.
     """
-    pos = {(idx.node, idx.depth): k for k, idx in enumerate(indices)}
+    pos = {read: k for k, read in enumerate(indices)}
     zero = ex.Const(0.0)
     for j, target in enumerate(net.nodes):
         try:
@@ -122,12 +125,13 @@ def _partials(net: TimeDelayedNetwork, indices):
         for ref in sorted(net.reads[target], key=pos.__getitem__):
             yield j, pos[ref], grad.get(ref, zero)
     for j in range(net.size, len(indices)):
-        yield j, pos[(indices[j].node, indices[j].depth - 1)], ex.Const(1.0)
+        node, depth = indices[j]
+        yield j, pos[(node, depth - 1)], ex.Const(1.0)
 
 
 def _entry(net: TimeDelayedNetwork, indices, j: int, i: int) -> str:
     """The derivative an entry holds, as ``d(x1)/d(x2[-1])``."""
-    return f"d({net.nodes[j]})/d({ex.to_text(ex.Var(indices[i].node, indices[i].depth))})"
+    return f"d({net.nodes[j]})/d({ex.to_text(ex.Var(*indices[i]))})"
 
 
 def _evaluated(net: TimeDelayedNetwork, indices, entries, values: dict, kind: str) -> list:
@@ -154,7 +158,7 @@ def _bounded(net: TimeDelayedNetwork):
     with its ``rows``, ``cols`` and ``values``: all partials are bounded in
     one interval walk, and those bounded by 0 are dropped."""
     indices = state_indices(net)
-    box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
+    box = {read: net.domains[read[0]] for read in indices}
     entries = list(_partials(net, indices))
     values = [bound.sup_abs() for bound in _evaluated(net, indices, entries, box, "interval")]
     for (j, i, partial), sup in zip(entries, values):
@@ -165,7 +169,7 @@ def _bounded(net: TimeDelayedNetwork):
             )
     kept = [(j, i, partial, sup) for (j, i, partial), sup in zip(entries, values) if sup]
     rows, cols, partials, sups = zip(*kept) if kept else ((),) * 4
-    return NonnegMatrix((idx.label() for idx in indices), rows, cols, sups), partials
+    return NonnegMatrix((label(*read) for read in indices), rows, cols, sups), partials
 
 
 def _provenance(net: TimeDelayedNetwork, partials):
@@ -229,12 +233,12 @@ def jacobian_matrix(net: TimeDelayedNetwork, point) -> tuple[np.ndarray, tuple[s
         raise ValueError(f"point must have {net.size} entries")
     indices = state_indices(net)
     value = dict(zip(net.nodes, base))
-    assignment = {(idx.node, idx.depth): value[idx.node] for idx in indices}
+    assignment = {read: value[read[0]] for read in indices}
     entries = list(_partials(net, indices))
     J = np.zeros((len(indices), len(indices)))
     J[[j for j, _, _ in entries], [i for _, i, _ in entries]] = _evaluated(
         net, indices, entries, assignment, "point")
-    return J, tuple(idx.label() for idx in indices)
+    return J, tuple(label(*read) for read in indices)
 
 
 def local_spectral_radius(net: TimeDelayedNetwork, point) -> float:

@@ -125,9 +125,7 @@ def _report(graph: InteractionGraph, S: tuple[str, ...], order) -> StructuralSet
                 else:
                     paths.setdefault(w, {})[s] = 1
         for v in order:
-            into = paths.pop(v, None)
-            if into is None:  # no path reaches v
-                continue
+            into = paths.pop(v)  # S is complete, so some path reaches v
             for w in successors(v):
                 if w in in_s:
                     for s, n in into.items():

@@ -22,7 +22,7 @@ that S is complete, in time linear in the network.
 
 from __future__ import annotations
 
-from .delays import AugmentedNetwork, StateIndex, _fresh, _with_lines
+from .delays import AugmentedNetwork, _fresh, _with_lines
 from .errors import TransformError
 from .expr import Expr, Var, normalize, substitute
 from .network import TimeDelayedNetwork, interaction_graph, network_from_exprs
@@ -65,9 +65,6 @@ def _inline(net: TimeDelayedNetwork, in_s: set[str], target: str, leaf, key) -> 
     while stack:
         chain = stack[-1]
         node = chain[0]
-        if (node, key(chain)) in inlined:
-            stack.pop()
-            continue
         # the network is undelayed, so every read is (source, 0)
         reads = net.reads[node]
         pending = [
@@ -145,7 +142,7 @@ def expand(net: TimeDelayedNetwork, S) -> AugmentedNetwork:
         target: normalize(_inline(net, in_s, target, leaf, lambda chain: chain))
         for target in S
     }
-    lines = [(name, StateIndex(branch[0], depth)) for branch in sorted(chains)
+    lines = [(name, (branch[0], depth)) for branch in sorted(chains)
              for depth, name in enumerate(chains[branch], 1)]
     return _with_lines(
         S, net.domains, updates, lines, f"{net.name}|expanded" if net.name else ""

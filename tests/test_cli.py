@@ -210,6 +210,43 @@ def test_sets_on_a_long_ring(in_tmp, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "{v0} complete"
 
 
+def _main(args, **kwargs) -> subprocess.Popen:
+    """``netstab ARGS`` through ``cli.main``, in a process of its own that
+    imports this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    ))
+    return subprocess.Popen([sys.executable, "-m", "netstab.cli", *args], env=env, **kwargs)
+
+
+def test_main_exit_codes(tmp_path):
+    def run_main(*args):
+        child = _main(args, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = child.communicate()
+        return child.returncode, out.decode(), err.decode()
+
+    code, out, err = run_main("analyze", str(NETWORKS / "undelayed_pair.net"))
+    assert (code, err) == (0, "") and "verdict = stable" in out
+    assert (tmp_path / "undelayed_pair.report.json").is_file()
+    code, out, err = run_main("restrict", str(NETWORKS / "ring6.net"), "--set", "x1")
+    assert (code, out) == (1, "")
+    assert err == "error: {x1} is not a complete structural set; inlining would not terminate\n"
+    code, out, err = run_main("analyze", str(tmp_path / "missing.net"))
+    assert (code, out) == (2, "") and err.startswith("error: cannot read ")
+
+
+def test_main_into_a_pipe_closed_before_it_writes(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = _main(["sets", str(NETWORKS / "six_node.net")], cwd=tmp_path,
+                      stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    err = child.communicate()[1]
+    assert (child.returncode, err) == (1, b"")
+
+
 def test_sets_into_a_closed_pipe_exits_quietly(tmp_path):
     # 16 sets of one 20 kB name each: more than the pipe holds, so the
     # writer is still printing when head has read one line and exited
@@ -220,13 +257,7 @@ def test_sets_into_a_closed_pipe_exits_quietly(tmp_path):
         f"node {name[i]} domain [-inf,inf]\nupdate {name[i]} = tanh({name[i - 1]})\n"
         for i in range(n)
     ))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(REPO / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    ))
-    netstab = subprocess.Popen(
-        [sys.executable, "-m", "netstab.cli", "sets", str(path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
+    netstab = _main(["sets", str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     head = subprocess.Popen(["head", "-1"], stdin=netstab.stdout, stdout=subprocess.PIPE)
     netstab.stdout.close()
     first = head.communicate()[0]

@@ -4,7 +4,7 @@ import pytest
 from gen import random_network, rescaled_ring
 
 from netstab import expr, gallery
-from netstab.delays import StateIndex, dedelay, shift_delay, undelay
+from netstab.delays import dedelay, shift_delay, undelay
 from netstab.errors import TransformError
 from netstab.expr import BinOp, Const, Interval, Var, eval_point, normalize
 from netstab.network import build_network, interaction_graph, is_non_distributed
@@ -17,7 +17,7 @@ def test_dedelay_delayed_pair_has_eight_coordinates():
     aug = dedelay(gallery.delayed_pair(0.5, 0.1, 1.0))
     assert len(aug.coords) == 8
     assert aug.net.T == 1
-    depths = sorted((idx.node, idx.depth) for idx in aug.indices)
+    depths = sorted(aug.projection.values())
     assert depths == [
         ("x1", 0), ("x1", 1), ("x1", 2), ("x1", 3),
         ("x2", 0), ("x2", 1), ("x2", 2), ("x2", 3),
@@ -48,11 +48,11 @@ def test_dedelay_walks_only_the_base_rules(monkeypatch):
 def test_dedelay_line_wiring():
     aug = dedelay(gallery.delayed_pair(0.5, 0.1, 1.0))
     net = aug.net
-    by_index = {aug.indices[i]: aug.coords[i] for i in range(len(aug.coords))}
+    by_index = {read: coord for coord, read in aug.projection.items()}
     # line(i, 1) reads the base node; line(i, d) reads line(i, d-1)
-    assert net.updates[by_index[StateIndex("x1", 1)]] == Var("x1", 0)
-    assert net.updates[by_index[StateIndex("x1", 2)]] == Var(by_index[StateIndex("x1", 1)], 0)
-    assert net.updates[by_index[StateIndex("x1", 3)]] == Var(by_index[StateIndex("x1", 2)], 0)
+    assert net.updates[by_index[("x1", 1)]] == Var("x1", 0)
+    assert net.updates[by_index[("x1", 2)]] == Var(by_index[("x1", 1)], 0)
+    assert net.updates[by_index[("x1", 3)]] == Var(by_index[("x1", 2)], 0)
     # base update reads the lines, never a delayed variable
     for node in ("x1", "x2"):
         from netstab.expr import references

@@ -17,8 +17,8 @@ from netstab import gallery
 from netstab.errors import ConvergenceError, NetstabError
 from netstab.spectral import (
     NonnegMatrix,
-    is_irreducible,
-    perron_eigenvector,
+    _bracket,
+    _coo,
     spectral_bracket,
     spectral_radius,
     strongly_connected_components,
@@ -87,6 +87,13 @@ def forbid_dense_eigensolvers(monkeypatch):
 def random_nonneg(rng, n, density=0.6):
     M = np.where(rng.random((n, n)) < density, rng.uniform(0, 2, (n, n)), 0.0)
     return M
+
+
+def perron(M) -> tuple[float, np.ndarray]:
+    """(rho, v): the midpoint of the bracket and the positive vector, max 1
+    on each component, that the bracket holds at."""
+    lower, upper, v = _bracket(_coo(M))
+    return 0.5 * (lower + upper), v
 
 
 def random_irreducible(rng, n):
@@ -381,7 +388,7 @@ def test_bracket_is_sound_in_exact_arithmetic():
         M = random_irreducible(rng, int(rng.integers(2, 8)))
         M *= float(rng.uniform(0.01, 100.0))
         lower, upper = spectral_bracket(M)
-        _, v = perron_eigenvector(M)
+        _, v = perron(M)
         vq = [Fraction(x) for x in v]
         for row, vi in zip(M, vq):
             ratio = sum(Fraction(a) * x for a, x in zip(row, vq)) / vi
@@ -518,14 +525,16 @@ def test_certificate_regression_sweep(name, net):
 
 
 def test_irreducible_examples():
-    ring = np.array([[0, 1.0], [1.0, 0]])
-    assert is_irreducible(ring)
-    assert not is_irreducible(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert is_irreducible(np.array([[0.0]]))  # single-vertex convention
+    def components(M):
+        return len(strongly_connected_components(np.array(M)))
+
+    assert components([[0, 1.0], [1.0, 0]]) == 1
+    assert components([[0.0, 1.0], [0.0, 0.0]]) == 2
+    assert components([[0.0]]) == 1  # single-vertex convention
 
 
 def test_perron_exchange_matrix():
-    rho, v = perron_eigenvector(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    rho, v = perron(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert rho == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(v, [1.0, 1.0], atol=1e-9)
 
@@ -533,13 +542,13 @@ def test_perron_exchange_matrix():
 def test_perron_symmetric_coupling():
     # [[p, q], [q, p]] has Perron pair (p + q, (1, 1))
     p, q = 0.5, 0.2
-    rho, v = perron_eigenvector(np.array([[p, q], [q, p]]))
+    rho, v = perron(np.array([[p, q], [q, p]]))
     assert rho == pytest.approx(p + q, abs=1e-10)
     assert np.allclose(v, [1.0, 1.0], atol=1e-8)
 
 
 def test_perron_scalar():
-    rho, v = perron_eigenvector(np.array([[2.0]]))
+    rho, v = perron(np.array([[2.0]]))
     assert rho == 2.0 and v.tolist() == [1.0]
 
 
@@ -548,7 +557,7 @@ def test_perron_residual_and_positivity():
     for _ in range(50):
         n = int(rng.integers(2, 7))
         M = random_irreducible(rng, n)
-        rho, v = perron_eigenvector(M)
+        rho, v = perron(M)
         assert (v > 0).all()
         assert v.max() == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(M @ v - rho * v)) <= 1e-8
@@ -558,12 +567,7 @@ def test_perron_root_is_spectral_radius_bit_for_bit():
     rng = np.random.default_rng(71)
     for _ in range(100):
         M = random_irreducible(rng, int(rng.integers(2, 9)))
-        assert perron_eigenvector(M)[0] == spectral_radius(M)
-
-
-def test_perron_rejects_reducible():
-    with pytest.raises(ValueError):
-        perron_eigenvector(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert perron(M)[0] == spectral_radius(M)
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +663,5 @@ def test_labeled_matrix_validation():
     assert M.index == ("a", "b")
     # sorted by (row, col), the zero dropped
     assert (M.rows.tolist(), M.cols.tolist(), M.values.tolist()) == ([0, 1], [1, 0], [2.0, 1.0])
-    assert M.entry("a", "b") == 2.0 and M.entry("b", "b") == 0.0
     assert M.data.tolist() == [[0.0, 2.0], [1.0, 0.0]]
     assert NonnegMatrix((), [], [], []).n == 0

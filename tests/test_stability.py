@@ -9,7 +9,7 @@ from gen import build_benchmark_network, diamond_network, random_network, rescal
 
 from netstab import expr as ex
 from netstab import gallery
-from netstab.delays import dedelay, state_indices, undelay
+from netstab.delays import dedelay, label, state_indices, undelay
 from netstab.errors import EvalError, UnboundedDerivativeError
 from netstab.expr import Interval
 from netstab.network import build_network, dump_network, load_network, make_cohen_grossberg
@@ -88,7 +88,7 @@ def test_matrix_and_jacobian_of_delayed_rules_equal_dedelayed_network():
         aug = dedelay(net)
         M = stability_matrix(net)
         assert np.array_equal(M.data, stability_matrix(aug.net).data)
-        assert M.index == tuple(idx.label() for idx in aug.indices)
+        assert M.index == tuple(label(*aug.projection[c]) for c in aug.coords)
         point = rng.uniform(-1, 1, net.size)
         tiled = [point[net.nodes.index(aug.projection[c][0])] for c in aug.coords]
         J, labels = jacobian_matrix(net, point)
@@ -213,7 +213,7 @@ def test_constant_partials_match_the_generic_path(net):
     # names are spelled out, in the order of the partials, which is the
     # matrix's (row, col) order
     indices = state_indices(net)
-    box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
+    box = {read: net.domains[read[0]] for read in indices}
     data = np.zeros((len(indices), len(indices)))
     for j, i, partial in _partials(net, indices):
         data[j, i] = ex.eval_interval(partial, box).sup_abs()
@@ -279,7 +279,7 @@ def test_jacobian_evaluates_all_partials_in_one_walk(monkeypatch, net):
     point = np.linspace(-0.4, 0.3, net.size)
     indices = state_indices(net)
     value = dict(zip(net.nodes, point))
-    assignment = {(idx.node, idx.depth): value[idx.node] for idx in indices}
+    assignment = {read: value[read[0]] for read in indices}
     entries = list(_partials(net, indices))
     want = np.zeros((len(indices), len(indices)))
     for j, i, partial in entries:  # each partial by its own walk
@@ -288,7 +288,7 @@ def test_jacobian_evaluates_all_partials_in_one_walk(monkeypatch, net):
     J, labels = jacobian_matrix(net, point)
     assert walks == [("point", len(entries))]
     assert J.tobytes() == want.tobytes()
-    assert labels == tuple(idx.label() for idx in indices)
+    assert labels == tuple(label(*read) for read in indices)
 
 
 def test_partials_walk_each_base_rule_once(monkeypatch):
@@ -331,7 +331,7 @@ def _plain_provenance(net) -> dict[tuple[int, int], str]:
     """(row, col) -> the text of each partial not bounded by 0, each by its
     own walks."""
     indices = state_indices(net)
-    box = {(idx.node, idx.depth): net.domains[idx.node] for idx in indices}
+    box = {read: net.domains[read[0]] for read in indices}
     return {(j, i): ex.to_text(partial) for j, i, partial in _partials(net, indices)
             if ex.eval_interval(partial, box).sup_abs()}
 
@@ -486,7 +486,7 @@ def lag_sum(net):
     out = np.zeros((net.size, net.size))
     for j, i, value in zip(M.rows.tolist(), M.cols.tolist(), M.values.tolist()):
         if j < net.size:
-            out[j, net.nodes.index(indices[i].node)] += value
+            out[j, net.nodes.index(indices[i][0])] += value
     return out
 
 
