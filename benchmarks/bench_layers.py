@@ -81,11 +81,17 @@ up to 600 steps at the default tolerance; the same batch through
 fixed-point iteration from the origin; and ``netstab simulate`` itself,
 end to end on that ring written to a temporary directory (200 trials,
 600 steps, seed 0: load, the attraction check, its verdict and the
-trajectory CSV).  Each records the best of ``--repeats`` wall times in
-ms, the trial steps it ran (for the attraction check also the steps of
-its slowest trial; for ``simulate`` the characters of its CSV) and
-``peak_mb``, the peak of the memory ``tracemalloc`` traces during one
-more call.
+trajectory CSV).  The ``slow`` row runs ``verify_global_attraction``
+with 20 trials of 1,000 steps on a non-contracting 12-node ring
+(``perfbench``'s ``ring_spec`` with epsilon = 0.05, rng 12), the shape of
+the ``attraction_sim`` workload's slow job, where every trial runs every
+step.  Each records the best of ``--repeats`` wall times in ms, the
+trial steps it ran (for the attraction checks also the steps of the
+slowest trial; for ``simulate`` the characters of its CSV), ``peak_mb``,
+the peak of the memory ``tracemalloc`` traces during one more call, and
+the operands of one step of its ring's bound tape: ``gathers`` copied
+into scratch blocks, ``views`` read in place, and of those ``strided``,
+the ones not contiguous (a constant step or one row repeated).
 
 The write layer times the writers of the output files, as ``netstab
 sets -o``, ``analyze`` and ``simulate`` run them, and records the best of
@@ -141,7 +147,7 @@ from gen import (  # noqa: E402
     random_network,
     rescaled_ring,
 )
-from workloads import diamond_spec, diamond_text  # noqa: E402
+from workloads import diamond_spec, diamond_text, ring_spec, ring_text  # noqa: E402
 
 # the diamond expand is timed on: 2^10 branches, each with its own chain
 EXPAND_LAYERS = 10
@@ -357,9 +363,27 @@ def bench_structural(repeats: int) -> list[dict]:
     return rows
 
 
+def tape_operands(program) -> dict:
+    """The operands of one step of ``program``'s bound tape: gathered
+    into scratch blocks, or views, and the views not contiguous."""
+    tape = engine._bind(engine._plan(program, 1), engine._registers(program, 1))[0]
+    gathers = views = strided = 0
+    for _, operands, gathered, out in tape:
+        blocks = [id(block) for _, block in gathered]
+        for op in operands:
+            if id(op) in blocks:
+                gathers += 1
+            else:
+                views += 1
+                strided += not op.flags.c_contiguous or op.shape != out.shape
+    return {"gathers": gathers, "views": views, "strided": strided}
+
+
 def bench_orbit(repeats: int) -> list[dict]:
     net = build_benchmark_network(48)
     program = engine.compile_network(net)
+    slow = load_network(ring_text(ring_spec(np.random.default_rng(12), 12, 3, epsilon=0.05),
+                                  "slow_ring"))
     histories = np.random.default_rng(0).uniform(-1, 1, (200, net.T, net.size))
     trials, steps = histories.shape[0], 600
 
@@ -376,11 +400,19 @@ def bench_orbit(repeats: int) -> list[dict]:
     def fixed():
         return find_fixed_point(net, np.zeros(net.size))
 
+    def slow_attraction():
+        return verify_global_attraction(slow, trials=20, steps=1000)
+
     attraction_ms, verdict = best_of(repeats, attraction)
     batch_ms, (_, done, _) = best_of(repeats, batch)
     single_ms, (_, single_done, _) = best_of(repeats, single)
     fixed_ms, _ = best_of(repeats, fixed)
-    ring = {"nodes": net.size, "T": net.T, "tape_ops": int(program.ops.shape[0])}
+    slow_ms, slow_verdict = best_of(repeats, slow_attraction)
+    ring = {"nodes": net.size, "T": net.T, "tape_ops": int(program.ops.shape[0]),
+            **tape_operands(program)}
+    slow_program = engine.compile_network(slow)
+    slow_ring = {"nodes": slow.size, "T": slow.T, "tape_ops": int(slow_program.ops.shape[0]),
+                 **tape_operands(slow_program)}
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bench_ring.net"
@@ -410,6 +442,10 @@ def bench_orbit(repeats: int) -> list[dict]:
          "peak_mb": traced_peak_mb(fixed)},
         {"case": "simulate", **ring, "trials": trials, "steps": steps,
          "csv_chars": csv_chars, "ms": round(simulate_ms, 2), "peak_mb": simulate_peak},
+        {"case": "slow", **slow_ring, "trials": 20, "steps": 1000,
+         "iterations_used": slow_verdict.iterations_used,
+         "trial_steps": slow_verdict.trial_steps, "ms": round(slow_ms, 2),
+         "peak_mb": traced_peak_mb(slow_attraction)},
     ]
 
 

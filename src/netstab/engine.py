@@ -15,30 +15,36 @@ highest level among its operands (window slots and constants are level
 0), and the tape is sorted by (level, opcode), so each (level, opcode)
 group writes one contiguous range of temporaries and reads only the
 window, the constants and lower groups.  One interpreter runs a group as
-one gather of its operand rows and one kernel call into its destination
-range of a (registers, trials) array: every trial and every instruction
-of the group advance at once, and a step costs a few numpy calls per
-group, not per instruction.
+one kernel call into its destination range of a (registers, trials)
+array: every trial and every instruction of the group advance at once,
+and a step costs a few numpy calls per group, not per instruction.
 
-A register file is bound to the tape once, and again whenever the batch
-drops trials: the destination of every group, and an operand whose rows
-are consecutive, become views of the file.  So does, for the correctly
-rounded rows (``+ - * / neg abs sign``), an operand whose rows are a
-constant step apart or one row repeated, which the kernel broadcasts.  A
-step gathers only the other operands, into scratch blocks that the groups
-share.
+The registers are laid out so that a group's operands are views, not
+gathers, wherever the data flow allows.  A group's members go in the
+order the groups above read them (walking from the last group back, the
+nearest reader first, operand by operand), so a group that reads a lower
+group through one operand, or through each of two, reads consecutive
+rows of it.  Each use of a constant has its own slot in the pool, in the
+order its group reads it, so a constant operand is a slice too.  An
+operand is a view when its rows are consecutive, or, for the correctly
+rounded rows (``+ - * / neg abs sign``), a constant step apart or one
+row repeated; a step gathers only the other operands, into scratch
+blocks that the groups share.
 
-A batch runs its live trials in blocks of ``STOP_STREAK`` steps.  Each
-step runs the tape, copies the nodes' outputs into a block buffer that
-holds the block's states after the last T before it, and refills the
-window from that buffer.  After the block, one vectorized pass finds each
-trial's first non-finite step and the step that completes its run of
-small steps, writes the block into the ring of kept states, each trial up
-to its end, and trial 0's path, and drops the trials that ended.  A drop
-moves the live columns of the register file and of the block buffer to
-the front of their own memory, so neither is allocated again.  The ring
-is trial-major, (keep, trials, n), so a block write over scattered trials
-copies n-vectors.
+A batch runs its live trials in blocks of ``STOP_STREAK`` steps.  The
+block of states (the last T states before it, then one per step) is the
+head of the register file, and the tape is bound once per step phase of
+a block: the window slots of phase q read the block's states before
+step q in place, and when the outputs are one group in node order that
+group writes straight into the state after it, else a last gather
+copies them there.  After the block, one vectorized pass finds each trial's
+first non-finite step and the step that completes its run of small
+steps, writes the block into the ring of kept states, each trial up to
+its end, and trial 0's path, and drops the trials that ended; the block's
+last T states then open the next one.  A drop moves the live columns of
+the register file to the front of its memory, so it is not allocated
+again.  The ring is trial-major, (keep, trials, n), so a block write over
+scattered trials copies n-vectors.
 """
 
 from __future__ import annotations
@@ -75,11 +81,13 @@ class Program:
     """A network's updates compiled to one instruction tape.
 
     Register layout: ``[0, T*n)`` window slots (slot of node i at delay d
-    is ``d*n + i``), then the constant pool, then temporaries.  One pass
+    is ``d*n + i``), then the constant pool, then temporaries.  The pool
+    has one slot per use of a constant, in the order the groups read
+    them, so a group's constant operand is consecutive slots.  One pass
     over the tape computes all next-state values simultaneously.  The
     tape is sorted by (level, opcode); ``groups`` holds the (start, stop)
     rows of ``ops`` of each group, whose destinations are consecutive
-    registers.
+    registers, its members in the order the groups above it read them.
     """
 
     ops: np.ndarray  # (m, 4) int64: opcode, dst, a, b (-1 when unused)
@@ -96,82 +104,112 @@ class Program:
 
 
 def compile_network(net: TimeDelayedNetwork) -> Program:
-    n = net.size
-    T = net.T
+    n, T = net.size, net.T
     node_idx = {name: i for i, name in enumerate(net.nodes)}
-    const_slots: dict[str, int] = {}
-    consts: list[float] = []
-
-    def const_slot(v: float) -> int:
-        key = repr(v)
-        if key not in const_slots:
-            const_slots[key] = T * n + len(consts)
-            consts.append(v)
-        return const_slots[key]
-
-    # each update's distinct nodes once, operands first, with a memo per
-    # update: a node that several updates share gets a register in each
-    memos: list[dict[Expr, int]] = []
-    pending: list[tuple[int, int, Call | BinOp, dict[Expr, int]]] = []
+    # one instruction per distinct Call or BinOp node of each update, with
+    # a memo per update: a node that several updates share gets one in
+    # each.  An operand is an instruction's index, ~slot for a window slot
+    # or a float constant; the memo holds each node's operand and level
+    keys: list[int] = []  # level * len(_ROWS) + opcode: the tape's sort key
+    args: list[tuple] = []
+    roots: list = []
     for node in net.nodes:
-        reg: dict[Expr, int] = {}
-        level: dict[Expr, int] = {}
+        memo: dict[Expr, tuple] = {}
         for e in _postorder((net.updates[node],)):
-            if isinstance(e, Var):
-                reg[e] = e.delay * n + node_idx[e.node]
-                level[e] = 0
-            elif isinstance(e, Const):
-                reg[e] = const_slot(e.value)
-                level[e] = 0
-            elif isinstance(e, Call):
-                level[e] = 1 + level[e.arg]
-                pending.append((level[e], _OPCODE[e.func], e, reg))
-            elif isinstance(e, BinOp):
-                level[e] = 1 + max(level[e.left], level[e.right])
-                pending.append((level[e], _OPCODE[e.op], e, reg))
+            kind = type(e)
+            if kind is Var:
+                memo[e] = (~(e.delay * n + node_idx[e.node]), 0)
+                continue
+            if kind is Const:
+                memo[e] = (e.value, 0)
+                continue
+            if kind is Call:
+                a, level = memo[e.arg]
+                operands, code = (a,), _OPCODE[e.func]
+            elif kind is BinOp:
+                (a, la), (b, lb) = memo[e.left], memo[e.right]
+                operands, code, level = (a, b), _OPCODE[e.op], max(la, lb)
             else:
                 raise TypeError(f"not an expression: {e!r}")
-        memos.append(reg)
+            memo[e] = (len(args), level + 1)
+            keys.append((level + 1) * len(_ROWS) + code)
+            args.append(operands)
+        roots.append(memo[net.updates[node]][0])
 
-    # the constant pool claims slots first, temporaries follow in tape
-    # order, so each group's destinations are consecutive; the sort is
-    # stable, and operands sit in lower levels, so they have registers
-    pending.sort(key=lambda p: p[:2])
-    next_reg = T * n + len(consts)
-    ops: list[tuple[int, int, int, int]] = []
-    groups: list[tuple[int, int]] = []
-    for _, members in itertools.groupby(pending, key=lambda p: p[:2]):
-        start = len(ops)
-        for _, code, e, reg in members:
-            if isinstance(e, Call):
-                ops.append((code, next_reg, reg[e.arg], -1))
-            else:
-                ops.append((code, next_reg, reg[e.left], reg[e.right]))
-            reg[e] = next_reg
-            next_reg += 1
-        groups.append((start, len(ops)))
+    groups = [
+        list(members)
+        for _, members in itertools.groupby(
+            sorted(range(len(keys)), key=keys.__getitem__), key=keys.__getitem__
+        )
+    ]
+    # consumer order: from the last group back, a group's members go in
+    # the order the groups above read them, the nearest reader first, by
+    # operand, then by position; so an operand that reads one lower group
+    # reads consecutive registers.  Outputs go last, in node order
+    rank: list = [None] * len(keys)
+    for i, r in enumerate(roots):
+        if type(r) is int and r >= 0:
+            rank[r] = (len(groups), i)
+    counter = 0
+    for g in range(len(groups) - 1, -1, -1):
+        members = groups[g] = sorted(groups[g], key=rank.__getitem__)
+        for j in range(len(args[members[0]])):
+            for m in members:
+                a = args[m][j]
+                if type(a) is int and a >= 0 and (rank[a] is None or rank[a][0] > g):
+                    rank[a] = (g, counter)
+                    counter += 1
 
-    out_regs = [reg[net.updates[node]] for node, reg in zip(net.nodes, memos)]
-    ops_arr = (
-        np.array(ops, dtype=np.int64)
-        if ops
-        else np.empty((0, 4), dtype=np.int64)
-    )
+    # each use of a constant gets its own slot, in the order the groups,
+    # their operands and their members read them; temporaries follow the
+    # pool in tape order
+    base = T * n + sum(type(x) is float for operands in args for x in operands)
+    base += sum(type(r) is float for r in roots)
+    reg = [0] * len(keys)
+    for r, m in enumerate(itertools.chain.from_iterable(groups), start=base):
+        reg[m] = r
+    consts: list[float] = []
+
+    def register(a) -> int:
+        if type(a) is float:
+            consts.append(a)
+            return T * n + len(consts) - 1
+        return reg[a] if a >= 0 else ~a
+
+    ops = np.full((len(keys), 4), -1, dtype=np.int64)
+    bounds: list[tuple[int, int]] = []
+    start = 0
+    for members in groups:
+        stop = start + len(members)
+        ops[start:stop, 0] = keys[members[0]] % len(_ROWS)
+        for j in range(len(args[members[0]])):
+            ops[start:stop, 2 + j] = [register(args[m][j]) for m in members]
+        bounds.append((start, stop))
+        start = stop
+    ops[:, 1] = np.arange(base, base + len(keys))
+    out_regs = [register(r) for r in roots]
     return Program(
-        ops=ops_arr,
-        groups=tuple(groups),
+        ops=ops,
+        groups=tuple(bounds),
         consts=np.array(consts, dtype=np.float64),
         out_regs=np.array(out_regs, dtype=np.int64),
-        n_regs=next_reg,
+        n_regs=base + len(keys),
         n_nodes=n,
         T=T,
     )
 
 
 def _registers(program: Program, trials: int) -> np.ndarray:
-    """Register file of shape (n_regs, trials) with the constant pool loaded."""
-    regs = np.zeros((program.n_regs, trials), dtype=np.float64)
-    c = program.const_offset
+    """The register file of :func:`_plan`'s rows, of shape
+    (STOP_STREAK * n + n_regs, trials), with the constant pool loaded.
+
+    Its first (T + STOP_STREAK) * n rows are a batch's block of states:
+    row t * n + i holds node i in state t of the block, the first T of
+    them the states before it.  The constants and temporaries follow.
+    """
+    rows = program.n_regs + STOP_STREAK * program.n_nodes
+    regs = np.zeros((rows, trials), dtype=np.float64)
+    c = program.const_offset + STOP_STREAK * program.n_nodes
     regs[c : c + program.consts.shape[0], :] = program.consts[:, None]
     return regs
 
@@ -185,54 +223,124 @@ def _rows(index: np.ndarray, exact: bool = False):
     that the kernel broadcasts; numpy's transcendental kernels may round
     differently on strided or broadcast operands.
     """
-    step = np.diff(index)
-    first = int(index[0])
-    if (step == 1).all():
-        return slice(first, int(index[-1]) + 1)
-    if exact and (step == 0).all():
+    rows = index.tolist()
+    first, last = rows[0], rows[-1]
+    step = rows[1] - first if len(rows) > 1 else 1
+    if step == 1 or exact and step > 1:
+        if rows == list(range(first, last + 1, step)):
+            return slice(first, last + 1, None if step == 1 else step)
+    elif exact and step == 0 and rows.count(first) == len(rows):
         return slice(first, first + 1)
-    if exact and step[0] > 0 and (step == step[0]).all():
-        return slice(first, int(index[-1]) + 1, int(step[0]))
     return index
 
 
-def _bind(program: Program, regs: np.ndarray):
-    """Each group of the tape as (kernel, operands, gathers, destination).
-
-    Operands whose rows of ``regs`` are regular (see :func:`_rows`) are
-    views of it; the others are scratch blocks, which ``gathers`` lists
-    as (rows, block) pairs for :func:`_run` to fill before the kernel
-    call.  A group's
-    kernel reads its blocks before the next group fills them, so the j-th
-    operand of every group can use the same j-th block.
+def _output_rows(program: Program):
+    """Registers of the nodes' outputs: a slice when they are one group
+    of the tape in node order, which then writes each step's state
+    straight into its block row, else the index array, whose rows a step
+    copies there.
     """
-    width = max((stop - start for start, stop in program.groups), default=0)
-    scratch = np.empty((max(row.arity for row in _ROWS), width, regs.shape[1]))
-    bound = []
+    rows = _rows(program.out_regs)
+    if isinstance(rows, slice):
+        for start, stop in program.groups:
+            if program.ops[start, 1] == rows.start and stop - start == program.n_nodes:
+                return rows
+    return program.out_regs
+
+
+def _plan(program: Program, phases: int):
+    """The tape of each of the first ``phases`` steps of a block, as
+    (kernel, operand rows, destination rows) of :func:`_registers`'s file.
+
+    At phase q the window slot of node i at delay d reads block state
+    T - 1 + q - d, and the outputs go to block state T + q: written there
+    by their group when :func:`_output_rows` is a slice, else copied by a
+    last entry whose kernel is None.  Other registers sit STOP_STREAK * n
+    rows down, the same at every phase.  Rows are views where
+    :func:`_rows` allows.
+    """
+    n, T = program.n_nodes, program.T
+    row = np.arange(program.n_regs) + STOP_STREAK * n
+    delay, node = np.divmod(np.arange(T * n), n)
+    row[: T * n] = (T - 1 - delay) * n + node
+    moves = np.arange(program.n_regs) < T * n  # one block state per phase
+    out = _output_rows(program)
+    if isinstance(out, slice):
+        row[out] = T * n + np.arange(n)
+        moves[out] = True
+
+    def at(index: np.ndarray, exact: bool) -> list:
+        """The rows of registers ``index`` at each phase: computed once
+        and shifted when all or none of them move."""
+        moving = moves[index]
+        count = np.count_nonzero(moving)
+        if 0 < count < index.size:
+            return [_rows(row[index] + q * n * moving, exact) for q in range(phases)]
+        first, by = _rows(row[index], exact), n * bool(count)
+        if isinstance(first, slice):
+            return [slice(first.start + q * by, first.stop + q * by, first.step)
+                    for q in range(phases)]
+        return [first + q * by for q in range(phases)]
+
+    plan: list[list] = [[] for _ in range(phases)]
     for start, stop in program.groups:
         code, dst = program.ops[start, :2].tolist()
-        row = _ROWS[code]
-        operands = []
-        gathers = []
-        for j in range(row.arity):
-            rows = _rows(program.ops[start:stop, 2 + j], row.name in _EXACT)
-            if isinstance(rows, slice):
-                operands.append(regs[rows])
-            else:
-                block = scratch[j, : stop - start]
-                gathers.append((rows, block))
-                operands.append(block)
-        bound.append((row.array, tuple(operands), tuple(gathers), regs[dst : dst + stop - start]))
+        kernel = _ROWS[code]
+        operands = [at(program.ops[start:stop, 2 + j], kernel.name in _EXACT)
+                    for j in range(kernel.arity)]
+        # a group's destinations are consecutive, in the block as elsewhere
+        dst, by = int(row[dst]), n * int(moves[dst])
+        for q in range(phases):
+            rows = slice(dst + q * by, dst + q * by + stop - start)
+            plan[q].append((kernel.array, tuple(operand[q] for operand in operands), rows))
+    if not isinstance(out, slice):
+        reads, by = row[out], n * moves[out]
+        for q in range(phases):
+            plan[q].append((None, (reads + q * by,), slice((T + q) * n, (T + q + 1) * n)))
+    return plan
+
+
+def _bind(plan, regs: np.ndarray):
+    """Each phase of ``plan`` as a list of (kernel, operands, gathers,
+    destination) over ``regs``.
+
+    Operand rows that are a slice are views of ``regs``; the others are
+    scratch blocks, which ``gathers`` lists as (rows, block) pairs for
+    :func:`_run` to fill before the kernel call.  A group's kernel reads
+    its blocks before the next group fills them, so the j-th operand of
+    every group can use the same j-th block.  An entry without a kernel
+    gathers straight into its destination.
+    """
+    width = max((rows.size for _, operands, _ in plan[0] for rows in operands
+                 if not isinstance(rows, slice)), default=0)
+    scratch = np.empty((max(row.arity for row in _ROWS), width, regs.shape[1]))
+    bound = []
+    for phase in plan:
+        tape = []
+        for kernel, rows, dst in phase:
+            out = regs[dst]
+            operands = []
+            gathers = []
+            for j, index in enumerate(rows):
+                if isinstance(index, slice):
+                    operands.append(regs[index])
+                else:
+                    block = out if kernel is None else scratch[j, : index.size]
+                    gathers.append((index, block))
+                    operands.append(block)
+            tape.append((kernel, tuple(operands), tuple(gathers), out))
+        bound.append(tape)
     return bound
 
 
-def _run(bound, regs: np.ndarray) -> None:
-    for kernel, operands, gathers, out in bound:
+def _run(tape, regs: np.ndarray) -> None:
+    for kernel, operands, gathers, out in tape:
         for rows, block in gathers:
             # the rows are in range; mode "clip" skips the copy that
             # the default "raise" makes before writing ``out``
             regs.take(rows, axis=0, out=block, mode="clip")
-        kernel(*operands, out=out)
+        if kernel is not None:
+            kernel(*operands, out=out)
 
 
 def _compress(a: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -264,19 +372,6 @@ def _change(after: np.ndarray, before: np.ndarray) -> np.ndarray:
     return np.abs(delta, out=delta).max(axis=1)
 
 
-def _output_rows(program: Program):
-    """Rows of the nodes' outputs in a register file.
-
-    A slice, so that ``regs[rows]`` is a view, when they are consecutive
-    and none is a window slot, which the step rewrites after it has read
-    its outputs.
-    """
-    rows = _rows(program.out_regs)
-    if isinstance(rows, slice) and rows.start >= program.const_offset:
-        return rows
-    return program.out_regs
-
-
 def run_orbit_batch(
     program: Program,
     histories: np.ndarray,
@@ -299,12 +394,13 @@ def run_orbit_batch(
     0's states as ``keep=None`` holds them, state r in row r, and also the
     non-finite state of a step at which trial 0 diverged.
 
-    The live trials run in blocks of ``STOP_STREAK`` steps, each step's
-    outputs collected in a block buffer; after each block one pass finds
-    where each trial diverged or stopped, writes the block into the ring
-    and the path, each trial up to its end, and drops the trials that
-    ended from the register file, which keeps the live trials' columns
-    in order, so trial 0, while live, is column 0.
+    The live trials run in blocks of ``STOP_STREAK`` steps, each step
+    reading its window from, and writing its state into, the block of
+    states at the head of the register file; after each block one pass
+    finds where each trial diverged or stopped, writes the block into the
+    ring and the path, each trial up to its end, and drops the trials
+    that ended from the register file, which keeps the live trials'
+    columns in order, so trial 0, while live, is column 0.
     """
     histories = np.asarray(histories, dtype=np.float64)
     trials, T, n = histories.shape
@@ -321,18 +417,15 @@ def run_orbit_batch(
     if path is not None:
         path[:T] = histories[0]
     regs = _registers(program, trials)
-    window = regs[: T * n].reshape(T, n, trials)  # window[d, i]: node i at delay d
-    window[...] = histories[:, ::-1].transpose(1, 2, 0)
-    del histories  # loaded: freed here when the caller kept no reference
-    bound = _bind(program, regs)
-    out_rows = _output_rows(program)
     # block[:T] holds the last T states before a block, oldest first, and
-    # block[T - 1 + j] the state after its j-th step, so the window is
-    # always T consecutive rows of it reversed; after a drop the block is
-    # a contiguous prefix of the one allocation
+    # block[T - 1 + j] the state after its j-th step: each phase's tape
+    # reads its window from the block and writes its state into it
     width = STOP_STREAK
-    store = np.empty((T + width) * n * trials)
-    block = store.reshape(T + width, n, trials)
+    block = regs[: (T + width) * n].reshape(T + width, n, trials)
+    block[:T] = histories.transpose(1, 2, 0)
+    del histories  # loaded: freed here when the caller kept no reference
+    plan = _plan(program, width)
+    phases = _bind(plan, regs)
     ids = np.arange(trials)  # the live trials
     steps_done = np.full(trials, steps, dtype=np.int64)
     diverged = np.zeros(trials, dtype=bool)
@@ -342,11 +435,8 @@ def run_orbit_batch(
             if ids.size == 0:
                 break
             b = min(width, steps - k)
-            block[:T] = window[::-1]
-            for j in range(1, b + 1):
-                _run(bound, regs)
-                block[T - 1 + j] = regs[out_rows]
-                window[...] = block[j : j + T][::-1]
+            for tape in phases[:b]:
+                _run(tape, regs)
 
             states = block[T : T + b]
             change = _change(states, block[T - 1 : T - 1 + b])
@@ -386,16 +476,17 @@ def run_orbit_batch(
                     path = None  # trial 0 is done: column 0 is another trial now
                 ids = ids[live]
                 streak = streak[live]
-                bound = None  # frees the old scratch before _bind makes the new
+                phases = None  # frees the old scratch before _bind makes the new
                 regs = _compress(regs, live)
-                window = regs[: T * n].reshape(T, n, ids.size)
-                bound = _bind(program, regs)
-                block = _compress(block.reshape(-1, live.size), live)
-                block = block.reshape(T + width, n, ids.size)
+                block = regs[: (T + width) * n].reshape(T + width, n, ids.size)
+                phases = _bind(plan, regs)
                 states = block[T : T + b]
             # the live trials write the whole block, its last min(b, keep) states
             rows = (T + k + np.arange(max(0, b - keep), b)) % keep
             ring[rows[:, None], ids] = states[b - rows.size :].transpose(0, 2, 1)
+            # the block's last T states start the next block (a block
+            # shorter than STOP_STREAK is the last one)
+            block[:T] = block[b : b + T]
     return ring.transpose(1, 0, 2), steps_done, diverged
 
 
@@ -406,15 +497,15 @@ def undelayed_map(program: Program):
     the map many times, as a fixed-point iteration does, pays for that
     once.  Each call returns a new array.
     """
+    T, n = program.T, program.n_nodes
     regs = _registers(program, 1)
-    window = regs[: program.const_offset].reshape(program.T, program.n_nodes)
-    bound = _bind(program, regs)
+    block = regs[: (T + 1) * n].reshape(T + 1, n)
+    tape = _bind(_plan(program, 1), regs)[0]
 
     def apply(x: np.ndarray) -> np.ndarray:
-        window[...] = x
+        block[:T] = x
         with np.errstate(all="ignore"):
-            _run(bound, regs)
-        return regs[program.out_regs, 0]
+            _run(tape, regs)
+        return block[T].copy()
 
     return apply
-

@@ -282,17 +282,19 @@ def _bracket(A: NonnegMatrix) -> tuple[float, float, np.ndarray]:
     # each component's entries, in order, are one slice of this grouping
     by_comp = np.argsort(t_comp, kind="stable")
     bounds = np.searchsorted(t_comp[by_comp], np.arange(len(comps) + 1)).tolist()
-    lower = upper = 0.0
+    # a lone loop, one vertex reading itself at lag 0, has rho its entry
+    within = t_comp >= 0
+    lagged = np.zeros(len(comps), dtype=bool)
+    lagged[t_comp[within & (t_lag > 0)]] = True
+    entries = np.diff(bounds)
+    lone = (entries > 0) & ~lagged & (np.fromiter(map(len, comps), np.intp, len(comps)) == 1)
+    loops = np.bincount(t_comp[within], t_coef[within], len(comps))[lone]
+    lower = upper = float(loops.max(initial=0.0))
     x_kept, s_kept = np.ones(m), np.ones(m)
     live = np.zeros(len(comps), dtype=bool)
-    for k, comp in enumerate(comps):
+    for k in np.flatnonzero((entries > 0) & ~lone).tolist():
+        comp = comps[k]
         sl = by_comp[bounds[k]:bounds[k + 1]]
-        if not sl.size:
-            continue  # trivial
-        if len(comp) == 1 and not t_lag[sl].any():
-            c = float(t_coef[sl].sum())  # a lone loop: rho is its entry
-            lower, upper = max(lower, c), max(upper, c)
-            continue
         ids = np.asarray(comp)  # sorted: a kept vertex's position in it is its local index
         local = np.searchsorted(ids, t_row[sl]), np.searchsorted(ids, t_col[sl])
         s_kept[ids], x_kept[ids] = _root(len(comp), *local, t_coef[sl], t_lag[sl], cap)

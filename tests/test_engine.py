@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from netstab.expr import (
     eval_interval,
     eval_point,
 )
-from netstab.network import build_network
+from netstab.network import build_network, load_network
 
 R = Interval.whole()
 
@@ -478,6 +480,64 @@ def test_path_ends_where_trial_zero_ends_mid_block(first):
     assert np.isnan(path[end:]).all()
 
 
+# ---------------------------------------------------------------------------
+# the whole corpus against the reference
+
+
+def _corpus():
+    """The gallery, the bundled networks, seeded random networks, delayed
+    and undelayed (two with T above STOP_STREAK), one whose output is a
+    window slot and one that diverges."""
+    yield from (
+        gallery.cg_ring(6, 0.1, 1.0, 0.5), gallery.delayed_pair(0.5, 0.1, 1.0, c1=0.3),
+        gallery.undelayed_pair(0.5, 0.1, 1.0), gallery.distributed_pair(),
+        gallery.tanh_ring(6, 0.5), gallery.six_node(),
+    )
+    for path in sorted((Path(__file__).resolve().parent.parent / "networks").glob("*.net")):
+        yield load_network(path.read_text())
+    rng = np.random.default_rng(163)
+    for k in range(24):
+        delay = (0, 3, 11)[k % 3] if k < 6 else 3 * (k % 2)
+        yield random_network(rng, int(rng.integers(1, 8)), max_delay=delay,
+                             require_delay=delay > 0)
+    yield build_network(
+        [("x1", R), ("x2", R)], [("x1", "x2[-2]"), ("x2", "0.9*tanh(x1) - 0.3*x2[-1]")]
+    )
+    yield build_network(
+        [("x1", R), ("x2", R)],
+        [("x1", "x1*x1 + 0.1*tanh(x2[-2])"), ("x2", "0.5*x2 - 0.2*x1[-1]")],
+    )
+
+
+def test_corpus_is_bit_identical_to_the_reference():
+    rng = np.random.default_rng(167)
+    phases, stop_phases, divergences, long_windows = set(), set(), 0, 0
+    for i, net in enumerate(_corpus()):
+        prog = engine.compile_network(net)
+        long_windows += prog.T > engine.STOP_STREAK
+        steps = 40 + i % engine.STOP_STREAK
+        phases.add(steps % engine.STOP_STREAK)
+        histories = rng.uniform(-1.5, 1.5, (6, prog.T, prog.n_nodes))
+        histories[1] = 3.0  # diverges where x1 squares itself
+        for stop_delta in (0.0, 1e-7):
+            _, done, diverged = _assert_same_orbits(prog, histories, steps, stop_delta)
+            _assert_ring_matches_the_reference(prog, histories, steps, stop_delta, 5)
+            stopped = (done < steps) & ~diverged
+            stop_phases.update((done[stopped] % engine.STOP_STREAK).tolist())
+            divergences += int(diverged.sum())
+            full, _, _ = reference_orbit_batch(prog, histories, steps, stop_delta)
+            path = np.full((prog.T + steps, prog.n_nodes), np.nan)
+            engine.run_orbit_batch(prog, histories, steps, stop_delta, 3, path)
+            end = prog.T + done[0]
+            assert np.array_equal(path[:end], full[0, :end])
+            assert np.isnan(path[end + diverged[0]:]).all()
+        apply = engine.undelayed_map(prog)
+        for x in rng.uniform(-1.5, 1.5, (2, prog.n_nodes)):
+            assert np.array_equal(apply(x), reference_apply_undelayed(prog, x))
+    assert phases == stop_phases == set(range(engine.STOP_STREAK))
+    assert divergences > 0 and long_windows == 2
+
+
 def test_rows_are_views_only_where_the_kernel_rounds_the_same():
     # a constant step, or one row repeated, is a view only for an exactly
     # rounded row; a transcendental row gathers it into a contiguous block
@@ -496,15 +556,26 @@ def test_rows_are_views_only_where_the_kernel_rounds_the_same():
         [("x1", "tanh(x1)"), ("x2", "0.5*x1 + 0.5*x2 + 0.5*x3"), ("x3", "tanh(x3)")],
     )
     prog = engine.compile_network(net)
-    bound = {kernel: gathers for kernel, _, gathers, _ in engine._bind(prog, engine._registers(prog, 2))}
+    bound = {kernel: gathers for kernel, _, gathers, _ in engine._bind(engine._plan(prog, 1), engine._registers(prog, 2))[0]}
     assert [rows.tolist() for rows, _ in bound[np.tanh]] == [[0, 2]]
     assert bound[np.multiply] == ()
 
 
-def test_bench_ring_gathers_at_most_two_operands_per_step():
+def test_bench_ring_gathers_only_its_tanh_window_reads():
+    # consumer-ordered temporaries and one constant slot per use leave one
+    # gather per step, tanh's window read, at every phase of a block; every
+    # other operand is a contiguous view, none strided or broadcast
     prog = engine.compile_network(build_benchmark_network(48))
-    bound = engine._bind(prog, engine._registers(prog, 3))
-    assert sum(len(gathers) for _, _, gathers, _ in bound) <= 2
+    phases = engine._bind(engine._plan(prog, engine.STOP_STREAK), engine._registers(prog, 3))
+    assert len(phases) == engine.STOP_STREAK
+    for tape in phases:
+        gathers = [(kernel, rows) for kernel, _, g, _ in tape for rows, _ in g]
+        assert [kernel for kernel, _ in gathers] == [np.tanh]
+        assert (gathers[0][1] < (prog.T + engine.STOP_STREAK) * prog.n_nodes).all()
+        for _, operands, g, out in tape:
+            gathered = [id(block) for _, block in g]
+            views = [op for op in operands if id(op) not in gathered]
+            assert all(v.flags.c_contiguous and v.shape == out.shape for v in views)
 
 
 def test_bench_ring_runs_in_six_groups():

@@ -449,6 +449,58 @@ def test_conjugacy_random_suite_small():
         assert conjugacy_check(net, history, 100)
 
 
+def _conjugate_step_by_step(net, history, steps, tol):
+    """conjugacy_check as one comparison per step, each step's max
+    difference against ``tol``."""
+    hist = np.asarray(history, dtype=np.float64)
+    aug = dedelay(net)
+    x0 = np.array([
+        hist[net.T - 1 - aug.projection[c][1], net.nodes.index(aug.projection[c][0])]
+        for c in aug.coords
+    ])
+    delayed, undelayed = iterate_orbit(net, hist, steps), iterate_orbit(aug.net, x0[None], steps)
+    if delayed.steps != undelayed.steps:
+        return False
+    return all(
+        not np.max(np.abs(delayed.states[net.T - 1 + k] - undelayed.states[k, : net.size])) > tol
+        for k in range(1, delayed.steps + 1)
+    )
+
+
+def test_conjugacy_check_is_the_step_by_step_comparison():
+    rng = np.random.default_rng(173)
+    nets = [random_network(rng, int(rng.integers(1, 5)), max_delay=3, require_delay=True)
+            for _ in range(8)]
+    nets.append(build_network([("x1", R), ("x2", R)],
+                              [("x1", "x1*x1 + 0.1*tanh(x2[-2])"), ("x2", "0.5*x2 - 0.2*x1[-1]")]))
+    outcomes = set()
+    for net in nets:
+        history = rng.uniform(-2, 2, (net.T, net.size))
+        for tol in (-1.0, 0.0, 1e-12):
+            want = _conjugate_step_by_step(net, history, 30, tol)
+            assert conjugacy_check(net, history, 30, tol) == want
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_trajectory_flags_a_domain_exit_as_a_scan_per_node_does():
+    net = build_network(
+        [("x1", Interval(-1.0, 1.0)), ("x2", Interval(0.0, np.inf)), ("x3", R)],
+        [("x1", "x1"), ("x2", "x2"), ("x3", "x3")],
+    )
+    rng = np.random.default_rng(179)
+    special = np.array([np.nan, np.inf, -np.inf, -1.0, 1.0, 0.0, -0.0])
+    for _ in range(200):
+        states = rng.uniform(-1.2, 1.2, (net.T + 3, 3))
+        mask = rng.random(states.shape) < 0.2
+        states[mask] = rng.choice(special, mask.sum())
+        want = any(
+            ((states[:, i] < net.domains[node].lo) | (states[:, i] > net.domains[node].hi)).any()
+            for i, node in enumerate(net.nodes)
+        )
+        assert sim._trajectory(net, states, 3, False).left_domain == want
+
+
 def test_stability_implies_empirical_attraction_small():
     rng = np.random.default_rng(127)
     done = 0
