@@ -2,6 +2,18 @@
 
 Usage: python benchmarks/bench_layers.py [-o OUT.json] [--repeats N] [--layers 10,12,14]
 
+The load layer reads four network files as every verb starts: two
+13-node ``tests/gen.py`` random networks, dumped (the shape of the
+``structural_search`` workload's files), a 16-node ring with neighbour
+delays up to 16 (``perfbench``'s ``ring_spec``, the shape of
+``delayed_certify``'s) and the unrestricted k = 10 diamond.  It records
+the best of ``--repeats`` wall times in ms of ``load_network``
+(``load_ms``) and, apart, of parsing every rule (``parse_ms``),
+normalizing the parsed rules (``normalize_ms``) and finding what each
+rule reads (``reads_ms``, ``TimeDelayedNetwork.reads``), with the
+characters of the rules and the distinct nodes loaded.  Each timed call
+drops what it built, so every file is loaded onto no live node of its own.
+
 A k-layer diamond chain s -> (a1, b1) -> ... -> (ak, bk) -> s (the
 construction of the ``restrict_diamond`` benchmark workload) has 2^k
 branches through 2k + 1 nodes.  For each k this restricts it onto {s},
@@ -130,8 +142,8 @@ import numpy as np
 from netstab import cli, engine
 from netstab.delays import state_indices, undelay
 from netstab.expr import Expr, normalize, parse_expression
-from netstab.network import (REPORT_SCHEMA, dump_network, interaction_graph, load_network,
-                             report_json)
+from netstab.network import (REPORT_SCHEMA, TimeDelayedNetwork, dump_network, interaction_graph,
+                             load_network, report_json)
 from netstab.sim import find_fixed_point, iterate_orbit, verify_global_attraction
 from netstab.spectral import NonnegMatrix, spectral_bracket
 from netstab.stability import _bounded, _partials, _provenance, analyze, stability_matrix
@@ -167,10 +179,10 @@ CHAINED_KEPT = (0.25, 0.5, 0.9)
 CHAIN_COMPONENTS = 32_000
 
 
-def distinct_nodes(e) -> int:
-    """Expression nodes reachable from ``e``, each counted once by identity."""
+def distinct_nodes(*roots) -> int:
+    """Expression nodes reachable from ``roots``, each counted once by identity."""
     seen: set[int] = set()
-    stack = [e]
+    stack = list(roots)
     while stack:
         cur = stack.pop()
         if id(cur) in seen:
@@ -254,6 +266,43 @@ def bench_live_nodes(k: int) -> dict:
     held = live_nodes()
     del net, restricted, loaded, reports
     return {"layers": k, "before": before, "held": held, "released": live_nodes()}
+
+
+def bench_load(repeats: int) -> list[dict]:
+    """``load_network`` and its layers on the files of three workloads."""
+    rng = np.random.default_rng(13)
+    cases = [(f"random13_{i}", dump_network(random_network(rng, 13))) for i in (1, 2)]
+    cases.append(("ring16_d16", ring_text(ring_spec(np.random.default_rng(16), 16, 16), "ring")))
+    cases.append((f"diamond{EXPAND_LAYERS}", diamond_text(
+        diamond_spec(np.random.default_rng(EXPAND_LAYERS), EXPAND_LAYERS), "diamond")))
+    rows = []
+    for name, text in cases:
+        rules = [line.split("=", 1)[1].strip() for line in text.splitlines()
+                 if line.startswith("update ")]
+        declared = frozenset(line.split()[1] for line in text.splitlines()
+                             if line.startswith("node "))
+        # every timed call drops what it built, so no node of the file is
+        # alive when the next one starts, as in a run that loads it once
+        load_ms, _ = best_of(repeats, lambda: load_network(text) and None)
+        parse_ms, _ = best_of(repeats, lambda: [parse_expression(r, declared) for r in rules] and None)
+        parsed = [parse_expression(r, declared) for r in rules]
+        normalize_ms, _ = best_of(repeats, lambda: [normalize(e) for e in parsed] and None)
+        net = load_network(text)
+        reads_ms, _ = best_of(
+            repeats, lambda: TimeDelayedNetwork(net.nodes, net.domains, net.updates).reads and None)
+        rows.append({
+            "network": name,
+            "nodes": net.size,
+            "T": net.T,
+            "rule_chars": sum(map(len, rules)),
+            "distinct_nodes": distinct_nodes(*net.updates.values()),
+            "load_ms": round(load_ms, 3),
+            "parse_ms": round(parse_ms, 3),
+            "normalize_ms": round(normalize_ms, 3),
+            "reads_ms": round(reads_ms, 3),
+        })
+        del parsed, net
+    return rows
 
 
 def bench_expand(k: int, repeats: int) -> dict:
@@ -482,6 +531,7 @@ def main():
         "numpy": np.__version__,
         "machine": platform.machine(),
         "repeats": args.repeats,
+        "load": bench_load(args.repeats),
         "diamond": [
             bench_diamond(int(k), args.repeats) for k in args.layers.split(",")
         ],

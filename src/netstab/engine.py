@@ -33,24 +33,26 @@ blocks that the groups share.
 
 A batch runs its live trials in blocks of ``STOP_STREAK`` steps.  The
 block of states (the last T states before it, then one per step) is the
-head of the register file, and the tape is bound once per step phase of
-a block: the window slots of phase q read the block's states before
-step q in place, and when the outputs are one group in node order that
-group writes straight into the state after it, else a last gather
-copies them there.  After the block, one vectorized pass finds each trial's
-first non-finite step and the step that completes its run of small
-steps, writes the block into the ring of kept states, each trial up to
-its end, and trial 0's path, and drops the trials that ended; the block's
-last T states then open the next one.  A drop moves the live columns of
-the register file to the front of its memory, so it is not allocated
-again.  The ring is trial-major, (keep, trials, n), so a block write over
-scattered trials copies n-vectors.
+head of the register file, and the tape, planned once per program
+(``Program.plan``), is bound once per step phase of a block: the window
+slots of phase q read the block's states before step q in place, and
+when the outputs are one group in node order that group writes straight
+into the state after it, else a last gather copies them there.  After
+the block, one vectorized pass finds each trial's first non-finite step
+and the step that completes its run of small steps, writes the block
+into the ring of kept states, each trial up to its end, and trial 0's
+path, and drops the trials that ended; the block's last T states then
+open the next one.  A drop moves the live columns of the register file
+to the front of its memory, so it is not allocated again.  The ring is
+trial-major, (keep, trials, n), so a block write over scattered trials
+copies n-vectors.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +103,11 @@ class Program:
     @property
     def const_offset(self) -> int:
         return self.T * self.n_nodes
+
+    @cached_property
+    def plan(self):
+        """:func:`_plan` of every phase of a block, made on first use."""
+        return _plan(self, STOP_STREAK)
 
 
 def compile_network(net: TimeDelayedNetwork) -> Program:
@@ -424,8 +431,7 @@ def run_orbit_batch(
     block = regs[: (T + width) * n].reshape(T + width, n, trials)
     block[:T] = histories.transpose(1, 2, 0)
     del histories  # loaded: freed here when the caller kept no reference
-    plan = _plan(program, width)
-    phases = _bind(plan, regs)
+    phases = _bind(program.plan, regs)
     ids = np.arange(trials)  # the live trials
     steps_done = np.full(trials, steps, dtype=np.int64)
     diverged = np.zeros(trials, dtype=bool)
@@ -479,7 +485,7 @@ def run_orbit_batch(
                 phases = None  # frees the old scratch before _bind makes the new
                 regs = _compress(regs, live)
                 block = regs[: (T + width) * n].reshape(T + width, n, ids.size)
-                phases = _bind(plan, regs)
+                phases = _bind(program.plan, regs)
                 states = block[T : T + b]
             # the live trials write the whole block, its last min(b, keep) states
             rows = (T + k + np.arange(max(0, b - keep), b)) % keep
@@ -500,7 +506,7 @@ def undelayed_map(program: Program):
     T, n = program.T, program.n_nodes
     regs = _registers(program, 1)
     block = regs[: (T + 1) * n].reshape(T + 1, n)
-    tape = _bind(_plan(program, 1), regs)[0]
+    tape = _bind(program.plan[:1], regs)[0]
 
     def apply(x: np.ndarray) -> np.ndarray:
         block[:T] = x

@@ -10,18 +10,20 @@ rule.
 
 Expressions are DAGs: a node may be the child of several parents.  The
 node constructors hash-cons: each returns the live node of the structure
-it is asked for when there is one, so every structure has one node, in
-every rule and from every builder (parser, normalization, restriction,
-differentiation), and equality is identity.  Every walker (printing,
-normalization, differentiation, evaluation, substitution) visits each
-distinct node once, iteratively, with a memo keyed by node and local to
-the call, so its cost is O(distinct nodes) and deep input does not
-exhaust the interpreter stack; :func:`gradient` takes all partials of a
-rule in one such walk, though a node's work grows with the reads below
-it.  Printed text still expands the sharing, so the text of a restricted
-rule grows with the number of paths, not of nodes; the parser reads each
-distinct parenthesised group of it once.  The report's derivative
-provenance names the nodes whose sharing nests instead.
+it is asked for when there is one (looked up before anything is checked
+or built), so every structure has one node, in every rule and from every
+builder (parser, normalization, restriction, differentiation), and
+equality is identity.  Every walker (printing, normalization,
+differentiation, evaluation, substitution, reads) visits each distinct
+node once, iteratively, with a memo keyed by node and local to the call,
+so its cost is O(distinct nodes) and deep input does not exhaust the
+interpreter stack; :func:`gradient` takes all partials of a rule in one
+such walk, though a node's work grows with the reads below it, and
+:func:`normalize` flattens each additive chain once.  Printed text still
+expands the sharing, so the text of a restricted rule grows with the
+number of paths, not of nodes; the parser reads each distinct
+parenthesised group of it once.  The report's derivative provenance
+names the nodes whose sharing nests instead.
 
 The module provides parsing, printing, symbolic differentiation and
 evaluation: one walker takes any number of roots at once, under either
@@ -39,6 +41,7 @@ import re
 import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -105,11 +108,13 @@ class _Ref(weakref.ref):
 
 # A weak reference to the live node of each structure, by its key: the
 # node's class, then its fields in slot order, children by identity (they
-# are the live nodes of their own structures); a constant's key adds the
-# sign of its value.  An entry goes, by ``_forget``, when its node does.
+# are the live nodes of their own structures); a zero constant's key adds
+# the sign of its value.  An entry goes, by ``_forget``, when its node does.
 # Construction takes no lock: expressions are built from one thread.  (A
 # plain dict of weak references: WeakValueDictionary's get and set, written
 # in Python, cost differentiation-heavy analyses about 5 % of their time.)
+# A constructor looks its key up first, and only on a miss validates, keeps
+# (``_keep``) and fills a new node, through its own class's slot descriptors.
 _LIVE: dict[tuple, _Ref] = {}
 
 
@@ -118,17 +123,7 @@ def _forget(ref: _Ref) -> None:
         del _LIVE[ref.key]
 
 
-def _node(key: tuple) -> Expr:
-    """The live node with ``key``, made if there is none."""
-    ref = _LIVE.get(key)
-    if ref is not None:
-        node = ref()
-        if node is not None:
-            return node
-    cls = key[0]
-    node = object.__new__(cls)
-    for name, value in zip(cls.__slots__, key[1:]):
-        object.__setattr__(node, name, value)
+def _keep(node: Expr, key: tuple) -> Expr:
     ref = _LIVE[key] = _Ref(node, _forget)
     ref.key = key
     return node
@@ -139,50 +134,80 @@ class Const(Expr):
 
     def __new__(cls, value: float):
         value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"constants must be finite, got {value!r}")
         # 0.0 == -0.0, but they print differently
-        return _node((cls, value, math.copysign(1.0, value)))
+        key = (cls, value) if value else (cls, value, math.copysign(1.0, value))
+        ref = _LIVE.get(key)
+        if ref is None or (node := ref()) is None:
+            if not math.isfinite(value):
+                raise ValueError(f"constants must be finite, got {value!r}")
+            node = _keep(object.__new__(cls), key)
+            _VALUE(node, value)
+        return node
 
 
 class Var(Expr):
     __slots__ = ("node", "delay")
 
     def __new__(cls, node: str, delay: int = 0):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay} on {node}")
-        return _node((cls, node, delay))
+        key = (cls, node, delay)
+        ref = _LIVE.get(key)
+        if ref is None or (var := ref()) is None:
+            if delay < 0:
+                raise ValueError(f"negative delay {delay} on {node}")
+            var = _keep(object.__new__(cls), key)
+            _NODE(var, node)
+            _DELAY(var, delay)
+        return var
 
 
 class Call(Expr):
     __slots__ = ("func", "arg")
 
     def __new__(cls, func: str, arg: Expr):
-        row = OPERATORS.get(func)
-        if row is None or row.arity != 1:
-            raise ValueError(f"unknown function {func!r}")
-        return _node((cls, func, arg))
+        key = (cls, func, arg)
+        ref = _LIVE.get(key)
+        if ref is None or (node := ref()) is None:
+            row = OPERATORS.get(func)
+            if row is None or row.arity != 1:
+                raise ValueError(f"unknown function {func!r}")
+            node = _keep(object.__new__(cls), key)
+            _FUNC(node, func)
+            _ARG(node, arg)
+        return node
 
 
 class BinOp(Expr):
     __slots__ = ("op", "left", "right")
 
     def __new__(cls, op: str, left: Expr, right: Expr):
-        row = OPERATORS.get(op)
-        if row is None or row.arity != 2:
-            raise ValueError(f"unknown operator {op!r}")
-        return _node((cls, op, left, right))
+        key = (cls, op, left, right)
+        ref = _LIVE.get(key)
+        if ref is None or (node := ref()) is None:
+            row = OPERATORS.get(op)
+            if row is None or row.arity != 2:
+                raise ValueError(f"unknown operator {op!r}")
+            node = _keep(object.__new__(cls), key)
+            _OP(node, op)
+            _LEFT(node, left)
+            _RIGHT(node, right)
+        return node
 
 
-def _postorder(roots, sums_as_terms: bool = False, repeated: set[Expr] | None = None):
+_VALUE, _NODE, _DELAY, _FUNC, _ARG, _OP, _LEFT, _RIGHT = (
+    slot.__set__ for slot in (Const.value, Var.node, Var.delay, Call.func, Call.arg,
+                              BinOp.op, BinOp.left, BinOp.right))
+
+
+def _postorder(roots, chains: dict | None = None, repeated: set[Expr] | None = None):
     """Each distinct node reachable from ``roots``, once, children before
     parents and left before right: the order in which a recursive walk
     first finishes each node.
 
-    With ``sums_as_terms`` the children of an additive chain are its terms
-    (what :func:`normalize` reads) instead of its two operands.  When
-    ``repeated`` is given, every node reached along more than one edge is
-    added to it.
+    When ``chains`` is given, the children of an additive chain are its
+    terms (what :func:`normalize` reads) instead of its two operands, and
+    ``chains`` maps the chain to them as :func:`_flatten_add` lists them.
+    When ``repeated`` is given, every node reached along more than one
+    edge is added to it.
     """
     order: list[Expr] = []
     seen: set[Expr] = set()
@@ -199,9 +224,9 @@ def _postorder(roots, sums_as_terms: bool = False, repeated: set[Expr] | None = 
         seen.add(node)
         kind = type(node)
         if kind is BinOp:
-            if sums_as_terms and node.op in ("+", "-"):
+            if chains is not None and node.op in ("+", "-"):
                 stack += (node, None)
-                stack += [term for _, term in reversed(_flatten_add(node))]
+                stack += [term for _, term in reversed(_flatten_add(node, chains))]
             else:
                 stack += (node, None, node.right, node.left)
         elif kind is Call:
@@ -469,6 +494,8 @@ class _Parser:
     reads each distinct group once, and never scans the whole text.
     """
 
+    __slots__ = ("text", "declared", "kind", "value", "pos", "end", "depth", "peak", "groups")
+
     def __init__(self, text: str, declared: set[str]):
         self.text = text
         self.declared = declared
@@ -481,27 +508,30 @@ class _Parser:
         self.groups: dict[str, list[tuple[str, Expr, int]]] = {}
 
     def seek(self, pos: int):
-        """Read the token that starts at or after ``pos`` into ``self.tok``.
+        """Read the token that starts at or after ``pos``: its ``kind``,
+        ``value`` and ``pos``, and the ``end`` of its text.
 
         A character no token starts with becomes a ``bad`` token, an error
-        only once the parse reaches it.
+        only once the parse reaches it.  Only an ``op`` token's value is
+        one of its symbols, so the parse tests values alone.
         """
         text = self.text
         m = _TOKEN_RE.match(text, pos)
         if m is not None:
-            kind = m.lastgroup
-            self.tok, self.end = (kind, m.group(kind), m.start(kind)), m.end()
+            kind = self.kind = m.lastgroup
+            self.value = m.group(kind)
+            self.pos, self.end = m.span(kind)
             return
         stripped = text[pos:].lstrip()
-        at = len(text) - len(stripped)
-        self.tok = ("bad", stripped[0], at) if stripped else ("end", "", at)
+        at = self.pos = len(text) - len(stripped)
+        self.kind, self.value = ("bad", stripped[0]) if stripped else ("end", "")
         self.end = at + 1
 
-    def error(self, message: str, tok) -> ParseError:
-        kind, value, pos = tok
-        if kind == "bad":
-            message = f"unexpected character {value!r}"
-        return ParseError(message, pos)
+    def error(self, message: str) -> ParseError:
+        """The error at the current token."""
+        if self.kind == "bad":
+            message = f"unexpected character {self.value!r}"
+        return ParseError(message, self.pos)
 
     def nested(self, at: int, open_pos: int) -> Expr:
         """The expression inside the group that opens at ``open_pos``, one
@@ -510,7 +540,8 @@ class _Parser:
         if self.depth >= MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", at)
         text, start = self.text, open_pos + 1
-        for inner, node, height in self.groups.get(text[start:start + _GROUP_KEY], ()):
+        key = text[start:start + _GROUP_KEY]
+        for inner, node, height in self.groups.get(key, ()):
             close = start + len(inner)
             # a copy of a parsed group parses to the same node, unless it now
             # sits too deep: then it is parsed again and fails where it must
@@ -527,91 +558,78 @@ class _Parser:
         height = self.peak - self.depth
         self.peak = max(outer_peak, self.peak)
         self.depth -= 1
-        close = self.tok[2]
+        close = self.pos
         self.expect_op(")")
         if close - start >= _GROUP_KEY:
-            self.groups.setdefault(text[start:start + _GROUP_KEY], []).append(
-                (text[start:close], e, height))
+            self.groups.setdefault(key, []).append((text[start:close], e, height))
         return e
 
-    def advance(self):
-        tok = self.tok
-        self.seek(self.end)
-        return tok
-
     def expect_op(self, symbol: str):
-        kind, value, _ = self.tok
-        if kind != "op" or value != symbol:
-            raise self.error(f"expected {symbol!r}", self.tok)
-        return self.advance()
+        if self.value != symbol:
+            raise self.error(f"expected {symbol!r}")
+        self.seek(self.end)
 
     def parse(self) -> Expr:
         e = self.expr()
-        kind, value, _ = self.tok
-        if kind != "end":
-            raise self.error(f"unexpected trailing input {value!r}", self.tok)
+        if self.kind != "end":
+            raise self.error(f"unexpected trailing input {self.value!r}")
         return e
 
     def expr(self) -> Expr:
         e = self.term()
-        while True:
-            kind, value, _ = self.tok
-            if kind == "op" and value in ("+", "-"):
-                self.advance()
-                e = BinOp(value, e, self.term())
-            else:
-                return e
+        while (op := self.value) == "+" or op == "-":
+            self.seek(self.end)
+            e = BinOp(op, e, self.term())
+        return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while True:
-            kind, value, _ = self.tok
-            if kind == "op" and value in ("*", "/"):
-                self.advance()
-                e = BinOp(value, e, self.factor())
-            else:
-                return e
+        while (op := self.value) == "*" or op == "/":
+            self.seek(self.end)
+            e = BinOp(op, e, self.factor())
+        return e
 
     def factor(self) -> Expr:
-        kind, value, _ = self.tok
-        if kind == "op" and value == "-":
-            self.advance()
+        if self.value == "-":
+            self.seek(self.end)
             # a minus sign directly on a numeral is the negative constant
-            if self.tok[0] == "num":
+            if self.kind == "num":
                 return self.atom(-1.0)
             return Call("neg", self.atom())
         return self.atom()
 
     def atom(self, sign: float = 1.0) -> Expr:
-        tok = self.advance()
-        kind, value, pos = tok
+        kind, value, pos = self.kind, self.value, self.pos
         if kind == "num":
+            self.seek(self.end)
             number = float(value)
             if math.isinf(number):
                 raise ParseError(f"numeral {value} is out of the float range", pos)
             return Const(sign * number)
-        if kind == "op" and value == "(":
+        if value == "(":
+            self.seek(self.end)
             return self.nested(pos, pos)
-        if kind == "ident":
-            nxt_kind, nxt_value, nxt_pos = self.tok
-            if nxt_kind == "op" and nxt_value == "(":
-                if value not in FUNCTIONS:
-                    raise ParseError(f"unknown function {value!r}", pos)
-                self.advance()
-                return Call(value, self.nested(pos, nxt_pos))
-            if value not in self.declared:
-                raise ParseError(f"undeclared identifier {value!r}", pos)
-            delay = 0
-            if nxt_kind == "op" and nxt_value == "[":
-                self.advance()
-                self.expect_op("-")
-                dtok = self.advance()
-                if dtok[0] != "num" or not dtok[1].isdigit():
-                    raise self.error("delay must be a nonnegative integer", dtok)
-                delay = int(dtok[1])
-                self.expect_op("]")
-            return Var(value, delay)
-        raise self.error(f"unexpected token {value!r}", tok)
+        if kind != "ident":
+            raise self.error(f"unexpected token {value!r}")
+        self.seek(self.end)
+        if self.value == "(":
+            if value not in FUNCTIONS:
+                raise ParseError(f"unknown function {value!r}", pos)
+            open_pos = self.pos
+            self.seek(self.end)
+            return Call(value, self.nested(pos, open_pos))
+        if value not in self.declared:
+            raise ParseError(f"undeclared identifier {value!r}", pos)
+        delay = 0
+        if self.value == "[":
+            self.seek(self.end)
+            self.expect_op("-")
+            if self.kind != "num" or not self.value.isdigit():
+                raise self.error("delay must be a nonnegative integer")
+            delay = int(self.value)
+            self.seek(self.end)
+            self.expect_op("]")
+        return Var(value, delay)
 
 
 def parse_expression(text: str, declared: set[str] | frozenset[str]) -> Expr:
@@ -623,7 +641,7 @@ def parse_expression(text: str, declared: set[str] | frozenset[str]) -> Expr:
     Tokens are read as the parse reaches them, so of several errors the
     one met first in reading order is reported.
     """
-    return _Parser(text, set(declared)).parse()
+    return _Parser(text, frozenset(declared)).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -678,36 +696,36 @@ def _render(e: Expr, shared: dict[Expr, str]) -> str:
     stack: list[Expr | str] = [e]
     while stack:
         cur = stack.pop()
-        if isinstance(cur, str):
+        kind = type(cur)
+        if kind is str:
             pieces.append(cur)
         elif cur in shared:
             pieces.append(shared[cur])
-        elif isinstance(cur, Const):
+        elif kind is Const:
             pieces.append(repr(cur.value))
-        elif isinstance(cur, Var):
+        elif kind is Var:
             pieces.append(cur.node if cur.delay == 0 else f"{cur.node}[-{cur.delay}]")
-        elif isinstance(cur, Call) and cur.func == "neg":
-            if isinstance(cur.arg, (BinOp, Const)) or (
-                isinstance(cur.arg, Call) and cur.arg.func == "neg"
-            ):
+        elif kind is Call and cur.func == "neg":
+            arg = type(cur.arg)
+            if arg is BinOp or arg is Const or arg is Call and cur.arg.func == "neg":
                 # so "-" does not merge into a numeral, grab only part of
                 # the operand, or stack into the ungrammatical "--"
                 stack += [")", cur.arg, "-("]
             else:
                 stack += [cur.arg, "-"]
-        elif isinstance(cur, Call):
+        elif kind is Call:
             stack += [")", cur.arg, f"{cur.func}("]
-        elif isinstance(cur, BinOp):
+        elif kind is BinOp:
             lp = _PREC[cur.op]
             left, right = cur.left, cur.right
-            if (isinstance(right, BinOp) and _PREC[right.op] <= lp) or (
-                isinstance(right, Call) and right.func == "neg" and cur.op in ("-", "/")
+            if (type(right) is BinOp and _PREC[right.op] <= lp) or (
+                type(right) is Call and right.func == "neg" and cur.op in ("-", "/")
             ):
                 stack += [")", right, "("]
             else:
                 stack.append(right)
             stack.append(f" {cur.op} ")
-            if isinstance(left, BinOp) and _PREC[left.op] < lp:
+            if type(left) is BinOp and _PREC[left.op] < lp:
                 stack += [")", left, "("]
             else:
                 stack.append(left)
@@ -721,8 +739,17 @@ def _render(e: Expr, shared: dict[Expr, str]) -> str:
 
 
 def references(e: Expr) -> set[tuple[str, int]]:
-    """All (node, delay) pairs read by ``e``."""
-    return {(v.node, v.delay) for v in _postorder((e,)) if isinstance(v, Var)}
+    """All (node, delay) pairs read by ``e``, in one walk that lists no nodes."""
+    reads, seen, stack = set(), set(), [e]
+    while stack:
+        cur = stack.pop()
+        kind = type(cur)
+        if kind is Var:
+            reads.add((cur.node, cur.delay))
+        elif kind is not Const and cur not in seen:
+            seen.add(cur)
+            stack += (cur.arg,) if kind is Call else (cur.left, cur.right)
+    return reads
 
 
 def substitute(e: Expr, mapping: dict[tuple[str, int], Expr]) -> Expr:
@@ -937,60 +964,37 @@ def eval_interval(e: Expr, box: dict[tuple[str, int], Interval]) -> Interval:
 # normalization
 
 
-def _flatten_add(e: Expr) -> list[tuple[int, Expr]]:
-    """The signed terms of the additive chain at ``e``, left to right."""
-    terms: list[tuple[int, Expr]] = []
+def _flatten_add(e: Expr, chains: dict) -> list[tuple[int, Expr]]:
+    """The signed terms of the additive chain at ``e``, left to right,
+    also kept in ``chains`` under ``e``."""
+    chains[e] = terms = []
     stack = [(1, e)]
     while stack:
         sign, cur = stack.pop()
-        if isinstance(cur, BinOp) and cur.op in ("+", "-"):
+        if type(cur) is BinOp and cur.op in ("+", "-"):
             stack.append((-sign if cur.op == "-" else sign, cur.right))
             stack.append((sign, cur.left))
-        elif isinstance(cur, Call) and cur.func == "neg":
+        elif type(cur) is Call and cur.func == "neg":
             stack.append((-sign, cur.arg))
         else:
             terms.append((sign, cur))
     return terms
 
 
-def _flatten_mul(e: Expr, factors: list[Expr]) -> float:
-    """Append the non-constant factors of the product chain at ``e`` to
-    ``factors``, left to right, and return its constant coefficient.
+# A core is a factor or a chain of factors; no factor is a constant, product or negation.
 
-    The coefficient is multiplied up in the chain's own grouping, left
-    factor times right factor, so it does not depend on how the chain
-    was walked.
-    """
-    if isinstance(e, Const):
-        return e.value
-    if not (
-        isinstance(e, BinOp) and e.op == "*" or isinstance(e, Call) and e.func == "neg"
-    ):
-        factors.append(e)
-        return 1.0
-    order: list[Expr] = []
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        order.append(cur)
-        if isinstance(cur, BinOp) and cur.op == "*":
-            stack += [cur.left, cur.right]
-        elif isinstance(cur, Call) and cur.func == "neg":
-            stack.append(cur.arg)
-    # order is root, right, left: reversed, every node follows its operands
-    coeffs: list[float] = []
-    for cur in reversed(order):
-        if isinstance(cur, BinOp) and cur.op == "*":
-            right = coeffs.pop()
-            coeffs.append(_finite(coeffs.pop() * right))
-        elif isinstance(cur, Call) and cur.func == "neg":
-            coeffs.append(-coeffs.pop())
-        elif isinstance(cur, Const):
-            coeffs.append(cur.value)
-        else:
-            factors.append(cur)
-            coeffs.append(1.0)
-    return coeffs[0]
+
+def _split(e: Expr) -> tuple[float, Expr | None]:
+    """The coefficient and core of the normal form ``e``, read off its top:
+    ``c * core``, ``-core``, ``-(c * core)``, a constant (no core) or a core."""
+    coeff = 1.0
+    if type(e) is Call and e.func == "neg":
+        coeff, e = -1.0, e.arg
+    if type(e) is Const:
+        return coeff * e.value, None
+    if type(e) is BinOp and e.op == "*" and type(e.left) is Const:
+        return coeff * e.left.value, e.right
+    return coeff, e
 
 
 def _key(e: Expr, keys: dict[Expr, str]) -> str:
@@ -1002,48 +1006,53 @@ def _key(e: Expr, keys: dict[Expr, str]) -> str:
     return text
 
 
-def _rebuild_product(coeff: float, factors: list[Expr], keys: dict) -> Expr:
+def _scaled(coeff: float, core: Expr) -> Expr:
+    """``coeff * core`` in normal form, ``coeff`` not zero."""
+    if coeff == 1.0:
+        return core
+    if coeff == -1.0:
+        return Call("neg", core)
+    return BinOp("*", Const(coeff), core)
+
+
+def _normalize_product(left: Expr, right: Expr, keys: dict) -> Expr:
+    """The normal form of ``left * right``, both normal."""
+    if type(left) is Const and left.value not in (0, 1, -1) and _split(right) == (1.0, right):
+        return BinOp("*", left, right)  # a coefficient on a core: normal already
+    (a, left), (b, right) = _split(left), _split(right)
+    coeff = _finite(a * b)
+    factors: list[Expr] = []
+    for core in (left, right):
+        chain = []
+        while type(core) is BinOp and core.op == "*":
+            chain.append(core.right)
+            core = core.left
+        if core is not None:
+            factors.append(core)
+            factors += reversed(chain)
     if coeff == 0.0:
         return Const(0.0)
-    if len(factors) > 1:
-        factors = sorted(factors, key=lambda f: _key(f, keys))
-    out: Expr | None = None
-    for f in factors:
-        out = f if out is None else BinOp("*", out, f)
-    if out is None:
+    if not factors:
         return Const(coeff)
-    if coeff == 1.0:
-        return out
-    if coeff == -1.0:
-        return Call("neg", out)
-    return BinOp("*", Const(coeff), out)
+    if len(factors) > 1:
+        factors.sort(key=partial(_key, keys=keys))
+    return _scaled(coeff, reduce(partial(BinOp, "*"), factors))
 
 
-def _normalize_sum(e: Expr, normal: dict[Expr, Expr], keys: dict) -> Expr:
+def _normalize_sum(terms, normal: dict[Expr, Expr], keys: dict) -> Expr:
     const_part = 0.0
-    grouped: dict[str, tuple[Expr, float]] = {}
-    for sign, term in _flatten_add(e):
-        factors: list[Expr] = []
-        coeff = sign * _flatten_mul(normal[term], factors)
-        if not factors:
-            const_part = _finite(const_part + coeff)
-            continue
-        core = _rebuild_product(1.0, factors, keys)
-        key = _key(core, keys)
-        prev = grouped.get(key)
-        grouped[key] = (core, _finite(coeff + (prev[1] if prev else 0.0)))
-    out: Expr | None = None
-    for key in sorted(grouped):
-        core, coeff = grouped[key]
-        piece = _rebuild_product(coeff, [core], keys)
-        if isinstance(piece, Const) and piece.value == 0.0:
-            continue
-        out = piece if out is None else BinOp("+", out, piece)
-    if out is None:
-        return Const(const_part)
-    if const_part != 0.0:
-        out = BinOp("+", out, Const(const_part))
-    return out
+    grouped: dict[Expr, float] = {}  # core -> its summed coefficient
+    for sign, term in terms:
+        coeff, core = _split(normal[term])
+        if core is None:
+            const_part = _finite(const_part + sign * coeff)
+        else:
+            grouped[core] = _finite(sign * coeff + grouped.get(core, 0.0))
+    order = sorted(grouped, key=partial(_key, keys=keys)) if len(grouped) > 1 else grouped
+    pieces = [_scaled(grouped[core], core) for core in order if grouped[core]]
+    if const_part != 0.0 or not pieces:
+        pieces.append(Const(const_part))
+    return reduce(partial(BinOp, "+"), pieces)
 
 
 def normalize(e: Expr) -> Expr:
@@ -1054,28 +1063,28 @@ def normalize(e: Expr) -> Expr:
     so does a constant that folds out of the float range.
 
     Point values are preserved; only the tree shape changes.  Each
-    distinct node is normalized once; an additive chain is summed whole,
-    never from the normal forms of its sub-chains, so its coefficients
-    add up in one fixed order.  Terms and factors are ordered by their
-    printed text, each rendered once per call from its children's.
+    distinct node is normalized once; an additive chain is flattened once
+    and summed whole, never from the normal forms of its sub-chains, so
+    its coefficients add up in one fixed order.  A normal term's
+    coefficient is read off its top node.  Terms and factors are ordered
+    by their printed text, rendered once per call from its children's and
+    only where two or more must be ordered.
     """
     normal: dict[Expr, Expr] = {}
     keys: dict[Expr, str] = {}
-    for cur in _postorder((e,), sums_as_terms=True):
-        if isinstance(cur, (Const, Var)):
-            out = cur
-        elif isinstance(cur, Call):
+    chains: dict[Expr, list] = {}
+    for cur in _postorder((e,), chains):
+        kind = type(cur)
+        if kind is Call:
             out = _call(cur.func, normal[cur.arg])
-        elif not isinstance(cur, BinOp):
-            raise TypeError(f"not an expression: {cur!r}")
-        elif cur.op == "/":
-            out = _div(normal[cur.left], normal[cur.right])
-        elif cur.op == "*":
-            factors: list[Expr] = []
-            coeff = _flatten_mul(normal[cur.left], factors)
-            coeff = _finite(coeff * _flatten_mul(normal[cur.right], factors))
-            out = _rebuild_product(coeff, factors, keys)
+        elif kind is BinOp and cur.op in ("+", "-"):
+            out = _normalize_sum(chains[cur], normal, keys)
+        elif kind is BinOp:
+            left, right = normal[cur.left], normal[cur.right]
+            out = _div(left, right) if cur.op == "/" else _normalize_product(left, right, keys)
+        elif kind is Const or kind is Var:
+            out = cur
         else:
-            out = _normalize_sum(cur, normal, keys)
+            raise TypeError(f"not an expression: {cur!r}")
         normal[cur] = out
     return normal[e]

@@ -188,7 +188,7 @@ def build_network(
     if len(set(nodes)) != len(nodes):
         raise NetworkError("duplicate node declaration")
     domains = {n: dom for n, dom in declarations}
-    declared = set(nodes)
+    declared = frozenset(nodes)  # parse_expression takes it without a copy
 
     seen: set[str] = set()
     updates: dict[str, Expr] = {}

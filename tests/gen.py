@@ -1,4 +1,5 @@
-"""Seeded random generators shared by the property and acceptance tests.
+"""Seeded random generators shared by the property and acceptance tests,
+and the reference oracles they check the library against.
 
 Updates are built from the bounded-derivative vocabulary (linear leak
 plus tanh/sin/cos/sech terms), so stability matrices always assemble and
@@ -7,11 +8,15 @@ orbits stay bounded: |leak| < 1 and every nonlinearity is bounded.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from netstab.expr import BinOp, Call, Const, Expr, Interval, Var
+from netstab.errors import ParseError
+from netstab.expr import (FUNCTIONS, MAX_NESTING, _PREC, BinOp, Call, Const, Expr, Interval, Var,
+                          _call, _div, _finite)
 from netstab.network import (
     InteractionGraph,
     TimeDelayedNetwork,
@@ -280,3 +285,393 @@ def chained_component(rng: np.random.Generator, n: int, kept_share: float,
             at, nxt, weight = nxt, nxt + 1, rng.uniform(0.5, 1.5)
         M[at, j] = weight
     return M
+
+
+# ---------------------------------------------------------------------------
+# reference front end: the parser and normalizer as they were before their
+# constructors looked keys up first, normalize flattened each additive chain
+# once and the parser kept its token in slots.  The oracles of
+# ``parse_expression`` and ``normalize``: both must return the very node
+# these do, or raise the same error.
+
+
+_REF_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/()\[\]]))"
+)
+_REF_GROUP_KEY = 16
+
+
+class _ReferenceParser:
+    """Recursive descent over tokens read lazily from a character position.
+
+    A printed restriction spells every shared node out once per path, so
+    its text repeats the same parenthesised groups many times.  The parser
+    remembers the inner text, node and nesting height of each group it has
+    parsed, keyed by the text's first characters.  At a ``(`` whose text
+    goes on with a remembered inner text and then ``)``, it steps over the
+    copy: the inner text is balanced, so that ``)`` closes the group.  It
+    reads each distinct group once, and never scans the whole text.
+    """
+
+    def __init__(self, text: str, declared: set[str]):
+        self.text = text
+        self.declared = declared
+        self.seek(0)
+        self.depth = 0
+        # deepest nesting reached inside the innermost open group
+        self.peak = 0
+        # first _REF_GROUP_KEY characters -> (inner text, node, nesting height)
+        # of each group parsed so far
+        self.groups: dict[str, list[tuple[str, Expr, int]]] = {}
+
+    def seek(self, pos: int):
+        """Read the token that starts at or after ``pos`` into ``self.tok``.
+
+        A character no token starts with becomes a ``bad`` token, an error
+        only once the parse reaches it.
+        """
+        text = self.text
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is not None:
+            kind = m.lastgroup
+            self.tok, self.end = (kind, m.group(kind), m.start(kind)), m.end()
+            return
+        stripped = text[pos:].lstrip()
+        at = len(text) - len(stripped)
+        self.tok = ("bad", stripped[0], at) if stripped else ("end", "", at)
+        self.end = at + 1
+
+    def error(self, message: str, tok) -> ParseError:
+        kind, value, pos = tok
+        if kind == "bad":
+            message = f"unexpected character {value!r}"
+        return ParseError(message, pos)
+
+    def nested(self, at: int, open_pos: int) -> Expr:
+        """The expression inside the group that opens at ``open_pos``, one
+        level deeper, up to and past its closing parenthesis; ``at`` is
+        where a nesting error is reported."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", at)
+        text, start = self.text, open_pos + 1
+        for inner, node, height in self.groups.get(text[start:start + _REF_GROUP_KEY], ()):
+            close = start + len(inner)
+            # a copy of a parsed group parses to the same node, unless it now
+            # sits too deep: then it is parsed again and fails where it must
+            if (
+                text.startswith(inner, start) and text.startswith(")", close)
+                and self.depth + 1 + height <= MAX_NESTING
+            ):
+                self.peak = max(self.peak, self.depth + 1 + height)
+                self.seek(close + 1)
+                return node
+        self.depth += 1
+        outer_peak, self.peak = self.peak, self.depth
+        e = self.expr()
+        height = self.peak - self.depth
+        self.peak = max(outer_peak, self.peak)
+        self.depth -= 1
+        close = self.tok[2]
+        self.expect_op(")")
+        if close - start >= _REF_GROUP_KEY:
+            self.groups.setdefault(text[start:start + _REF_GROUP_KEY], []).append(
+                (text[start:close], e, height))
+        return e
+
+    def advance(self):
+        tok = self.tok
+        self.seek(self.end)
+        return tok
+
+    def expect_op(self, symbol: str):
+        kind, value, _ = self.tok
+        if kind != "op" or value != symbol:
+            raise self.error(f"expected {symbol!r}", self.tok)
+        return self.advance()
+
+    def parse(self) -> Expr:
+        e = self.expr()
+        kind, value, _ = self.tok
+        if kind != "end":
+            raise self.error(f"unexpected trailing input {value!r}", self.tok)
+        return e
+
+    def expr(self) -> Expr:
+        e = self.term()
+        while True:
+            kind, value, _ = self.tok
+            if kind == "op" and value in ("+", "-"):
+                self.advance()
+                e = BinOp(value, e, self.term())
+            else:
+                return e
+
+    def term(self) -> Expr:
+        e = self.factor()
+        while True:
+            kind, value, _ = self.tok
+            if kind == "op" and value in ("*", "/"):
+                self.advance()
+                e = BinOp(value, e, self.factor())
+            else:
+                return e
+
+    def factor(self) -> Expr:
+        kind, value, _ = self.tok
+        if kind == "op" and value == "-":
+            self.advance()
+            # a minus sign directly on a numeral is the negative constant
+            if self.tok[0] == "num":
+                return self.atom(-1.0)
+            return Call("neg", self.atom())
+        return self.atom()
+
+    def atom(self, sign: float = 1.0) -> Expr:
+        tok = self.advance()
+        kind, value, pos = tok
+        if kind == "num":
+            number = float(value)
+            if math.isinf(number):
+                raise ParseError(f"numeral {value} is out of the float range", pos)
+            return Const(sign * number)
+        if kind == "op" and value == "(":
+            return self.nested(pos, pos)
+        if kind == "ident":
+            nxt_kind, nxt_value, nxt_pos = self.tok
+            if nxt_kind == "op" and nxt_value == "(":
+                if value not in FUNCTIONS:
+                    raise ParseError(f"unknown function {value!r}", pos)
+                self.advance()
+                return Call(value, self.nested(pos, nxt_pos))
+            if value not in self.declared:
+                raise ParseError(f"undeclared identifier {value!r}", pos)
+            delay = 0
+            if nxt_kind == "op" and nxt_value == "[":
+                self.advance()
+                self.expect_op("-")
+                dtok = self.advance()
+                if dtok[0] != "num" or not dtok[1].isdigit():
+                    raise self.error("delay must be a nonnegative integer", dtok)
+                delay = int(dtok[1])
+                self.expect_op("]")
+            return Var(value, delay)
+        raise self.error(f"unexpected token {value!r}", tok)
+
+
+def reference_parse(text: str, declared: set[str] | frozenset[str]) -> Expr:
+    """What ``parse_expression(text, declared)`` returns or raises.
+
+    Reads ``declared`` without copying it (the copy was a set per rule,
+    which only costs time), so it can check large expanded networks.
+    """
+    return _ReferenceParser(text, declared).parse()
+
+
+def _reference_render(e: Expr, shared: dict[Expr, str]) -> str:
+    """The text of ``e``, taking the text of every node in ``shared`` from
+    there: a node prints the same wherever it sits."""
+    pieces: list[str] = []
+    stack: list[Expr | str] = [e]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, str):
+            pieces.append(cur)
+        elif cur in shared:
+            pieces.append(shared[cur])
+        elif isinstance(cur, Const):
+            pieces.append(repr(cur.value))
+        elif isinstance(cur, Var):
+            pieces.append(cur.node if cur.delay == 0 else f"{cur.node}[-{cur.delay}]")
+        elif isinstance(cur, Call) and cur.func == "neg":
+            if isinstance(cur.arg, (BinOp, Const)) or (
+                isinstance(cur.arg, Call) and cur.arg.func == "neg"
+            ):
+                # so "-" does not merge into a numeral, grab only part of
+                # the operand, or stack into the ungrammatical "--"
+                stack += [")", cur.arg, "-("]
+            else:
+                stack += [cur.arg, "-"]
+        elif isinstance(cur, Call):
+            stack += [")", cur.arg, f"{cur.func}("]
+        elif isinstance(cur, BinOp):
+            lp = _PREC[cur.op]
+            left, right = cur.left, cur.right
+            if (isinstance(right, BinOp) and _PREC[right.op] <= lp) or (
+                isinstance(right, Call) and right.func == "neg" and cur.op in ("-", "/")
+            ):
+                stack += [")", right, "("]
+            else:
+                stack.append(right)
+            stack.append(f" {cur.op} ")
+            if isinstance(left, BinOp) and _PREC[left.op] < lp:
+                stack += [")", left, "("]
+            else:
+                stack.append(left)
+        else:
+            raise TypeError(f"not an expression: {cur!r}")
+    return "".join(pieces)
+
+
+def _reference_postorder(e: Expr) -> list[Expr]:
+    """Each distinct node below ``e``, once, children before parents, where
+    the children of an additive chain are its terms."""
+    order: list[Expr] = []
+    seen: set[Expr] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the node below has all its children in order
+            order.append(stack.pop())
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        kind = type(node)
+        if kind is BinOp:
+            if node.op in ("+", "-"):
+                stack += (node, None)
+                stack += [term for _, term in reversed(_reference_flatten_add(node))]
+            else:
+                stack += (node, None, node.right, node.left)
+        elif kind is Call:
+            stack += (node, None, node.arg)
+        else:
+            order.append(node)
+    return order
+
+
+def _reference_flatten_add(e: Expr) -> list[tuple[int, Expr]]:
+    """The signed terms of the additive chain at ``e``, left to right."""
+    terms: list[tuple[int, Expr]] = []
+    stack = [(1, e)]
+    while stack:
+        sign, cur = stack.pop()
+        if isinstance(cur, BinOp) and cur.op in ("+", "-"):
+            stack.append((-sign if cur.op == "-" else sign, cur.right))
+            stack.append((sign, cur.left))
+        elif isinstance(cur, Call) and cur.func == "neg":
+            stack.append((-sign, cur.arg))
+        else:
+            terms.append((sign, cur))
+    return terms
+
+
+def _reference_flatten_mul(e: Expr, factors: list[Expr]) -> float:
+    """Append the non-constant factors of the product chain at ``e`` to
+    ``factors``, left to right, and return its constant coefficient.
+
+    The coefficient is multiplied up in the chain's own grouping, left
+    factor times right factor, so it does not depend on how the chain
+    was walked.
+    """
+    if isinstance(e, Const):
+        return e.value
+    if not (
+        isinstance(e, BinOp) and e.op == "*" or isinstance(e, Call) and e.func == "neg"
+    ):
+        factors.append(e)
+        return 1.0
+    order: list[Expr] = []
+    stack = [e]
+    while stack:
+        cur = stack.pop()
+        order.append(cur)
+        if isinstance(cur, BinOp) and cur.op == "*":
+            stack += [cur.left, cur.right]
+        elif isinstance(cur, Call) and cur.func == "neg":
+            stack.append(cur.arg)
+    # order is root, right, left: reversed, every node follows its operands
+    coeffs: list[float] = []
+    for cur in reversed(order):
+        if isinstance(cur, BinOp) and cur.op == "*":
+            right = coeffs.pop()
+            coeffs.append(_finite(coeffs.pop() * right))
+        elif isinstance(cur, Call) and cur.func == "neg":
+            coeffs.append(-coeffs.pop())
+        elif isinstance(cur, Const):
+            coeffs.append(cur.value)
+        else:
+            factors.append(cur)
+            coeffs.append(1.0)
+    return coeffs[0]
+
+
+def _reference_key(e: Expr, keys: dict[Expr, str]) -> str:
+    """``to_text(e)``, rendered once per :func:`reference_normalize` call from the
+    texts of the nodes keyed before it."""
+    text = keys.get(e)
+    if text is None:
+        text = keys[e] = _reference_render(e, keys)
+    return text
+
+
+def _reference_rebuild_product(coeff: float, factors: list[Expr], keys: dict) -> Expr:
+    if coeff == 0.0:
+        return Const(0.0)
+    if len(factors) > 1:
+        factors = sorted(factors, key=lambda f: _reference_key(f, keys))
+    out: Expr | None = None
+    for f in factors:
+        out = f if out is None else BinOp("*", out, f)
+    if out is None:
+        return Const(coeff)
+    if coeff == 1.0:
+        return out
+    if coeff == -1.0:
+        return Call("neg", out)
+    return BinOp("*", Const(coeff), out)
+
+
+def _reference_normalize_sum(e: Expr, normal: dict[Expr, Expr], keys: dict) -> Expr:
+    const_part = 0.0
+    grouped: dict[str, tuple[Expr, float]] = {}
+    for sign, term in _reference_flatten_add(e):
+        factors: list[Expr] = []
+        coeff = sign * _reference_flatten_mul(normal[term], factors)
+        if not factors:
+            const_part = _finite(const_part + coeff)
+            continue
+        core = _reference_rebuild_product(1.0, factors, keys)
+        key = _reference_key(core, keys)
+        prev = grouped.get(key)
+        grouped[key] = (core, _finite(coeff + (prev[1] if prev else 0.0)))
+    out: Expr | None = None
+    for key in sorted(grouped):
+        core, coeff = grouped[key]
+        piece = _reference_rebuild_product(coeff, [core], keys)
+        if isinstance(piece, Const) and piece.value == 0.0:
+            continue
+        out = piece if out is None else BinOp("+", out, piece)
+    if out is None:
+        return Const(const_part)
+    if const_part != 0.0:
+        out = BinOp("+", out, Const(const_part))
+    return out
+
+
+def reference_normalize(e: Expr) -> Expr:
+    """What ``normalize(e)`` returns or raises: every additive chain is
+    flattened again to be summed, and every normal term is flattened again
+    and its core rebuilt to read its coefficient."""
+    normal: dict[Expr, Expr] = {}
+    keys: dict[Expr, str] = {}
+    for cur in _reference_postorder(e):
+        if isinstance(cur, (Const, Var)):
+            out = cur
+        elif isinstance(cur, Call):
+            out = _call(cur.func, normal[cur.arg])
+        elif not isinstance(cur, BinOp):
+            raise TypeError(f"not an expression: {cur!r}")
+        elif cur.op == "/":
+            out = _div(normal[cur.left], normal[cur.right])
+        elif cur.op == "*":
+            factors: list[Expr] = []
+            coeff = _reference_flatten_mul(normal[cur.left], factors)
+            coeff = _finite(coeff * _reference_flatten_mul(normal[cur.right], factors))
+            out = _reference_rebuild_product(coeff, factors, keys)
+        else:
+            out = _reference_normalize_sum(cur, normal, keys)
+        normal[cur] = out
+    return normal[e]

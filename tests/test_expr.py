@@ -1,10 +1,14 @@
+import collections
+import functools
 import gc
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gen import diamond_network
+from gen import diamond_network, random_network, reference_normalize, reference_parse
+from netstab import gallery
 from netstab.errors import EvalError, ParseError
 from netstab.expr import (
     MAX_NESTING,
@@ -12,6 +16,7 @@ from netstab.expr import (
     BinOp,
     Call,
     Const,
+    Expr,
     Interval,
     Var,
     _LIVE,
@@ -35,7 +40,7 @@ from netstab.expr import (
 )
 from netstab.network import dump_network, load_network
 from netstab.stability import analyze
-from netstab.transform import restrict
+from netstab.transform import expand, restrict
 
 NODES = {"x1", "x2", "x3"}
 
@@ -741,3 +746,123 @@ def test_parse_reports_the_first_error_in_reading_order(text, message, position)
         parse_expression(text, NODES)
     assert str(err.value).startswith(message)
     assert err.value.position == position
+
+
+# ---------------------------------------------------------------------------
+# the front end against its reference: tests/gen.py keeps the parser and
+# normalizer as they were before they were made cheaper, and both must give
+# the very same node, or the same error, on every input
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or its error's type, message and position."""
+    try:
+        return fn(*args)
+    except (ParseError, EvalError) as err:
+        return type(err), str(err), getattr(err, "position", None)
+
+
+def _rule_texts(text: str):
+    """The (node, rule, declared) of each update line of a network file."""
+    lines = text.splitlines()
+    declared = frozenset(line.split()[1] for line in lines if line.startswith("node "))
+    return [(line.split()[1], line.split("=", 1)[1].strip(), declared)
+            for line in lines if line.startswith("update ")]
+
+
+@functools.cache
+def _front_end_files() -> tuple[str, ...]:
+    """Network files: the gallery and random networks dumped, the bundled
+    files, and restricted and expanded diamonds dumped."""
+    nets = [
+        gallery.cg_ring(6, 0.1, 1.0, 0.5), gallery.delayed_pair(0.5, 0.1, 1.0, c1=0.3),
+        gallery.undelayed_pair(0.5, 0.1, 1.0), gallery.distributed_pair(),
+        gallery.tanh_ring(6, 0.5), gallery.six_node(),
+    ]
+    bundled = sorted((Path(__file__).resolve().parent.parent / "networks").glob("*.net"))
+    rng = np.random.default_rng(29)
+    for k in range(40):
+        delay = 3 * (k % 2)
+        nets.append(random_network(rng, int(rng.integers(2, 14)), max_delay=delay,
+                                   require_delay=delay > 0))
+    for k in range(4, 11):
+        diamond = diamond_network(np.random.default_rng(k), k)
+        nets += [restrict(diamond, ["s"]), expand(diamond, ["s"]).net]
+    return tuple([dump_network(net) for net in nets] + [path.read_text() for path in bundled])
+
+
+def test_the_rules_of_network_files_parse_and_normalize_as_the_reference():
+    files = rules = 0
+    for text in _front_end_files():
+        loaded = load_network(text)
+        for node, rule, declared in _rule_texts(text):
+            parsed = parse_expression(rule, declared)
+            assert parsed is reference_parse(rule, declared)
+            assert normalize(parsed) is reference_normalize(parsed)
+            assert loaded.updates[node] is reference_normalize(parsed)
+            rules += 1
+        files += 1
+    assert files == 6 + 40 + 14 + 5 and rules > 18_000
+
+
+def _random_tree(rng, depth: int, pool: list):
+    """A random tree over x1..x3 and every operator, reusing earlier
+    subtrees from ``pool``; its constants include signed zeros, ones and
+    values whose products or quotients leave the float range."""
+    roll = rng.random()
+    if pool and roll < 0.1:
+        return pool[int(rng.integers(len(pool)))]
+    if depth == 0 or roll < 0.3:
+        if rng.random() < 0.5:
+            consts = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e200, -1e300, 1e-200)
+            value = consts[int(rng.integers(len(consts)))] if rng.random() < 0.5 else rng.uniform(-2, 2)
+            return Const(float(value))
+        return Var(f"x{int(rng.integers(1, 4))}", int(rng.integers(0, 3)))
+    if roll < 0.55:
+        funcs = ("tanh", "sech", "exp", "sin", "cos", "abs", "sign", "neg", "neg")
+        e = Call(funcs[int(rng.integers(len(funcs)))], _random_tree(rng, depth - 1, pool))
+    else:
+        op = "+-*/"[int(rng.integers(4))]
+        e = BinOp(op, _random_tree(rng, depth - 1, pool), _random_tree(rng, depth - 1, pool))
+    pool.append(e)
+    return e
+
+
+def test_random_trees_parse_and_normalize_as_the_reference():
+    rng = np.random.default_rng(2029)
+    errors = collections.Counter()
+    for _ in range(2500):
+        tree = _random_tree(rng, int(rng.integers(1, 7)), [])
+        got = _outcome(normalize, tree)
+        assert got == _outcome(reference_normalize, tree)  # nodes compare by identity
+        if not isinstance(got, Expr):
+            errors[got[1].split(" ")[0]] += 1
+        text = to_text(tree)
+        assert parse_expression(text, NODES) is reference_parse(text, NODES) is tree
+    # every folding error was met: a constant out of the float range, a
+    # division by a zero divisor and a function that overflows
+    assert min(errors[kind] for kind in ("a", "division", "overflow")) > 2
+
+
+def test_mutated_texts_parse_as_the_reference():
+    rng = np.random.default_rng(4242)
+    texts = [(rule, declared) for text in _front_end_files()
+             for _, rule, declared in _rule_texts(text)]
+    texts = [texts[i] for i in rng.choice(len(texts), 300, replace=False)]
+    pool: list = []
+    texts += [(to_text(_random_tree(rng, 4, pool)), NODES) for _ in range(300)]
+    alphabet = "0123456789.eE+-*/()[] x1_$@,tanh"
+    outcomes = set()
+    for text, declared in texts:
+        at = int(rng.integers(len(text) + 1))
+        char = alphabet[int(rng.integers(len(alphabet)))]
+        cut = int(rng.integers(0, 2))  # insert or replace
+        mutated = text[:at] + char + text[at + cut:]
+        got = _outcome(parse_expression, mutated, declared)
+        assert got == _outcome(reference_parse, mutated, declared)
+        outcomes.add(got[1] if isinstance(got, tuple) else "")
+    # some mutated texts still parse, and every kind of parse error is met
+    for kind in ("", "undeclared identifier", "unknown function", "expected ')'",
+                 "unexpected character", "unexpected token", "unexpected trailing input",
+                 "delay must be", "numeral"):
+        assert any(message.startswith(kind) for message in outcomes), kind
