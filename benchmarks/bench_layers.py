@@ -86,14 +86,16 @@ writes for them.
 
 The orbit layer runs the 48-node delayed ring of ``tests/gen.py``'s
 ``build_benchmark_network`` (the contracting ring of the
-``attraction_sim`` workload) five ways, as ``netstab simulate`` and
+``attraction_sim`` workload) six ways, as ``netstab simulate`` and
 ``find_fixed_point`` do: ``verify_global_attraction`` with 200 trials of
-up to 600 steps at the default tolerance; the same batch through
-``run_orbit_batch`` keeping every state; one 600-step trajectory; the
-fixed-point iteration from the origin; and ``netstab simulate`` itself,
-end to end on that ring written to a temporary directory (200 trials,
-600 steps, seed 0: load, the attraction check, its verdict and the
-trajectory CSV).  The ``slow`` row runs ``verify_global_attraction``
+up to 600 steps at the default tolerance; the same check allowed 20,000
+steps (``long``: its trials stop at the same steps, so it holds and does
+no more than the first); the 600-step batch through ``run_orbit_batch``
+keeping no state; one 600-step trajectory recorded into a path, as
+``iterate_orbit`` records it; the fixed-point iteration
+from the origin; and ``netstab simulate`` itself, end to end on that ring
+written to a temporary directory (200 trials, 600 steps, seed 0: load,
+the attraction check, its verdict and the trajectory CSV).  The ``slow`` row runs ``verify_global_attraction``
 with 20 trials of 1,000 steps on a non-contracting 12-node ring
 (``perfbench``'s ``ring_spec`` with epsilon = 0.05, rng 12), the shape of
 the ``attraction_sim`` workload's slow job, where every trial runs every
@@ -177,6 +179,8 @@ SPECTRAL_RINGS = (
 CHAINED_KEPT = (0.25, 0.5, 0.9)
 # vertices of the chain whose every vertex is a one-vertex component
 CHAIN_COMPONENTS = 32_000
+# the steps the orbit layer's long attraction check allows
+LONG_STEPS = 20_000
 
 
 def distinct_nodes(*roots) -> int:
@@ -439,12 +443,16 @@ def bench_orbit(repeats: int) -> list[dict]:
     def attraction():
         return verify_global_attraction(net, trials=trials, steps=steps)
 
+    def long_attraction():
+        return verify_global_attraction(net, trials=trials, steps=LONG_STEPS)
+
     def batch():
         # verify_global_attraction's stop threshold at the default --tol 1e-8
         return engine.run_orbit_batch(program, histories, steps, stop_delta=1e-11)
 
     def single():
-        return engine.run_orbit_batch(program, histories[:1], steps)
+        path = np.empty((net.T + steps, net.size))
+        return engine.run_orbit_batch(program, histories[:1], steps, path=path)
 
     def fixed():
         return find_fixed_point(net, np.zeros(net.size))
@@ -453,8 +461,9 @@ def bench_orbit(repeats: int) -> list[dict]:
         return verify_global_attraction(slow, trials=20, steps=1000)
 
     attraction_ms, verdict = best_of(repeats, attraction)
-    batch_ms, (_, done, _) = best_of(repeats, batch)
-    single_ms, (_, single_done, _) = best_of(repeats, single)
+    long_ms, long_verdict = best_of(repeats, long_attraction)
+    batch_ms, (done, _) = best_of(repeats, batch)
+    single_ms, (single_done, _) = best_of(repeats, single)
     fixed_ms, _ = best_of(repeats, fixed)
     slow_ms, slow_verdict = best_of(repeats, slow_attraction)
     ring = {"nodes": net.size, "T": net.T, "tape_ops": int(program.ops.shape[0]),
@@ -481,6 +490,10 @@ def bench_orbit(repeats: int) -> list[dict]:
          "iterations_used": verdict.iterations_used, "trial_steps": verdict.trial_steps,
          "ms": round(attraction_ms, 2),
          "peak_mb": traced_peak_mb(attraction)},
+        {"case": "long", **ring, "trials": trials, "steps": LONG_STEPS,
+         "iterations_used": long_verdict.iterations_used,
+         "trial_steps": long_verdict.trial_steps, "ms": round(long_ms, 2),
+         "peak_mb": traced_peak_mb(long_attraction)},
         {"case": "batch", **ring, "trials": trials, "steps": steps,
          "trial_steps": int(done.sum()), "ms": round(batch_ms, 2),
          "peak_mb": traced_peak_mb(batch)},

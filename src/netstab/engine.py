@@ -39,17 +39,21 @@ slots of phase q read the block's states before step q in place, and
 when the outputs are one group in node order that group writes straight
 into the state after it, else a last gather copies them there.  After
 the block, one vectorized pass finds each trial's first non-finite step
-and the step that completes its run of small steps, writes the block
-into the ring of kept states, each trial up to its end, and trial 0's
-path, and drops the trials that ended; the block's last T states then
+and the step that completes its run of small steps, writes trial 0's
+path, hands the last states of the trials that ended to a ``reduce``
+that wants them, and drops those trials; the block's last T states then
 open the next one.  A drop moves the live columns of the register file
-to the front of its memory, so it is not allocated again.  The ring is
-trial-major, (keep, trials, n), so a block write over scattered trials
-copies n-vectors.
+to the front of its memory, so it is not allocated again.  For a
+``reduce``, the live trials' states of each block are then copied out
+with their ids.  The live trials all have one length, and the first of
+the last states a trial needs never moves back as it grows, so that
+state of the live trials bounds the copied blocks: those behind it are
+let go.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -72,6 +76,10 @@ _OPCODE = {row.name: code for code, row in enumerate(_ROWS)}
 # consecutive small steps after which a trial with a positive stop_delta
 # stops; also the number of steps a batch runs between its bookkeeping passes
 STOP_STREAK = 8
+
+# values a batch hands to its ``reduce`` in one call, unless one trial's
+# states alone, or a sixteenth of the states it keeps, are more
+_TAIL_VALUES = 2**16
 
 # rows whose numpy kernels round correctly, so that they give the same
 # bytes whatever the layout of their operands
@@ -384,30 +392,37 @@ def run_orbit_batch(
     histories: np.ndarray,
     steps: int,
     stop_delta: float = 0.0,
-    keep: int | None = None,
     path: np.ndarray | None = None,
+    tails=None,
 ):
-    """Iterate ``trials`` orbits for up to ``steps`` steps each.
+    """Iterate ``trials`` orbits for up to ``steps`` steps each; returns
+    (steps_done, diverged).
 
     ``histories`` has shape (trials, T, n) in chronological order, oldest
-    snapshot first.  Returns (states, steps_done, diverged) where states
-    has shape (trials, keep, n) and holds state r of a trial (the
-    histories are states 0 .. T-1) in row ``r % keep``; only the last
-    ``keep`` states of each trial are kept.  ``keep=None`` keeps all
-    T + steps, in order.  States of a trial beyond ``T + steps_done[t]``
-    are not written.  A positive ``stop_delta`` stops a trial once the
-    max-norm step change stays at or below it for ``STOP_STREAK``
+    snapshot first: states 0 .. T-1 of each trial, whose length L is its
+    T + steps_done states.  A positive ``stop_delta`` stops a trial once
+    the max-norm step change stays at or below it for ``STOP_STREAK``
     consecutive steps.  A ``path`` of shape (T + steps, n) receives trial
-    0's states as ``keep=None`` holds them, state r in row r, and also the
-    non-finite state of a step at which trial 0 diverged.
+    0's states, state r in row r, and also the non-finite state of a step
+    at which trial 0 diverged.
+
+    ``tails``, a pair (keep, reduce), hands each trial's last states to
+    ``reduce`` as it ends.  ``keep`` maps lengths to how many last states a
+    trial of that length needs, at least one, and L - keep(L) must not
+    decrease as L grows.  ``reduce(ids, lengths, states)`` receives the ids
+    and lengths of trials that ended and, in block layout, each one's
+    states from the first that any of them needs to the end of the
+    longest: ``states[-1 - j, :, i]`` is state ``lengths.max() - 1 - j`` of
+    trial ``ids[i]``, and no state of it past its own end.  A call gets
+    about ``_TAIL_VALUES`` values, or a sixteenth of those kept if more.
 
     The live trials run in blocks of ``STOP_STREAK`` steps, each step
     reading its window from, and writing its state into, the block of
     states at the head of the register file; after each block one pass
-    finds where each trial diverged or stopped, writes the block into the
-    ring and the path, each trial up to its end, and drops the trials
-    that ended from the register file, which keeps the live trials'
-    columns in order, so trial 0, while live, is column 0.
+    finds where each trial diverged or stopped, writes trial 0's path up
+    to its end and drops the trials that ended from the register file,
+    which keeps the live trials' columns in order, so trial 0, while
+    live, is column 0.
     """
     histories = np.asarray(histories, dtype=np.float64)
     trials, T, n = histories.shape
@@ -415,12 +430,6 @@ def run_orbit_batch(
         raise ValueError(
             f"history shape {histories.shape} does not match program (T={program.T}, n={program.n_nodes})"
         )
-    keep = T + steps if keep is None else int(keep)
-    if keep < 1:
-        raise ValueError("keep must be positive")
-    ring = np.zeros((keep, trials, n), dtype=np.float64)  # trial-major rows
-    first = max(0, T - keep)
-    ring[np.arange(first, T) % keep] = histories[:, first:].transpose(1, 0, 2)
     if path is not None:
         path[:T] = histories[0]
     regs = _registers(program, trials)
@@ -433,6 +442,9 @@ def run_orbit_batch(
     del histories  # loaded: freed here when the caller kept no reference
     phases = _bind(program.plan, regs)
     ids = np.arange(trials)  # the live trials
+    # with ``tails``, the blocks a trial may still need: (first state, the
+    # block's trials, its states in block layout)
+    kept = None if tails is None else collections.deque([(0, ids, block[:T].copy())])
     steps_done = np.full(trials, steps, dtype=np.int64)
     diverged = np.zeros(trials, dtype=bool)
     streak = np.zeros(trials, dtype=np.int64)  # small steps before the block
@@ -464,20 +476,17 @@ def run_orbit_batch(
             if path is not None:
                 length = min(int(bad[0]), int(stop[0]), b - 1) + 1
                 path[T + k : T + k + length] = states[:length, :, 0]
+            if kept is not None:
+                # the block in place, until its live trials' states are copied
+                kept.append((T + k, ids, states))
 
             live = (bad == b) & (stop == b)
             if not live.all():
-                # the trials that ended write their states up to their end,
-                # each its last min(written, keep) of them
-                gone = bad < stop
-                written = np.where(gone, bad, stop + 1)
-                at = np.arange(b)[:, None]
-                js, ts = np.nonzero((at < written) & (at >= written - keep) & ~live)
-                ring[(T + k + js) % keep, ids[ts]] = states[js, :, ts]
+                gone, ended = bad < stop, ids[~live]
                 diverged[ids[gone]] = True
-                steps_done[ids[gone]] = k + bad[gone]
-                stopped = ~gone & ~live
-                steps_done[ids[stopped]] = k + stop[stopped] + 1
+                steps_done[ended] = k + np.where(gone, bad, stop + 1)[~live]
+                if kept is not None:
+                    _hand_over(kept, ended, T + steps_done[ended], *tails)
                 if not live[0]:
                     path = None  # trial 0 is done: column 0 is another trial now
                 ids = ids[live]
@@ -486,14 +495,39 @@ def run_orbit_batch(
                 regs = _compress(regs, live)
                 block = regs[: (T + width) * n].reshape(T + width, n, ids.size)
                 phases = _bind(program.plan, regs)
-                states = block[T : T + b]
-            # the live trials write the whole block, its last min(b, keep) states
-            rows = (T + k + np.arange(max(0, b - keep), b)) % keep
-            ring[rows[:, None], ids] = states[b - rows.size :].transpose(0, 2, 1)
+            if kept is not None:
+                kept[-1] = (T + k, ids, block[T : T + b].copy())
+                # a block behind the live trials' tails is never read again
+                first = T + k + b - tails[0](T + k + b)
+                while kept[0][0] + kept[0][2].shape[0] <= first:
+                    kept.popleft()
             # the block's last T states start the next block (a block
             # shorter than STOP_STREAK is the last one)
             block[:T] = block[b : b + T]
-    return ring.transpose(1, 0, 2), steps_done, diverged
+    if kept is not None and ids.size:
+        _hand_over(kept, ids, T + steps_done[ids], *tails)
+    return steps_done, diverged
+
+
+def _hand_over(kept, ids: np.ndarray, lengths: np.ndarray, keep, reduce) -> None:
+    """:func:`run_orbit_batch`'s ``reduce`` of the trials ``ids``, which end
+    at ``lengths``, with their states gathered from the ``kept`` blocks."""
+    starts = lengths - keep(lengths)
+    n = kept[-1][2].shape[1]
+    # one gather per kept block and call: long tails go a few trials a call
+    values = max(_TAIL_VALUES, sum(states.size for _, _, states in kept) // 16)
+    chunk = max(1, values // (int(lengths.max() - starts.min()) * n))
+    for c in range(0, ids.size, chunk):
+        part = ids[c : c + chunk]
+        first, end = int(starts[c : c + chunk].min()), int(lengths[c : c + chunk].max())
+        gathered = np.empty((end - first, n, part.size))
+        for r, cols, states in kept:
+            if r + states.shape[0] > first:
+                lo = max(first, r)
+                states[lo - r : end - r].take(np.searchsorted(cols, part), axis=2, mode="clip",
+                                             out=gathered[lo - first : r + states.shape[0] - first])
+        reduce(part, lengths[c : c + chunk], gathered)
+        del gathered  # freed before the next part's is made
 
 
 def undelayed_map(program: Program):

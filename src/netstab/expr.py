@@ -60,7 +60,6 @@ __all__ = [
     "to_text",
     "gradient",
     "eval_point",
-    "eval_interval",
     "normalize",
     "references",
     "substitute",
@@ -947,17 +946,6 @@ def _evaluate(roots, values: dict, kind: str) -> list:
 def eval_point(e: Expr, assignment: dict[tuple[str, int], float]) -> float:
     """Evaluate ``e`` at a point; every referenced variable must be bound."""
     return _evaluate((e,), assignment, "point")[0]
-
-
-def eval_interval(e: Expr, box: dict[tuple[str, int], Interval]) -> Interval:
-    """Enclose the range of ``e`` over a box of variable intervals.
-
-    Sound: for every assignment drawn from the box, ``eval_point`` lands
-    inside the result.  Bounded primitives give bounded output even over
-    unbounded boxes; polynomial growth over an unbounded box yields
-    infinite endpoints, left to the caller to reject.
-    """
-    return _evaluate((e,), box, "interval")[0]
 
 
 # ---------------------------------------------------------------------------

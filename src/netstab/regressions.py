@@ -14,7 +14,7 @@ import numpy as np
 from . import gallery
 from .delays import dedelay, undelay
 from .expr import normalize
-from .network import interaction_graph
+from .network import interaction_graph, is_non_distributed
 from .sim import conjugacy_check
 from .spectral import spectral_radius
 from .stability import analyze, local_spectral_radius
@@ -61,9 +61,10 @@ def _check_delayed_pair_quartic() -> RegressionResult:
     beta, g = abs(1 - eps), 2 * abs(a * b)
     residual = rho**4 - beta * rho**2 - g
     closed = math.sqrt((beta + math.sqrt(beta**2 + 8 * abs(a * b))) / 2)
-    ok = abs(residual) <= 1e-8 and _close(rho, closed, 1e-8)
+    # the first theorem's hypothesis: each source is read at one delay
+    ok = abs(residual) <= 1e-8 and _close(rho, closed, 1e-8) and is_non_distributed(net)
     return RegressionResult(
-        "delayed pair: rho solves rho^4 - |1-eps| rho^2 - 2|ab| = 0",
+        "delayed pair: non-distributed, rho solves rho^4 - |1-eps| rho^2 - 2|ab| = 0",
         ok,
         f"rho={rho:.12g} closed={closed:.12g} residual={residual:.3e}",
     )
@@ -85,9 +86,11 @@ def _check_distributed_pair() -> RegressionResult:
     local = local_spectral_radius(net, np.zeros(2))
     expected = (1 + math.sqrt(17)) / 4
     undelayed_rho = analyze(undelay(net)).rho
-    ok = _close(local, expected, 1e-9) and _close(undelayed_rho, 0.5, 1e-10)
+    # each node reads the other at delays 0 and 1: the first theorem does not apply
+    ok = (_close(local, expected, 1e-9) and _close(undelayed_rho, 0.5, 1e-10)
+          and not is_non_distributed(net))
     return RegressionResult(
-        "distributed pair: local rho = (1+sqrt(17))/4, undelayed rho = 1/2",
+        "distributed pair: distributed, local rho = (1+sqrt(17))/4, undelayed rho = 1/2",
         ok,
         f"local={local:.12g} expected={expected:.12g} undelayed={undelayed_rho:.12g}",
     )

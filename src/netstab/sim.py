@@ -1,7 +1,9 @@
 """Orbit simulation, fixed points, and empirical attraction checks.
 
 The attraction check runs all its trials as one streamed batch of the
-orbit engine, which keeps only each trial's tail.  ``netstab simulate``
+orbit engine, which holds a live trial's states only while its tail may
+still read them and reduces each trial to its endpoint and the diameters
+of its tail's two halves when it ends.  ``netstab simulate``
 takes its trajectory from that same batch: trial 0, whose start window
 is the one the CLI's seed gives, is recorded while the batch runs it and
 run on alone if it stops early, so each orbit is run once.  Every
@@ -33,8 +35,6 @@ __all__ = [
 ]
 
 
-# how many ring values the attraction check's tail check gathers at a time
-_TAIL_VALUES = 2**17
 # how many values the CSV writer formats at a time: small blocks keep
 # np.unique's sort and inverse small next to the orbit
 _CSV_BLOCK_VALUES = 4096
@@ -156,7 +156,7 @@ def iterate_orbit(net: TimeDelayedNetwork, history, steps: int) -> Trajectory:
     hist = _as_history(net, history)
     path = np.empty((net.T + steps, net.size))
     program = engine.compile_network(net)
-    _, done, diverged = engine.run_orbit_batch(program, hist[None], steps, keep=1, path=path)
+    done, diverged = engine.run_orbit_batch(program, hist[None], steps, path=path)
     return _trajectory(net, path, int(done[0]), bool(diverged[0]))
 
 
@@ -197,18 +197,24 @@ def _box_diameter(segment: np.ndarray) -> float:
     return float(np.max(segment.max(axis=0) - segment.min(axis=0)))
 
 
+def _tail_length(lengths):
+    """How many last states of a trial of ``lengths`` states the attraction
+    check reads: max(8, length // 4), at most all of them.  length minus
+    it never decreases as length grows."""
+    return np.minimum(lengths, np.maximum(8, lengths // 4))
+
+
 def _tail_diameters(states: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """:func:`_box_diameter` of states ``lo[t] .. hi[t] - 1`` of each trial
-    t of a ring ``states`` (state r in row ``r % keep``), 0 where empty.
+    """:func:`_box_diameter` of rows ``lo[t] .. hi[t] - 1`` of each trial t
+    of ``states`` in block layout, (rows, n, trials), 0 where empty.
 
     Each trial's rows are clipped to its own range, and a repeated row
     leaves the maxima and minima as they are.
     """
     width = max(1, int((hi - lo).max()))
-    rows = np.minimum(lo[:, None] + np.arange(width), hi[:, None] - 1) % states.shape[1]
-    segment = states[np.arange(states.shape[0])[:, None], rows]
-    diameter = (segment.max(axis=1) - segment.min(axis=1)).max(axis=1)
-    return np.where(hi > lo, diameter, 0.0)
+    rows = np.minimum(lo + np.arange(width)[:, None], hi - 1)
+    segment = states[rows, :, np.arange(states.shape[2])]
+    return np.where(hi > lo, (segment.max(axis=0) - segment.min(axis=0)).max(axis=1), 0.0)
 
 
 def sampling_box(
@@ -286,40 +292,38 @@ def _attraction(
     the batch computes it exactly as :func:`iterate_orbit` would from that
     window.  Its states are recorded while the batch runs it; if it stops
     early, it runs on alone from its last T states.  Without ``record``
-    nothing holds more than the batch's tail of each trial.
+    nothing holds more than the live trials' tails.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
     lo, hi = sampling_box(net, sample_box)
     rng = np.random.default_rng(seed)
     program = engine.compile_network(net)
-    # every tail read below is at most max(8, (T + steps) // 4) states long
-    keep = max(8, (net.T + steps) // 4)
     path = np.empty((net.T + steps, net.size)) if record else None
+    endpoints = np.empty((trials, net.size))
+    grew = np.zeros(trials, dtype=bool)
+
+    def reduce(ids, lengths, tails):
+        # each trial's tail, its last _tail_length states, in two halves
+        # (the first the shorter), as rows of ``tails``
+        end = tails.shape[0] - (lengths.max() - lengths)
+        start = end - _tail_length(lengths)
+        middle = start + (end - start) // 2
+        endpoints[ids] = tails[end - 1, :, np.arange(ids.size)]
+        d1 = _tail_diameters(tails, start, middle)
+        d2 = _tail_diameters(tails, middle, end)
+        grew[ids] = d2 > d1 * (1.0 + 1e-9) + 1e-15
+
     # the batch holds the only reference to the start windows, and frees
     # them once it has loaded them
-    states, steps_done, diverged = engine.run_orbit_batch(
+    steps_done, diverged = engine.run_orbit_batch(
         program, rng.uniform(lo, hi, size=(trials, net.T, net.size)),
-        steps, tol * 1e-3, keep, path,
+        steps, tol * 1e-3, path, (_tail_length, reduce),
     )
 
     notes: list[str] = []
     n_div = int(diverged.sum())
-    lengths = net.T + steps_done
-    endpoints = states[np.arange(trials), (lengths - 1) % keep]
-    # each trial's tail, its last max(8, length // 4) states, in two halves
-    # (the first the shorter); a chunk of trials at a time, so that no
-    # temporary is the size of ``states``
-    tail = np.minimum(lengths, np.maximum(8, lengths // 4))
-    middle = lengths - tail + tail // 2
-    chunk = max(1, _TAIL_VALUES // (keep * net.size))
-    shrinking = True
-    for c in range(0, trials, chunk):
-        t = slice(c, c + chunk)
-        d1 = _tail_diameters(states[t], lengths[t] - tail[t], middle[t])
-        d2 = _tail_diameters(states[t], middle[t], lengths[t])
-        shrinking &= not (d2 > d1 * (1.0 + 1e-9) + 1e-15).any()
-
+    shrinking = not grew.any()
     spread = _box_diameter(endpoints) if n_div == 0 else np.inf
     converged = n_div == 0 and shrinking and spread <= tol
     if n_div:
@@ -344,8 +348,8 @@ def _attraction(
     if done < steps and not gone:
         # trial 0 stopped early: it runs on alone from its last T states,
         # recording into the rest of the path
-        _, more, alone_diverged = engine.run_orbit_batch(
-            program, path[None, done : net.T + done], steps - done, 0.0, 1, path[done:]
+        more, alone_diverged = engine.run_orbit_batch(
+            program, path[None, done : net.T + done], steps - done, 0.0, path[done:]
         )
         done, gone = done + int(more[0]), bool(alone_diverged[0])
     return verdict, _trajectory(net, path, done, gone)

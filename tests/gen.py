@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from netstab import engine, sim
 from netstab.errors import ParseError
-from netstab.expr import (FUNCTIONS, MAX_NESTING, _PREC, BinOp, Call, Const, Expr, Interval, Var,
-                          _call, _div, _finite)
+from netstab.expr import (FUNCTIONS, MAX_NESTING, OPERATORS, _PREC, BinOp, Call, Const, Expr,
+                          Interval, Var, _call, _div, _evaluate, _finite)
 from netstab.network import (
     InteractionGraph,
     TimeDelayedNetwork,
@@ -675,3 +676,225 @@ def reference_normalize(e: Expr) -> Expr:
             out = _reference_normalize_sum(cur, normal, keys)
         normal[cur] = out
     return normal[e]
+
+
+# ---------------------------------------------------------------------------
+# orbit oracles
+
+
+def eval_interval(e: Expr, box: dict[tuple[str, int], Interval]) -> Interval:
+    """Enclose the range of ``e`` over a box of variable intervals: the one
+    evaluator's interval kernel on a single root.
+
+    Sound: for every assignment drawn from the box, ``eval_point`` lands
+    inside the result.  Bounded primitives give bounded output even over
+    unbounded boxes; polynomial growth over an unbounded box yields
+    infinite endpoints.
+    """
+    return _evaluate((e,), box, "interval")[0]
+
+
+def full_orbit_batch(program, histories, steps, stop_delta=0.0, path=None):
+    """``engine.run_orbit_batch`` keeping every state: (states, steps_done,
+    diverged), state r of trial t in ``states[t, r]``, zeros past its end."""
+    trials, T, n = np.shape(histories)
+    states = np.zeros((trials, T + steps, n))
+
+    def reduce(ids, lengths, tails):
+        # every state is kept, so row r of ``tails`` is state r
+        for i, (t, length) in enumerate(zip(ids.tolist(), lengths.tolist())):
+            states[t, :length] = tails[:length, :, i]
+
+    done, diverged = engine.run_orbit_batch(
+        program, histories, steps, stop_delta, path, (lambda lengths: lengths, reduce)
+    )
+    return states, done, diverged
+
+
+def _reference_registers(program, trials):
+    regs = np.zeros((program.n_regs, trials))
+    c = program.const_offset
+    regs[c : c + program.consts.shape[0], :] = program.consts[:, None]
+    rows = tuple(OPERATORS.values())
+    tape = [
+        (rows[op].array, (regs[a],) if b < 0 else (regs[a], regs[b]), regs[dst])
+        for op, dst, a, b in program.ops.tolist()
+    ]
+    return regs, tape
+
+
+def _reference_run(tape):
+    for kernel, args, out in tape:
+        kernel(*args, out=out)
+
+
+def reference_orbit_batch(program, histories, steps, stop_delta=0.0):
+    """The orbit loop run one instruction of ``Program.ops`` at a time."""
+    histories = np.asarray(histories, dtype=np.float64)
+    trials, T, n = histories.shape
+    hist = np.zeros((trials, T + steps, n))
+    hist[:, :T, :] = histories
+    regs, tape = _reference_registers(program, trials)
+    steps_done = np.full(trials, steps, dtype=np.int64)
+    diverged = np.zeros(trials, dtype=bool)
+    active = np.ones(trials, dtype=bool)
+    streak = np.zeros(trials, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for k in range(steps):
+            if not active.any():
+                break
+            r = T + k
+            for d in range(T):
+                regs[d * n : (d + 1) * n, :] = hist[:, r - 1 - d, :].T
+            _reference_run(tape)
+            out = regs[program.out_regs, :]
+            finite = np.isfinite(out).all(axis=0)
+            delta = np.max(np.abs(out - hist[:, r - 1, :].T), axis=0)
+            newly_diverged = active & ~finite
+            steps_done[newly_diverged] = k
+            diverged[newly_diverged] = True
+            active &= finite
+            write = np.nonzero(active)[0]
+            hist[write, r, :] = out[:, write].T
+            if stop_delta > 0.0:
+                streak = np.where(delta <= stop_delta, streak + 1, 0)
+                stopping = active & (streak >= engine.STOP_STREAK)
+                steps_done[stopping] = k + 1
+                active &= ~stopping
+    return hist, steps_done, diverged
+
+
+def reference_apply_undelayed(program, x):
+    regs, tape = _reference_registers(program, 1)
+    regs[: program.const_offset, 0] = np.tile(x, program.T)
+    with np.errstate(all="ignore"):
+        _reference_run(tape)
+    return regs[program.out_regs, 0]
+
+
+def _ring_orbit_batch(program, histories, steps, stop_delta, keep, path):
+    """The block-stepping batch keeping each trial's last ``keep`` states in
+    a trial-major ring, (keep, trials, n), written every block: state r of
+    a trial in row ``r % keep`` of the returned (trials, keep, n)."""
+    histories = np.asarray(histories, dtype=np.float64)
+    trials, T, n = histories.shape
+    ring = np.zeros((keep, trials, n), dtype=np.float64)
+    first = max(0, T - keep)
+    ring[np.arange(first, T) % keep] = histories[:, first:].transpose(1, 0, 2)
+    if path is not None:
+        path[:T] = histories[0]
+    regs = engine._registers(program, trials)
+    width = engine.STOP_STREAK
+    block = regs[: (T + width) * n].reshape(T + width, n, trials)
+    block[:T] = histories.transpose(1, 2, 0)
+    phases = engine._bind(program.plan, regs)
+    ids = np.arange(trials)
+    steps_done = np.full(trials, steps, dtype=np.int64)
+    diverged = np.zeros(trials, dtype=bool)
+    streak = np.zeros(trials, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for k in range(0, steps, width):
+            if ids.size == 0:
+                break
+            b = min(width, steps - k)
+            for tape in phases[:b]:
+                engine._run(tape, regs)
+            states = block[T : T + b]
+            change = engine._change(states, block[T - 1 : T - 1 + b])
+            bad = stop = np.full(ids.size, b)
+            if not np.isfinite(change).all():
+                finite = np.isfinite(states).all(axis=1)
+                bad = np.where(finite.all(axis=0), b, finite.argmin(axis=0))
+            if stop_delta > 0.0:
+                at = np.arange(1, b + 1)[:, None]
+                last = np.where(change <= stop_delta, -streak, at)
+                run = at - np.maximum.accumulate(last, axis=0)
+                complete = run >= engine.STOP_STREAK
+                stop = np.where(complete.any(axis=0), complete.argmax(axis=0), b)
+                streak = run[-1]
+            if path is not None:
+                length = min(int(bad[0]), int(stop[0]), b - 1) + 1
+                path[T + k : T + k + length] = states[:length, :, 0]
+            live = (bad == b) & (stop == b)
+            if not live.all():
+                gone = bad < stop
+                written = np.where(gone, bad, stop + 1)
+                at = np.arange(b)[:, None]
+                js, ts = np.nonzero((at < written) & (at >= written - keep) & ~live)
+                ring[(T + k + js) % keep, ids[ts]] = states[js, :, ts]
+                diverged[ids[gone]] = True
+                steps_done[ids[gone]] = k + bad[gone]
+                stopped = ~gone & ~live
+                steps_done[ids[stopped]] = k + stop[stopped] + 1
+                if not live[0]:
+                    path = None
+                ids = ids[live]
+                streak = streak[live]
+                regs = engine._compress(regs, live)
+                block = regs[: (T + width) * n].reshape(T + width, n, ids.size)
+                phases = engine._bind(program.plan, regs)
+                states = block[T : T + b]
+            rows = (T + k + np.arange(max(0, b - keep), b)) % keep
+            ring[rows[:, None], ids] = states[b - rows.size :].transpose(0, 2, 1)
+            block[:T] = block[b : b + T]
+    return ring.transpose(1, 0, 2), steps_done, diverged
+
+
+def _ring_tail_diameters(states, lo, hi):
+    """The box diameter of states ``lo[t] .. hi[t] - 1`` of each trial t of
+    a ring ``states`` (state r in row ``r % keep``), 0 where empty."""
+    width = max(1, int((hi - lo).max()))
+    rows = np.minimum(lo[:, None] + np.arange(width), hi[:, None] - 1) % states.shape[1]
+    segment = states[np.arange(states.shape[0])[:, None], rows]
+    diameter = (segment.max(axis=1) - segment.min(axis=1)).max(axis=1)
+    return np.where(hi > lo, diameter, 0.0)
+
+
+def reference_attraction(net, trials, steps, sample_box=None, tol=1e-8, seed=0, record=False):
+    """What ``sim._attraction`` returns: the attraction check read off a
+    ring of each trial's last max(8, (T + steps) // 4) states, which the
+    batch fills as it runs, and trial 0's trajectory when ``record``."""
+    lo, hi = sim.sampling_box(net, sample_box)
+    rng = np.random.default_rng(seed)
+    program = engine.compile_network(net)
+    keep = max(8, (net.T + steps) // 4)
+    path = np.empty((net.T + steps, net.size)) if record else None
+    states, steps_done, diverged = _ring_orbit_batch(
+        program, rng.uniform(lo, hi, size=(trials, net.T, net.size)),
+        steps, tol * 1e-3, keep, path,
+    )
+    notes = []
+    n_div = int(diverged.sum())
+    lengths = net.T + steps_done
+    endpoints = states[np.arange(trials), (lengths - 1) % keep]
+    tail = np.minimum(lengths, np.maximum(8, lengths // 4))
+    middle = lengths - tail + tail // 2
+    d1 = _ring_tail_diameters(states, lengths - tail, middle)
+    d2 = _ring_tail_diameters(states, middle, lengths)
+    shrinking = not (d2 > d1 * (1.0 + 1e-9) + 1e-15).any()
+    spread = sim._box_diameter(endpoints) if n_div == 0 else np.inf
+    converged = n_div == 0 and shrinking and spread <= tol
+    if n_div:
+        notes.append(f"{n_div} trial(s) diverged to non-finite values")
+    if not shrinking:
+        notes.append("tail diameter increased in at least one trial")
+    verdict = sim.AttractionVerdict(
+        converged=converged,
+        witness=endpoints.mean(axis=0) if converged else None,
+        final_diameter=float(spread),
+        iterations_used=int(steps_done.max()),
+        trials=trials,
+        seed=seed,
+        diverged_trials=n_div,
+        trial_steps=int(steps_done.sum()),
+        notes=tuple(notes),
+    )
+    if path is None:
+        return verdict, None
+    done, gone = int(steps_done[0]), bool(diverged[0])
+    if done < steps and not gone:
+        _, more, alone = _ring_orbit_batch(
+            program, path[None, done : net.T + done], steps - done, 0.0, 1, path[done:]
+        )
+        done, gone = done + int(more[0]), bool(alone[0])
+    return verdict, sim._trajectory(net, path, done, gone)

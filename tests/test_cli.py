@@ -490,8 +490,8 @@ def test_simulate_csv_is_the_orbit_of_trial_zero(in_tmp, monkeypatch, case):
     assert (in_tmp / "net.verdict.json").read_text() == verdict.to_json() + "\n"
 
     # each case runs the path it is named for
-    _, done, diverged = engine.run_orbit_batch(
-        engine.compile_network(net), histories, steps, stop_delta=1e-11, keep=8
+    done, diverged = engine.run_orbit_batch(
+        engine.compile_network(net), histories, steps, stop_delta=1e-11
     )
     stopped_early = done[0] < steps and not diverged[0]
     # trial 0 runs on alone exactly when it stops early

@@ -3,10 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gen import build_benchmark_network, network_as_built, random_network
+from gen import (build_benchmark_network, eval_interval, full_orbit_batch, network_as_built,
+                 random_network, reference_apply_undelayed, reference_orbit_batch)
 
-from netstab import engine
-from netstab import gallery
+from netstab import engine, gallery, sim
 from netstab.expr import (
     OPERATORS,
     BinOp,
@@ -15,7 +15,6 @@ from netstab.expr import (
     Interval,
     Var,
     _postorder,
-    eval_interval,
     eval_point,
 )
 from netstab.network import build_network, load_network
@@ -59,8 +58,8 @@ def test_shared_node_is_computed_once_with_the_same_orbit():
     )
     assert dag.ops.shape[0] == inner == copies.ops.shape[0] - 2
     history = np.array([[0.3, -0.7]])
-    dag_states, _, _ = engine.run_orbit_batch(dag, history[None], 50)
-    copies_states, _, _ = engine.run_orbit_batch(copies, history[None], 50)
+    dag_states, _, _ = full_orbit_batch(dag, history[None], 50)
+    copies_states, _, _ = full_orbit_batch(copies, history[None], 50)
     assert np.array_equal(dag_states, copies_states)
 
 
@@ -70,7 +69,7 @@ def test_single_step_matches_eval_point():
         net = random_network(rng, int(rng.integers(1, 5)), max_delay=3)
         prog = engine.compile_network(net)
         history = rng.uniform(-2, 2, (net.T, net.size))
-        (states,), (done,), (diverged,) = engine.run_orbit_batch(prog, history[None], 1)
+        (states,), (done,), (diverged,) = full_orbit_batch(prog, history[None], 1)
         assert done == 1 and not diverged
         assignment = {}
         for i, node in enumerate(net.nodes):
@@ -105,7 +104,7 @@ def test_every_operator_row_through_the_tape(name, update):
     assert list(OPERATORS).index(name) in prog.ops[:, 0]
     enclosure = eval_interval(update, {("x1", 0): box})
     for x in np.linspace(box.lo, box.hi, 15):
-        (states,), (done,), (diverged,) = engine.run_orbit_batch(prog, [[[x]]], 1)
+        (states,), (done,), (diverged,) = full_orbit_batch(prog, [[[x]]], 1)
         assert done == 1 and not diverged
         want = eval_point(update, {("x1", 0): x})
         if name in LIBM_ROWS:
@@ -118,9 +117,7 @@ def test_every_operator_row_through_the_tape(name, update):
 def test_early_stop():
     net = build_network([("x1", R)], [("x1", "0.5*x1")])
     prog = engine.compile_network(net)
-    (states,), (done,), (diverged,) = engine.run_orbit_batch(
-        prog, [[[1.0]]], 5000, stop_delta=1e-12
-    )
+    (states,), (done,), (diverged,) = full_orbit_batch(prog, [[[1.0]]], 5000, stop_delta=1e-12)
     assert not diverged
     assert done < 200
 
@@ -128,7 +125,7 @@ def test_early_stop():
 def test_divergence_detection():
     net = build_network([("x1", R)], [("x1", "x1*x1 + 1")])
     prog = engine.compile_network(net)
-    (states,), (done,), (diverged,) = engine.run_orbit_batch(prog, [[[2.0]]], 100)
+    (states,), (done,), (diverged,) = full_orbit_batch(prog, [[[2.0]]], 100)
     assert diverged
     assert done < 100
     assert np.isfinite(states[: 1 + done]).all()
@@ -138,7 +135,7 @@ def test_division_produces_divergence_not_crash():
     net = build_network([("x1", R)], [("x1", "1 / (x1 - 1)")])
     prog = engine.compile_network(net)
     # hits x1 == 1 exactly on the second step: 1/(2-1) = 1, then 1/0
-    (states,), (done,), (diverged,) = engine.run_orbit_batch(prog, [[[2.0]]], 10)
+    (states,), (done,), (diverged,) = full_orbit_batch(prog, [[[2.0]]], 10)
     assert diverged
 
 
@@ -165,7 +162,7 @@ def test_apply_undelayed_is_bit_identical_to_one_orbit_step():
         prog = engine.compile_network(net)
         assert prog.T >= 2
         x = rng.uniform(-2, 2, net.size)
-        (states,), _, _ = engine.run_orbit_batch(prog, np.tile(x, (1, prog.T, 1)), 1)
+        (states,), _, _ = full_orbit_batch(prog, np.tile(x, (1, prog.T, 1)), 1)
         assert np.array_equal(engine.undelayed_map(prog)(x), states[prog.T])
     assert {"sech", "sin", "cos"} <= calls
 
@@ -188,78 +185,13 @@ def test_batch_per_trial_stops():
     net = build_network([("x1", R)], [("x1", "x1*x1")])
     prog = engine.compile_network(net)
     histories = np.array([[[0.5]], [[3.0]]])
-    states, done, diverged = engine.run_orbit_batch(
-        prog, histories, 400, stop_delta=1e-14
-    )
+    states, done, diverged = full_orbit_batch(prog, histories, 400, stop_delta=1e-14)
     assert not diverged[0] and diverged[1]
     assert done[1] < 20
 
 
 # ---------------------------------------------------------------------------
 # grouped execution against an instruction-at-a-time reference
-
-ROWS = tuple(OPERATORS.values())
-
-
-def _reference_registers(program, trials):
-    regs = np.zeros((program.n_regs, trials))
-    c = program.const_offset
-    regs[c : c + program.consts.shape[0], :] = program.consts[:, None]
-    tape = [
-        (ROWS[op].array, (regs[a],) if b < 0 else (regs[a], regs[b]), regs[dst])
-        for op, dst, a, b in program.ops.tolist()
-    ]
-    return regs, tape
-
-
-def _reference_run(tape):
-    for kernel, args, out in tape:
-        kernel(*args, out=out)
-
-
-def reference_orbit_batch(program, histories, steps, stop_delta=0.0):
-    """The orbit loop run one instruction of ``Program.ops`` at a time."""
-    histories = np.asarray(histories, dtype=np.float64)
-    trials, T, n = histories.shape
-    hist = np.zeros((trials, T + steps, n))
-    hist[:, :T, :] = histories
-    regs, tape = _reference_registers(program, trials)
-    steps_done = np.full(trials, steps, dtype=np.int64)
-    diverged = np.zeros(trials, dtype=bool)
-    active = np.ones(trials, dtype=bool)
-    streak = np.zeros(trials, dtype=np.int64)
-    with np.errstate(all="ignore"):
-        for k in range(steps):
-            if not active.any():
-                break
-            r = T + k
-            for d in range(T):
-                regs[d * n : (d + 1) * n, :] = hist[:, r - 1 - d, :].T
-            _reference_run(tape)
-            out = regs[program.out_regs, :]
-            finite = np.isfinite(out).all(axis=0)
-            delta = np.max(np.abs(out - hist[:, r - 1, :].T), axis=0)
-            newly_diverged = active & ~finite
-            steps_done[newly_diverged] = k
-            diverged[newly_diverged] = True
-            active &= finite
-            write = np.nonzero(active)[0]
-            hist[write, r, :] = out[:, write].T
-            if stop_delta > 0.0:
-                streak = np.where(delta <= stop_delta, streak + 1, 0)
-                stopping = active & (streak >= engine.STOP_STREAK)
-                steps_done[stopping] = k + 1
-                active &= ~stopping
-    return hist, steps_done, diverged
-
-
-def reference_apply_undelayed(program, x):
-    regs, tape = _reference_registers(program, 1)
-    regs[: program.const_offset, 0] = np.tile(x, program.T)
-    with np.errstate(all="ignore"):
-        _reference_run(tape)
-    return regs[program.out_regs, 0]
-
 
 def _every_row_term(rng, net):
     """A term that runs every operator row, built around one node ``u``
@@ -293,7 +225,7 @@ def _grouped_cases():
 
 
 def _assert_same_orbits(prog, histories, steps, stop_delta):
-    got = engine.run_orbit_batch(prog, histories, steps, stop_delta)
+    got = full_orbit_batch(prog, histories, steps, stop_delta)
     want = reference_orbit_batch(prog, histories, steps, stop_delta)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -344,9 +276,9 @@ def test_grouped_tape_matches_the_reference_on_divergence_and_early_stops():
     assert diverged[0] and done[0] < 20
 
 
-def _ring_cases():
+def _stopping_cases():
     """Batches whose trials stop at different steps, and batches where some
-    trials diverge, so the live set shrinks while the ring fills."""
+    trials diverge, so the live set shrinks while the tails are kept."""
     rng = np.random.default_rng(9)
     for net in _grouped_cases():
         prog = engine.compile_network(net)
@@ -360,32 +292,61 @@ def _ring_cases():
         yield prog, histories, 300, stop_delta
 
 
-def test_ring_holds_the_last_states_of_the_full_history():
+def _last(count):
+    """A ``keep`` of ``count`` last states, or of every state of a shorter trial."""
+    return lambda lengths: np.minimum(lengths, count)
+
+
+def _handed_over(prog, histories, steps, stop_delta, keep):
+    """run_orbit_batch with ``keep`` and a ``reduce`` that records what it
+    receives: ({trial: (its length, its first state handed over, those
+    states up to its end)}, steps_done, diverged)."""
+    handed = {}
+
+    def reduce(ids, lengths, tails):
+        first = int(lengths.max()) - tails.shape[0]
+        assert first == int((lengths - keep(lengths)).min())
+        for i, (t, length) in enumerate(zip(ids.tolist(), lengths.tolist())):
+            assert t not in handed  # once per trial
+            handed[t] = length, first, tails[: length - first, :, i]
+
+    done, diverged = engine.run_orbit_batch(
+        prog, histories, steps, stop_delta, tails=(keep, reduce)
+    )
+    assert sorted(handed) == list(range(histories.shape[0]))
+    return handed, done, diverged
+
+
+def _assert_tails_are_the_last_states(full, T, keep, handed, done):
+    for t, length in enumerate(T + done):
+        got_length, first, tail = handed[t]
+        assert got_length == length and first <= length - keep(length)
+        assert np.array_equal(tail, full[t, first:length])
+
+
+def test_tails_hold_the_last_states_of_the_full_history():
     stops = divergences = 0
-    for prog, histories, steps, stop_delta in _ring_cases():
-        full, done, diverged = engine.run_orbit_batch(prog, histories, steps, stop_delta)
+    for prog, histories, steps, stop_delta in _stopping_cases():
+        full, done, diverged = full_orbit_batch(prog, histories, steps, stop_delta)
         stops += len(set(done[~diverged].tolist())) > 1
         divergences += 0 < diverged.sum() < diverged.size
-        for keep in (1, prog.T + 1, 64):
-            ring, ring_done, ring_diverged = engine.run_orbit_batch(
-                prog, histories, steps, stop_delta, keep=keep
+        for keep in (_last(1), _last(prog.T + 1), _last(64), sim._tail_length):
+            handed, tail_done, tail_diverged = _handed_over(
+                prog, histories, steps, stop_delta, keep
             )
-            assert ring.shape == (histories.shape[0], keep, prog.n_nodes)
-            assert np.array_equal(ring_done, done)
-            assert np.array_equal(ring_diverged, diverged)
-            for t, length in enumerate(prog.T + done):
-                rows = np.arange(max(0, length - keep), length)
-                assert np.array_equal(ring[t, rows % keep], full[t, rows])
+            assert np.array_equal(tail_done, done)
+            assert np.array_equal(tail_diverged, diverged)
+            _assert_tails_are_the_last_states(full, prog.T, keep, handed, done)
     assert stops >= 30 and divergences == 2
 
 
 def test_batch_records_trial_zero_while_it_runs():
     # trial 0 outlives some trials and is outlived by others; the path holds
     # exactly its states, and nothing past its last step
-    for prog, histories, steps, stop_delta in _ring_cases():
-        full, done, diverged = engine.run_orbit_batch(prog, histories, steps, stop_delta)
+    for prog, histories, steps, stop_delta in _stopping_cases():
+        full, done, diverged = full_orbit_batch(prog, histories, steps, stop_delta)
         path = np.full((prog.T + steps, prog.n_nodes), np.nan)
-        _, path_done, _ = engine.run_orbit_batch(prog, histories, steps, stop_delta, 8, path)
+        path_done, _ = engine.run_orbit_batch(prog, histories, steps, stop_delta, path)
         assert np.array_equal(path_done, done)
         length = prog.T + done[0] + diverged[0]  # a diverged step is written too
         assert np.array_equal(path[: prog.T + done[0]], full[0, : prog.T + done[0]])
@@ -419,32 +380,27 @@ def _delayed_pair():
     return prog, histories, 1e-12
 
 
-def _assert_ring_matches_the_reference(prog, histories, steps, stop_delta, keep):
+def _assert_tails_match_the_reference(prog, histories, steps, stop_delta, keep):
     full, done, diverged = reference_orbit_batch(prog, histories, steps, stop_delta)
-    ring, ring_done, ring_diverged = engine.run_orbit_batch(
-        prog, histories, steps, stop_delta, keep
-    )
-    assert ring.shape == (histories.shape[0], keep, prog.n_nodes)
-    assert np.array_equal(ring_done, done)
-    assert np.array_equal(ring_diverged, diverged)
-    for t, length in enumerate(prog.T + done):
-        rows = np.arange(max(0, length - keep), length)
-        assert np.array_equal(ring[t, rows % keep], full[t, rows])
+    handed, tail_done, tail_diverged = _handed_over(prog, histories, steps, stop_delta, keep)
+    assert np.array_equal(tail_done, done)
+    assert np.array_equal(tail_diverged, diverged)
+    _assert_tails_are_the_last_states(full, prog.T, keep, handed, done)
     return done, diverged
 
 
 @pytest.mark.parametrize("steps", [1, 7, 8, 9, 17, 60])
 def test_block_boundaries_match_the_reference(steps):
     for prog, histories, stop_delta in (_halving_ring(), _squaring(), _delayed_pair()):
-        for keep in (1, prog.T + 1, 7, 64):
-            _assert_ring_matches_the_reference(prog, histories, steps, stop_delta, keep)
-            _assert_ring_matches_the_reference(prog, histories, steps, 0.0, keep)
+        for keep in (_last(1), _last(prog.T + 1), _last(7), _last(64), sim._tail_length):
+            _assert_tails_match_the_reference(prog, histories, steps, stop_delta, keep)
+            _assert_tails_match_the_reference(prog, histories, steps, 0.0, keep)
 
 
 def test_trials_stop_at_every_phase_of_a_block():
     prog, histories, stop_delta = _halving_ring()
-    for keep in (1, 5, 64):
-        done, diverged = _assert_ring_matches_the_reference(
+    for keep in (_last(1), _last(5), _last(64), sim._tail_length):
+        done, diverged = _assert_tails_match_the_reference(
             prog, histories, 60, stop_delta, keep
         )
         assert not diverged.any()
@@ -453,7 +409,7 @@ def test_trials_stop_at_every_phase_of_a_block():
 
 def test_a_trial_diverges_and_others_stop_in_one_block():
     prog, histories, stop_delta = _squaring()
-    done, diverged = _assert_ring_matches_the_reference(prog, histories, 40, stop_delta, 5)
+    done, diverged = _assert_tails_match_the_reference(prog, histories, 40, stop_delta, _last(5))
     assert diverged.tolist() == [False, True, True, False]
     # 0.5 stops, 3.0 and 1.1 diverge, all within the second block
     assert {int(d) // engine.STOP_STREAK for d in done[:3]} == {1}
@@ -467,9 +423,7 @@ def test_path_ends_where_trial_zero_ends_mid_block(first):
     full, done, diverged = reference_orbit_batch(prog, histories, 40, stop_delta)
     assert 0 < done[0] % engine.STOP_STREAK and done[1] > done[0]
     path = np.full((prog.T + 40, 1), np.nan)
-    _, path_done, path_diverged = engine.run_orbit_batch(
-        prog, histories, 40, stop_delta, 3, path
-    )
+    path_done, path_diverged = engine.run_orbit_batch(prog, histories, 40, stop_delta, path)
     assert np.array_equal(path_done, done) and np.array_equal(path_diverged, diverged)
     end = prog.T + done[0]
     assert np.array_equal(path[:end], full[0, :end])
@@ -521,13 +475,14 @@ def test_corpus_is_bit_identical_to_the_reference():
         histories[1] = 3.0  # diverges where x1 squares itself
         for stop_delta in (0.0, 1e-7):
             _, done, diverged = _assert_same_orbits(prog, histories, steps, stop_delta)
-            _assert_ring_matches_the_reference(prog, histories, steps, stop_delta, 5)
+            _assert_tails_match_the_reference(prog, histories, steps, stop_delta, _last(5))
+            _assert_tails_match_the_reference(prog, histories, steps, stop_delta, sim._tail_length)
             stopped = (done < steps) & ~diverged
             stop_phases.update((done[stopped] % engine.STOP_STREAK).tolist())
             divergences += int(diverged.sum())
             full, _, _ = reference_orbit_batch(prog, histories, steps, stop_delta)
             path = np.full((prog.T + steps, prog.n_nodes), np.nan)
-            engine.run_orbit_batch(prog, histories, steps, stop_delta, 3, path)
+            engine.run_orbit_batch(prog, histories, steps, stop_delta, path)
             end = prog.T + done[0]
             assert np.array_equal(path[:end], full[0, :end])
             assert np.isnan(path[end + diverged[0]:]).all()

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gen import diamond_network, random_network, reference_normalize, reference_parse
+from gen import diamond_network, eval_interval, random_network, reference_normalize, reference_parse
 from netstab import gallery
 from netstab.errors import EvalError, ParseError
 from netstab.expr import (
@@ -29,7 +29,6 @@ from netstab.expr import (
     _postorder,
     _render,
     _sub,
-    eval_interval,
     eval_point,
     gradient,
     normalize,

@@ -3,13 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gen import build_benchmark_network, network_as_built, random_network
+from gen import (build_benchmark_network, full_orbit_batch, network_as_built, random_network,
+                 reference_attraction)
 
 from netstab import engine, gallery, sim
 from netstab.delays import dedelay, undelay
 from netstab.errors import ConvergenceError, NetstabError, NetworkError
 from netstab.expr import Interval, Var
-from netstab.network import build_network
+from netstab.network import build_network, make_cohen_grossberg
 from netstab.sim import (
     conjugacy_check,
     find_fixed_point,
@@ -216,7 +217,7 @@ def _full_history_verdict(net, trials, steps, tol, seed):
     """verify_global_attraction's verdict, read off every state of every trial."""
     lo, hi = sampling_box(net)
     histories = np.random.default_rng(seed).uniform(lo, hi, size=(trials, net.T, net.size))
-    states, done, diverged = engine.run_orbit_batch(
+    states, done, diverged = full_orbit_batch(
         engine.compile_network(net), histories, steps, stop_delta=tol * 1e-3
     )
     endpoints, shrinking = [], True
@@ -268,8 +269,9 @@ def test_attraction_verdict_equals_the_full_history_reference():
 
 @pytest.mark.parametrize("values", [1, 500])
 def test_attraction_tail_check_in_chunks_of_trials(monkeypatch, values):
-    # one trial per chunk, or a few: the verdict is the full-history one
-    monkeypatch.setattr(sim, "_TAIL_VALUES", values)
+    # the batch hands over one ended trial's tail at a time, or a few: the
+    # verdict is the full-history one
+    monkeypatch.setattr(engine, "_TAIL_VALUES", values)
     rng = np.random.default_rng(167)
     nets = [random_network(rng, 3, max_delay=2, amplitude=a) for a in (0.2, 0.6, 1.5)]
     nets.append(build_network([("x1", Interval(-2, 2))], [("x1", "x1*x1")]))
@@ -360,6 +362,101 @@ def test_recorded_trial_zero_is_the_orbit_iterate_orbit_runs():
             if verdict.iterations_used < steps:
                 seen.add("ran on after the batch stopped")
     assert seen == {"diverged", "left its domain", "ran on after the batch stopped"}
+
+
+def _attraction_cases():
+    """(network, trials, steps, sample box) of the attraction oracle."""
+    two = Interval(-2, 2)
+    # x/2 from up to 1e6 stops at every phase of a block
+    yield build_network([("x1", R)], [("x1", "0.5*x1")]), 64, 301, {"x1": (-1e6, 1e6)}
+    # squaring: trials inside the unit interval stop, the others diverge
+    yield build_network([("x1", two)], [("x1", "x1*x1")]), 9, 45, None
+    # every trial diverges within the first block, at fewer than 8 states
+    yield build_network([("x1", Interval(1, 10))], [("x1", "exp(x1)")]), 5, 40, None
+    # x1 flips sign at every step, so no trial ever stops
+    yield build_network([("x1", two), ("x2", two)], [("x1", "-x1"), ("x2", "0.5*x2[-2]")]), 4, 45, None
+    yield gallery.delayed_pair(0.5, 0.1, 1.0), 2, 300, None
+    yield gallery.distributed_pair(), 6, 203, None
+    rng = np.random.default_rng(173)
+    for steps in (3, 8, 45, 301):
+        for amplitude in (0.2, 0.6, 1.5):
+            yield random_network(rng, int(rng.integers(2, 6)), max_delay=3,
+                                 amplitude=amplitude), 7, steps, None
+
+
+def _verdict_fields(verdict):
+    return (verdict.to_json(), None if verdict.witness is None else verdict.witness.tobytes(),
+            repr(verdict.final_diameter))
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_attraction_is_the_ring_based_reference(record):
+    seen = set()
+    for seed, (net, trials, steps, box) in enumerate(_attraction_cases()):
+        got, traj = sim._attraction(net, trials, steps, box, 1e-8, seed, record)
+        want, want_traj = reference_attraction(net, trials, steps, box, 1e-8, seed, record)
+        assert _verdict_fields(got) == _verdict_fields(want)
+        if record:
+            assert np.array_equal(traj.states, want_traj.states)
+            assert (traj.left_domain, traj.diverged_at) == (want_traj.left_domain,
+                                                            want_traj.diverged_at)
+        # what the case covers, from the same start windows
+        lo, hi = sampling_box(net, box)
+        histories = np.random.default_rng(seed).uniform(lo, hi, (trials, net.T, net.size))
+        done, diverged = engine.run_orbit_batch(engine.compile_network(net), histories, steps, 1e-11)
+        stopped = (done < steps) & ~diverged
+        seen.update(f"stop at phase {p}" for p in done[stopped] % engine.STOP_STREAK)
+        if (diverged & (net.T + done < engine.STOP_STREAK)).any():
+            seen.add("ended in the first block")
+        if diverged.any():
+            seen.add("diverged")
+        if ((done == steps) & ~diverged).any() and steps > 200:
+            seen.add("never stopped")
+        if steps % engine.STOP_STREAK:
+            seen.add("steps not a multiple of STOP_STREAK")
+        if trials == 2:
+            seen.add("two trials")
+        if stopped[0]:
+            seen.add("trial 0 stopped early")
+    assert seen == {f"stop at phase {p}" for p in range(engine.STOP_STREAK)} | {
+        "ended in the first block", "diverged", "never stopped",
+        "steps not a multiple of STOP_STREAK", "two trials", "trial 0 stopped early",
+    }
+
+
+def test_long_converging_run_holds_only_the_live_tails():
+    # a converging 4-node Cohen-Grossberg ring whose trials all stop within
+    # a few hundred steps: the batch holds their tails while they run, not
+    # 50 x 50,001 x 4 states, the longest tail that 200,000 steps allow
+    ring = np.zeros((4, 4))
+    delays = np.zeros((4, 4), dtype=int)
+    for j in range(4):
+        for i in ((j - 1) % 4, (j + 1) % 4):
+            ring[i, j], delays[i, j] = 0.2, 2
+    net = make_cohen_grossberg(ring, 0.5, delays=delays, self_delays=np.ones(4, dtype=int))
+    tracemalloc.start()
+    try:
+        verdict = verify_global_attraction(net, trials=50, steps=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.converged and verdict.iterations_used < 1000
+    assert peak < 4 * 2**20
+
+
+def test_a_million_steps_give_the_600_step_verdict():
+    # every trial of the benchmark ring stops within 600 steps, so a run
+    # allowed 10^6 steps is the same run and holds as much
+    net = build_benchmark_network(48)
+    want = verify_global_attraction(net, trials=200, steps=600)
+    tracemalloc.start()
+    try:
+        got = verify_global_attraction(net, trials=200, steps=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert want.converged and _verdict_fields(got) == _verdict_fields(want)
+    assert peak < 16 * 2**20
 
 
 def test_attraction_rejects_non_finite_sample_box():

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from gen import build_benchmark_network, diamond_network, random_network, rescaled_ring
+from gen import build_benchmark_network, diamond_network, eval_interval, random_network, rescaled_ring
 
 from netstab import expr as ex
 from netstab import gallery
@@ -216,7 +216,7 @@ def test_constant_partials_match_the_generic_path(net):
     box = {read: net.domains[read[0]] for read in indices}
     data = np.zeros((len(indices), len(indices)))
     for j, i, partial in _partials(net, indices):
-        data[j, i] = ex.eval_interval(partial, box).sup_abs()
+        data[j, i] = eval_interval(partial, box).sup_abs()
     report = analyze(net)
     assert report.matrix.data.tobytes() == data.tobytes()
     plain = _plain_provenance(net)
@@ -226,7 +226,7 @@ def test_constant_partials_match_the_generic_path(net):
 
 def _count_walks(monkeypatch) -> list[tuple[str, int]]:
     """Record (kind, roots) of every ``expr._evaluate`` call from now on;
-    the one-root evaluators are disabled, so no partial is walked alone."""
+    the one-root point evaluator is disabled, so no partial is walked alone."""
     walks = []
     original = ex._evaluate
 
@@ -235,7 +235,6 @@ def _count_walks(monkeypatch) -> list[tuple[str, int]]:
         return original(roots, values, kind)
 
     monkeypatch.setattr(ex, "_evaluate", counted)
-    monkeypatch.setattr(ex, "eval_interval", None)
     monkeypatch.setattr(ex, "eval_point", None)
     return walks
 
@@ -333,7 +332,7 @@ def _plain_provenance(net) -> dict[tuple[int, int], str]:
     indices = state_indices(net)
     box = {read: net.domains[read[0]] for read in indices}
     return {(j, i): ex.to_text(partial) for j, i, partial in _partials(net, indices)
-            if ex.eval_interval(partial, box).sup_abs()}
+            if eval_interval(partial, box).sup_abs()}
 
 
 def _restricted_diamond(k: int, rename: str = "s"):
