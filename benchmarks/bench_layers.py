@@ -104,8 +104,9 @@ trial steps it ran (for the attraction checks also the steps of the
 slowest trial; for ``simulate`` the characters of its CSV), ``peak_mb``,
 the peak of the memory ``tracemalloc`` traces during one more call, and
 the operands of one step of its ring's bound tape: ``gathers`` copied
-into scratch blocks, ``views`` read in place, and of those ``strided``,
-the ones not contiguous (a constant step or one row repeated).
+into scratch blocks and ``views`` read where they lie, and
+``in_place``, whether the step writes its state straight into the block
+of states rather than copying it there.
 
 The write layer times the writers of the output files, as ``netstab
 sets -o``, ``analyze`` and ``simulate`` run them, and records the best of
@@ -417,19 +418,20 @@ def bench_structural(repeats: int) -> list[dict]:
 
 
 def tape_operands(program) -> dict:
-    """The operands of one step of ``program``'s bound tape: gathered
-    into scratch blocks, or views, and the views not contiguous."""
-    tape = engine._bind(engine._plan(program, 1), engine._registers(program, 1))[0]
-    gathers = views = strided = 0
-    for _, operands, gathered, out in tape:
+    """The operands of one step of ``program``'s bound tape, gathered into
+    scratch blocks or views, and whether the step writes its state
+    straight into the block (no last copy)."""
+    tape = engine._bind(program.plan[:1], engine._registers(program, 1))[0]
+    gathers = views = 0
+    for _, operands, gathered, _ in tape:
         blocks = [id(block) for _, block in gathered]
         for op in operands:
             if id(op) in blocks:
                 gathers += 1
             else:
                 views += 1
-                strided += not op.flags.c_contiguous or op.shape != out.shape
-    return {"gathers": gathers, "views": views, "strided": strided}
+    return {"gathers": gathers, "views": views,
+            "in_place": all(kernel is not None for kernel, _, _, _ in tape)}
 
 
 def bench_orbit(repeats: int) -> list[dict]:

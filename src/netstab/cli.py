@@ -59,6 +59,15 @@ def _read_network(path_text: str):
     return load_network(text, name_hint=path.stem)
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as err:
+        # an unwritable output is a usage problem, as an unreadable input is
+        print(f"error: cannot write {path}: {err}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _parse_set(arg: str | None) -> tuple[str, ...]:
     if not arg:
         return ()
@@ -79,7 +88,7 @@ def _cmd_analyze(args) -> int:
     if report.cg_criterion is not None:
         print(f"cohen-grossberg criterion |1-eps| + L*rho(|W|) = {report.cg_criterion:.6g}")
     out = _out_path(args, f"{Path(args.network).stem}.report.json")
-    out.write_text(report.to_json() + "\n")
+    _write(out, report.to_json() + "\n")
     return 0
 
 
@@ -87,7 +96,7 @@ def _cmd_graph(args) -> int:
     net = _read_network(args.network)
     dot = emit_dot(interaction_graph(net), _parse_set(args.set))
     out = _out_path(args, f"{Path(args.network).stem}.dot")
-    out.write_text(dot)
+    _write(out, dot)
     print(f"wrote {out}")
     return 0
 
@@ -106,7 +115,7 @@ def _cmd_sets(args) -> int:
     if not reports:
         print("no complete structural sets found")
     if args.output:
-        Path(args.output).write_text(report_json({"schema": REPORT_SCHEMA, "sets": rows}) + "\n")
+        _write(Path(args.output), report_json({"schema": REPORT_SCHEMA, "sets": rows}) + "\n")
     return 0
 
 
@@ -129,7 +138,7 @@ def _transformed(args, verb: str):
 def _cmd_transform(args, verb: str) -> int:
     result = _transformed(args, verb)
     out = _out_path(args, f"{Path(args.network).stem}.{verb}.net")
-    out.write_text(dump_network(result))
+    _write(out, dump_network(result))
     print(f"wrote {out} ({result.size} nodes, T = {result.T})")
     return 0
 
@@ -144,9 +153,9 @@ def _cmd_simulate(args) -> int:
     stem = Path(args.network).stem
     prefix = Path(args.output) if args.output else Path(stem)
     verdict_path = Path(f"{prefix}.verdict.json")
-    verdict_path.write_text(verdict.to_json() + "\n")
+    _write(verdict_path, verdict.to_json() + "\n")
     csv_path = Path(f"{prefix}.trajectory.csv")
-    csv_path.write_text(traj.to_csv())
+    _write(csv_path, traj.to_csv())
 
     state = "converged" if verdict.converged else "not converged"
     print(f"{state}: final diameter {verdict.final_diameter:.3g} over "

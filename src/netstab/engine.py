@@ -1,43 +1,46 @@
 """Orbit stepping.
 
 Update expressions are flattened once into an instruction tape over a
-flat register file (window slots, constant pool, temporaries).  Opcodes
-and their numpy kernels come from ``expr.OPERATORS``, the table of the
-expression vocabulary: an opcode is the position of its operator's row.
-Each distinct node of an update is compiled once, so a subexpression that
-several readers in one update share is computed once per step.  A node
-that several updates share (expression nodes are hash-consed, so equal
-terms of different rules are one node) is compiled once per update: that
-keeps the operand rows of each group consecutive, as a slice reads them.
+flat register file (a block of states, constant pool, temporaries).
+Opcodes and their numpy kernels come from ``expr.OPERATORS``, the table of
+the expression vocabulary: an opcode is the position of its operator's
+row.  Each distinct node of an update is compiled once, so a
+subexpression that several readers in one update share is computed once
+per step.  A node that several updates share (expression nodes are
+hash-consed, so equal terms of different rules are one node) is compiled
+once per update: that keeps the operand rows of each group consecutive,
+as a slice reads them.
 
 The tape is level-major.  An instruction's level is one more than the
 highest level among its operands (window slots and constants are level
 0), and the tape is sorted by (level, opcode), so each (level, opcode)
-group writes one contiguous range of temporaries and reads only the
+group writes one contiguous range of registers and reads only the
 window, the constants and lower groups.  One interpreter runs a group as
 one kernel call into its destination range of a (registers, trials)
 array: every trial and every instruction of the group advance at once,
 and a step costs a few numpy calls per group, not per instruction.
 
-The registers are laid out so that a group's operands are views, not
-gathers, wherever the data flow allows.  A group's members go in the
-order the groups above read them (walking from the last group back, the
-nearest reader first, operand by operand), so a group that reads a lower
-group through one operand, or through each of two, reads consecutive
-rows of it.  Each use of a constant has its own slot in the pool, in the
-order its group reads it, so a constant operand is a slice too.  An
-operand is a view when its rows are consecutive, or, for the correctly
-rounded rows (``+ - * / neg abs sign``), a constant step apart or one
-row repeated; a step gathers only the other operands, into scratch
-blocks that the groups share.
+``compile_network`` lays the registers out as a batch runs them, and
+nothing after it renumbers them.  The register file opens with the block
+of T + ``STOP_STREAK`` states a batch steps through (the last T states
+before it, then one per step), so the window slot of node i at delay d is
+row (T - 1 - d) * n + i; when the outputs are one group in node order,
+that group writes block state T, rows T * n + i.  The constant pool and
+the temporaries follow.  A group's members go in the order the groups
+above read them (walking from the last group back, the nearest reader
+first, operand by operand), so a group that reads a lower group through
+one operand, or through each of two, reads consecutive rows of it.  Each
+use of a constant has its own slot in the pool, in the order its group
+reads it, so a constant operand is a slice too.  An operand is a view
+when its rows are consecutive; a step gathers only the other operands,
+into scratch blocks that the groups share.
 
 A batch runs its live trials in blocks of ``STOP_STREAK`` steps.  The
-block of states (the last T states before it, then one per step) is the
-head of the register file, and the tape, planned once per program
-(``Program.plan``), is bound once per step phase of a block: the window
-slots of phase q read the block's states before step q in place, and
-when the outputs are one group in node order that group writes straight
-into the state after it, else a last gather copies them there.  After
+tape, planned once per program (``Program.plan``), is bound once per
+step phase of a block: at phase q every row of the block, window slot or
+output, moves q states on, so the window slots read the block's states
+before step q in place and the output group writes the state after it;
+outputs that are not one group are gathered there by a last copy.  After
 the block, one vectorized pass finds each trial's first non-finite step
 and the step that completes its run of small steps, writes trial 0's
 path, hands the last states of the trials that ended to a ``reduce``
@@ -81,17 +84,17 @@ STOP_STREAK = 8
 # states alone, or a sixteenth of the states it keeps, are more
 _TAIL_VALUES = 2**16
 
-# rows whose numpy kernels round correctly, so that they give the same
-# bytes whatever the layout of their operands
-_EXACT = frozenset({"+", "-", "*", "/", "neg", "abs", "sign"})
-
 
 @dataclass(frozen=True)
 class Program:
     """A network's updates compiled to one instruction tape.
 
-    Register layout: ``[0, T*n)`` window slots (slot of node i at delay d
-    is ``d*n + i``), then the constant pool, then temporaries.  The pool
+    Register layout: ``[0, const_offset)`` is a batch's block of
+    ``T + STOP_STREAK`` states, row ``t*n + i`` holding node i in state t;
+    the window slot of node i at delay d is state ``T - 1 - d`` of it.  The
+    constant pool follows, then the temporaries.  When the outputs are
+    one group in node order, as the last group of the tape, they are
+    block state T, ``[T*n, (T+1)*n)``, and have no temporaries.  The pool
     has one slot per use of a constant, in the order the groups read
     them, so a group's constant operand is consecutive slots.  One pass
     over the tape computes all next-state values simultaneously.  The
@@ -110,16 +113,17 @@ class Program:
 
     @property
     def const_offset(self) -> int:
-        return self.T * self.n_nodes
+        return (self.T + STOP_STREAK) * self.n_nodes
 
     @cached_property
     def plan(self):
-        """:func:`_plan` of every phase of a block, made on first use."""
-        return _plan(self, STOP_STREAK)
+        """:func:`_plan` of the program, made on first use."""
+        return _plan(self)
 
 
 def compile_network(net: TimeDelayedNetwork) -> Program:
     n, T = net.size, net.T
+    block = (T + STOP_STREAK) * n
     node_idx = {name: i for i, name in enumerate(net.nodes)}
     # one instruction per distinct Call or BinOp node of each update, with
     # a memo per update: a node that several updates share gets one in
@@ -133,7 +137,7 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
         for e in _postorder((net.updates[node],)):
             kind = type(e)
             if kind is Var:
-                memo[e] = (~(e.delay * n + node_idx[e.node]), 0)
+                memo[e] = (~((T - 1 - e.delay) * n + node_idx[e.node]), 0)
                 continue
             if kind is Const:
                 memo[e] = (e.value, 0)
@@ -175,20 +179,27 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
                     rank[a] = (g, counter)
                     counter += 1
 
+    # every other instruction of an update is below its root, so outputs
+    # that are one group are the last group: it writes block state T
+    in_block = all(type(r) is int for r in roots) and groups[-1:] == [roots]
+    temporaries = groups[:-1] if in_block else groups
     # each use of a constant gets its own slot, in the order the groups,
     # their operands and their members read them; temporaries follow the
     # pool in tape order
-    base = T * n + sum(type(x) is float for operands in args for x in operands)
+    base = block + sum(type(x) is float for operands in args for x in operands)
     base += sum(type(r) is float for r in roots)
     reg = [0] * len(keys)
-    for r, m in enumerate(itertools.chain.from_iterable(groups), start=base):
+    for r, m in enumerate(itertools.chain.from_iterable(temporaries), start=base):
         reg[m] = r
+    if in_block:
+        for i, m in enumerate(roots):
+            reg[m] = T * n + i
     consts: list[float] = []
 
     def register(a) -> int:
         if type(a) is float:
             consts.append(a)
-            return T * n + len(consts) - 1
+            return block + len(consts) - 1
         return reg[a] if a >= 0 else ~a
 
     ops = np.full((len(keys), 4), -1, dtype=np.int64)
@@ -197,121 +208,75 @@ def compile_network(net: TimeDelayedNetwork) -> Program:
     for members in groups:
         stop = start + len(members)
         ops[start:stop, 0] = keys[members[0]] % len(_ROWS)
+        ops[start:stop, 1] = [reg[m] for m in members]
         for j in range(len(args[members[0]])):
             ops[start:stop, 2 + j] = [register(args[m][j]) for m in members]
         bounds.append((start, stop))
         start = stop
-    ops[:, 1] = np.arange(base, base + len(keys))
     out_regs = [register(r) for r in roots]
     return Program(
         ops=ops,
         groups=tuple(bounds),
         consts=np.array(consts, dtype=np.float64),
         out_regs=np.array(out_regs, dtype=np.int64),
-        n_regs=base + len(keys),
+        n_regs=base + sum(map(len, temporaries)),
         n_nodes=n,
         T=T,
     )
 
 
 def _registers(program: Program, trials: int) -> np.ndarray:
-    """The register file of :func:`_plan`'s rows, of shape
-    (STOP_STREAK * n + n_regs, trials), with the constant pool loaded.
-
-    Its first (T + STOP_STREAK) * n rows are a batch's block of states:
-    row t * n + i holds node i in state t of the block, the first T of
-    them the states before it.  The constants and temporaries follow.
-    """
-    rows = program.n_regs + STOP_STREAK * program.n_nodes
-    regs = np.zeros((rows, trials), dtype=np.float64)
-    c = program.const_offset + STOP_STREAK * program.n_nodes
+    """The register file of ``program`` for ``trials`` trials, with the
+    constant pool loaded."""
+    regs = np.zeros((program.n_regs, trials), dtype=np.float64)
+    c = program.const_offset
     regs[c : c + program.consts.shape[0], :] = program.consts[:, None]
     return regs
 
 
-def _rows(index: np.ndarray, exact: bool = False):
-    """Register rows as a basic index when they are regular, else the index array.
-
-    Consecutive rows are a slice.  With ``exact``, for kernels that round
-    correctly and so give the same bytes from any operand layout, so are
-    rows a constant step apart, and one row repeated is a (1, trials) row
-    that the kernel broadcasts; numpy's transcendental kernels may round
-    differently on strided or broadcast operands.
-    """
+def _rows(index: np.ndarray):
+    """Register rows as a slice when they are consecutive, else the index array."""
     rows = index.tolist()
-    first, last = rows[0], rows[-1]
-    step = rows[1] - first if len(rows) > 1 else 1
-    if step == 1 or exact and step > 1:
-        if rows == list(range(first, last + 1, step)):
-            return slice(first, last + 1, None if step == 1 else step)
-    elif exact and step == 0 and rows.count(first) == len(rows):
-        return slice(first, first + 1)
+    if rows == list(range(rows[0], rows[0] + len(rows))):
+        return slice(rows[0], rows[0] + len(rows))
     return index
 
 
-def _output_rows(program: Program):
-    """Registers of the nodes' outputs: a slice when they are one group
-    of the tape in node order, which then writes each step's state
-    straight into its block row, else the index array, whose rows a step
-    copies there.
-    """
-    rows = _rows(program.out_regs)
-    if isinstance(rows, slice):
-        for start, stop in program.groups:
-            if program.ops[start, 1] == rows.start and stop - start == program.n_nodes:
-                return rows
-    return program.out_regs
-
-
-def _plan(program: Program, phases: int):
-    """The tape of each of the first ``phases`` steps of a block, as
+def _plan(program: Program):
+    """The tape of each of the ``STOP_STREAK`` steps of a block, as
     (kernel, operand rows, destination rows) of :func:`_registers`'s file.
 
-    At phase q the window slot of node i at delay d reads block state
-    T - 1 + q - d, and the outputs go to block state T + q: written there
-    by their group when :func:`_output_rows` is a slice, else copied by a
-    last entry whose kernel is None.  Other registers sit STOP_STREAK * n
-    rows down, the same at every phase.  Rows are views where
+    At phase q the rows of the block of states, window slots and outputs
+    alike, are q * n further on; the pool and the temporaries stay put.
+    When the outputs are not block state T, a last entry whose kernel is
+    None copies them to block state T + q.  Rows are views where
     :func:`_rows` allows.
     """
-    n, T = program.n_nodes, program.T
-    row = np.arange(program.n_regs) + STOP_STREAK * n
-    delay, node = np.divmod(np.arange(T * n), n)
-    row[: T * n] = (T - 1 - delay) * n + node
-    moves = np.arange(program.n_regs) < T * n  # one block state per phase
-    out = _output_rows(program)
-    if isinstance(out, slice):
-        row[out] = T * n + np.arange(n)
-        moves[out] = True
+    n, T, block = program.n_nodes, program.T, program.const_offset
 
-    def at(index: np.ndarray, exact: bool) -> list:
+    def at(index: np.ndarray) -> list:
         """The rows of registers ``index`` at each phase: computed once
         and shifted when all or none of them move."""
-        moving = moves[index]
+        moving = index < block
         count = np.count_nonzero(moving)
         if 0 < count < index.size:
-            return [_rows(row[index] + q * n * moving, exact) for q in range(phases)]
-        first, by = _rows(row[index], exact), n * bool(count)
+            return [_rows(index + q * n * moving) for q in range(STOP_STREAK)]
+        first, by = _rows(index), n * bool(count)
         if isinstance(first, slice):
-            return [slice(first.start + q * by, first.stop + q * by, first.step)
-                    for q in range(phases)]
-        return [first + q * by for q in range(phases)]
+            return [slice(first.start + q * by, first.stop + q * by) for q in range(STOP_STREAK)]
+        return [first + q * by for q in range(STOP_STREAK)]
 
-    plan: list[list] = [[] for _ in range(phases)]
+    plan: list[list] = [[] for _ in range(STOP_STREAK)]
     for start, stop in program.groups:
-        code, dst = program.ops[start, :2].tolist()
-        kernel = _ROWS[code]
-        operands = [at(program.ops[start:stop, 2 + j], kernel.name in _EXACT)
-                    for j in range(kernel.arity)]
-        # a group's destinations are consecutive, in the block as elsewhere
-        dst, by = int(row[dst]), n * int(moves[dst])
-        for q in range(phases):
-            rows = slice(dst + q * by, dst + q * by + stop - start)
-            plan[q].append((kernel.array, tuple(operand[q] for operand in operands), rows))
-    if not isinstance(out, slice):
-        reads, by = row[out], n * moves[out]
-        for q in range(phases):
-            plan[q].append((None, (reads + q * by,), slice((T + q) * n, (T + q + 1) * n)))
+        kernel = _ROWS[program.ops[start, 0]]
+        rows = [at(program.ops[start:stop, 1 + j]) for j in range(1 + kernel.arity)]
+        for q in range(STOP_STREAK):
+            plan[q].append((kernel.array, tuple(r[q] for r in rows[1:]), rows[0][q]))
+    out = program.out_regs
+    if out.tolist() != list(range(T * n, (T + 1) * n)):
+        for q in range(STOP_STREAK):
+            reads = out + q * n * (out < block)
+            plan[q].append((None, (reads,), slice((T + q) * n, (T + q + 1) * n)))
     return plan
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 
@@ -130,6 +131,11 @@ def _sorted_adjacency(pairs) -> dict[str, tuple[str, ...]]:
     return {v: tuple(sorted(ws)) for v, ws in adjacent.items()}
 
 
+# a node id is an identifier of the expression grammar, so that every rule
+# that reads it prints as text that reads it back
+_NODE_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def network_from_exprs(
     nodes: tuple[str, ...] | list[str],
     domains: dict[str, Interval],
@@ -139,13 +145,16 @@ def network_from_exprs(
 ) -> TimeDelayedNetwork:
     """Assemble a network from already-built expression trees.
 
-    Updates are normalized so that terms multiplied by a literal zero
+    Node ids must be identifiers of the expression grammar
+    (``[A-Za-z_][A-Za-z0-9_]*``).  Updates are normalized so that terms multiplied by a literal zero
     (and exactly cancelling terms) drop out and the interaction graph
     reflects true dependence; a division by a literal zero is an error.
     """
     nodes = tuple(nodes)
     declared = set(nodes)
     for node in nodes:
+        if not (isinstance(node, str) and _NODE_ID.fullmatch(node)):
+            raise NetworkError(f"node id {node!r} is not an identifier")
         if node not in updates:
             raise NetworkError(f"no update for node {node!r}")
         if node not in domains:

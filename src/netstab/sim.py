@@ -296,6 +296,8 @@ def _attraction(
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
+    if steps < 1:
+        raise ValueError("steps must be positive")
     lo, hi = sampling_box(net, sample_box)
     rng = np.random.default_rng(seed)
     program = engine.compile_network(net)

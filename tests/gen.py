@@ -744,8 +744,8 @@ def reference_orbit_batch(program, histories, steps, stop_delta=0.0):
             if not active.any():
                 break
             r = T + k
-            for d in range(T):
-                regs[d * n : (d + 1) * n, :] = hist[:, r - 1 - d, :].T
+            # the window, oldest state first: delay d of node i is row (T - 1 - d) * n + i
+            regs[: T * n] = hist[:, r - T : r, :].transpose(1, 2, 0).reshape(T * n, trials)
             _reference_run(tape)
             out = regs[program.out_regs, :]
             finite = np.isfinite(out).all(axis=0)
@@ -766,7 +766,7 @@ def reference_orbit_batch(program, histories, steps, stop_delta=0.0):
 
 def reference_apply_undelayed(program, x):
     regs, tape = _reference_registers(program, 1)
-    regs[: program.const_offset, 0] = np.tile(x, program.T)
+    regs[: program.T * program.n_nodes, 0] = np.tile(x, program.T)
     with np.errstate(all="ignore"):
         _reference_run(tape)
     return regs[program.out_regs, 0]

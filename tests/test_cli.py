@@ -235,6 +235,18 @@ def test_main_exit_codes(tmp_path):
     assert (code, out) == (2, "") and err.startswith("error: cannot read ")
 
 
+def test_main_unwritable_output_is_a_usage_error(tmp_path):
+    out = tmp_path / "missing" / "out"
+    for verb, *flags in (["analyze"], ["graph"], ["sets"], ["dedelay"],
+                         ["simulate", "--trials", "2", "--steps", "5"]):
+        child = _main([verb, str(NETWORKS / "ring6.net"), "-o", str(out), *flags],
+                      cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        err = child.communicate()[1].decode()
+        assert child.returncode == 2, (verb, err)
+        assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1, err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_main_into_a_pipe_closed_before_it_writes(tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -412,6 +424,11 @@ HOSTILE = {
                                "update x1 = 5e-324*x1[-3] + 0.5*x2\n"
                                "update x2 = 1e300*x2[-64]\n",
     "duplicate_node": "node x1 domain [-1,1]\nnode x1 domain [-1,1]\nupdate x1 = 0.5*x1\n",
+    # node ids that no rule can read
+    "minus_in_id": "node x domain [-1,1]\nnode y domain [-1,1]\nnode x-y domain [-1,1]\n"
+                   "update x = 0.5*x-y\nupdate y = 0.5*y\nupdate x-y = 0.5*x\n",
+    "digit_first_id": "node 1x domain [-1,1]\nupdate 1x = 0.5\n",
+    "comma_in_id": "node a,b domain [-1,1]\nupdate a,b = 0.5\n",
 }
 
 
@@ -426,6 +443,15 @@ def test_hostile_inputs_end_in_a_result_or_an_error_line(in_tmp, capsys, case, v
     assert code in (0, 1)
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["minus_in_id", "digit_first_id", "comma_in_id"])
+def test_node_ids_outside_the_grammar_are_domain_errors(in_tmp, capsys, case):
+    path = in_tmp / f"{case}.net"
+    path.write_text(HOSTILE[case])
+    assert run(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: node id ") and err.count("\n") == 1
 
 
 def test_simulate_csv_start_window_lies_in_box(in_tmp):

@@ -34,8 +34,9 @@ def test_pure_variable_update_compiles_to_window_slot():
     net = build_network([("x1", R), ("x2", R)], [("x1", "x2[-1]"), ("x2", "x2")])
     prog = engine.compile_network(net)
     assert prog.ops.shape[0] == 0
-    # x1 reads slot (delay 1, node 1); x2 reads slot (delay 0, node 1)
-    assert prog.out_regs.tolist() == [1 * 2 + 1, 0 * 2 + 1]
+    # the window slot of node i at delay d is block row (T - 1 - d) * n + i:
+    # x1 reads (delay 1, node 1), x2 reads (delay 0, node 1)
+    assert prog.T == 2 and prog.out_regs.tolist() == [0 * 2 + 1, 1 * 2 + 1]
 
 
 def test_shared_node_is_computed_once_with_the_same_orbit():
@@ -239,13 +240,20 @@ def test_grouped_tape_is_bit_identical_to_one_instruction_at_a_time():
         prog = engine.compile_network(net)
         rows.update(prog.ops[:, 0].tolist())
         assert prog.T >= 2
-        # every group is one opcode writing consecutive registers, and reads
-        # only registers written before the group
+        # every group is one opcode writing consecutive registers past the
+        # window, and reads only the window, the pool and earlier groups
+        window, pool = prog.T * prog.n_nodes, prog.const_offset
+        written: set[int] = set()
         for start, stop in prog.groups:
             block = prog.ops[start:stop]
             assert (block[:, 0] == block[0, 0]).all()
             assert (np.diff(block[:, 1]) == 1).all()
-            assert (block[:, 2:] < block[0, 1]).all()
+            assert (block[:, 1] >= window).all()
+            assert not written.intersection(block[:, 1].tolist())
+            reads = block[:, 2:][block[:, 2:] >= 0]
+            assert all(r < window or pool <= r < pool + prog.consts.size or r in written
+                       for r in reads.tolist())
+            written.update(block[:, 1].tolist())
         for trials, steps, stop_delta in ((1, 60, 0.0), (7, 60, 0.0), (7, 400, 1e-9)):
             histories = rng.uniform(-2, 2, (trials, prog.T, prog.n_nodes))
             _assert_same_orbits(prog, histories, steps, stop_delta)
@@ -493,35 +501,32 @@ def test_corpus_is_bit_identical_to_the_reference():
     assert divergences > 0 and long_windows == 2
 
 
-def test_rows_are_views_only_where_the_kernel_rounds_the_same():
-    # a constant step, or one row repeated, is a view only for an exactly
-    # rounded row; a transcendental row gathers it into a contiguous block
+def test_rows_are_views_only_when_consecutive():
     assert engine._rows(np.array([4, 5, 6])) == slice(4, 7)
     assert engine._rows(np.array([4])) == slice(4, 5)
-    strided, repeated = np.array([3, 5, 7]), np.array([9, 9, 9])
-    assert engine._rows(strided, exact=True) == slice(3, 8, 2)
-    assert engine._rows(repeated, exact=True) == slice(9, 10)
-    assert engine._rows(strided) is strided and engine._rows(repeated) is repeated
-    assert engine._rows(np.array([7, 5, 3]), exact=True).tolist() == [7, 5, 3]
-    # tanh of x1 and of x3 reads window slots 0 and 2, a constant step, and
-    # gathers them; the product of 0.5 and x1 to x3 reads one constant
-    # three times, as a view
-    net = build_network(
-        [("x1", R), ("x2", R), ("x3", R)],
-        [("x1", "tanh(x1)"), ("x2", "0.5*x1 + 0.5*x2 + 0.5*x3"), ("x3", "tanh(x3)")],
-    )
-    prog = engine.compile_network(net)
-    bound = {kernel: gathers for kernel, _, gathers, _ in engine._bind(engine._plan(prog, 1), engine._registers(prog, 2))[0]}
-    assert [rows.tolist() for rows, _ in bound[np.tanh]] == [[0, 2]]
-    assert bound[np.multiply] == ()
+    for rows in ([3, 5, 7], [9, 9, 9], [7, 5, 3], [4, 5, 7]):
+        index = np.array(rows)
+        assert engine._rows(index) is index
+    # neg of x1 and of x3 reads window slots two apart, and neg of x2 twice
+    # one slot: both are gathered, whatever the kernel
+    for rules, gathered in (
+        ([("x1", "-x1"), ("x2", "tanh(x2)"), ("x3", "-x3")], [0, 2]),
+        ([("x1", "-x2"), ("x2", "x2"), ("x3", "-x2")], [1, 1]),
+    ):
+        prog = engine.compile_network(build_network([("x1", R), ("x2", R), ("x3", R)], rules))
+        tape = engine._bind(prog.plan[:1], engine._registers(prog, 2))[0]
+        bound = {kernel: gathers for kernel, _, gathers, _ in tape}
+        assert [rows.tolist() for rows, _ in bound[np.negative]] == [gathered]
+        histories = np.random.default_rng(3).uniform(-1, 1, (2, prog.T, 3))
+        _assert_same_orbits(prog, histories, 5, 0.0)
 
 
 def test_bench_ring_gathers_only_its_tanh_window_reads():
     # consumer-ordered temporaries and one constant slot per use leave one
     # gather per step, tanh's window read, at every phase of a block; every
-    # other operand is a contiguous view, none strided or broadcast
+    # other operand is a contiguous view
     prog = engine.compile_network(build_benchmark_network(48))
-    phases = engine._bind(engine._plan(prog, engine.STOP_STREAK), engine._registers(prog, 3))
+    phases = engine._bind(prog.plan, engine._registers(prog, 3))
     assert len(phases) == engine.STOP_STREAK
     for tape in phases:
         gathers = [(kernel, rows) for kernel, _, g, _ in tape for rows, _ in g]
@@ -537,8 +542,12 @@ def test_bench_ring_runs_in_six_groups():
     prog = engine.compile_network(build_benchmark_network(48))
     assert prog.ops.shape[0] == 384
     assert len(prog.groups) <= 6
-    # the outputs are consecutive temporaries, read as a view each step
-    assert isinstance(engine._output_rows(prog), slice)
+    # the outputs are the last group, which writes block state T in place
+    T, n = prog.T, prog.n_nodes
+    assert prog.out_regs.tolist() == list(range(T * n, (T + 1) * n))
+    assert prog.ops[prog.groups[-1][0] :, 1].tolist() == prog.out_regs.tolist()
+    assert prog.n_regs == prog.const_offset + prog.consts.size + 384 - n
+    assert all(kernel is not None for kernel, _, _ in prog.plan[0])
 
 
 def test_outputs_in_the_window_are_read_before_it_shifts():
@@ -548,8 +557,13 @@ def test_outputs_in_the_window_are_read_before_it_shifts():
         [("x1", R), ("x2", R)], [("x1", "x1[-1]"), ("x2", "x2[-1]")]
     )
     prog = engine.compile_network(net)
-    assert prog.out_regs.tolist() == [2, 3]
-    assert not isinstance(engine._output_rows(prog), slice)
+    # block rows of (delay 1, node 0) and (delay 1, node 1), before state T:
+    # a last entry gathers them into state T + q at every phase q
+    assert prog.T == 2 and prog.out_regs.tolist() == [0, 1]
+    for q, tape in enumerate(prog.plan):
+        kernel, (reads,), dst = tape[-1]
+        assert kernel is None and reads.tolist() == [2 * q, 2 * q + 1]
+        assert dst == slice((2 + q) * 2, (3 + q) * 2)
     histories = np.array([[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]])
     states, _, _ = _assert_same_orbits(prog, histories, 5, 0.0)
     assert states[0, :, 0].tolist() == [1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0]

@@ -74,6 +74,24 @@ def test_from_exprs_rejects_updates_for_undeclared_nodes():
         network_from_exprs(("x",), {"x": R}, {"x": Var("x", 1), "y": Var("y", 70)})
 
 
+def test_networks_that_build_read_back_from_their_text():
+    # x reads node "x-y": it would print as "0.5 * x-y", which reads back as
+    # 0.5 * (x - y), so a node id outside the grammar is refused up front
+    domains = {"x": R, "y": R, "x-y": R}
+    updates = {"x": BinOp("*", ex.Const(0.5), Var("x-y")), "y": Var("x"), "x-y": Var("y")}
+    with pytest.raises(NetworkError, match="node id 'x-y' is not an identifier"):
+        network_from_exprs(("x", "y", "x-y"), domains, updates)
+    renamed = {"x": BinOp("*", ex.Const(0.5), Var("x_y")), "y": Var("x"), "x_y": Var("y")}
+    net = network_from_exprs(("x", "y", "x_y"), {"x": R, "y": R, "x_y": R}, renamed)
+    assert load_network(dump_network(net)).updates == net.updates
+
+
+@pytest.mark.parametrize("ident", ["x-y", "1x", "a,b", "x.y", ""])
+def test_node_ids_are_identifiers_of_the_grammar(ident):
+    with pytest.raises(NetworkError, match="is not an identifier"):
+        build_network([(ident, R)], [(ident, "0.5")])
+
+
 def test_T_is_derived_from_what_the_rules_read():
     assert "T" not in {f.name for f in dataclasses.fields(TimeDelayedNetwork)}
     updates = {"a": BinOp("+", Var("a", 2), Var("b", 5)), "b": Var("a", 0)}

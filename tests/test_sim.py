@@ -196,6 +196,16 @@ def test_attraction_fails_on_repeller():
     assert not verdict.converged
 
 
+@pytest.mark.parametrize("steps", [0, -1, -10])
+def test_attraction_rejects_steps_below_one(steps):
+    # as iterate_orbit does: no verdict over the start window alone
+    net = gallery.undelayed_pair(0.5, 0.1, 1.0)
+    with pytest.raises(ValueError, match="steps must be positive"):
+        verify_global_attraction(net, trials=5, steps=steps)
+    with pytest.raises(ValueError, match="steps must be positive"):
+        iterate_orbit(net, np.zeros((net.T, net.size)), steps)
+
+
 def test_attraction_seed_reproducible():
     net = gallery.undelayed_pair(0.5, 0.1, 1.0)
     a = verify_global_attraction(net, trials=5, steps=500, seed=3)
