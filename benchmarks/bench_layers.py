@@ -7,10 +7,11 @@ The load layer reads four network files as every verb starts: two
 ``structural_search`` workload's files), a 16-node ring with neighbour
 delays up to 16 (``perfbench``'s ``ring_spec``, the shape of
 ``delayed_certify``'s) and the unrestricted k = 10 diamond.  It records
-the best of ``--repeats`` wall times in ms of ``load_network``
-(``load_ms``) and, apart, of parsing every rule (``parse_ms``),
-normalizing the parsed rules (``normalize_ms``) and finding what each
-rule reads (``reads_ms``, ``TimeDelayedNetwork.reads``), with the
+the best of ``--repeats`` wall times in ms of ``load_network``, which
+reads each rule straight into its normal form (``load_ms``), and, apart,
+of the raw ``parse_expression`` of every rule (``parse_ms``), of
+``normalize`` walking the parsed rules (``normalize_ms``) and of finding
+what each rule reads (``reads_ms``, ``TimeDelayedNetwork.reads``), with the
 characters of the rules and the distinct nodes loaded.  Each timed call
 drops what it built, so every file is loaded onto no live node of its own.
 
@@ -25,9 +26,9 @@ rule, distinct expression nodes of the parsed rule and characters of the
 report's derivative provenance (its entries and the texts of the shared
 subexpressions they name).  ``report_json_ms`` times
 ``StabilityReport.to_json`` and ``report_chars`` counts what it writes,
-as ``netstab analyze -o`` would.  The load is also
-split into its two layers: ``parse_ms`` parses the printed rules and
-``normalize_ms`` normalizes the parsed ones.  ``peak_rss_mb`` is the
+as ``netstab analyze -o`` would.  Apart from the load
+(``load_ms``), ``parse_ms`` times the raw ``parse_expression`` of the
+printed rules and ``normalize_ms`` the ``normalize`` of the parsed ones.  ``peak_rss_mb`` is the
 process's peak resident set (``resource.getrusage``) once that k is done;
 layers run in increasing k, so it is the peak of the largest k so far.
 The ``live_nodes`` row counts the expression nodes alive in the process

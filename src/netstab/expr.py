@@ -18,12 +18,18 @@ differentiation, evaluation, substitution, reads) visits each distinct
 node once, iteratively, with a memo keyed by node and local to the call,
 so its cost is O(distinct nodes) and deep input does not exhaust the
 interpreter stack; :func:`gradient` takes all partials of a rule in one
-such walk, though a node's work grows with the reads below it, and
-:func:`normalize` flattens each additive chain once.  Printed text still
-expands the sharing, so the text of a restricted rule grows with the
-number of paths, not of nodes; the parser reads each distinct
+such walk, though a node's work grows with the reads below it.  Printed
+text still expands the sharing, so the text of a restricted rule grows
+with the number of paths, not of nodes; the parser reads each distinct
 parenthesised group of it once.  The report's derivative provenance
 names the nodes whose sharing nests instead.
+
+Normal forms come from one builder with two drivers: the parser, which
+hands it each operator as it reads a rule (``load_network`` reads rules
+straight into their normal form), and :func:`normalize`, which hands it
+each node of a tree, children first.  The builder keeps an additive chain
+or a negation pending as signed terms until a product, quotient, call or
+the root reads it, so each chain is summed once and whole.
 
 The module provides parsing, printing, symbolic differentiation and
 evaluation: one walker takes any number of roots at once, under either
@@ -197,14 +203,11 @@ _VALUE, _NODE, _DELAY, _FUNC, _ARG, _OP, _LEFT, _RIGHT = (
                               BinOp.op, BinOp.left, BinOp.right))
 
 
-def _postorder(roots, chains: dict | None = None, repeated: set[Expr] | None = None):
+def _postorder(roots, repeated: set[Expr] | None = None):
     """Each distinct node reachable from ``roots``, once, children before
     parents and left before right: the order in which a recursive walk
     first finishes each node.
 
-    When ``chains`` is given, the children of an additive chain are its
-    terms (what :func:`normalize` reads) instead of its two operands, and
-    ``chains`` maps the chain to them as :func:`_flatten_add` lists them.
     When ``repeated`` is given, every node reached along more than one
     edge is added to it.
     """
@@ -223,11 +226,7 @@ def _postorder(roots, chains: dict | None = None, repeated: set[Expr] | None = N
         seen.add(node)
         kind = type(node)
         if kind is BinOp:
-            if chains is not None and node.op in ("+", "-"):
-                stack += (node, None)
-                stack += [term for _, term in reversed(_flatten_add(node, chains))]
-            else:
-                stack += (node, None, node.right, node.left)
+            stack += (node, None, node.right, node.left)
         elif kind is Call:
             stack += (node, None, node.arg)
         else:
@@ -481,30 +480,46 @@ MAX_NESTING = 100
 _GROUP_KEY = 16
 
 
+class _Tree:
+    """The builder of the tree the parser reads, node for node (see
+    :class:`_Normal` for the other builder and what one provides)."""
+
+    binop = BinOp
+    call = Call
+
+    @staticmethod
+    def normal(e: Expr) -> Expr:
+        return e
+
+
 class _Parser:
-    """Recursive descent over tokens read lazily from a character position.
+    """Recursive descent over tokens read lazily from a character position,
+    building what it reads with ``build``: the tree (:class:`_Tree`) or the
+    normal form (:class:`_Normal`).
 
     A printed restriction spells every shared node out once per path, so
     its text repeats the same parenthesised groups many times.  The parser
-    remembers the inner text, node and nesting height of each group it has
+    remembers the inner text, value and nesting height of each group it has
     parsed, keyed by the text's first characters.  At a ``(`` whose text
     goes on with a remembered inner text and then ``)``, it steps over the
     copy: the inner text is balanced, so that ``)`` closes the group.  It
     reads each distinct group once, and never scans the whole text.
     """
 
-    __slots__ = ("text", "declared", "kind", "value", "pos", "end", "depth", "peak", "groups")
+    __slots__ = ("text", "declared", "kind", "value", "pos", "end", "depth", "peak", "groups",
+                 "binop", "call", "normal")
 
-    def __init__(self, text: str, declared: set[str]):
+    def __init__(self, text: str, declared: frozenset[str], build=_Tree):
         self.text = text
         self.declared = declared
+        self.binop, self.call, self.normal = build.binop, build.call, build.normal
         self.seek(0)
         self.depth = 0
         # deepest nesting reached inside the innermost open group
         self.peak = 0
-        # first _GROUP_KEY characters -> (inner text, node, nesting height)
+        # first _GROUP_KEY characters -> (inner text, value, nesting height)
         # of each group parsed so far
-        self.groups: dict[str, list[tuple[str, Expr, int]]] = {}
+        self.groups: dict[str, list[tuple[str, object, int]]] = {}
 
     def seek(self, pos: int):
         """Read the token that starts at or after ``pos``: its ``kind``,
@@ -532,17 +547,17 @@ class _Parser:
             message = f"unexpected character {self.value!r}"
         return ParseError(message, self.pos)
 
-    def nested(self, at: int, open_pos: int) -> Expr:
-        """The expression inside the group that opens at ``open_pos``, one
-        level deeper, up to and past its closing parenthesis; ``at`` is
-        where a nesting error is reported."""
+    def nested(self, at: int, open_pos: int):
+        """The built value of the expression inside the group that opens at
+        ``open_pos``, one level deeper, up to and past its closing
+        parenthesis; ``at`` is where a nesting error is reported."""
         if self.depth >= MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", at)
         text, start = self.text, open_pos + 1
         key = text[start:start + _GROUP_KEY]
-        for inner, node, height in self.groups.get(key, ()):
+        for inner, value, height in self.groups.get(key, ()):
             close = start + len(inner)
-            # a copy of a parsed group parses to the same node, unless it now
+            # a copy of a parsed group parses to the same value, unless it now
             # sits too deep: then it is parsed again and fails where it must
             if (
                 text.startswith(inner, start) and text.startswith(")", close)
@@ -550,7 +565,7 @@ class _Parser:
             ):
                 self.peak = max(self.peak, self.depth + 1 + height)
                 self.seek(close + 1)
-                return node
+                return value
         self.depth += 1
         outer_peak, self.peak = self.peak, self.depth
         e = self.expr()
@@ -572,32 +587,32 @@ class _Parser:
         e = self.expr()
         if self.kind != "end":
             raise self.error(f"unexpected trailing input {self.value!r}")
-        return e
+        return self.normal(e)
 
-    def expr(self) -> Expr:
+    def expr(self):
         e = self.term()
         while (op := self.value) == "+" or op == "-":
             self.seek(self.end)
-            e = BinOp(op, e, self.term())
+            e = self.binop(op, e, self.term())
         return e
 
-    def term(self) -> Expr:
+    def term(self):
         e = self.factor()
         while (op := self.value) == "*" or op == "/":
             self.seek(self.end)
-            e = BinOp(op, e, self.factor())
+            e = self.binop(op, e, self.factor())
         return e
 
-    def factor(self) -> Expr:
+    def factor(self):
         if self.value == "-":
             self.seek(self.end)
             # a minus sign directly on a numeral is the negative constant
             if self.kind == "num":
                 return self.atom(-1.0)
-            return Call("neg", self.atom())
+            return self.call("neg", self.atom())
         return self.atom()
 
-    def atom(self, sign: float = 1.0) -> Expr:
+    def atom(self, sign: float = 1.0):
         kind, value, pos = self.kind, self.value, self.pos
         if kind == "num":
             self.seek(self.end)
@@ -616,7 +631,7 @@ class _Parser:
                 raise ParseError(f"unknown function {value!r}", pos)
             open_pos = self.pos
             self.seek(self.end)
-            return Call(value, self.nested(pos, open_pos))
+            return self.call(value, self.nested(pos, open_pos))
         if value not in self.declared:
             raise ParseError(f"undeclared identifier {value!r}", pos)
         delay = 0
@@ -641,6 +656,16 @@ def parse_expression(text: str, declared: set[str] | frozenset[str]) -> Expr:
     one met first in reading order is reported.
     """
     return _Parser(text, frozenset(declared)).parse()
+
+
+def _parse_normal(text: str, declared: frozenset[str]) -> Expr:
+    """``normalize(parse_expression(text, declared))``, built as it is read.
+
+    Raises the :class:`ParseError` ``parse_expression`` would, unless a
+    folding :class:`EvalError` is met first in reading order: then the
+    text must be read raw to tell which of the two it holds.
+    """
+    return _Parser(text, declared, _Normal).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -952,23 +977,6 @@ def eval_point(e: Expr, assignment: dict[tuple[str, int], float]) -> float:
 # normalization
 
 
-def _flatten_add(e: Expr, chains: dict) -> list[tuple[int, Expr]]:
-    """The signed terms of the additive chain at ``e``, left to right,
-    also kept in ``chains`` under ``e``."""
-    chains[e] = terms = []
-    stack = [(1, e)]
-    while stack:
-        sign, cur = stack.pop()
-        if type(cur) is BinOp and cur.op in ("+", "-"):
-            stack.append((-sign if cur.op == "-" else sign, cur.right))
-            stack.append((sign, cur.left))
-        elif type(cur) is Call and cur.func == "neg":
-            stack.append((-sign, cur.arg))
-        else:
-            terms.append((sign, cur))
-    return terms
-
-
 # A core is a factor or a chain of factors; no factor is a constant, product or negation.
 
 
@@ -985,13 +993,52 @@ def _split(e: Expr) -> tuple[float, Expr | None]:
     return coeff, e
 
 
-def _key(e: Expr, keys: dict[Expr, str]) -> str:
-    """``to_text(e)``, rendered once per :func:`normalize` call from the
-    texts of the nodes keyed before it."""
-    text = keys.get(e)
-    if text is None:
-        text = keys[e] = _render(e, keys)
-    return text
+def _prefix(e: Expr) -> str:
+    """An exact prefix of ``to_text(e)``: the text down its left side,
+    through functions and the left operands of operators, up to and with
+    its first read or constant, or up to its first parenthesis or
+    negation."""
+    pieces = []
+    while True:
+        kind = type(e)
+        if kind is BinOp:
+            if type(e.left) is BinOp and _PREC[e.left.op] < _PREC[e.op]:
+                pieces.append("(")
+                break
+            e = e.left
+        elif kind is Call and e.func != "neg":
+            pieces.append(e.func + "(")
+            e = e.arg
+        else:
+            if kind is Var:
+                pieces.append(e.node if e.delay == 0 else f"{e.node}[-{e.delay}]")
+            else:
+                pieces.append("-" if kind is Call else repr(e.value))
+            break
+    return "".join(pieces)
+
+
+_FIRST = operator.itemgetter(0)
+
+
+def _ordered(cores) -> list[Expr]:
+    """``cores`` sorted by their text.
+
+    Sorted by their prefixes, the cores fall into runs whose prefixes all
+    begin with the run's first one; a core's prefix settles its order
+    against every core of another run, so only the cores of a run of two
+    or more are rendered whole to be ordered.
+    """
+    pairs = sorted([(_prefix(core), core) for core in cores], key=_FIRST)
+    out: list[Expr] = []
+    i, n = 0, len(pairs)
+    while i < n:
+        head, j = pairs[i][0], i + 1
+        while j < n and pairs[j][0].startswith(head):
+            j += 1
+        out += sorted([core for _, core in pairs[i:j]], key=to_text) if j > i + 1 else [pairs[i][1]]
+        i = j
+    return out
 
 
 def _scaled(coeff: float, core: Expr) -> Expr:
@@ -1003,7 +1050,7 @@ def _scaled(coeff: float, core: Expr) -> Expr:
     return BinOp("*", Const(coeff), core)
 
 
-def _normalize_product(left: Expr, right: Expr, keys: dict) -> Expr:
+def _normalize_product(left: Expr, right: Expr) -> Expr:
     """The normal form of ``left * right``, both normal."""
     if type(left) is Const and left.value not in (0, 1, -1) and _split(right) == (1.0, right):
         return BinOp("*", left, right)  # a coefficient on a core: normal already
@@ -1023,24 +1070,107 @@ def _normalize_product(left: Expr, right: Expr, keys: dict) -> Expr:
     if not factors:
         return Const(coeff)
     if len(factors) > 1:
-        factors.sort(key=partial(_key, keys=keys))
+        factors = _ordered(factors)
     return _scaled(coeff, reduce(partial(BinOp, "*"), factors))
 
 
-def _normalize_sum(terms, normal: dict[Expr, Expr], keys: dict) -> Expr:
+def _normalize_sum(terms) -> Expr:
+    """The normal form of the sum of the signed normal ``terms``."""
     const_part = 0.0
     grouped: dict[Expr, float] = {}  # core -> its summed coefficient
+    alone: dict[Expr, Expr] = {}  # core -> its one term, where that is its scaled form
     for sign, term in terms:
-        coeff, core = _split(normal[term])
+        coeff, core = _split(term)
         if core is None:
             const_part = _finite(const_part + sign * coeff)
+        elif core in grouped:
+            grouped[core] = _finite(sign * coeff + grouped[core])
+            alone.pop(core, None)
         else:
-            grouped[core] = _finite(sign * coeff + grouped.get(core, 0.0))
-    order = sorted(grouped, key=partial(_key, keys=keys)) if len(grouped) > 1 else grouped
-    pieces = [_scaled(grouped[core], core) for core in order if grouped[core]]
+            grouped[core] = sign * coeff
+            if sign == 1 and (type(term) is not Call or term.arg is core):  # not -(c * core)
+                alone[core] = term
+    order = _ordered(grouped) if len(grouped) > 1 else grouped
+    pieces = [alone.get(core) or _scaled(grouped[core], core) for core in order if grouped[core]]
     if const_part != 0.0 or not pieces:
         pieces.append(Const(const_part))
     return reduce(partial(BinOp, "+"), pieces)
+
+
+class _Pending:
+    """An additive chain ``left + right`` or ``left - right`` (``sign`` 1
+    or -1), or a negation ``-right`` (no ``left``), that no product,
+    quotient, call or root has read yet; each operand is a normal form or
+    pending.  ``normal`` is its normal form once read."""
+
+    __slots__ = ("left", "sign", "right", "normal")
+
+    def __init__(self, left, sign: int, right):
+        self.left, self.sign, self.right = left, sign, right
+        self.normal = None
+
+
+def _terms(value: _Pending) -> list[tuple[int, Expr]]:
+    """The signed normal terms of the pending ``value``, left to right,
+    through every pending chain and negation below it."""
+    terms: list[tuple[int, Expr]] = []
+    stack = [(1, value)]
+    while stack:
+        sign, cur = stack.pop()
+        if type(cur) is _Pending:
+            stack.append((sign * cur.sign, cur.right))
+            if cur.left is not None:
+                stack.append((sign, cur.left))
+        else:
+            terms.append((sign, cur))
+    return terms
+
+
+def _normal(value) -> Expr:
+    """The normal form of a builder's ``value``: a pending chain's terms
+    summed, a pending negation's operand negated, each pending value once."""
+    negations = []
+    while type(value) is _Pending and value.normal is None and value.left is None:
+        negations.append(value)
+        value = value.right
+    if type(value) is _Pending:
+        if value.normal is None:
+            value.normal = _normalize_sum(_terms(value))
+        value = value.normal
+    for negation in reversed(negations):
+        value = negation.normal = _neg(value)
+    return value
+
+
+class _Normal:
+    """The normal-form builder, which the parser (:func:`_parse_normal`) and
+    :func:`normalize` drive, handing it each node's operands before the node.
+
+    ``binop`` and ``call`` return a value: the node's normal form, or for an
+    additive chain or a negation a :class:`_Pending` that keeps it as signed
+    terms.  A product, quotient, call or the root reads a pending value's
+    normal form (``normal``); an enclosing chain reads its terms instead,
+    so each chain is summed whole, in one fixed order.  Terms and factors
+    are ordered by their printed text (:func:`_ordered`).
+    """
+
+    @staticmethod
+    def binop(op: str, left, right):
+        if op == "+" or op == "-":
+            return _Pending(left, 1 if op == "+" else -1, right)
+        if type(left) is _Pending:
+            left = _normal(left)
+        if type(right) is _Pending:
+            right = _normal(right)
+        return _div(left, right) if op == "/" else _normalize_product(left, right)
+
+    @staticmethod
+    def call(func: str, arg):
+        if func == "neg":
+            return _Pending(None, -1, arg)
+        return _call(func, _normal(arg) if type(arg) is _Pending else arg)
+
+    normal = staticmethod(_normal)
 
 
 def normalize(e: Expr) -> Expr:
@@ -1050,29 +1180,38 @@ def normalize(e: Expr) -> Expr:
     division whose divisor folds to zero raises :class:`EvalError`, and
     so does a constant that folds out of the float range.
 
-    Point values are preserved; only the tree shape changes.  Each
-    distinct node is normalized once; an additive chain is flattened once
-    and summed whole, never from the normal forms of its sub-chains, so
-    its coefficients add up in one fixed order.  A normal term's
-    coefficient is read off its top node.  Terms and factors are ordered
-    by their printed text, rendered once per call from its children's and
-    only where two or more must be ordered.
+    Point values are preserved; only the tree shape changes.  This walks
+    ``e`` once, each distinct node children first, through the builder the
+    parser also reads rules with (:class:`_Normal`), so a rule loaded from
+    text is the normal form of its parse.  The left operand of a product
+    or quotient is made normal before its right one is walked, so of two
+    folding errors the one met first in reading order is raised.
     """
-    normal: dict[Expr, Expr] = {}
-    keys: dict[Expr, str] = {}
-    chains: dict[Expr, list] = {}
-    for cur in _postorder((e,), chains):
+    binop, call = _Normal.binop, _Normal.call
+    value: dict[Expr, object] = {}
+    stack: list = [e]
+    while stack:
+        cur = stack.pop()
         kind = type(cur)
-        if kind is Call:
-            out = _call(cur.func, normal[cur.arg])
-        elif kind is BinOp and cur.op in ("+", "-"):
-            out = _normalize_sum(chains[cur], normal, keys)
+        if cur is None:  # the node below has all its operands built
+            cur = stack.pop()
+            if type(cur) is Call:
+                value[cur] = call(cur.func, value[cur.arg])
+            else:
+                value[cur] = binop(cur.op, value[cur.left], value[cur.right])
+        elif kind is tuple:  # a product's or quotient's left operand is built
+            _normal(value[cur[0]])
+        elif cur in value:
+            continue
         elif kind is BinOp:
-            left, right = normal[cur.left], normal[cur.right]
-            out = _div(left, right) if cur.op == "/" else _normalize_product(left, right, keys)
+            stack += (cur, None, cur.right)
+            if cur.op == "*" or cur.op == "/":
+                stack.append((cur.left,))
+            stack.append(cur.left)
+        elif kind is Call:
+            stack += (cur, None, cur.arg)
         elif kind is Const or kind is Var:
-            out = cur
+            value[cur] = cur
         else:
             raise TypeError(f"not an expression: {cur!r}")
-        normal[cur] = out
-    return normal[e]
+    return _normal(value[e])

@@ -153,8 +153,7 @@ def network_from_exprs(
     nodes = tuple(nodes)
     declared = set(nodes)
     for node in nodes:
-        if not (isinstance(node, str) and _NODE_ID.fullmatch(node)):
-            raise NetworkError(f"node id {node!r} is not an identifier")
+        _check_id(node)
         if node not in updates:
             raise NetworkError(f"no update for node {node!r}")
         if node not in domains:
@@ -168,6 +167,19 @@ def network_from_exprs(
             normal[node] = ex.normalize(update)
         except EvalError as err:
             raise NetworkError(f"update of {node!r}: {err}") from err
+    return _assembled(nodes, domains, normal, name, cg)
+
+
+def _check_id(node) -> None:
+    if not (isinstance(node, str) and _NODE_ID.fullmatch(node)):
+        raise NetworkError(f"node id {node!r} is not an identifier")
+
+
+def _assembled(nodes: tuple[str, ...], domains: dict[str, Interval], normal: dict[str, Expr],
+               name: str, cg: CohenGrossbergParams | None) -> TimeDelayedNetwork:
+    """The network of the rules ``normal`` of ``nodes``, once each reads
+    only declared nodes at delays up to ``MAX_DELAY``."""
+    declared = set(nodes)
     net = TimeDelayedNetwork(nodes=nodes, domains=dict(domains), updates=normal, name=name, cg=cg)
     for node, refs in net.reads.items():
         for ref_node, delay in refs:
@@ -191,16 +203,24 @@ def build_network(
     """Parse and validate a network from per-node rule text.
 
     ``declarations`` lists (node id, domain) in order; ``rules`` must
-    cover each declared node exactly once.
+    cover each declared node exactly once.  Node ids are checked before
+    any rule is read.  Each rule is read straight into its normal form;
+    a rule whose folding fails is read again as written, so that a later
+    syntax error in it, or in a later rule, is reported first, and the
+    network is then built by :func:`network_from_exprs`, which reports the
+    folding error.
     """
     nodes = tuple(n for n, _ in declarations)
     if len(set(nodes)) != len(nodes):
         raise NetworkError("duplicate node declaration")
+    for node in nodes:
+        _check_id(node)
     domains = {n: dom for n, dom in declarations}
-    declared = frozenset(nodes)  # parse_expression takes it without a copy
+    declared = frozenset(nodes)  # the parser takes it without a copy
 
     seen: set[str] = set()
     updates: dict[str, Expr] = {}
+    folded = True  # every rule read into its normal form
     for node, text in rules:
         if node not in declared:
             raise NetworkError(f"rule for undeclared node {node!r}")
@@ -208,13 +228,19 @@ def build_network(
             raise NetworkError(f"duplicate rule for node {node!r}")
         seen.add(node)
         try:
-            updates[node] = ex.parse_expression(text, declared)
+            try:
+                updates[node] = ex._parse_normal(text, declared)
+            except EvalError:
+                updates[node] = ex.parse_expression(text, declared)
+                folded = False
         except ParseError as err:
             raise NetworkError(f"rule for {node!r}: {err}") from err
     missing = declared - seen
     if missing:
         raise NetworkError(f"missing rules for nodes {sorted(missing)}")
-    return network_from_exprs(nodes, domains, updates, name=name)
+    if not folded:
+        return network_from_exprs(nodes, domains, updates, name=name)
+    return _assembled(nodes, domains, updates, name, None)
 
 
 def make_cohen_grossberg(

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from netstab import engine, sim
-from netstab.errors import ParseError
+from netstab.errors import EvalError, NetworkError, ParseError
 from netstab.expr import (FUNCTIONS, MAX_NESTING, OPERATORS, _PREC, BinOp, Call, Const, Expr,
                           Interval, Var, _call, _div, _evaluate, _finite)
 from netstab.network import (
+    _NODE_ID,
     InteractionGraph,
     TimeDelayedNetwork,
     build_network,
@@ -676,6 +677,40 @@ def reference_normalize(e: Expr) -> Expr:
             out = _reference_normalize_sum(cur, normal, keys)
         normal[cur] = out
     return normal[e]
+
+
+def reference_build_network(declarations, rules, name: str = "") -> TimeDelayedNetwork:
+    """What ``build_network`` returns or raises: every rule read whole by
+    :func:`reference_parse` first, then each normalized by
+    :func:`reference_normalize`, as before rules were read straight into
+    their normal form.  Node ids are checked before any rule is read."""
+    nodes = tuple(n for n, _ in declarations)
+    if len(set(nodes)) != len(nodes):
+        raise NetworkError("duplicate node declaration")
+    for node in nodes:
+        if not _NODE_ID.fullmatch(node):
+            raise NetworkError(f"node id {node!r} is not an identifier")
+    declared = frozenset(nodes)
+    updates: dict[str, Expr] = {}
+    for node, text in rules:
+        if node not in declared:
+            raise NetworkError(f"rule for undeclared node {node!r}")
+        if node in updates:
+            raise NetworkError(f"duplicate rule for node {node!r}")
+        try:
+            updates[node] = reference_parse(text, declared)
+        except ParseError as err:
+            raise NetworkError(f"rule for {node!r}: {err}") from err
+    missing = declared - set(updates)
+    if missing:
+        raise NetworkError(f"missing rules for nodes {sorted(missing)}")
+    normal = {}
+    for node, update in updates.items():
+        try:
+            normal[node] = reference_normalize(update)
+        except EvalError as err:
+            raise NetworkError(f"update of {node!r}: {err}") from err
+    return network_from_exprs(nodes, dict(declarations), normal, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,14 @@ def test_analyze_bad_iteration_cap_exit_code(in_tmp, capsys, monkeypatch):
     assert "NETSTAB_MAX_ITERS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ident", ["1x", "x-y"])
+def test_a_bad_node_id_is_reported_before_its_rule_is_read(in_tmp, capsys, ident):
+    bad = in_tmp / "bad.net"
+    bad.write_text(f"node {ident} domain [-1,1]\nupdate {ident} = 0.5*{ident}\n")
+    assert run(["analyze", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: node id {ident!r} is not an identifier\n"
+
+
 def test_analyze_domain_error_exit_code(in_tmp, capsys):
     bad = in_tmp / "bad.net"
     bad.write_text("node x1 domain [-inf,inf]\nupdate x1 = x1*x1\n")

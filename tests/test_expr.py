@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gen import diamond_network, eval_interval, random_network, reference_normalize, reference_parse
-from netstab import gallery
-from netstab.errors import EvalError, ParseError
+from gen import (diamond_network, eval_interval, random_network, reference_build_network,
+                 reference_normalize, reference_parse)
+from netstab import gallery, network
+from netstab.errors import EvalError, NetworkError, ParseError
 from netstab.expr import (
     MAX_NESTING,
     OPERATORS,
@@ -26,6 +27,7 @@ from netstab.expr import (
     _evaluate,
     _mul,
     _neg,
+    _ordered,
     _postorder,
     _render,
     _sub,
@@ -865,3 +867,102 @@ def test_mutated_texts_parse_as_the_reference():
                  "unexpected character", "unexpected token", "unexpected trailing input",
                  "delay must be", "numeral"):
         assert any(message.startswith(kind) for message in outcomes), kind
+
+
+def _load_outcome(text: str):
+    """What ``load_network(text)`` builds, updates in order, or its error's
+    type and message."""
+    try:
+        net = load_network(text)
+    except NetworkError as err:
+        return type(err), str(err)
+    return net.name, net.nodes, net.domains, list(net.updates.items())
+
+
+# what a mutation inserts into a rule: a character or a piece anywhere, or
+# a term in front that folds to a division by zero, out of the float range
+# or to an overflowing function ("{}" stands for the rule's own node)
+_PIECES = [*"0123456789.eE+-*/()[] x1_$@,", "/0", "*1e308*1e308", "- x1 + x1"]
+_FOLDS = ["1/0 + ", "exp(1e9) * ", "1e308 * 1e308 * ", "{} / ({} - {}) + ", "-(1e308 + 1e308) * ",
+          "(1/0 + $) * "]
+
+
+def test_network_texts_load_as_the_reference(monkeypatch):
+    """Each rule is read straight into its normal form: the network, or
+    the error and its message, is what reading every rule whole and then
+    normalizing it gives, also where one rule's folding fails before a
+    syntax error in it or in a later rule."""
+    rng = np.random.default_rng(1717)
+    files = [text for text in _front_end_files() if len(text) < 20_000]
+    two = "network two\nnode x1 domain [-1,1]\nnode x2 domain [-1,1]\n"
+    texts = [
+        two + "update x1 = 1/0 + $\nupdate x2 = x2\n",  # the parse error wins
+        two + "update x1 = 1/0\nupdate x2 = x2 +\n",  # so does a later rule's
+        two + "update x1 = 1/0\nupdate x2 = 1e308*10\n",  # the first folding error wins
+        two + "update x1 = x1 - (1e308 + 1e308) * (1/0)\nupdate x2 = -(x1 - x2) * 2\n",
+        two + "update x1 = 1/0\n",  # a missing rule is reported first
+    ]
+    for k in range(600):
+        lines = files[int(rng.integers(len(files)))].splitlines(keepends=True)
+        at = int(rng.integers(len(lines)))
+        if k % 10 == 0:  # a line dropped or repeated
+            lines[at:at + 1] = [] if k % 20 == 0 else [lines[at]] * 2
+        else:
+            rules = [i for i, line in enumerate(lines) if line.startswith("update ")]
+            at = rules[int(rng.integers(len(rules)))]
+            line = lines[at]
+            start = line.index("=") + 2
+            if k % 3 == 0:
+                fold = _FOLDS[int(rng.integers(len(_FOLDS)))].format(*[line.split()[1]] * 3)
+                lines[at] = line[:start] + fold + line[start:]
+            else:
+                cut = int(rng.integers(start - 1, len(line)))
+                piece = _PIECES[int(rng.integers(len(_PIECES)))]
+                lines[at] = line[:cut] + piece + line[cut + int(rng.integers(0, 2)):]
+        texts.append("".join(lines))
+    outcomes = collections.Counter()
+    for text in texts:
+        got = _load_outcome(text)
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "build_network", reference_build_network)
+            assert got == _load_outcome(text)
+        if got[0] is NetworkError:
+            outcomes[got[1].split(" ")[0] + " " + got[1].split(" ")[1]] += 1
+        else:
+            outcomes["loaded"] += 1
+            assert all(normalize(e) is e for _, e in got[3])
+    # every kind of outcome was met: loads, syntax errors, folding errors,
+    # and duplicate and missing rules
+    for kind in ("loaded", "rule for", "update of", "duplicate rule", "missing rules"):
+        assert outcomes[kind] > 2, (kind, outcomes)
+
+
+def test_normalize_raises_the_folding_error_met_first_in_reading_order():
+    e = parse_expression("(1e308 + 1e308) * (1/0)", NODES)
+    with pytest.raises(EvalError, match="out of the float range"):
+        normalize(e)
+    assert _outcome(normalize, e) == _outcome(reference_normalize, e)
+
+
+def test_loaded_rules_are_normal():
+    for text in _front_end_files():
+        assert all(normalize(e) is e for e in load_network(text).updates.values())
+
+
+def test_cores_are_ordered_as_their_texts():
+    """Term and factor order, settled on text prefixes where they differ,
+    is the order of the whole texts."""
+    x1, x11, y = Var("x1"), Var("x11"), Var("y")
+    tanh = functools.partial(Call, "tanh")
+    cores = [x1, x11, Var("x1", 3), Var("x11", 3), y, BinOp("*", x1, y), BinOp("*", x11, y),
+             Call("neg", x1), BinOp("*", Const(0.5), x1), BinOp("*", Const(0.25), x1),
+             tanh(x1), tanh(Var("x1", 3)), tanh(BinOp("*", Const(0.5), x1)),
+             tanh(BinOp("+", BinOp("*", Const(0.5), x1), y)), tanh(BinOp("*", Const(0.5), y)),
+             BinOp("*", BinOp("+", x1, y), x1), BinOp("/", x1, y), BinOp("-", x1, y)]
+    rng = np.random.default_rng(3)
+    pool: list = []
+    cores += [_random_tree(rng, int(rng.integers(1, 5)), pool) for _ in range(200)]
+    cores = list(dict.fromkeys(cores))
+    for _ in range(2000):
+        sample = [cores[i] for i in rng.choice(len(cores), int(rng.integers(2, 8)), replace=False)]
+        assert _ordered(sample) == sorted(sample, key=to_text)
