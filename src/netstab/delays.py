@@ -84,8 +84,8 @@ def _with_lines(
     ``lines`` lists (coordinate name, (node, depth)) in chain order: a
     coordinate at depth 1 reads its source node, a deeper one the
     coordinate listed just before it.  Every coordinate takes its source's
-    domain.  Updates are taken as given, without renormalizing, and must
-    read only present values, so the result has T = 1.
+    domain.  Updates are taken as given, not renormalized (they need not
+    be normal), and must read only present values: the result has T = 1.
     """
     projection = {n: (n, 0) for n in nodes}
     updates = dict(updates)
@@ -119,9 +119,9 @@ def dedelay(net: TimeDelayedNetwork) -> AugmentedNetwork:
         for node, depth in state_indices(net)[net.size:]
     ]
     rewiring = {read: Var(cname, 0) for cname, read in lines}
-    # leaf renaming preserves the input's normal form, so _with_lines
-    # does not renormalize: orbits of net and of the augmentation then
-    # agree bit for bit under projection
+    # renaming leaves keeps every operation in place, so orbits of net and
+    # of the augmentation agree bit for bit under projection; renamed reads
+    # may sort out of normal order, and _with_lines does not renormalize
     updates = {n: ex.substitute(net.updates[n], rewiring) for n in net.nodes}
     return _with_lines(
         net.nodes, net.domains, updates, lines, f"{net.name}+lines" if net.name else ""

@@ -29,7 +29,8 @@ hands it each operator as it reads a rule (``load_network`` reads rules
 straight into their normal form), and :func:`normalize`, which hands it
 each node of a tree, children first.  The builder keeps an additive chain
 or a negation pending as signed terms until a product, quotient, call or
-the root reads it, so each chain is summed once and whole.
+the root reads it, so each chain is summed once and whole.  A folding
+failure is a value too, an :class:`EvalError` that every reader passes on.
 
 The module provides parsing, printing, symbolic differentiation and
 evaluation: one walker takes any number of roots at once, under either
@@ -487,10 +488,6 @@ class _Tree:
     binop = BinOp
     call = Call
 
-    @staticmethod
-    def normal(e: Expr) -> Expr:
-        return e
-
 
 class _Parser:
     """Recursive descent over tokens read lazily from a character position,
@@ -507,12 +504,12 @@ class _Parser:
     """
 
     __slots__ = ("text", "declared", "kind", "value", "pos", "end", "depth", "peak", "groups",
-                 "binop", "call", "normal")
+                 "binop", "call")
 
     def __init__(self, text: str, declared: frozenset[str], build=_Tree):
         self.text = text
         self.declared = declared
-        self.binop, self.call, self.normal = build.binop, build.call, build.normal
+        self.binop, self.call = build.binop, build.call
         self.seek(0)
         self.depth = 0
         # deepest nesting reached inside the innermost open group
@@ -583,11 +580,11 @@ class _Parser:
             raise self.error(f"expected {symbol!r}")
         self.seek(self.end)
 
-    def parse(self) -> Expr:
+    def parse(self):
         e = self.expr()
         if self.kind != "end":
             raise self.error(f"unexpected trailing input {self.value!r}")
-        return self.normal(e)
+        return e
 
     def expr(self):
         e = self.term()
@@ -658,14 +655,9 @@ def parse_expression(text: str, declared: set[str] | frozenset[str]) -> Expr:
     return _Parser(text, frozenset(declared)).parse()
 
 
-def _parse_normal(text: str, declared: frozenset[str]) -> Expr:
-    """``normalize(parse_expression(text, declared))``, built as it is read.
-
-    Raises the :class:`ParseError` ``parse_expression`` would, unless a
-    folding :class:`EvalError` is met first in reading order: then the
-    text must be read raw to tell which of the two it holds.
-    """
-    return _Parser(text, declared, _Normal).parse()
+def _parse_normal(text: str, declared: frozenset[str]) -> Expr | EvalError:
+    """``_normal_form(parse_expression(text, declared))``, built as it is read."""
+    return _normal(_Parser(text, declared, _Normal).parse())
 
 
 # ---------------------------------------------------------------------------
@@ -1112,7 +1104,8 @@ class _Pending:
 
 def _terms(value: _Pending) -> list[tuple[int, Expr]]:
     """The signed normal terms of the pending ``value``, left to right,
-    through every pending chain and negation below it."""
+    through every pending chain and negation below it; the first failed
+    one is raised."""
     terms: list[tuple[int, Expr]] = []
     stack = [(1, value)]
     while stack:
@@ -1121,12 +1114,14 @@ def _terms(value: _Pending) -> list[tuple[int, Expr]]:
             stack.append((sign * cur.sign, cur.right))
             if cur.left is not None:
                 stack.append((sign, cur.left))
+        elif type(cur) is EvalError:
+            raise cur
         else:
             terms.append((sign, cur))
     return terms
 
 
-def _normal(value) -> Expr:
+def _normal(value) -> Expr | EvalError:
     """The normal form of a builder's ``value``: a pending chain's terms
     summed, a pending negation's operand negated, each pending value once."""
     negations = []
@@ -1135,10 +1130,13 @@ def _normal(value) -> Expr:
         value = value.right
     if type(value) is _Pending:
         if value.normal is None:
-            value.normal = _normalize_sum(_terms(value))
+            try:
+                value.normal = _normalize_sum(_terms(value))
+            except EvalError as err:
+                value.normal = err
         value = value.normal
     for negation in reversed(negations):
-        value = negation.normal = _neg(value)
+        value = negation.normal = value if type(value) is EvalError else _neg(value)
     return value
 
 
@@ -1146,12 +1144,15 @@ class _Normal:
     """The normal-form builder, which the parser (:func:`_parse_normal`) and
     :func:`normalize` drive, handing it each node's operands before the node.
 
-    ``binop`` and ``call`` return a value: the node's normal form, or for an
-    additive chain or a negation a :class:`_Pending` that keeps it as signed
-    terms.  A product, quotient, call or the root reads a pending value's
-    normal form (``normal``); an enclosing chain reads its terms instead,
-    so each chain is summed whole, in one fixed order.  Terms and factors
-    are ordered by their printed text (:func:`_ordered`).
+    ``binop`` and ``call`` return a value: the node's normal form, the
+    :class:`EvalError` of its folding, or for an additive chain or a
+    negation a :class:`_Pending` that keeps it as signed terms.  A product,
+    quotient, call or the root reads a pending value's normal form
+    (:func:`_normal`); an enclosing chain reads its terms instead, so each
+    chain is summed whole, in one fixed order.  Terms and factors are
+    ordered by their printed text (:func:`_ordered`).  A failure is passed
+    on, a left operand's before a right one's and a chain's first failed
+    term's before its sum's: the failure met first in reading order.
     """
 
     @staticmethod
@@ -1162,15 +1163,39 @@ class _Normal:
             left = _normal(left)
         if type(right) is _Pending:
             right = _normal(right)
-        return _div(left, right) if op == "/" else _normalize_product(left, right)
+        if type(left) is EvalError or type(right) is EvalError:
+            return left if type(left) is EvalError else right
+        try:
+            return _div(left, right) if op == "/" else _normalize_product(left, right)
+        except EvalError as err:
+            return err
 
     @staticmethod
     def call(func: str, arg):
         if func == "neg":
             return _Pending(None, -1, arg)
-        return _call(func, _normal(arg) if type(arg) is _Pending else arg)
+        arg = _normal(arg) if type(arg) is _Pending else arg
+        try:
+            return arg if type(arg) is EvalError else _call(func, arg)
+        except EvalError as err:
+            return err
 
-    normal = staticmethod(_normal)
+
+def _normal_form(e: Expr) -> Expr | EvalError:
+    """What :func:`normalize` returns or raises, the error returned."""
+    binop, call = _Normal.binop, _Normal.call
+    value: dict[Expr, object] = {}
+    for cur in _postorder((e,)):
+        kind = type(cur)
+        if kind is BinOp:
+            value[cur] = binop(cur.op, value[cur.left], value[cur.right])
+        elif kind is Call:
+            value[cur] = call(cur.func, value[cur.arg])
+        elif kind is Const or kind is Var:
+            value[cur] = cur
+        else:
+            raise TypeError(f"not an expression: {cur!r}")
+    return _normal(value[e])
 
 
 def normalize(e: Expr) -> Expr:
@@ -1180,38 +1205,12 @@ def normalize(e: Expr) -> Expr:
     division whose divisor folds to zero raises :class:`EvalError`, and
     so does a constant that folds out of the float range.
 
-    Point values are preserved; only the tree shape changes.  This walks
-    ``e`` once, each distinct node children first, through the builder the
-    parser also reads rules with (:class:`_Normal`), so a rule loaded from
-    text is the normal form of its parse.  The left operand of a product
-    or quotient is made normal before its right one is walked, so of two
-    folding errors the one met first in reading order is raised.
+    Point values are preserved; only the tree shape changes.  This hands
+    each distinct node of ``e``, children first, to the builder the parser
+    also reads rules with (:class:`_Normal`), so a rule loaded from text is
+    the normal form of its parse, and raises the folding failure that comes
+    out, the one met first in reading order.
     """
-    binop, call = _Normal.binop, _Normal.call
-    value: dict[Expr, object] = {}
-    stack: list = [e]
-    while stack:
-        cur = stack.pop()
-        kind = type(cur)
-        if cur is None:  # the node below has all its operands built
-            cur = stack.pop()
-            if type(cur) is Call:
-                value[cur] = call(cur.func, value[cur.arg])
-            else:
-                value[cur] = binop(cur.op, value[cur.left], value[cur.right])
-        elif kind is tuple:  # a product's or quotient's left operand is built
-            _normal(value[cur[0]])
-        elif cur in value:
-            continue
-        elif kind is BinOp:
-            stack += (cur, None, cur.right)
-            if cur.op == "*" or cur.op == "/":
-                stack.append((cur.left,))
-            stack.append(cur.left)
-        elif kind is Call:
-            stack += (cur, None, cur.arg)
-        elif kind is Const or kind is Var:
-            value[cur] = cur
-        else:
-            raise TypeError(f"not an expression: {cur!r}")
-    return _normal(value[e])
+    if type(e := _normal_form(e)) is EvalError:
+        raise e
+    return e

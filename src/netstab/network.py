@@ -161,13 +161,8 @@ def network_from_exprs(
     extra = set(updates) - declared
     if extra:
         raise NetworkError(f"updates for undeclared nodes {sorted(extra)}")
-    normal = {}
-    for node, update in updates.items():
-        try:
-            normal[node] = ex.normalize(update)
-        except EvalError as err:
-            raise NetworkError(f"update of {node!r}: {err}") from err
-    return _assembled(nodes, domains, normal, name, cg)
+    rules = ((node, ex._normal_form(update)) for node, update in updates.items())
+    return _assembled(nodes, domains, rules, name, cg)
 
 
 def _check_id(node) -> None:
@@ -175,12 +170,24 @@ def _check_id(node) -> None:
         raise NetworkError(f"node id {node!r} is not an identifier")
 
 
-def _assembled(nodes: tuple[str, ...], domains: dict[str, Interval], normal: dict[str, Expr],
+def _normal_rules(rules) -> dict[str, Expr]:
+    """The (node, normal form) pairs ``rules`` as a dict, read in rule order;
+    the first folding failure in place of a form is raised, naming its rule."""
+    normal = {}
+    for node, rule in rules:
+        if type(rule) is EvalError:
+            raise NetworkError(f"update of {node!r}: {rule}") from rule
+        normal[node] = rule
+    return normal
+
+
+def _assembled(nodes: tuple[str, ...], domains: dict[str, Interval], rules,
                name: str, cg: CohenGrossbergParams | None) -> TimeDelayedNetwork:
-    """The network of the rules ``normal`` of ``nodes``, once each reads
-    only declared nodes at delays up to ``MAX_DELAY``."""
+    """The network of the :func:`_normal_rules` ``rules`` of ``nodes``, once
+    each reads only declared nodes at delays up to ``MAX_DELAY``."""
     declared = set(nodes)
-    net = TimeDelayedNetwork(nodes=nodes, domains=dict(domains), updates=normal, name=name, cg=cg)
+    net = TimeDelayedNetwork(nodes=nodes, domains=dict(domains), updates=_normal_rules(rules),
+                             name=name, cg=cg)
     for node, refs in net.reads.items():
         for ref_node, delay in refs:
             if ref_node not in declared:
@@ -204,11 +211,11 @@ def build_network(
 
     ``declarations`` lists (node id, domain) in order; ``rules`` must
     cover each declared node exactly once.  Node ids are checked before
-    any rule is read.  Each rule is read straight into its normal form;
-    a rule whose folding fails is read again as written, so that a later
-    syntax error in it, or in a later rule, is reported first, and the
-    network is then built by :func:`network_from_exprs`, which reports the
-    folding error.
+    any rule is read.  Each rule is read once, straight into its normal
+    form or the folding failure ``normalize`` would raise on its parse.
+    Errors come in this order: the first bad rule as rules are read (a
+    syntax error, a duplicate or an undeclared node); missing rules; the
+    first rule, in rule order, whose folding failed.
     """
     nodes = tuple(n for n, _ in declarations)
     if len(set(nodes)) != len(nodes):
@@ -218,29 +225,20 @@ def build_network(
     domains = {n: dom for n, dom in declarations}
     declared = frozenset(nodes)  # the parser takes it without a copy
 
-    seen: set[str] = set()
-    updates: dict[str, Expr] = {}
-    folded = True  # every rule read into its normal form
+    updates: dict[str, Expr | EvalError] = {}
     for node, text in rules:
         if node not in declared:
             raise NetworkError(f"rule for undeclared node {node!r}")
-        if node in seen:
+        if node in updates:
             raise NetworkError(f"duplicate rule for node {node!r}")
-        seen.add(node)
         try:
-            try:
-                updates[node] = ex._parse_normal(text, declared)
-            except EvalError:
-                updates[node] = ex.parse_expression(text, declared)
-                folded = False
+            updates[node] = ex._parse_normal(text, declared)
         except ParseError as err:
             raise NetworkError(f"rule for {node!r}: {err}") from err
-    missing = declared - seen
+    missing = declared.difference(updates)
     if missing:
         raise NetworkError(f"missing rules for nodes {sorted(missing)}")
-    if not folded:
-        return network_from_exprs(nodes, domains, updates, name=name)
-    return _assembled(nodes, domains, updates, name, None)
+    return _assembled(nodes, domains, updates.items(), name, None)
 
 
 def make_cohen_grossberg(

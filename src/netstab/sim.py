@@ -224,9 +224,9 @@ def sampling_box(
 
     A node takes its bounds from ``sample_box`` when listed there, else from
     its domain with infinite ends replaced by -10 and 10.  Keys that are
-    not nodes, bounds that are not two finite numbers lo <= hi, and a
-    domain whose default box is empty (one-sided beyond -10 or 10) raise
-    NetworkError.
+    not nodes, bounds that are not two finite numbers lo <= hi, a domain
+    whose default box is empty (one-sided beyond -10 or 10) and a box
+    wider than the float range raise NetworkError.
     """
     box = sample_box or {}
     unknown = sorted(set(box) - set(net.nodes))
@@ -255,6 +255,9 @@ def sampling_box(
                 raise NetworkError(f"the default sampling box of {node}, [{lo[i]:g}, {hi[i]:g}], "
                                    f"is empty for its domain [{dom.lo:g}, {dom.hi:g}]; give a box "
                                    "with --box or sample_box")
+        if math.isinf(float(hi[i]) - float(lo[i])):
+            raise NetworkError(f"the sampling box of {node}, [{lo[i]:g}, {hi[i]:g}], is wider than "
+                               "the float range; give a box with --box or sample_box")
     return lo, hi
 
 

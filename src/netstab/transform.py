@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from .delays import AugmentedNetwork, _fresh, _with_lines
 from .errors import TransformError
-from .expr import Expr, Var, normalize, substitute
-from .network import TimeDelayedNetwork, interaction_graph, network_from_exprs
+from .expr import Expr, Var, _normal_form, substitute
+from .network import TimeDelayedNetwork, _normal_rules, interaction_graph, network_from_exprs
 from .structural import is_complete_structural
 
 __all__ = ["restrict", "expand", "delayed_expansion"]
@@ -138,10 +138,10 @@ def expand(net: TimeDelayedNetwork, S) -> AugmentedNetwork:
         chains[branch] = chain
         return Var(chain[-1], 0)
 
-    updates = {
-        target: normalize(_inline(net, in_s, target, leaf, lambda chain: chain))
+    updates = _normal_rules(
+        (target, _normal_form(_inline(net, in_s, target, leaf, lambda chain: chain)))
         for target in S
-    }
+    )
     lines = [(name, (branch[0], depth)) for branch in sorted(chains)
              for depth, name in enumerate(chains[branch], 1)]
     return _with_lines(

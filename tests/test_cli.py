@@ -421,6 +421,29 @@ def test_simulate_one_sided_domain_needs_a_box(in_tmp, capsys, domain):
     assert run(["simulate", str(path), "--trials", "2", "--steps", "10", box]) == 0
 
 
+def test_simulate_box_wider_than_the_float_range_is_an_error(in_tmp, capsys):
+    path = in_tmp / "wide.net"
+    path.write_text("network wide\nnode x1 domain [-1e308,1e308]\nupdate x1 = 0.5*x1\n")
+    pair = _write(in_tmp, "pair.net", gallery.undelayed_pair(0.5, 0.1, 1.0))
+    for argv in ([str(path)], [str(pair), "--box=-1e308,1e308"]):
+        assert run(["simulate", *argv, "--trials", "2", "--steps", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the sampling box of x1, [-1e+308, 1e+308], is wider than")
+        assert err.endswith("give a box with --box or sample_box\n") and err.count("\n") == 1
+    assert not list(in_tmp.glob("*.verdict.json"))
+
+
+def test_expand_names_the_rule_whose_folding_fails_as_restrict_does(in_tmp, capsys):
+    path = in_tmp / "loop.net"
+    path.write_text("network loop\nnode s domain [-1,1]\nnode x domain [-1,1]\n"
+                    "update s = 1e200*x\nupdate x = 1e200*s\n")
+    for verb in ("restrict", "expand"):
+        assert run([verb, str(path), "--set", "s", "-o", str(in_tmp / f"{verb}.net")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: update of 's': a constant folds to inf, out of the float range\n"
+    assert [p.name for p in in_tmp.iterdir()] == ["loop.net"]
+
+
 # inputs at the edges of what a network file can say: every verb must end
 # in a result or one error line, never a traceback
 HOSTILE = {

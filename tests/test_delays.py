@@ -7,7 +7,9 @@ from netstab import expr, gallery
 from netstab.delays import dedelay, shift_delay, undelay
 from netstab.errors import TransformError
 from netstab.expr import BinOp, Const, Interval, Var, eval_point, normalize
-from netstab.network import build_network, interaction_graph, is_non_distributed
+from netstab.network import (build_network, dump_network, interaction_graph, is_non_distributed,
+                             load_network)
+from netstab.sim import conjugacy_check
 
 R = Interval.whole()
 
@@ -43,6 +45,20 @@ def test_dedelay_walks_only_the_base_rules(monkeypatch):
     assert aug.net.reads == {
         node: frozenset(expr.references(e)) for node, e in aug.net.updates.items()
     }
+
+
+def test_dedelay_renames_reads_without_renormalizing():
+    # x1[-3] sorts before x1_a, its line x1_d3 after it: the renamed rule
+    # is not normal, but it runs the same operations in the same order
+    net = build_network([("x1", R), ("x1_a", R)], [
+        ("x1", "0.3*tanh(x1[-3]) + 0.2*tanh(x1_a) + 0.1*x1[-1]"), ("x1_a", "0.5*x1_a")])
+    aug = dedelay(net)
+    rule = aug.net.updates["x1"]
+    assert expr.to_text(rule) == "0.3 * tanh(x1_d3) + 0.2 * tanh(x1_a) + 0.1 * x1_d1"
+    assert normalize(rule) is not rule
+    assert load_network(dump_network(aug.net)).updates["x1"] is normalize(rule)
+    history = np.random.default_rng(5).uniform(-1, 1, (net.T, net.size))
+    assert conjugacy_check(net, history, 50, tol=0.0)
 
 
 def test_dedelay_line_wiring():

@@ -20,14 +20,18 @@ from netstab.expr import (
     Expr,
     Interval,
     Var,
+    _GROUP_KEY,
     _LIVE,
+    _Normal,
     _Parser,
     _add,
     _div,
     _evaluate,
     _mul,
     _neg,
+    _normal,
     _ordered,
+    _parse_normal,
     _postorder,
     _render,
     _sub,
@@ -942,6 +946,47 @@ def test_normalize_raises_the_folding_error_met_first_in_reading_order():
     with pytest.raises(EvalError, match="out of the float range"):
         normalize(e)
     assert _outcome(normalize, e) == _outcome(reference_normalize, e)
+
+
+def _read_outcome(text: str, declared):
+    """``_outcome`` of ``_parse_normal``, a returned folding failure read as raised."""
+    got = _outcome(_parse_normal, text, frozenset(declared))
+    return (EvalError, str(got), None) if type(got) is EvalError else got
+
+
+def test_rules_read_into_normal_form_as_normalize_gives():
+    """Reading a rule straight into its normal form gives the node that
+    normalizing its parse returns, or the error that either raises, also
+    where a folding fails before a syntax error or beside another failure."""
+    outcomes = collections.Counter()
+    for text in _front_end_files():
+        for node, rule, declared in _rule_texts(text):
+            if rule.isidentifier():  # the thousands of delay lines of expanded diamonds
+                continue
+            for prefix in _FOLDS + ["(1e308 + 1e308) * (1/0) * "]:
+                mutated = prefix.format(node, node, node) + rule
+                got = _read_outcome(mutated, declared)
+                want = _outcome(lambda: normalize(parse_expression(mutated, declared)))
+                assert got == want, mutated
+                outcomes[got[1].split(" ")[0]] += 1
+    # syntax errors, divisions by zero, constants out of the float range
+    # and overflowing functions were all met
+    assert min(outcomes[kind] for kind in ("unexpected", "division", "a", "overflow")) > 100
+
+
+def test_a_repeated_group_whose_folding_fails_fails_alike_at_every_copy():
+    group = "(1e308 * 1e308 + x1 - x2)"  # at least _GROUP_KEY characters: remembered
+    for text in (f"{group} + {group}", f"tanh({group}) * {group}", f"x1 - sin({group}) / {group}",
+                 f"x2 * ({group} + x3) - exp({group})", f"-{group} * -({group})"):
+        parser = _Parser(text, frozenset(NODES), _Normal)
+        got = _normal(parser.parse())
+        assert type(got) is EvalError
+        assert str(got) == "a constant folds to inf, out of the float range"
+        want = _outcome(lambda: normalize(parse_expression(text, NODES)))
+        assert _read_outcome(text, NODES) == want
+        # the copies after the first were read from the memo, which holds the failure
+        [(_, remembered, _)] = parser.groups[group[1:1 + _GROUP_KEY]]
+        assert _normal(remembered) is got
 
 
 def test_loaded_rules_are_normal():

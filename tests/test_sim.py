@@ -475,6 +475,12 @@ def test_attraction_rejects_non_finite_sample_box():
         verify_global_attraction(net, trials=2, steps=10, sample_box={"x1": (np.inf, 1.0)})
 
 
+def test_attraction_rejects_sample_box_wider_than_the_float_range():
+    net = gallery.undelayed_pair(0.5, 0.1, 1.0)
+    with pytest.raises(NetworkError, match=r"box of x2, .* wider than the float range; .* --box"):
+        verify_global_attraction(net, trials=2, steps=10, sample_box={"x2": (-1e308, 1e308)})
+
+
 def test_attraction_rejects_reversed_sample_box():
     net = gallery.undelayed_pair(0.5, 0.1, 1.0)
     with pytest.raises(NetworkError, match="lo <= hi"):
